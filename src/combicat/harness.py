@@ -22,6 +22,7 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 import requests
 
+from .bankio import SCHEMA_VERSION
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
@@ -36,8 +37,6 @@ from .rng import PortableRng
 from .synthesis import OPTION_LETTERS, AtomicQuestion, CombinatorialQuestion
 
 log = logging.getLogger(__name__)
-
-SCHEMA_VERSION = 1
 
 SYSTEM_PROMPT = (
     "You are taking a multiple-choice logic test.\n"

@@ -1,11 +1,14 @@
 """Propositional formulas over the four statement variables of a multi-select item.
 
 Each source question contributes four statements labelled I..IV. Formulas are
-immutable trees built from Var/Not/And/Or nodes and are evaluated against a
-truth assignment over the four variables. A small family of option patterns
-(exactness, disjunction, negation, compound negation) expands to canonical
-formula shapes; those canonical shapes are what rendering and pool
-deduplication operate on.
+immutable trees built from Var/Not/And/Or nodes. A formula's meaning is its
+16-bit truth mask: bit ``r`` holds its value under
+``Assignment.from_row_index(r)``. Evaluation is a bit test on the mask, two
+formulas are duplicates exactly when their masks are equal, and a small family
+of option shapes (exactness, disjunction, negation, compound negation, plus the
+universal distractor) is recognized by a lookup from mask to shape: the 21
+shapes have pairwise distinct masks. The trees themselves remain the on-disk
+form (prefix text) and the input to symbolic rendering.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ class Assignment:
     def value(self, index: Statement) -> bool:
         return self.values[index - 1]
 
+    def row_index(self) -> int:
+        """Inverse of :meth:`from_row_index`."""
+        return sum(value << shift for value, shift in zip(self.values, (3, 2, 1, 0)))
+
     def is_ground_truth(self) -> bool:
         return sum(self.values) == 1
 
@@ -94,34 +101,28 @@ class Assignment:
         return STATEMENTS[self.values.index(True)]
 
 
-def evaluate(formula: Formula, assignment: Assignment) -> bool:
-    """Standard propositional semantics; total and side-effect free."""
+# Bit r of a variable's mask is its value in row r of the lexicographic
+# (I, II, III, IV) enumeration, so statement I is the most significant position.
+_VAR_MASKS = {Statement.I: 0xFF00, Statement.II: 0xF0F0, Statement.III: 0xCCCC, Statement.IV: 0xAAAA}
+_ALL_ROWS = 0xFFFF
+
+
+def mask(formula: Formula) -> int:
+    """16-bit truth table of a formula in one bitwise walk of the tree."""
     if isinstance(formula, Var):
-        return assignment.value(formula.index)
+        return _VAR_MASKS[formula.index]
     if isinstance(formula, Not):
-        return not evaluate(formula.child, assignment)
+        return _ALL_ROWS ^ mask(formula.child)
     if isinstance(formula, And):
-        return evaluate(formula.left, assignment) and evaluate(formula.right, assignment)
+        return mask(formula.left) & mask(formula.right)
     if isinstance(formula, Or):
-        return evaluate(formula.left, assignment) or evaluate(formula.right, assignment)
+        return mask(formula.left) | mask(formula.right)
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def truth_table(formula: Formula) -> list[tuple[Assignment, bool]]:
-    """All 16 assignments in lexicographic (I, II, III, IV) order with values."""
-    rows = []
-    for i in range(16):
-        assignment = Assignment.from_row_index(i)
-        rows.append((assignment, evaluate(formula, assignment)))
-    return rows
-
-
-def depth(formula: Formula) -> int:
-    if isinstance(formula, Var):
-        return 1
-    if isinstance(formula, Not):
-        return 1 + depth(formula.child)
-    return 1 + max(depth(formula.left), depth(formula.right))
+def evaluate(formula: Formula, assignment: Assignment) -> bool:
+    """Standard propositional semantics; total and side-effect free."""
+    return bool(mask(formula) >> assignment.row_index() & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,44 +197,27 @@ def universal_none() -> Formula:
     return node
 
 
-def _flatten_and(formula: Formula) -> list[Formula]:
-    if isinstance(formula, And):
-        return _flatten_and(formula.left) + _flatten_and(formula.right)
-    return [formula]
+Shape = Union[Pattern, str]
+"""An option shape: a Pattern, or the string "universal_none"."""
+
+SHAPES: dict[int, Shape] = {mask(p.expand()): p for p in all_patterns()}
+SHAPES[mask(universal_none())] = "universal_none"
 
 
-def classify(formula: Formula) -> Pattern | str | None:
+def classify(formula: Formula) -> Shape | None:
     """Recognize a formula as a pattern expansion, the universal distractor, or neither.
 
     Returns the Pattern, the string "universal_none", or None for free-form
-    formulas. Recognition is up to conjunct order, so any tree shape of the
-    same conjunct multiset classifies identically.
+    formulas. Recognition is up to logical equivalence: any formula with the
+    truth table of a shape classifies as that shape, so reordered conjuncts
+    and De Morgan forms such as ``NOT(OR(VAR(I),VAR(II)))`` (the compound
+    negation of I and II) are recognized too.
     """
-    if isinstance(formula, Not) and isinstance(formula.child, Var):
-        return Pattern(PatternKind.NEGATION, formula.child.index)
-    if isinstance(formula, Or) and isinstance(formula.left, Var) and isinstance(formula.right, Var):
-        if formula.left.index != formula.right.index:
-            return Pattern(PatternKind.DISJUNCTION, formula.left.index, formula.right.index)
-        return None
-    if isinstance(formula, And):
-        conjuncts = _flatten_and(formula)
-        positives = [c.index for c in conjuncts if isinstance(c, Var)]
-        negatives = [c.child.index for c in conjuncts if isinstance(c, Not) and isinstance(c.child, Var)]
-        if len(positives) + len(negatives) != len(conjuncts):
-            return None
-        if len(set(positives)) != len(positives) or len(set(negatives)) != len(negatives):
-            return None
-        if len(positives) == 1 and sorted(negatives) == sorted(s for s in STATEMENTS if s != positives[0]):
-            return Pattern(PatternKind.EXACTNESS, positives[0])
-        if not positives and len(negatives) == 2:
-            return Pattern(PatternKind.COMPOUND_NEGATION, negatives[0], negatives[1])
-        if not positives and sorted(negatives) == list(STATEMENTS):
-            return "universal_none"
-    return None
+    return SHAPES.get(mask(formula))
 
 
 # ---------------------------------------------------------------------------
-# Canonical form and serialization
+# Serialization
 # ---------------------------------------------------------------------------
 
 
@@ -301,28 +285,6 @@ def parse_formula(text: str) -> Formula:
     return result
 
 
-def canonicalize(formula: Formula) -> Formula:
-    """Order commutative operands so structurally equal formulas share one form.
-
-    Operands of And/Or are sorted by their canonical serialization, which for
-    variables coincides with the statement order I < II < III < IV.
-    """
-    if isinstance(formula, Var):
-        return formula
-    if isinstance(formula, Not):
-        return Not(canonicalize(formula.child))
-    left = canonicalize(formula.left)
-    right = canonicalize(formula.right)
-    if serialize(right) < serialize(left):
-        left, right = right, left
-    return And(left, right) if isinstance(formula, And) else Or(left, right)
-
-
-def canonical_key(formula: Formula) -> str:
-    """Deduplication key: serialization of the canonical form."""
-    return serialize(canonicalize(formula))
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -349,23 +311,27 @@ def render_symbolic(formula: Formula) -> str:
     return f"({render_symbolic(formula.left)} {op} {render_symbolic(formula.right)})"
 
 
-def render(formula: Formula, locale: str = "en") -> str:
-    """Natural-language option text for pattern expansions; symbolic otherwise.
+def render_shape(shape: Shape | None, formula: Formula, locale: str = "en") -> str:
+    """Option text for a formula whose shape is already known (None: free-form).
 
     Template wording per locale lives in ``data/render_templates.json`` so the
-    phrasing can be edited without touching code.
+    phrasing can be edited without touching code; free-form formulas fall back
+    to symbolic notation.
     """
     tables = _templates()
     if locale not in tables:
         raise ValueError(f"unknown locale {locale!r}")
     table = tables[locale]
-    found = classify(formula)
-    if found == "universal_none":
-        return table["universal_none"]
-    if isinstance(found, Pattern):
-        text = table[found.kind.value]
-        text = text.replace("{i}", found.first.name)
-        if found.second is not None:
-            text = text.replace("{j}", found.second.name)
-        return text
-    return render_symbolic(formula)
+    if shape is None:
+        return render_symbolic(formula)
+    if isinstance(shape, str):
+        return table[shape]
+    text = table[shape.kind.value].replace("{i}", shape.first.name)
+    if shape.second is not None:
+        text = text.replace("{j}", shape.second.name)
+    return text
+
+
+def render(formula: Formula, locale: str = "en") -> str:
+    """Natural-language option text for pattern expansions; symbolic otherwise."""
+    return render_shape(classify(formula), formula, locale)

@@ -16,17 +16,17 @@ from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping
 
 from .logic import (
+    SHAPES,
     STATEMENTS,
     Assignment,
     Formula,
     Pattern,
     PatternKind,
+    Shape,
     Statement,
-    canonical_key,
-    classify,
-    evaluate,
+    mask,
     parse_formula,
-    render,
+    render_shape,
     serialize,
     statement_from_label,
     universal_none,
@@ -220,7 +220,10 @@ class CombinatorialQuestion:
             "source": self.source,
             "reasoning_type": self.reasoning_type,
         }
-        record.update(self.extras)
+        # Copied source extras never overwrite a synthesized field (an inline
+        # "tier" on the atomic record, say).
+        for key, value in self.extras.items():
+            record.setdefault(key, value)
         return record
 
     @classmethod
@@ -294,9 +297,16 @@ def atomize(question: AtomicQuestion) -> tuple[tuple[str, str, str, str], Assign
     return statements, Assignment.ground_truth(question.answer_index())
 
 
+PoolEntry = tuple[Shape, Formula]
+
+
+def _entries(shapes: list[Shape]) -> tuple[PoolEntry, ...]:
+    return tuple((shape, shape.expand() if isinstance(shape, Pattern) else universal_none()) for shape in shapes)
+
+
 @lru_cache(maxsize=None)
-def _pools_for(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
-    """Enumerate (valid, distractor) formula pools in a fixed, documented order.
+def _pools_for(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tuple[PoolEntry, ...], tuple[PoolEntry, ...]]:
+    """Enumerate (valid, distractor) pools of (shape, formula) pairs in a fixed, documented order.
 
     Valid pool: exactness of the answer; disjunctions pairing the answer with
     each other statement; negations of each other statement; compound
@@ -308,46 +318,43 @@ def _pools_for(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tupl
     and always the universal distractor, listed last.
     """
     others = [s for s in STATEMENTS if s != answer]
-    valid: list[Formula] = [Pattern(PatternKind.EXACTNESS, answer).expand()]
+    valid: list[Shape] = [Pattern(PatternKind.EXACTNESS, answer)]
     if PatternKind.DISJUNCTION in allowed:
-        valid += [Pattern(PatternKind.DISJUNCTION, answer, j).expand() for j in others]
+        valid += [Pattern(PatternKind.DISJUNCTION, answer, j) for j in others]
     if PatternKind.NEGATION in allowed:
-        valid += [Pattern(PatternKind.NEGATION, j).expand() for j in others]
+        valid += [Pattern(PatternKind.NEGATION, j) for j in others]
     if PatternKind.COMPOUND_NEGATION in allowed:
-        valid += [Pattern(PatternKind.COMPOUND_NEGATION, j, k).expand() for j, k in combinations(others, 2)]
+        valid += [Pattern(PatternKind.COMPOUND_NEGATION, j, k) for j, k in combinations(others, 2)]
 
-    distractor: list[Formula] = [Pattern(PatternKind.EXACTNESS, j).expand() for j in others]
+    distractor: list[Shape] = [Pattern(PatternKind.EXACTNESS, j) for j in others]
     if PatternKind.DISJUNCTION in allowed:
-        distractor += [Pattern(PatternKind.DISJUNCTION, j, k).expand() for j, k in combinations(others, 2)]
+        distractor += [Pattern(PatternKind.DISJUNCTION, j, k) for j, k in combinations(others, 2)]
     if PatternKind.NEGATION in allowed:
-        distractor.append(Pattern(PatternKind.NEGATION, answer).expand())
+        distractor.append(Pattern(PatternKind.NEGATION, answer))
     if PatternKind.COMPOUND_NEGATION in allowed:
-        distractor.append(Pattern(PatternKind.COMPOUND_NEGATION, answer, others[0]).expand())
-    distractor.append(universal_none())
-    return tuple(valid), tuple(distractor)
+        distractor.append(Pattern(PatternKind.COMPOUND_NEGATION, answer, others[0]))
+    distractor.append("universal_none")
+    return _entries(valid), _entries(distractor)
 
 
 def generate_valid_pool(cfg: TierConfig, answer: Statement) -> list[Formula]:
     """Formulas that evaluate true under the ground-truth valuation."""
-    return list(_pools_for(cfg.allowed_patterns, answer)[0])
+    return [formula for _, formula in _pools_for(cfg.allowed_patterns, answer)[0]]
 
 
 def generate_distractor_pool(cfg: TierConfig, answer: Statement) -> list[Formula]:
     """Formulas that evaluate false under the ground-truth valuation."""
-    return list(_pools_for(cfg.allowed_patterns, answer)[1])
+    return [formula for _, formula in _pools_for(cfg.allowed_patterns, answer)[1]]
 
 
-def _kind_of(formula: Formula) -> PatternKind | None:
-    found = classify(formula)
-    return found.kind if isinstance(found, Pattern) else None
-
-
-def _satisfies(kind: PatternKind | None, requirement: PatternKind) -> bool:
+def _satisfies(shape: Shape | None, requirement: PatternKind) -> bool:
     # Compound negations are negations for requirement purposes; the universal
-    # distractor (kind None) satisfies nothing.
+    # distractor and free-form formulas satisfy nothing.
+    if not isinstance(shape, Pattern):
+        return False
     if requirement is PatternKind.NEGATION:
-        return kind in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION)
-    return kind == requirement
+        return shape.kind in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION)
+    return shape.kind == requirement
 
 
 _REQUIREMENT_ORDER = (PatternKind.DISJUNCTION, PatternKind.NEGATION)
@@ -367,8 +374,7 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     answer = question.answer_index()
     rng = PortableRng(seed)
 
-    valid_pool = [(f, _kind_of(f)) for f in generate_valid_pool(cfg, answer)]
-    distractor_pool = [(f, _kind_of(f)) for f in generate_distractor_pool(cfg, answer)]
+    valid_pool, distractor_pool = (list(pool) for pool in _pools_for(cfg.allowed_patterns, answer))
 
     n_correct = rng.randint(cfg.n_correct_min, cfg.n_correct_max)
     n_distract = cfg.n_options - n_correct
@@ -379,29 +385,29 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
             f"{len(valid_pool)}/{len(distractor_pool)}"
         )
 
-    correct_picks: list[tuple[Formula, PatternKind | None]] = []
-    distract_picks: list[tuple[Formula, PatternKind | None]] = []
+    correct_picks: list[PoolEntry] = []
+    distract_picks: list[PoolEntry] = []
 
-    def take_weighted(pool: list[tuple[Formula, PatternKind | None]], indices: list[int]) -> tuple[Formula, PatternKind | None]:
-        weights = [cfg.weight_for(pool[i][1]) if pool[i][1] is not None else 1.0 for i in indices]
+    def take_weighted(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
+        weights = [cfg.weight_for(pool[i][0].kind) if isinstance(pool[i][0], Pattern) else 1.0 for i in indices]
         chosen = indices[rng.weighted_index(weights)]
         return pool.pop(chosen)
 
-    def take_uniform(pool: list[tuple[Formula, PatternKind | None]], indices: list[int]) -> tuple[Formula, PatternKind | None]:
+    def take_uniform(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
         chosen = indices[rng.below(len(indices))]
         return pool.pop(chosen)
 
     for requirement in _REQUIREMENT_ORDER:
         if requirement not in cfg.required_patterns:
             continue
-        if any(_satisfies(kind, requirement) for _, kind in correct_picks + distract_picks):
+        if any(_satisfies(shape, requirement) for shape, _ in correct_picks + distract_picks):
             continue
-        valid_candidates = [i for i, (_, kind) in enumerate(valid_pool) if _satisfies(kind, requirement)]
+        valid_candidates = [i for i, (shape, _) in enumerate(valid_pool) if _satisfies(shape, requirement)]
         if len(correct_picks) < n_correct and valid_candidates:
             correct_picks.append(take_weighted(valid_pool, valid_candidates))
             continue
         distractor_candidates = [
-            i for i, (_, kind) in enumerate(distractor_pool) if _satisfies(kind, requirement)
+            i for i, (shape, _) in enumerate(distractor_pool) if _satisfies(shape, requirement)
         ]
         if len(distract_picks) < n_distract and distractor_candidates:
             distract_picks.append(take_uniform(distractor_pool, distractor_candidates))
@@ -416,15 +422,15 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     while len(distract_picks) < n_distract:
         distract_picks.append(take_uniform(distractor_pool, list(range(len(distractor_pool)))))
 
-    labelled = [(formula, True) for formula, _ in correct_picks]
-    labelled += [(formula, False) for formula, _ in distract_picks]
+    labelled = [(entry, True) for entry in correct_picks]
+    labelled += [(entry, False) for entry in distract_picks]
     rng.shuffle(labelled)
 
     entries = []
     answer_letters = set()
-    for position, (formula, is_correct) in enumerate(labelled):
+    for position, ((shape, formula), is_correct) in enumerate(labelled):
         letter = OPTION_LETTERS[position]
-        entries.append(OptionEntry(letter, formula, render(formula, question.language)))
+        entries.append(OptionEntry(letter, formula, render_shape(shape, formula, question.language)))
         if is_correct:
             answer_letters.add(letter)
 
@@ -448,60 +454,66 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
 def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> VerificationReport:
     """Exhaustive semantic check of a combinatorial question.
 
-    With a fixed four-variable valuation, direct evaluation of every option is
-    a complete decision procedure, so the checks below are proofs rather than
-    spot tests: (1) each option's truth value matches its answer label, (2)
-    the tier's required patterns appear among the options, (3) the answer set
-    is neither empty nor the full option list, (4) no two options share a
-    canonical formula.
+    Each option's formula is reduced once to its 16-bit truth mask. With a
+    fixed four-variable valuation, the mask bit at the ground-truth row
+    decides the option's truth, so the checks below are proofs rather than
+    spot tests. Rules, by violation name:
+
+    - ``letter-order``: option letters run A, B, C... in order;
+    - ``truth-mismatch``: each option's truth value matches its answer label;
+    - ``text-mismatch``: each option's text is its shape's template in the
+      question's language, or the symbolic rendering of a free-form formula;
+    - ``duplicate-formula``: no two options share a truth table;
+    - ``unknown-letter``: every answer letter names an option;
+    - ``missing-required-pattern``: the tier's required patterns appear;
+    - ``degenerate-answer-set``: the answer set is neither empty nor every option;
+    - ``answer-count``: the answer count lies in the tier's range.
     """
     if cfg is None:
         cfg = tier_config(question.tier)
-    truth = question.truth()
+    row = question.truth().row_index()
+    letters = question.letters()
     violations: list[Violation] = []
 
-    for entry in question.options:
-        value = evaluate(entry.formula, truth)
-        labelled_correct = entry.letter in question.answer_set
-        if value != labelled_correct:
-            violations.append(
-                Violation(
-                    entry.letter,
-                    "truth-mismatch",
-                    f"option {entry.letter} evaluates {value} but is labelled "
-                    f"{'correct' if labelled_correct else 'incorrect'}",
-                )
-            )
+    def flag(letter: str, rule: str, message: str) -> None:
+        violations.append(Violation(letter, rule, message))
 
-    kinds = [_kind_of(entry.formula) for entry in question.options]
+    if letters != tuple(OPTION_LETTERS[: len(letters)]):
+        flag("", "letter-order", f"option letters {','.join(letters)} do not run A, B, C... in order")
+
+    shapes: list[Shape | None] = []
+    seen: dict[int, str] = {}
+    for entry in question.options:
+        truth_mask = mask(entry.formula)
+        shape = SHAPES.get(truth_mask)
+        shapes.append(shape)
+        value = bool(truth_mask >> row & 1)
+        labelled = "correct" if entry.letter in question.answer_set else "incorrect"
+        if value != (labelled == "correct"):
+            flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
+        expected_text = render_shape(shape, entry.formula, question.language)
+        if entry.text != expected_text:
+            flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
+        if truth_mask in seen:
+            flag(
+                entry.letter,
+                "duplicate-formula",
+                f"options {seen[truth_mask]} and {entry.letter} share truth table {truth_mask:#06x}",
+            )
+        seen.setdefault(truth_mask, entry.letter)
+
+    for letter in sorted(question.answer_set - set(letters)):
+        flag(letter, "unknown-letter", f"answer letter {letter!r} names no option")
+
     for requirement in sorted(cfg.required_patterns, key=lambda k: k.value):
-        if not any(_satisfies(kind, requirement) for kind in kinds):
-            violations.append(
-                Violation("", "missing-required-pattern", f"no option presents {requirement.value}")
-            )
+        if not any(_satisfies(shape, requirement) for shape in shapes):
+            flag("", "missing-required-pattern", f"no option presents {requirement.value}")
 
-    if not 1 <= len(question.answer_set) < len(question.options):
-        violations.append(
-            Violation(
-                "",
-                "degenerate-answer-set",
-                f"answer set size {len(question.answer_set)} of {len(question.options)} options",
-            )
-        )
-
-    seen: dict[str, str] = {}
-    for entry in question.options:
-        key = canonical_key(entry.formula)
-        if key in seen:
-            violations.append(
-                Violation(
-                    entry.letter,
-                    "duplicate-formula",
-                    f"options {seen[key]} and {entry.letter} share formula {key}",
-                )
-            )
-        else:
-            seen[key] = entry.letter
+    n_answers = len(question.answer_set)
+    if not 1 <= n_answers < len(question.options):
+        flag("", "degenerate-answer-set", f"answer set size {n_answers} of {len(question.options)} options")
+    if not cfg.n_correct_min <= n_answers <= cfg.n_correct_max:
+        flag("", "answer-count", f"{n_answers} answers outside the {cfg.tier} range {cfg.n_correct_min}-{cfg.n_correct_max}")
 
     return VerificationReport.from_violations(violations)
 

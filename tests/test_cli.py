@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior on temporary working directories."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,18 @@ class TestSynthesize:
             ["synthesize", "--bank", str(bank_path), "--out", str(tmp_path / "x.json"), "--tier", "Impossible"]
         )
         assert code == 1
+
+    def test_inline_source_tier_does_not_overwrite_synthesized_tier(self, tmp_path):
+        source = make_atomic_bank(4, seed=9)
+        source[0] = replace(source[0], extras={"tier": "Easy", "note": "kept"})
+        bank_path = tmp_path / "atomic.json"
+        save_atomic_bank(str(bank_path), source)
+        out = tmp_path / "comb.json"
+        code = main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier", "Expert"])
+        assert code == 0
+        record = load_json(str(out))["questions"][0]
+        assert record["tier"] == "Expert"
+        assert record["note"] == "kept"
 
 
 class TestScoreTraces:

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from combicat.logic import (
     STATEMENTS,
     Assignment,
+    Not,
     Pattern,
     PatternKind,
     Statement,
+    Var,
     classify,
-    evaluate,
-    truth_table,
 )
 from combicat.synthesis import (
     NOTA_TEXT,
     AtomicQuestion,
     CombinatorialQuestion,
     InfeasibleTierError,
+    OptionEntry,
     QuestionFormatError,
     TierConfig,
     apply_nota,
@@ -35,6 +36,7 @@ from combicat.synthesis import (
     verify,
 )
 from conftest import make_atomic_question
+from oracle import reference_evaluate
 
 TIERS = ("Easy", "Medium", "Hard", "Expert")
 
@@ -98,11 +100,9 @@ class TestPools:
         cfg = tier_config(tier)
         truth = Assignment.ground_truth(answer)
         for formula in generate_valid_pool(cfg, answer):
-            rows = {a.values: v for a, v in truth_table(formula)}
-            assert rows[truth.values] is True
+            assert reference_evaluate(formula, truth) is True
         for formula in generate_distractor_pool(cfg, answer):
-            rows = {a.values: v for a, v in truth_table(formula)}
-            assert rows[truth.values] is False
+            assert reference_evaluate(formula, truth) is False
 
     def test_easy_valid_pool_is_the_answer_exactness(self):
         pool = generate_valid_pool(tier_config("Easy"), Statement.I)
@@ -271,6 +271,50 @@ class TestVerify:
         report = verify(relabeled)
         assert any(v.rule == "missing-required-pattern" for v in report.violations)
 
+    def test_unknown_answer_letter_detected(self):
+        combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Expert"), 13)
+        tampered = CombinatorialQuestion(
+            **{**combinatorial.__dict__, "answer_set": combinatorial.answer_set | {"Z"}}
+        )
+        report = verify(tampered)
+        assert [v.rule for v in report.violations] == ["unknown-letter"]
+        assert report.violations[0].letter == "Z"
+
+    def test_out_of_order_letters_detected(self):
+        combinatorial = assemble(make_atomic_question(9, "II"), tier_config("Hard"), 13)
+        options = list(combinatorial.options)
+        options[0], options[1] = options[1], options[0]
+        tampered = CombinatorialQuestion(**{**combinatorial.__dict__, "options": tuple(options)})
+        report = verify(tampered)
+        assert [v.rule for v in report.violations] == ["letter-order"]
+
+    def test_text_that_misstates_its_formula_detected(self):
+        # The responder sees only the text, so "Only statement IV is correct"
+        # over NOT(VAR(II)) changes the question even though the label holds.
+        cfg = tier_config("Hard")
+        question = make_atomic_question(9, "I")
+        combinatorial = next(
+            q
+            for q in (assemble(question, cfg, seed) for seed in range(64))
+            if any(e.formula == Not(Var(Statement.II)) for e in q.options)
+        )
+        options = tuple(
+            OptionEntry(e.letter, e.formula, "Only statement IV is correct")
+            if e.formula == Not(Var(Statement.II))
+            else e
+            for e in combinatorial.options
+        )
+        tampered = CombinatorialQuestion(**{**combinatorial.__dict__, "options": options})
+        report = verify(tampered)
+        assert [v.rule for v in report.violations] == ["text-mismatch"]
+
+    def test_answer_count_outside_tier_range_detected(self):
+        combinatorial = assemble(make_atomic_question(9, "III"), tier_config("Expert"), 13)
+        assert len(combinatorial.answer_set) >= 2
+        relabeled = CombinatorialQuestion(**{**combinatorial.__dict__, "tier": "Easy"})
+        report = verify(relabeled)
+        assert [v.rule for v in report.violations] == ["answer-count"]
+
 
 class TestSynthesizeLoop:
     def test_returns_zero_regenerations_in_normal_operation(self):
@@ -322,7 +366,7 @@ def test_property_correct_options_true_under_truth(answer, tier, seed):
     truth = combinatorial.truth()
     for entry in combinatorial.options:
         expected = entry.letter in combinatorial.answer_set
-        assert evaluate(entry.formula, truth) == expected
+        assert reference_evaluate(entry.formula, truth) == expected
 
 
 class TestNota:
