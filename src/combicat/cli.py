@@ -35,6 +35,8 @@ from .harness import (
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
+    DEFAULT_MAX_ITEMS,
+    DEFAULT_SE_TARGET,
     calibrate_difficulty,
     discrimination_for_tier,
     guessing_for_options,
@@ -350,8 +352,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = int(_resolve(args.seed, config, "seed", 0))
     mode = _resolve(args.mode, config, "mode", "static")
-    max_items = int(_resolve(args.max_items, config, "max_items", 60))
-    se_target = float(_resolve(args.se_target, config, "se_target", 0.3))
+    max_items = int(_resolve(args.max_items, config, "max_items", DEFAULT_MAX_ITEMS))
+    se_target = float(_resolve(args.se_target, config, "se_target", DEFAULT_SE_TARGET))
     simulator = _resolve(args.simulator, config, "simulator", None)
     endpoint_path = _resolve(args.endpoint, config, "endpoint", None)
     baselines = _resolve(args.baseline, config, "baseline", "")

@@ -142,14 +142,14 @@ def _strip_decoration(text: str) -> str:
     return text
 
 
-def _letters_from_line(line: str, valid: frozenset[str], allow_joined: bool) -> set[str] | None:
+def _letters_from_line(line: str, valid: frozenset[str]) -> set[str] | None:
     content = _strip_decoration(line)
     if not content:
         return None
     tokens = [t for t in re.split(r"[,\s]+", _AND_RE.sub(",", content)) if t]
     if tokens and all(token.upper() in valid for token in tokens):
         return {token.upper() for token in tokens}
-    if allow_joined and len(tokens) == 1:
+    if len(tokens) == 1:
         token = tokens[0]
         # Run-together answers like "BD" must be uppercase and duplicate-free
         # to avoid swallowing ordinary words.
@@ -158,9 +158,7 @@ def _letters_from_line(line: str, valid: frozenset[str], allow_joined: bool) -> 
     return None
 
 
-def parse_answer(
-    raw: str, valid_letters: Iterable[str], allow_joined: bool = True
-) -> set[str]:
+def parse_answer(raw: str, valid_letters: Iterable[str]) -> set[str]:
     """Extract the answered letter set from raw model output.
 
     Lines are scanned from the last upward for one that is nothing but valid
@@ -172,7 +170,7 @@ def parse_answer(
     if not valid:
         raise ValueError("valid_letters must be non-empty")
     for line in reversed(raw.splitlines()):
-        letters = _letters_from_line(line, valid, allow_joined)
+        letters = _letters_from_line(line, valid)
         if letters:
             return letters
     last: set[str] | None = None
@@ -560,7 +558,6 @@ class RunSettings:
     max_items: int = DEFAULT_MAX_ITEMS
     se_target: float = DEFAULT_SE_TARGET
     strict_incorrect: bool = False
-    exact_3pl_information: bool = False
     config_hash: str = ""
 
 
@@ -664,7 +661,6 @@ def run_benchmark(
             se_target=settings.se_target,
             on_step=on_step,
             strict_incorrect=settings.strict_incorrect,
-            exact_3pl=settings.exact_3pl_information,
         )
         subsets["base"] = summarize_records(records[BASE_SUBSET])
         subsets["comb"] = summarize_records(records[COMBINATORIAL_SUBSET])

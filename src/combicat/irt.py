@@ -116,20 +116,10 @@ def probability_3pl(theta: float, item: ItemParams) -> float:
     return item.c + (1.0 - item.c) * logistic
 
 
-def fisher_information(theta: float, item: ItemParams, exact_3pl: bool = False) -> float:
-    """Item information at an ability level.
-
-    The default is the quoted selection criterion a^2 P (1 - P). The exact 3PL
-    information a^2 ((P - c) / (1 - c))^2 (1 - P) / P, which accounts for the
-    guessing floor, sits behind the ``exact_3pl`` switch and is off by default.
-    """
+def fisher_information(theta: float, item: ItemParams) -> float:
+    """Item information at an ability level by the selection criterion a^2 P (1 - P)."""
     p = probability_3pl(theta, item)
-    if not exact_3pl:
-        return item.a * item.a * p * (1.0 - p)
-    if p <= 0.0:
-        return 0.0
-    ratio = (p - item.c) / (1.0 - item.c)
-    return item.a * item.a * ratio * ratio * (1.0 - p) / p
+    return item.a * item.a * p * (1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -142,30 +132,31 @@ class AbilityEstimate:
         return {"theta_hat": self.theta_hat, "se": self.se, "n_administered": self.n_administered}
 
 
-def _posterior_estimate(grid: QuadratureGrid, posterior: Sequence[float], n: int) -> AbilityEstimate:
-    theta = math.fsum(node * w for node, w in zip(grid.nodes, posterior))
-    variance = math.fsum(w * (node - theta) ** 2 for node, w in zip(grid.nodes, posterior))
+_GRID = QuadratureGrid.standard()
+
+
+def _posterior_estimate(posterior: Sequence[float], n: int) -> AbilityEstimate:
+    theta = math.fsum(node * w for node, w in zip(_GRID.nodes, posterior))
+    variance = math.fsum(w * (node - theta) ** 2 for node, w in zip(_GRID.nodes, posterior))
     return AbilityEstimate(theta_hat=theta, se=math.sqrt(max(variance, 0.0)), n_administered=n)
 
 
 @dataclass
 class CatSession:
-    """Posterior state and administration history for one subset."""
+    """Posterior state on the standard grid and administration history for one subset."""
 
     subset: str
-    grid: QuadratureGrid
     posterior: list[float]
     administered: list[tuple[str, bool]] = field(default_factory=list)
     skipped: set[str] = field(default_factory=set)
     estimate: AbilityEstimate = field(init=False)
 
     def __post_init__(self) -> None:
-        self.estimate = _posterior_estimate(self.grid, self.posterior, len(self.administered))
+        self.estimate = _posterior_estimate(self.posterior, len(self.administered))
 
     @classmethod
-    def start(cls, subset: str = BASE_SUBSET, grid: QuadratureGrid | None = None) -> "CatSession":
-        grid = grid or QuadratureGrid.standard()
-        return cls(subset=subset, grid=grid, posterior=list(grid.prior_weights))
+    def start(cls, subset: str = BASE_SUBSET) -> "CatSession":
+        return cls(subset=subset, posterior=list(_GRID.prior_weights))
 
     def administered_ids(self) -> set[str]:
         return {item_id for item_id, _ in self.administered}
@@ -181,7 +172,7 @@ def eap_update(session: CatSession, item: ItemParams, correct: bool) -> CatSessi
     if item.item_id in session.administered_ids():
         raise DuplicateAdministrationError(f"item {item.item_id!r} already administered")
     updated = []
-    for node, weight in zip(session.grid.nodes, session.posterior):
+    for node, weight in zip(_GRID.nodes, session.posterior):
         p = probability_3pl(node, item)
         updated.append(weight * (p if correct else 1.0 - p))
     total = math.fsum(updated)
@@ -189,7 +180,7 @@ def eap_update(session: CatSession, item: ItemParams, correct: bool) -> CatSessi
         raise RuntimeError("posterior vanished; response pattern has zero likelihood on the grid")
     session.posterior = [w / total for w in updated]
     session.administered.append((item.item_id, bool(correct)))
-    session.estimate = _posterior_estimate(session.grid, session.posterior, len(session.administered))
+    session.estimate = _posterior_estimate(session.posterior, len(session.administered))
     return session
 
 
@@ -198,7 +189,7 @@ def _eligible(session: CatSession, bank: Iterable[ItemParams]) -> list[ItemParam
     return [item for item in bank if item.subset == session.subset and item.item_id not in used]
 
 
-def select_next(session: CatSession, bank: Sequence[ItemParams], exact_3pl: bool = False) -> str:
+def select_next(session: CatSession, bank: Sequence[ItemParams]) -> str:
     """Unadministered item with maximal information at the current estimate.
 
     Ties go to the lexicographically smallest item id so replays are stable.
@@ -207,7 +198,7 @@ def select_next(session: CatSession, bank: Sequence[ItemParams], exact_3pl: bool
     best_id: str | None = None
     best_info = -math.inf
     for item in _eligible(session, bank):
-        info = fisher_information(theta, item, exact_3pl=exact_3pl)
+        info = fisher_information(theta, item)
         if info > best_info or (info == best_info and (best_id is None or item.item_id < best_id)):
             best_id = item.item_id
             best_info = info
@@ -222,10 +213,10 @@ def should_terminate(
     se_target: float = DEFAULT_SE_TARGET,
     bank: Sequence[ItemParams] | None = None,
 ) -> bool:
-    """Stop once precise enough, out of budget, or out of items."""
+    """Stop once precise enough, out of budget (administered plus skipped), or out of items."""
     if session.estimate.se < se_target:
         return True
-    if len(session.administered) >= max_items:
+    if len(session.administered) + len(session.skipped) >= max_items:
         return True
     if bank is not None and not _eligible(session, bank):
         return True
@@ -291,12 +282,10 @@ def run_cat_session(
     bank: Sequence[ItemParams],
     respond: ItemResponder,
     subset: str = BASE_SUBSET,
-    grid: QuadratureGrid | None = None,
     max_items: int = DEFAULT_MAX_ITEMS,
     se_target: float = DEFAULT_SE_TARGET,
     on_step: StepCallback | None = None,
     strict_incorrect: bool = False,
-    exact_3pl: bool = False,
 ) -> CatSession:
     """Select/administer/update loop for one subset until termination.
 
@@ -304,11 +293,11 @@ def run_cat_session(
     cannot pass for low ability; ``strict_incorrect`` scores them wrong
     instead.
     """
-    session = CatSession.start(subset=subset, grid=grid)
+    session = CatSession.start(subset=subset)
     items_by_id = {item.item_id: item for item in bank}
     step = 0
     while not should_terminate(session, max_items=max_items, se_target=se_target, bank=bank):
-        item_id = select_next(session, bank, exact_3pl=exact_3pl)
+        item_id = select_next(session, bank)
         item = items_by_id[item_id]
         outcome = respond(item)
         if outcome is None and not strict_incorrect:
@@ -361,38 +350,23 @@ def run_dual_session(
     respond: ItemResponder,
     base_bank: Sequence[ItemParams],
     comb_bank: Sequence[ItemParams],
-    grid: QuadratureGrid | None = None,
     max_items: int = DEFAULT_MAX_ITEMS,
     se_target: float = DEFAULT_SE_TARGET,
     on_step: StepCallback | None = None,
     strict_incorrect: bool = False,
-    exact_3pl: bool = False,
 ) -> DualReport:
     """Independent adaptive sessions on both subsets with a shared responder."""
-    if not base_bank or not comb_bank:
-        raise ValueError("both banks must be non-empty for a dual run")
-    base = run_cat_session(
-        base_bank,
-        respond,
-        subset=BASE_SUBSET,
-        grid=grid,
-        max_items=max_items,
-        se_target=se_target,
-        on_step=on_step,
-        strict_incorrect=strict_incorrect,
-        exact_3pl=exact_3pl,
-    )
-    comb = run_cat_session(
-        comb_bank,
-        respond,
-        subset=COMBINATORIAL_SUBSET,
-        grid=grid,
-        max_items=max_items,
-        se_target=se_target,
-        on_step=on_step,
-        strict_incorrect=strict_incorrect,
-        exact_3pl=exact_3pl,
-    )
+    banks = {BASE_SUBSET: base_bank, COMBINATORIAL_SUBSET: comb_bank}
+    for subset, bank in banks.items():
+        if not bank:
+            raise ValueError("both banks must be non-empty for a dual run")
+        for item in bank:
+            if item.subset != subset:
+                raise ValueError(f"item {item.item_id!r} is labeled {item.subset!r} but was passed as {subset!r}")
+    base, comb = [
+        run_cat_session(bank, respond, subset, max_items, se_target, on_step, strict_incorrect)
+        for subset, bank in banks.items()
+    ]
     return DualReport(
         base=base.estimate,
         comb=comb.estimate,

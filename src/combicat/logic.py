@@ -293,7 +293,8 @@ _SYMBOLS = {"not": "¬", "and": "∧", "or": "∨"}
 _templates_cache: dict[str, dict[str, str]] | None = None
 
 
-def _templates() -> dict[str, dict[str, str]]:
+def templates() -> dict[str, dict[str, str]]:
+    """Option wording per locale, loaded once from ``data/render_templates.json``."""
     global _templates_cache
     if _templates_cache is None:
         raw = resources.files("combicat.data").joinpath("render_templates.json").read_text("utf-8")
@@ -318,7 +319,7 @@ def render_shape(shape: Shape | None, formula: Formula, locale: str = "en") -> s
     phrasing can be edited without touching code; free-form formulas fall back
     to symbolic notation.
     """
-    tables = _templates()
+    tables = templates()
     if locale not in tables:
         raise ValueError(f"unknown locale {locale!r}")
     table = tables[locale]

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class CorpusError(ValueError):
@@ -103,10 +103,6 @@ class MarkerLexicons:
     deduction_step: tuple[re.Pattern[str], ...]
     abstraction: Mapping[int, tuple[re.Pattern[str], ...]]
     contradiction: tuple[re.Pattern[str], ...]
-
-    @property
-    def epistemic_class_count(self) -> int:
-        return len(self.epistemic)
 
 
 def _merge_raw(locales: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
@@ -422,8 +418,6 @@ _ASSERTION_RE = re.compile(
 )
 _FINAL_LETTERS_RE = re.compile(r"(?<![A-Za-z])([A-H])(?![A-Za-z])")
 
-FallacyChecker = Callable[[ThinkingTrace], float]
-
 
 def _final_answer_span(text: str) -> tuple[set[str], int]:
     """Letters on the last non-empty line and that line's character offset."""
@@ -439,20 +433,12 @@ def _final_answer_span(text: str) -> tuple[set[str], int]:
     return last_letters, last_start
 
 
-def fallacy_penalty(
-    trace: ThinkingTrace,
-    lexicons: MarkerLexicons | None = None,
-    checker: FallacyChecker | None = None,
-) -> float:
+def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
     """Count internal contradictions in a trace.
 
-    The default rule totals (a) assertions "the answer is X" whose letter is
-    absent from the final-line answer, and (b) explicit self-contradiction
-    markers. Pass ``checker`` to substitute a stronger detector.
+    The rule totals (a) assertions "the answer is X" whose letter is absent
+    from the final-line answer, and (b) explicit self-contradiction markers.
     """
-    if checker is not None:
-        return float(checker(trace))
-    lexicons = lexicons or load_lexicons()
     final_letters, final_start = _final_answer_span(trace.text)
     mismatches = 0
     if final_letters:

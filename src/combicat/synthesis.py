@@ -29,6 +29,7 @@ from .logic import (
     render_shape,
     serialize,
     statement_from_label,
+    templates,
     universal_none,
 )
 from .rng import PortableRng, derive_seed
@@ -111,7 +112,7 @@ class AtomicQuestion:
 
 @dataclass(frozen=True)
 class TierConfig:
-    """Operator families, answer-count range, and sampling weights for one tier."""
+    """Operator families and answer-count range for one tier."""
 
     tier: str
     allowed_patterns: frozenset[PatternKind]
@@ -119,7 +120,6 @@ class TierConfig:
     n_correct_min: int
     n_correct_max: int
     n_options: int = 6
-    weights: Mapping[PatternKind, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_correct_min <= self.n_correct_max < self.n_options:
@@ -129,9 +129,6 @@ class TierConfig:
             )
         if not self.required_patterns <= self.allowed_patterns:
             raise ValueError(f"tier {self.tier!r}: required patterns must be allowed")
-
-    def weight_for(self, kind: PatternKind) -> float:
-        return float(self.weights.get(kind, 1.0))
 
 
 def tier_config(tier: str, n_options: int = 6) -> TierConfig:
@@ -366,9 +363,9 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     Draw order, fully determined by the seed: (1) answer count uniform in the
     tier range; (2) each required pattern satisfied from the valid pool while
     correct slots remain (falling back to the distractor pool); (3) remaining
-    correct options weighted by pattern kind, without replacement; (4)
-    remaining distractors uniform without replacement; (5) one Fisher-Yates
-    shuffle of the assembled options.
+    correct options uniform without replacement; (4) remaining distractors
+    uniform without replacement; (5) one Fisher-Yates shuffle of the
+    assembled options.
     """
     statements, _ = atomize(question)
     answer = question.answer_index()
@@ -388,12 +385,13 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     correct_picks: list[PoolEntry] = []
     distract_picks: list[PoolEntry] = []
 
-    def take_weighted(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
-        weights = [cfg.weight_for(pool[i][0].kind) if isinstance(pool[i][0], Pattern) else 1.0 for i in indices]
-        chosen = indices[rng.weighted_index(weights)]
+    # Both picks are uniform. Correct ones keep weighted_index's single random()
+    # draw rather than below(): the synthesized bank bytes are pinned to it.
+    def take_correct(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
+        chosen = indices[rng.weighted_index([1.0] * len(indices))]
         return pool.pop(chosen)
 
-    def take_uniform(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
+    def take_distractor(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
         chosen = indices[rng.below(len(indices))]
         return pool.pop(chosen)
 
@@ -404,13 +402,13 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
             continue
         valid_candidates = [i for i, (shape, _) in enumerate(valid_pool) if _satisfies(shape, requirement)]
         if len(correct_picks) < n_correct and valid_candidates:
-            correct_picks.append(take_weighted(valid_pool, valid_candidates))
+            correct_picks.append(take_correct(valid_pool, valid_candidates))
             continue
         distractor_candidates = [
             i for i, (shape, _) in enumerate(distractor_pool) if _satisfies(shape, requirement)
         ]
         if len(distract_picks) < n_distract and distractor_candidates:
-            distract_picks.append(take_uniform(distractor_pool, distractor_candidates))
+            distract_picks.append(take_distractor(distractor_pool, distractor_candidates))
             continue
         raise InfeasibleTierError(
             f"tier infeasible for this configuration: cannot place required pattern "
@@ -418,9 +416,9 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
         )
 
     while len(correct_picks) < n_correct:
-        correct_picks.append(take_weighted(valid_pool, list(range(len(valid_pool)))))
+        correct_picks.append(take_correct(valid_pool, list(range(len(valid_pool)))))
     while len(distract_picks) < n_distract:
-        distract_picks.append(take_uniform(distractor_pool, list(range(len(distractor_pool)))))
+        distract_picks.append(take_distractor(distractor_pool, list(range(len(distractor_pool)))))
 
     labelled = [(entry, True) for entry in correct_picks]
     labelled += [(entry, False) for entry in distract_picks]
@@ -459,6 +457,7 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     decides the option's truth, so the checks below are proofs rather than
     spot tests. Rules, by violation name:
 
+    - ``unknown-language``: the question's language has option templates;
     - ``letter-order``: option letters run A, B, C... in order;
     - ``truth-mismatch``: each option's truth value matches its answer label;
     - ``text-mismatch``: each option's text is its shape's template in the
@@ -478,6 +477,9 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     def flag(letter: str, rule: str, message: str) -> None:
         violations.append(Violation(letter, rule, message))
 
+    templated = question.language in templates()
+    if not templated:
+        flag("", "unknown-language", f"no option templates for language {question.language!r}")
     if letters != tuple(OPTION_LETTERS[: len(letters)]):
         flag("", "letter-order", f"option letters {','.join(letters)} do not run A, B, C... in order")
 
@@ -491,9 +493,10 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
         labelled = "correct" if entry.letter in question.answer_set else "incorrect"
         if value != (labelled == "correct"):
             flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
-        expected_text = render_shape(shape, entry.formula, question.language)
-        if entry.text != expected_text:
-            flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
+        if templated:
+            expected_text = render_shape(shape, entry.formula, question.language)
+            if entry.text != expected_text:
+                flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
         if truth_mask in seen:
             flag(
                 entry.letter,
@@ -577,12 +580,11 @@ def synthesize_bank(
 NOTA_TEXT = "None of the Above"
 
 
-def apply_nota(question: AtomicQuestion, seed: int = 0) -> AtomicQuestion:
+def apply_nota(question: AtomicQuestion) -> AtomicQuestion:
     """Replace the correct option text with "None of the Above".
 
     The answer index is unchanged, so the correct choice becomes the inserted
-    text. Idempotent; the seed is accepted for interface symmetry with the
-    other baseline transform but the result does not depend on it.
+    text. Idempotent.
     """
     question.validate()
     options = dict(question.options)

@@ -298,6 +298,33 @@ class TestEvaluate:
         assert report["dual"]["comb"]["n_administered"] <= 60
         assert "delta_theta" in report["dual"]
 
+    def test_cat_mode_rejects_mislabeled_subset(self, tmp_path, capsys):
+        atomic, comb, _, comb_items = _pipeline(tmp_path, n_questions=12)
+        scores = tmp_path / "scores.jsonl"
+        base_items = tmp_path / "mislabeled_items.json"
+        assert main(
+            [
+                "calibrate", "--bank", str(atomic), "--scores", str(scores),
+                "--subset", "Combinatorial", "--out", str(base_items),
+            ]
+        ) == 0
+        code = main(
+            [
+                "evaluate",
+                "--base-bank", str(atomic),
+                "--comb-bank", str(comb),
+                "--base-items", str(base_items),
+                "--comb-items", str(comb_items),
+                "--mode", "cat",
+                "--simulator", "3pl:0.5,-1.5",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: item 'Combinatorial:")
+        assert "'Combinatorial'" in err and "'Base'" in err
+
     def test_runs_are_byte_identical_given_a_seed(self, tmp_path):
         atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=20)
         args = [

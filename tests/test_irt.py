@@ -135,16 +135,6 @@ class TestInformation:
         assert low == pytest.approx(item.a**2 * item.c * (1 - item.c), abs=1e-9)
         assert high == pytest.approx(0.0, abs=1e-9)
 
-    def test_exact_3pl_variant_behind_switch(self):
-        item = ItemParams("x", a=1.5, b=0.0, c=0.2)
-        p = probability_3pl(0.4, item)
-        expected = item.a**2 * ((p - item.c) / (1 - item.c)) ** 2 * (1 - p) / p
-        assert fisher_information(0.4, item, exact_3pl=True) == pytest.approx(expected, abs=1e-12)
-
-    def test_exact_variant_vanishes_at_low_tail(self):
-        item = ItemParams("x", a=1.5, b=0.0, c=0.2)
-        assert fisher_information(-60.0, item, exact_3pl=True) == pytest.approx(0.0, abs=1e-9)
-
 
 class TestEapUpdate:
     def test_fresh_session_estimate(self):
@@ -388,6 +378,26 @@ class TestSessions:
         administered = {item_id for item_id, _ in session.administered}
         assert not (administered & failures)
         assert session.skipped <= failures
+
+    def test_skipped_items_count_against_the_budget(self):
+        bank = make_bank("Base", 500, 48)
+        calls = []
+
+        def respond(item: ItemParams):
+            calls.append(item.item_id)
+            return None
+
+        session = run_cat_session(bank, respond, max_items=60)
+        assert len(calls) <= 60
+        assert session.estimate.n_administered == 0
+
+    def test_mislabeled_item_rejected_before_any_administration(self):
+        base = make_bank("Base", 5, 2)
+        comb = make_bank("Combinatorial", 5, 3)
+        calls = []
+        with pytest.raises(ValueError, match="'Combinatorial-000'.*'Combinatorial'.*'Base'"):
+            run_dual_session(lambda item: calls.append(item) or True, comb, base)
+        assert calls == []
 
     def test_strict_mode_scores_failures_incorrect(self):
         bank = make_bank("Base", 30, 46)

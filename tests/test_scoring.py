@@ -134,7 +134,7 @@ class TestEntropy:
     def test_bounded_by_class_count(self, lexicons):
         text = "clearly, probably, maybe, unlikely, definitely, likely, perhaps, doubtful."
         m = extract_metrics(trace(text), lexicons)
-        assert 0.0 <= m.uncertainty_entropy <= math.log(lexicons.epistemic_class_count) + 1e-12
+        assert 0.0 <= m.uncertainty_entropy <= math.log(len(lexicons.epistemic)) + 1e-12
 
     def test_helper_on_raw_counts(self):
         assert shannon_entropy([5, 0, 0]) == 0.0
@@ -251,10 +251,6 @@ class TestFallacyPenalty:
     def test_explicit_contradiction_marker_counts(self, lexicons):
         t = trace("This is where I contradict myself badly.\nA")
         assert fallacy_penalty(t, lexicons) >= 1.0
-
-    def test_pluggable_checker_overrides(self, lexicons):
-        t = trace("anything")
-        assert fallacy_penalty(t, lexicons, checker=lambda _: 7.5) == 7.5
 
     def test_no_final_answer_no_mismatch(self, lexicons):
         t = trace("the answer is B and that is all I will say about it")

@@ -315,6 +315,12 @@ class TestVerify:
         report = verify(relabeled)
         assert [v.rule for v in report.violations] == ["answer-count"]
 
+    def test_unknown_language_detected(self):
+        combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Expert"), 13)
+        tampered = CombinatorialQuestion(**{**combinatorial.__dict__, "language": "fr"})
+        report = verify(tampered)
+        assert [v.rule for v in report.violations] == ["unknown-language"]
+
 
 class TestSynthesizeLoop:
     def test_returns_zero_regenerations_in_normal_operation(self):
