@@ -25,11 +25,13 @@ from .harness import (
     EvalItem,
     JsonlWriter,
     MemorizationRespondent,
+    MissingApiKeyError,
     Responder,
     RunSettings,
     ScoreReport,
     SimulatedRespondent,
     aggregate_log_records,
+    check_run,
     run_benchmark,
 )
 from .irt import (
@@ -228,9 +230,6 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-_FEATURE_KEYS = ("gold_score", "logic_density", "token_count", "segment_count")
-
-
 def _features_from(row: Mapping[str, Any]) -> dict[str, float] | None:
     """Pull calibration features from a score row or an inline record."""
     metrics = row.get("metrics", row)
@@ -397,19 +396,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             responder = MemorizationRespondent(seed=responder_seed)
         else:
             responder = SimulatedRespondent(parsed, seed=responder_seed)
-            missing = [
-                item.question.id
-                for bank in (banks.base, banks.comb, *banks.baselines.values())
-                for item in bank
-                if item.params is None
-            ]
-            if missing:
-                print(
-                    f"error: ability simulator needs item parameters; missing for "
-                    f"{len(missing)} question(s), e.g. {missing[0]!r}",
-                    file=sys.stderr,
-                )
-                return 1
     else:
         responder = EndpointResponder(EndpointConfig.from_dict(bankio.load_json(endpoint_path)))
 
@@ -433,15 +419,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config_hash=_config_hash(resolved),
     )
 
+    # Checked before the log opens, so a rejected run leaves an earlier run intact.
+    try:
+        check_run(responder, banks, mode)
+    except (ValueError, MissingApiKeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "run.jsonl")
     report_path = os.path.join(args.out, "report.json")
     with JsonlWriter(log_path) as writer:
-        try:
-            report = run_benchmark(responder, banks, mode=mode, settings=settings, writer=writer)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        report = run_benchmark(responder, banks, mode=mode, settings=settings, writer=writer)
 
     bankio.save_json(report_path, report.to_record())
     _print_report(report)
@@ -480,10 +468,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if not responses and not steps:
         print("no records")
-        if skipped:
-            print(f"skipped lines: {skipped}")
-        return 0
-
     aggregates = aggregate_log_records(rows)
     if responses and len(responses) <= 32:
         print("per-item results:")
@@ -576,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output item bank (JSON)")
     p.add_argument("--subset", choices=[BASE_SUBSET, COMBINATORIAL_SUBSET])
     p.add_argument("--m", dest="n_options", type=int, help="override option count for guessing")
-    p.add_argument("--config", help="JSON config file; flags win")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="run a responder over the banks")

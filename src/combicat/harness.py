@@ -1,11 +1,10 @@
 """Drives responders through question banks and scores their answers.
 
 A responder maps a rendered prompt task to raw answer text; implementations
-cover a live chat-completions endpoint, an ability-parameterized simulator, a
-memorization-only guesser, and a scripted fixture replayer. Static runs
-administer a whole bank in order; adaptive runs delegate selection to the CAT
-engine. Every administration is appended to a JSONL log from which all report
-aggregates can be recomputed.
+cover a live chat-completions endpoint, an ability-parameterized simulator and
+a memorization-only guesser. Static runs administer a whole bank in order;
+adaptive runs delegate selection to the CAT engine. Every administration is
+appended to a JSONL log from which all report aggregates can be recomputed.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .irt import (
     DEFAULT_SE_TARGET,
     DualReport,
     ItemParams,
+    check_dual_banks,
     probability_3pl,
     run_dual_session,
 )
@@ -229,19 +229,32 @@ class EndpointConfig:
 
 
 @dataclass(frozen=True)
-class TransportResult:
+class ResponderReply:
+    """One reply; only the live endpoint sets the transport fields."""
+
     raw_text: str
-    status: str  # ok | timeout | http_error
-    latency_ms: int
+    transport_status: str = "ok"  # ok | timeout | http_error
+    latency_ms: int = 0
     retries: int = 0
     http_status: int | None = None
+
+
+def _request_headers(endpoint: EndpointConfig) -> dict[str, str]:
+    """Request headers, with the API key read from its environment variable."""
+    headers = {"Content-Type": "application/json"}
+    if endpoint.api_key_env:
+        key = os.environ.get(endpoint.api_key_env)
+        if not key:
+            raise MissingApiKeyError(f"environment variable {endpoint.api_key_env!r} is not set")
+        headers["Authorization"] = f"Bearer {key}"
+    return headers
 
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _BACKOFF_BASE_SECONDS = 0.5
 
 
-def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> TransportResult:
+def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> ResponderReply:
     """Single chat request with bounded retries on transient failures.
 
     Timeouts are terminal (the per-query deadline is the whole budget); 5xx
@@ -249,12 +262,7 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> T
     to ``max_retries``. The API key is read from the configured environment
     variable and never logged.
     """
-    headers = {"Content-Type": "application/json"}
-    if endpoint.api_key_env:
-        key = os.environ.get(endpoint.api_key_env)
-        if not key:
-            raise MissingApiKeyError(f"environment variable {endpoint.api_key_env!r} is not set")
-        headers["Authorization"] = f"Bearer {key}"
+    headers = _request_headers(endpoint)
     payload = {
         "model": endpoint.model_name,
         "messages": [
@@ -277,11 +285,11 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> T
             )
         except requests.Timeout:
             log.warning("request to %s timed out after %ss", endpoint.base_url, endpoint.timeout_seconds)
-            return TransportResult("", "timeout", elapsed_ms(), retries=attempt)
+            return ResponderReply("", "timeout", elapsed_ms(), retries=attempt)
         except requests.RequestException as exc:
             log.warning("request to %s failed: %s", endpoint.base_url, exc)
             if attempt >= endpoint.max_retries:
-                return TransportResult(str(exc), "http_error", elapsed_ms(), retries=attempt)
+                return ResponderReply(str(exc), "http_error", elapsed_ms(), retries=attempt)
         else:
             if response.ok:
                 try:
@@ -289,16 +297,16 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> T
                     content = data["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError):
                     log.warning("malformed response body: %.200s", response.text)
-                    return TransportResult(
+                    return ResponderReply(
                         response.text, "http_error", elapsed_ms(), retries=attempt,
                         http_status=response.status_code,
                     )
-                return TransportResult(
+                return ResponderReply(
                     str(content), "ok", elapsed_ms(), retries=attempt, http_status=response.status_code
                 )
             log.warning("HTTP %s from %s: %.500s", response.status_code, endpoint.base_url, response.text)
             if response.status_code not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
-                return TransportResult(
+                return ResponderReply(
                     response.text, "http_error", elapsed_ms(), retries=attempt,
                     http_status=response.status_code,
                 )
@@ -309,13 +317,6 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> T
 # ---------------------------------------------------------------------------
 # Responders
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResponderReply:
-    raw_text: str
-    transport_status: str = "ok"
-    latency_ms: int = 0
 
 
 class Responder(Protocol):
@@ -329,8 +330,7 @@ class EndpointResponder:
         self.endpoint = endpoint
 
     def respond(self, task: PromptTask) -> ResponderReply:
-        result = query_model(self.endpoint, task.system_text, task.user_text)
-        return ResponderReply(result.raw_text, result.status, result.latency_ms)
+        return query_model(self.endpoint, task.system_text, task.user_text)
 
 
 class SimulatedRespondent:
@@ -346,7 +346,7 @@ class SimulatedRespondent:
         self._theta = theta
         self._rng = PortableRng(seed)
 
-    def _theta_for(self, params: ItemParams) -> float:
+    def theta_for(self, params: ItemParams) -> float:
         if isinstance(self._theta, Mapping):
             try:
                 return float(self._theta[params.subset])
@@ -357,7 +357,7 @@ class SimulatedRespondent:
     def respond(self, task: PromptTask) -> ResponderReply:
         if task.params is None:
             raise ValueError(f"question {task.question_id!r} has no item parameters to simulate against")
-        p = probability_3pl(self._theta_for(task.params), task.params)
+        p = probability_3pl(self.theta_for(task.params), task.params)
         if self._rng.random() < p:
             answer = ", ".join(sorted(task.gold_set))
         else:
@@ -383,16 +383,6 @@ class MemorizationRespondent:
 
     def respond(self, task: PromptTask) -> ResponderReply:
         return ResponderReply(self._rng.choice(task.valid_letters))
-
-
-class ScriptedResponder:
-    """Replays canned raw texts keyed by question id."""
-
-    def __init__(self, responses: Mapping[str, str]) -> None:
-        self._responses = dict(responses)
-
-    def respond(self, task: PromptTask) -> ResponderReply:
-        return ResponderReply(self._responses.get(task.question_id, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +590,32 @@ def run_static(
     return summarize_records(records)
 
 
+def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
+    """Every input check of a run, made before anything is administered or logged."""
+    if mode not in ("static", "cat"):
+        raise ValueError(f"unknown mode {mode!r}")
+    items = banks.base + banks.comb
+    if mode == "static":
+        items += [item for bank in banks.baselines.values() for item in bank]
+    simulated = isinstance(responder, SimulatedRespondent)
+    if mode == "cat" or simulated:
+        missing = [item.question.id for item in items if item.params is None]
+        if missing:
+            raise ValueError(
+                f"item parameters missing for {len(missing)} question(s), e.g. {missing[0]!r}; "
+                "cat mode and the ability simulator need them"
+            )
+    for item in items:
+        if isinstance(item.question, AtomicQuestion):
+            item.question.validate()  # a baseline variant is built after loading
+        if simulated:
+            responder.theta_for(item.params)
+    if mode == "cat":
+        check_dual_banks([item.params for item in banks.base], [item.params for item in banks.comb])
+    if isinstance(responder, EndpointResponder):
+        _request_headers(responder.endpoint)
+
+
 def run_benchmark(
     responder: Responder,
     banks: EvalBanks,
@@ -612,8 +628,9 @@ def run_benchmark(
     Static mode administers every supplied bank (base, combinatorial, and any
     baseline variants) in order. Adaptive mode runs the dual-subset protocol
     and requires item parameters on every question; transport failures are
-    skipped and logged rather than scored.
+    skipped and logged rather than scored. Inputs pass ``check_run`` first.
     """
+    check_run(responder, banks, mode)
     settings = settings or RunSettings()
     subsets: dict[str, SubsetResult] = {}
     dual: DualReport | None = None
@@ -625,15 +642,7 @@ def run_benchmark(
             subsets[label] = run_static(responder, items, label, writer)
         if banks.comb:
             subsets["comb"] = run_static(responder, banks.comb, "comb", writer)
-    elif mode == "cat":
-        if not banks.base or not banks.comb:
-            raise ValueError("cat mode needs both a base and a combinatorial bank")
-        for item in banks.base + banks.comb:
-            if item.params is None:
-                raise ValueError(
-                    f"cat mode requires item parameters for every question "
-                    f"(missing for {item.question.id!r})"
-                )
+    else:
         items_by_id = {item.params.item_id: item for item in banks.base + banks.comb}
         records: dict[str, list[ResponseRecord]] = {BASE_SUBSET: [], COMBINATORIAL_SUBSET: []}
 
@@ -664,8 +673,6 @@ def run_benchmark(
         )
         subsets["base"] = summarize_records(records[BASE_SUBSET])
         subsets["comb"] = summarize_records(records[COMBINATORIAL_SUBSET])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     return ScoreReport(
         mode=mode,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 BASE_SUBSET = "Base"
 COMBINATORIAL_SUBSET = "Combinatorial"
@@ -52,55 +52,14 @@ class ItemParams:
         if not 0 <= self.c < 1:
             raise ValueError(f"item {self.item_id!r}: guessing parameter must lie in [0, 1)")
 
-    def to_record(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "subset": self.subset,
-        }
 
-    @classmethod
-    def from_record(cls, record: Mapping) -> "ItemParams":
-        return cls(
-            item_id=str(record["item_id"]),
-            a=float(record["a"]),
-            b=float(record["b"]),
-            c=float(record["c"]),
-            subset=str(record.get("subset", BASE_SUBSET)),
-        )
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Equally spaced ability nodes with normalized standard-normal weights."""
-
-    nodes: tuple[float, ...]
-    prior_weights: tuple[float, ...]
-
-    @classmethod
-    def regular(cls, n_nodes: int, lo: float, hi: float) -> "QuadratureGrid":
-        if n_nodes < 3 or hi <= lo:
-            raise ValueError("grid needs at least 3 nodes and a positive span")
-        step = (hi - lo) / (n_nodes - 1)
-        center = (n_nodes - 1) / 2
-        middle = (lo + hi) / 2
-        # Centered construction keeps symmetric grids exactly symmetric, with
-        # the middle node of an odd grid landing on `middle` with no rounding.
-        nodes = tuple((i - center) * step + middle for i in range(n_nodes))
-        density = [math.exp(-0.5 * x * x) for x in nodes]
-        total = math.fsum(density)
-        weights = tuple(d / total for d in density)
-        return cls(nodes=nodes, prior_weights=weights)
-
-    @classmethod
-    def standard(cls) -> "QuadratureGrid":
-        """The engine default: 61 nodes spaced 0.2 apart across [-6, 6]."""
-        return cls.regular(61, -6.0, 6.0)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+# The quadrature grid: 61 ability nodes spaced 0.2 apart across [-6, 6]. Node i
+# is (i - 30) * 0.2, so the grid is exactly symmetric and its middle node is
+# exactly 0; the standard-normal prior weights are normalized with fsum.
+GRID_NODES: tuple[float, ...] = tuple((i - 30) * 0.2 for i in range(61))
+_DENSITY = [math.exp(-0.5 * x * x) for x in GRID_NODES]
+_DENSITY_TOTAL = math.fsum(_DENSITY)
+PRIOR_WEIGHTS: tuple[float, ...] = tuple(d / _DENSITY_TOTAL for d in _DENSITY)
 
 
 def probability_3pl(theta: float, item: ItemParams) -> float:
@@ -132,12 +91,9 @@ class AbilityEstimate:
         return {"theta_hat": self.theta_hat, "se": self.se, "n_administered": self.n_administered}
 
 
-_GRID = QuadratureGrid.standard()
-
-
 def _posterior_estimate(posterior: Sequence[float], n: int) -> AbilityEstimate:
-    theta = math.fsum(node * w for node, w in zip(_GRID.nodes, posterior))
-    variance = math.fsum(w * (node - theta) ** 2 for node, w in zip(_GRID.nodes, posterior))
+    theta = math.fsum(node * w for node, w in zip(GRID_NODES, posterior))
+    variance = math.fsum(w * (node - theta) ** 2 for node, w in zip(GRID_NODES, posterior))
     return AbilityEstimate(theta_hat=theta, se=math.sqrt(max(variance, 0.0)), n_administered=n)
 
 
@@ -156,7 +112,7 @@ class CatSession:
 
     @classmethod
     def start(cls, subset: str = BASE_SUBSET) -> "CatSession":
-        return cls(subset=subset, posterior=list(_GRID.prior_weights))
+        return cls(subset=subset, posterior=list(PRIOR_WEIGHTS))
 
     def administered_ids(self) -> set[str]:
         return {item_id for item_id, _ in self.administered}
@@ -172,7 +128,7 @@ def eap_update(session: CatSession, item: ItemParams, correct: bool) -> CatSessi
     if item.item_id in session.administered_ids():
         raise DuplicateAdministrationError(f"item {item.item_id!r} already administered")
     updated = []
-    for node, weight in zip(_GRID.nodes, session.posterior):
+    for node, weight in zip(GRID_NODES, session.posterior):
         p = probability_3pl(node, item)
         updated.append(weight * (p if correct else 1.0 - p))
     total = math.fsum(updated)
@@ -346,6 +302,16 @@ class DualReport:
         }
 
 
+def check_dual_banks(base_bank: Sequence[ItemParams], comb_bank: Sequence[ItemParams]) -> None:
+    """Raise ValueError unless both banks are non-empty and hold only their own subset's items."""
+    for subset, bank in ((BASE_SUBSET, base_bank), (COMBINATORIAL_SUBSET, comb_bank)):
+        if not bank:
+            raise ValueError("both banks must be non-empty for a dual run")
+        for item in bank:
+            if item.subset != subset:
+                raise ValueError(f"item {item.item_id!r} is labeled {item.subset!r} but was passed as {subset!r}")
+
+
 def run_dual_session(
     respond: ItemResponder,
     base_bank: Sequence[ItemParams],
@@ -356,16 +322,10 @@ def run_dual_session(
     strict_incorrect: bool = False,
 ) -> DualReport:
     """Independent adaptive sessions on both subsets with a shared responder."""
-    banks = {BASE_SUBSET: base_bank, COMBINATORIAL_SUBSET: comb_bank}
-    for subset, bank in banks.items():
-        if not bank:
-            raise ValueError("both banks must be non-empty for a dual run")
-        for item in bank:
-            if item.subset != subset:
-                raise ValueError(f"item {item.item_id!r} is labeled {item.subset!r} but was passed as {subset!r}")
+    check_dual_banks(base_bank, comb_bank)
     base, comb = [
         run_cat_session(bank, respond, subset, max_items, se_target, on_step, strict_incorrect)
-        for subset, bank in banks.items()
+        for subset, bank in ((BASE_SUBSET, base_bank), (COMBINATORIAL_SUBSET, comb_bank))
     ]
     return DualReport(
         base=base.estimate,

@@ -2,10 +2,12 @@
 
 Each source question contributes four statements labelled I..IV. Formulas are
 immutable trees built from Var/Not/And/Or nodes. A formula's meaning is its
-16-bit truth mask: bit ``r`` holds its value under
-``Assignment.from_row_index(r)``. Evaluation is a bit test on the mask, two
-formulas are duplicates exactly when their masks are equal, and a small family
-of option shapes (exactness, disjunction, negation, compound negation, plus the
+16-bit truth mask: bit ``r`` holds its value in row ``r`` of the truth table,
+where statement I is bit 3 of ``r`` and statement IV is bit 0. A question's
+valuation, with exactly the answered statement true, is the single row
+``truth_row(answer)``. Evaluation is a bit test on the mask, two formulas are
+duplicates exactly when their masks are equal, and a small family of option
+shapes (exactness, disjunction, negation, compound negation, plus the
 universal distractor) is recognized by a lookup from mask to shape: the 21
 shapes have pairwise distinct masks. The trees themselves remain the on-disk
 form (prefix text) and the input to symbolic rendering.
@@ -32,7 +34,6 @@ class Statement(enum.IntEnum):
 
 
 STATEMENTS: tuple[Statement, ...] = tuple(Statement)
-STATEMENT_LABELS: tuple[str, ...] = tuple(s.name for s in STATEMENTS)
 
 
 def statement_from_label(label: str) -> Statement:
@@ -67,44 +68,15 @@ class Or:
 Formula = Union[Var, Not, And, Or]
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
-    """Total truth valuation over the four statement variables."""
-
-    values: tuple[bool, bool, bool, bool]
-
-    @classmethod
-    def ground_truth(cls, answer: Statement) -> "Assignment":
-        """Valuation with exactly the answered statement true."""
-        return cls(tuple(s == answer for s in STATEMENTS))
-
-    @classmethod
-    def from_row_index(cls, row: int) -> "Assignment":
-        """Row of the 16-row enumeration, lexicographic in (I, II, III, IV)."""
-        if not 0 <= row < 16:
-            raise ValueError(f"row index {row} out of range")
-        return cls(tuple(bool((row >> shift) & 1) for shift in (3, 2, 1, 0)))
-
-    def value(self, index: Statement) -> bool:
-        return self.values[index - 1]
-
-    def row_index(self) -> int:
-        """Inverse of :meth:`from_row_index`."""
-        return sum(value << shift for value, shift in zip(self.values, (3, 2, 1, 0)))
-
-    def is_ground_truth(self) -> bool:
-        return sum(self.values) == 1
-
-    def answer(self) -> Statement:
-        if not self.is_ground_truth():
-            raise ValueError("assignment does not have exactly one true variable")
-        return STATEMENTS[self.values.index(True)]
-
-
 # Bit r of a variable's mask is its value in row r of the lexicographic
 # (I, II, III, IV) enumeration, so statement I is the most significant position.
 _VAR_MASKS = {Statement.I: 0xFF00, Statement.II: 0xF0F0, Statement.III: 0xCCCC, Statement.IV: 0xAAAA}
 _ALL_ROWS = 0xFFFF
+
+
+def truth_row(answer: Statement) -> int:
+    """The truth-table row in which exactly the answered statement is true."""
+    return 1 << (4 - answer)
 
 
 def mask(formula: Formula) -> int:
@@ -118,11 +90,6 @@ def mask(formula: Formula) -> int:
     if isinstance(formula, Or):
         return mask(formula.left) | mask(formula.right)
     raise TypeError(f"not a formula node: {formula!r}")
-
-
-def evaluate(formula: Formula, assignment: Assignment) -> bool:
-    """Standard propositional semantics; total and side-effect free."""
-    return bool(mask(formula) >> assignment.row_index() & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Transforms single-answer questions into multi-select combinatorial questions.
 
-The pipeline per question: restate the four options as statements, derive the
-truth valuation with exactly the answered statement true, enumerate the pools
+The pipeline per question: restate the four options as statements, take the
+truth-table row with exactly the answered statement true, enumerate the pools
 of always-true and always-false option formulas allowed by the difficulty
 tier, sample and shuffle a fixed number of options, and verify the result
 against the truth-table semantics. Every step is a pure function of
@@ -18,7 +18,6 @@ from typing import Any, Callable, Iterable, Mapping
 from .logic import (
     SHAPES,
     STATEMENTS,
-    Assignment,
     Formula,
     Pattern,
     PatternKind,
@@ -30,6 +29,7 @@ from .logic import (
     serialize,
     statement_from_label,
     templates,
+    truth_row,
     universal_none,
 )
 from .rng import PortableRng, derive_seed
@@ -70,6 +70,10 @@ class AtomicQuestion:
             raise QuestionFormatError(
                 f"question {self.id!r}: answer {self.answer!r} not among option keys"
             )
+        texts = list(self.options.values())
+        repeated = [s.name for s in STATEMENTS if texts.count(self.options[s.name]) > 1]
+        if repeated:
+            raise QuestionFormatError(f"question {self.id!r}: options {', '.join(repeated)} repeat one text")
         if self.language not in ("en", "zh"):
             raise QuestionFormatError(f"question {self.id!r}: unsupported language {self.language!r}")
 
@@ -193,8 +197,8 @@ class CombinatorialQuestion:
     reasoning_type: str = ""
     extras: Mapping[str, Any] = field(default_factory=dict)
 
-    def truth(self) -> Assignment:
-        return Assignment.ground_truth(statement_from_label(self.source_answer))
+    def truth_row(self) -> int:
+        return truth_row(statement_from_label(self.source_answer))
 
     def letters(self) -> tuple[str, ...]:
         return tuple(entry.letter for entry in self.options)
@@ -283,15 +287,14 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def atomize(question: AtomicQuestion) -> tuple[tuple[str, str, str, str], Assignment]:
-    """Statements for the four options plus the induced truth valuation.
+def atomize(question: AtomicQuestion) -> tuple[str, str, str, str]:
+    """Statements I..IV for the four options.
 
     Option texts already read as declarative claims, so the restatement is the
-    identity; the valuation marks exactly the answered statement true.
+    identity.
     """
     question.validate()
-    statements = tuple(question.option_list())
-    return statements, Assignment.ground_truth(question.answer_index())
+    return tuple(question.option_list())
 
 
 PoolEntry = tuple[Shape, Formula]
@@ -302,9 +305,10 @@ def _entries(shapes: list[Shape]) -> tuple[PoolEntry, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pools_for(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tuple[PoolEntry, ...], tuple[PoolEntry, ...]]:
+def pools(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tuple[PoolEntry, ...], tuple[PoolEntry, ...]]:
     """Enumerate (valid, distractor) pools of (shape, formula) pairs in a fixed, documented order.
 
+    Valid formulas are true in ``truth_row(answer)``, distractors false there.
     Valid pool: exactness of the answer; disjunctions pairing the answer with
     each other statement; negations of each other statement; compound
     negations over pairs excluding the answer.
@@ -334,16 +338,6 @@ def _pools_for(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tupl
     return _entries(valid), _entries(distractor)
 
 
-def generate_valid_pool(cfg: TierConfig, answer: Statement) -> list[Formula]:
-    """Formulas that evaluate true under the ground-truth valuation."""
-    return [formula for _, formula in _pools_for(cfg.allowed_patterns, answer)[0]]
-
-
-def generate_distractor_pool(cfg: TierConfig, answer: Statement) -> list[Formula]:
-    """Formulas that evaluate false under the ground-truth valuation."""
-    return [formula for _, formula in _pools_for(cfg.allowed_patterns, answer)[1]]
-
-
 def _satisfies(shape: Shape | None, requirement: PatternKind) -> bool:
     # Compound negations are negations for requirement purposes; the universal
     # distractor and free-form formulas satisfy nothing.
@@ -367,11 +361,11 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     uniform without replacement; (5) one Fisher-Yates shuffle of the
     assembled options.
     """
-    statements, _ = atomize(question)
+    statements = atomize(question)
     answer = question.answer_index()
     rng = PortableRng(seed)
 
-    valid_pool, distractor_pool = (list(pool) for pool in _pools_for(cfg.allowed_patterns, answer))
+    valid_pool, distractor_pool = (list(pool) for pool in pools(cfg.allowed_patterns, answer))
 
     n_correct = rng.randint(cfg.n_correct_min, cfg.n_correct_max)
     n_distract = cfg.n_options - n_correct
@@ -470,7 +464,7 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     """
     if cfg is None:
         cfg = tier_config(question.tier)
-    row = question.truth().row_index()
+    row = question.truth_row()
     letters = question.letters()
     violations: list[Violation] = []
 

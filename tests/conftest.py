@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from combicat.harness import PromptTask, ResponderReply
 from combicat.rng import PortableRng
 from combicat.synthesis import AtomicQuestion
 
@@ -88,6 +89,16 @@ def make_trace_corpus(questions: list[AtomicQuestion], seed: int = 321) -> list[
             }
         )
     return rows
+
+
+class ScriptedResponder:
+    """Replays canned raw texts keyed by question id."""
+
+    def __init__(self, responses: dict[str, str]) -> None:
+        self._responses = dict(responses)
+
+    def respond(self, task: PromptTask) -> ResponderReply:
+        return ResponderReply(self._responses.get(task.question_id, ""))
 
 
 def write_jsonl(path, rows) -> None:

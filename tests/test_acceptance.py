@@ -30,8 +30,7 @@ from combicat.rng import PortableRng, derive_seed
 from combicat.scoring import stratify
 from combicat.synthesis import (
     CombinatorialQuestion,
-    generate_distractor_pool,
-    generate_valid_pool,
+    pools,
     synthesize_question,
     tier_config,
     verify,
@@ -137,10 +136,7 @@ def test_criterion_04_pool_size_enumeration():
     for tier, (want_valid, want_distractor) in expected.items():
         cfg = tier_config(tier)
         for answer in STATEMENTS:
-            sizes = (
-                len(generate_valid_pool(cfg, answer)),
-                len(generate_distractor_pool(cfg, answer)),
-            )
+            sizes = tuple(len(pool) for pool in pools(cfg.allowed_patterns, answer))
             if sizes != (want_valid, want_distractor):
                 mismatches.append((tier, answer.name, sizes))
     ok = not mismatches

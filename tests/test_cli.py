@@ -5,9 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from combicat.bankio import load_comb_bank, load_item_bank, load_json, read_jsonl, save_atomic_bank
+from combicat.bankio import (
+    CalibratedItem,
+    load_comb_bank,
+    load_item_bank,
+    load_json,
+    read_jsonl,
+    save_atomic_bank,
+    save_item_bank,
+)
 from combicat.cli import main
-from combicat.synthesis import tier_config, verify
+from combicat.synthesis import NOTA_TEXT, tier_config, verify
 from conftest import make_atomic_bank, make_trace_corpus, write_jsonl
 
 
@@ -228,6 +236,15 @@ class TestCalibrate:
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 0
         assert len(load_item_bank(str(out))) == 10
 
+    def test_config_flag_rejected(self, tmp_path, bank_file, capsys):
+        bank_path, _ = bank_file
+        argv = ["calibrate", "--bank", str(bank_path), "--out", str(tmp_path / "items.json")]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--config", str(tmp_path / "nonexistent.json")])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "items.json").exists()
+
 
 def _pipeline(tmp_path, n_questions=40, seed=13):
     """synthesize + score + calibrate, returning all artifact paths."""
@@ -324,6 +341,79 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: item 'Combinatorial:")
         assert "'Combinatorial'" in err and "'Base'" in err
+
+    def test_rejected_run_keeps_the_earlier_run(self, tmp_path, capsys):
+        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=12)
+        out_dir = tmp_path / "run"
+        args = [
+            "evaluate", "--base-bank", str(atomic), "--comb-bank", str(comb), "--comb-items", str(comb_items),
+            "--mode", "cat", "--simulator", "3pl:0.5,-1.5", "--seed", "7", "--out", str(out_dir),
+        ]
+        assert main(args + ["--base-items", str(base_items)]) == 0
+        log, report = (out_dir / "run.jsonl").read_bytes(), (out_dir / "report.json").read_bytes()
+        assert log
+        mislabeled = tmp_path / "mislabeled_items.json"
+        assert main(
+            [
+                "calibrate", "--bank", str(atomic), "--scores", str(tmp_path / "scores.jsonl"),
+                "--subset", "Combinatorial", "--out", str(mislabeled),
+            ]
+        ) == 0
+        assert main(args + ["--base-items", str(mislabeled)]) == 1
+        assert (out_dir / "run.jsonl").read_bytes() == log
+        assert (out_dir / "report.json").read_bytes() == report
+        capsys.readouterr()
+        assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
+        assert "replay check: ok" in capsys.readouterr().out
+
+    def test_missing_api_key_rejected_before_the_log_opens(self, tmp_path, bank_file, monkeypatch, capsys):
+        bank_path, _ = bank_file
+        monkeypatch.delenv("COMBICAT_TEST_KEY", raising=False)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(
+            json.dumps({"base_url": "http://127.0.0.1:9/never", "model_name": "m", "api_key_env": "COMBICAT_TEST_KEY"})
+        )
+        out_dir = tmp_path / "run"
+        code = main(
+            ["evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert "error: environment variable 'COMBICAT_TEST_KEY' is not set" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_invalid_baseline_variant_rejected_before_the_log_opens(self, tmp_path, capsys):
+        questions = make_atomic_bank(4, seed=9)
+        wrong = next(label for label in ("I", "II") if label != questions[0].answer)
+        questions[0] = replace(questions[0], options={**questions[0].options, wrong: NOTA_TEXT})
+        bank_path = tmp_path / "atomic.json"
+        save_atomic_bank(str(bank_path), questions)
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "evaluate", "--base-bank", str(bank_path), "--simulator", "memorization",
+                "--baseline", "nota", "--out", str(out_dir),
+            ]
+        )
+        assert code == 1
+        assert f"error: question {questions[0].id!r}: options" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unsimulated_subset_rejected_before_the_log_opens(self, tmp_path, bank_file, capsys):
+        bank_path, questions = bank_file
+        items = tmp_path / "items.json"
+        save_item_bank(
+            str(items), [CalibratedItem(f"Foo:{q.id}", q.id, "Foo", "Easy", 0.8, 0.0, 0.25, 4) for q in questions]
+        )
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "evaluate", "--base-bank", str(bank_path), "--base-items", str(items),
+                "--simulator", "3pl:0.5", "--out", str(out_dir),
+            ]
+        )
+        assert code == 1
+        assert "error: no simulated ability for subset 'Foo'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_runs_are_byte_identical_given_a_seed(self, tmp_path):
         atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=20)
@@ -460,6 +550,18 @@ class TestReport:
         log.write_text("")
         assert main(["report", "--log", str(log)]) == 0
         assert "no records" in capsys.readouterr().out
+
+    def test_empty_log_fails_replay_check(self, tmp_path, capsys):
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"subsets": {"base": {"n": 30}, "comb": {"n": 30}}}))
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert "no records" in captured.out
+        assert "replay check: ok" not in captured.out
+        assert "replay mismatch: subset 'base' missing from log" in captured.err
+        assert "replay mismatch: subset 'comb' missing from log" in captured.err
 
     def test_truncated_line_skipped_with_count(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"

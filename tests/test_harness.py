@@ -22,7 +22,6 @@ from combicat.harness import (
     PromptTask,
     ResponderReply,
     RunSettings,
-    ScriptedResponder,
     SimulatedRespondent,
     administer,
     aggregate_log_records,
@@ -38,7 +37,7 @@ from combicat.irt import ItemParams, probability_3pl
 from combicat.logic import all_patterns
 from combicat.synthesis import CombinatorialQuestion, OptionEntry, assemble, tier_config
 from combicat.rng import PortableRng
-from conftest import make_atomic_question
+from conftest import ScriptedResponder, make_atomic_question
 
 LETTERS = "ABCDEFGH"
 
@@ -230,7 +229,7 @@ class TestQueryModel:
     def test_echo_round_trip(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/echo", model_name="m")
         result = query_model(endpoint, "sys", "user")
-        assert result.status == "ok"
+        assert result.transport_status == "ok"
         assert result.raw_text == "A"
         assert result.retries == 0
 
@@ -238,25 +237,25 @@ class TestQueryModel:
         _Handler.flaky_failures_left = 1
         endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
         result = query_model(endpoint, "sys", "user")
-        assert result.status == "ok"
+        assert result.transport_status == "ok"
         assert result.raw_text == "B, C"
         assert result.retries == 1
 
     def test_timeout_reported_without_crash(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/slow", model_name="m", timeout_seconds=1)
         result = query_model(endpoint, "sys", "user")
-        assert result.status == "timeout"
+        assert result.transport_status == "timeout"
 
     def test_non_retryable_http_error(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/denied", model_name="m")
         result = query_model(endpoint, "sys", "user")
-        assert result.status == "http_error"
+        assert result.transport_status == "http_error"
         assert result.http_status == 403
 
     def test_malformed_body_is_http_error(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/badbody", model_name="m")
         result = query_model(endpoint, "sys", "user")
-        assert result.status == "http_error"
+        assert result.transport_status == "http_error"
 
     def test_missing_api_key_rejected(self, mock_server, monkeypatch):
         monkeypatch.delenv("COMBICAT_TEST_KEY", raising=False)
@@ -271,7 +270,7 @@ class TestQueryModel:
         endpoint = EndpointConfig(
             base_url=f"{mock_server}/echo", model_name="m", api_key_env="COMBICAT_TEST_KEY"
         )
-        assert query_model(endpoint, "sys", "user").status == "ok"
+        assert query_model(endpoint, "sys", "user").transport_status == "ok"
 
     def test_endpoint_responder_timeout_becomes_skippable_record(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/slow", model_name="m", timeout_seconds=1)

@@ -13,8 +13,9 @@ from combicat.irt import (
     CatSession,
     DualReport,
     DuplicateAdministrationError,
+    GRID_NODES,
+    PRIOR_WEIGHTS,
     ItemParams,
-    QuadratureGrid,
     calibrate_difficulty,
     discrimination_for_tier,
     eap_update,
@@ -56,29 +57,21 @@ def random_item(rng: PortableRng, item_id: str, subset: str = "Base") -> ItemPar
 
 class TestGrid:
     def test_standard_grid_shape(self):
-        grid = QuadratureGrid.standard()
-        assert len(grid) == 61
-        assert grid.nodes[30] == 0.0  # node 31, 1-based
-        assert grid.nodes[0] == -6.0
-        assert grid.nodes[-1] == 6.0
+        assert len(GRID_NODES) == len(PRIOR_WEIGHTS) == 61
+        assert GRID_NODES[30] == 0.0  # node 31, 1-based
+        assert GRID_NODES[0] == -6.0
+        assert GRID_NODES[-1] == 6.0
 
     def test_nodes_are_multiples_of_the_spacing(self):
-        grid = QuadratureGrid.standard()
-        for i, node in enumerate(grid.nodes):
+        for i, node in enumerate(GRID_NODES):
             assert node == (i - 30) * 0.2
 
     def test_weights_sum_to_one(self):
-        grid = QuadratureGrid.standard()
-        assert abs(math.fsum(grid.prior_weights) - 1.0) <= 1e-12
+        assert abs(math.fsum(PRIOR_WEIGHTS) - 1.0) <= 1e-12
 
     def test_weights_symmetric(self):
-        grid = QuadratureGrid.standard()
         for i in range(61):
-            assert grid.prior_weights[i] == grid.prior_weights[60 - i]
-
-    def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureGrid.regular(2, -6, 6)
+            assert PRIOR_WEIGHTS[i] == PRIOR_WEIGHTS[60 - i]
 
 
 class TestProbability:

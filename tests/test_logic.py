@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from combicat.logic import (
     STATEMENTS,
     And,
-    Assignment,
     FormulaSyntaxError,
     Not,
     Or,
@@ -18,18 +17,21 @@ from combicat.logic import (
     Var,
     all_patterns,
     classify,
-    evaluate,
     mask,
     parse_formula,
     render,
     render_symbolic,
     serialize,
+    truth_row,
     universal_none,
 )
 from combicat.rng import PortableRng
-from oracle import reference_evaluate, reference_table
+from oracle import reference_evaluate, reference_table, row_statements
 
-GROUND_TRUTHS = [Assignment.ground_truth(s) for s in STATEMENTS]
+
+def holds(formula, row: int) -> bool:
+    """A formula's value in one truth-table row: a bit test on its mask."""
+    return bool(mask(formula) >> row & 1)
 
 
 def random_formula(rng: PortableRng, max_depth: int) -> object:
@@ -47,28 +49,29 @@ def random_formula(rng: PortableRng, max_depth: int) -> object:
 class TestEvaluate:
     def test_exactness_true_under_its_own_answer(self):
         formula = Pattern(PatternKind.EXACTNESS, Statement.I).expand()
-        assert evaluate(formula, Assignment.ground_truth(Statement.I)) is True
+        assert holds(formula, truth_row(Statement.I)) is True
 
     def test_negated_answer_is_false(self):
-        assert evaluate(Not(Var(Statement.I)), Assignment.ground_truth(Statement.I)) is False
+        assert holds(Not(Var(Statement.I)), truth_row(Statement.I)) is False
 
     def test_compound_negation_of_two_wrong_statements_is_true(self):
         formula = Pattern(PatternKind.COMPOUND_NEGATION, Statement.II, Statement.III).expand()
-        assert evaluate(formula, Assignment.ground_truth(Statement.I)) is True
+        assert holds(formula, truth_row(Statement.I)) is True
 
     def test_total_over_all_assignments(self):
         formula = Or(Var(Statement.I), Not(Var(Statement.III)))
-        for i in range(16):
-            assert evaluate(formula, Assignment.from_row_index(i)) in (True, False)
+        for row in range(16):
+            assert holds(formula, row) == reference_evaluate(formula, row_statements(row))
 
 
 class TestTruthTable:
     def test_sixteen_rows_lexicographic(self):
-        assert Assignment.from_row_index(0).values == (False, False, False, False)
-        assert Assignment.from_row_index(15).values == (True, True, True, True)
-        assert all(Assignment.from_row_index(row).row_index() == row for row in range(16))
+        assert row_statements(0) == frozenset()
+        assert row_statements(15) == frozenset(STATEMENTS)
+        assert row_statements(0b1000) == {Statement.I}
         # bit r is row r; statement I is the most significant position
         assert [mask(Var(s)) for s in STATEMENTS] == [0xFF00, 0xF0F0, 0xCCCC, 0xAAAA]
+        assert all(holds(Var(s), row) == (s in row_statements(row)) for s in STATEMENTS for row in range(16))
 
     def test_single_variable_true_in_eight_rows(self):
         assert mask(Var(Statement.I)).bit_count() == 8
@@ -87,12 +90,12 @@ class TestPatternOracles:
         """Mask evaluation must match the reference evaluator at each ground truth."""
         for pattern in all_patterns():
             formula = pattern.expand()
-            for truth in GROUND_TRUTHS:
-                assert evaluate(formula, truth) == reference_evaluate(formula, truth)
+            for answer in STATEMENTS:
+                assert holds(formula, truth_row(answer)) == reference_evaluate(formula, {answer})
 
     def test_universal_none_false_under_every_ground_truth(self):
-        for truth in GROUND_TRUTHS:
-            assert evaluate(universal_none(), truth) is False
+        for answer in STATEMENTS:
+            assert holds(universal_none(), truth_row(answer)) is False
 
     def test_pattern_index_order_normalized(self):
         a = Pattern(PatternKind.DISJUNCTION, Statement.III, Statement.I)
@@ -118,9 +121,7 @@ class TestDeMorgan:
             right = random_formula(rng, 6)
             lhs = Not(Or(left, right))
             rhs = And(Not(left), Not(right))
-            for i in range(16):
-                assignment = Assignment.from_row_index(i)
-                assert evaluate(lhs, assignment) == evaluate(rhs, assignment)
+            assert mask(lhs) == mask(rhs)
 
 
 class TestClassify:
@@ -227,15 +228,11 @@ class TestMask:
 
 
 class TestAssignment:
+    """A question's valuation is one truth-table row."""
+
     def test_ground_truth_has_one_true(self):
         for s in STATEMENTS:
-            truth = Assignment.ground_truth(s)
-            assert truth.is_ground_truth()
-            assert truth.answer() is s
-
-    def test_row_index_bounds(self):
-        with pytest.raises(ValueError):
-            Assignment.from_row_index(16)
+            assert row_statements(truth_row(s)) == {s}
 
     def test_symbolic_rendering_shape(self):
         formula = Not(Or(Var(Statement.I), Var(Statement.II)))

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from combicat.logic import (
     STATEMENTS,
-    Assignment,
     Not,
     Pattern,
     PatternKind,
     Statement,
     Var,
     classify,
+    truth_row,
 )
 from combicat.synthesis import (
     NOTA_TEXT,
@@ -27,8 +27,7 @@ from combicat.synthesis import (
     apply_nota,
     assemble,
     atomize,
-    generate_distractor_pool,
-    generate_valid_pool,
+    pools,
     shuffle_options,
     synthesize_bank,
     synthesize_question,
@@ -36,7 +35,7 @@ from combicat.synthesis import (
     verify,
 )
 from conftest import make_atomic_question
-from oracle import reference_evaluate
+from oracle import reference_evaluate, row_statements
 
 TIERS = ("Easy", "Medium", "Hard", "Expert")
 
@@ -52,19 +51,17 @@ EXPECTED_POOL_SIZES = {
 
 class TestAtomize:
     def test_answer_one_marks_only_first_variable(self):
-        statements, truth = atomize(make_atomic_question(0, "I"))
-        assert truth.values == (True, False, False, False)
-        assert len(statements) == 4
+        question = make_atomic_question(0, "I")
+        assert len(atomize(question)) == 4
+        assert row_statements(truth_row(question.answer_index())) == {Statement.I}
 
     def test_answer_four_marks_only_last_variable(self):
-        _, truth = atomize(make_atomic_question(0, "IV"))
-        assert truth.values == (False, False, False, True)
-        assert truth.answer() is Statement.IV
+        combinatorial = assemble(make_atomic_question(0, "IV"), tier_config("Hard"), 5)
+        assert row_statements(combinatorial.truth_row()) == {Statement.IV}
 
     def test_statements_restate_option_texts(self):
         question = make_atomic_question(3, "II")
-        statements, _ = atomize(question)
-        assert list(statements) == question.option_list()
+        assert list(atomize(question)) == question.option_list()
 
     def test_five_options_rejected(self):
         question = AtomicQuestion(
@@ -83,35 +80,43 @@ class TestAtomize:
         with pytest.raises(QuestionFormatError):
             atomize(question)
 
+    def test_repeated_option_text_rejected(self):
+        question = AtomicQuestion(
+            id="dup", context="c", options={"I": "a", "II": "b", "III": "a", "IV": "d"}, answer="II"
+        )
+        with pytest.raises(QuestionFormatError, match="options I, III repeat one text"):
+            atomize(question)
+        with pytest.raises(QuestionFormatError, match="repeat one text"):
+            AtomicQuestion.from_record(question.to_record())
+
 
 class TestPools:
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("answer", STATEMENTS)
     def test_sizes_match_hand_enumeration(self, tier, answer):
         cfg = tier_config(tier)
-        expected_valid, expected_distractor = EXPECTED_POOL_SIZES[tier]
-        assert len(generate_valid_pool(cfg, answer)) == expected_valid
-        assert len(generate_distractor_pool(cfg, answer)) == expected_distractor
+        valid, distractor = pools(cfg.allowed_patterns, answer)
+        assert (len(valid), len(distractor)) == EXPECTED_POOL_SIZES[tier]
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("answer", STATEMENTS)
     def test_truth_labels_by_truth_table(self, tier, answer):
         """Every pool member's label checks out against full enumeration."""
-        cfg = tier_config(tier)
-        truth = Assignment.ground_truth(answer)
-        for formula in generate_valid_pool(cfg, answer):
-            assert reference_evaluate(formula, truth) is True
-        for formula in generate_distractor_pool(cfg, answer):
-            assert reference_evaluate(formula, truth) is False
+        valid, distractor = pools(tier_config(tier).allowed_patterns, answer)
+        for _, formula in valid:
+            assert reference_evaluate(formula, {answer}) is True
+        for _, formula in distractor:
+            assert reference_evaluate(formula, {answer}) is False
 
     def test_easy_valid_pool_is_the_answer_exactness(self):
-        pool = generate_valid_pool(tier_config("Easy"), Statement.I)
-        assert pool == [Pattern(PatternKind.EXACTNESS, Statement.I).expand()]
+        valid, _ = pools(tier_config("Easy").allowed_patterns, Statement.I)
+        exactness = Pattern(PatternKind.EXACTNESS, Statement.I)
+        assert valid == ((exactness, exactness.expand()),)
 
     def test_distractor_pool_always_ends_with_universal_none(self):
         for tier in TIERS:
-            pool = generate_distractor_pool(tier_config(tier), Statement.II)
-            assert classify(pool[-1]) == "universal_none"
+            _, distractor = pools(tier_config(tier).allowed_patterns, Statement.II)
+            assert classify(distractor[-1][1]) == "universal_none"
 
 
 class TestAssemble:
@@ -369,10 +374,10 @@ def test_property_assembled_questions_always_verify(answer, tier, seed):
 def test_property_correct_options_true_under_truth(answer, tier, seed):
     question = make_atomic_question(0, answer)
     combinatorial = assemble(question, tier_config(tier), seed)
-    truth = combinatorial.truth()
+    true_statements = {Statement[combinatorial.source_answer]}
     for entry in combinatorial.options:
         expected = entry.letter in combinatorial.answer_set
-        assert reference_evaluate(entry.formula, truth) == expected
+        assert reference_evaluate(entry.formula, true_statements) == expected
 
 
 class TestNota:
