@@ -4,64 +4,94 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .irt import ItemParams
 from .scoring import ThinkingTrace
-from .synthesis import AtomicQuestion, CombinatorialQuestion
+from .synthesis import AtomicQuestion, CombinatorialQuestion, verify
 
 SCHEMA_VERSION = 1
 
+T = TypeVar("T")
+
 
 class BankFormatError(ValueError):
-    """A bank or log file does not match the expected schema."""
+    """An input file is not valid JSON or does not match its expected schema."""
 
 
-def _unwrap(data: Any, key: str) -> list:
-    """Accept either the versioned wrapper object or a bare record array."""
+def _records(path: str, key: str) -> list:
+    """The records of a versioned wrapper object or of a bare record array."""
+    data = load_json(path)
     if isinstance(data, list):
         return data
-    if isinstance(data, dict) and key in data:
-        return list(data[key])
-    raise BankFormatError(f"expected a list or an object with {key!r}")
+    if not (isinstance(data, dict) and key in data):
+        raise BankFormatError(f"{path}: expected a list or an object with {key!r}")
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise BankFormatError(f"{path}: schema_version {data.get('schema_version')!r} is not {SCHEMA_VERSION}")
+    return list(data[key])
 
 
-def _wrap(records: list, key: str) -> dict[str, Any]:
-    return {"schema_version": SCHEMA_VERSION, key: records}
+def _parse(where: str, from_record: Callable[[Any], T], record: Any) -> T:
+    """``from_record(record)``, with a missing key or a bad value reported at ``where``."""
+    try:
+        return from_record(record)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise BankFormatError(f"{where}: {detail}") from None
+
+
+def load_object(path: str, from_dict: Callable[[Any], T]) -> T:
+    """A file holding one JSON object (an endpoint config, say), read through ``from_dict``."""
+    return _parse(path, from_dict, load_json(path))
+
+
+def _save(path: str, key: str, records: list) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, key: records}, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+def _verified(record: Any) -> CombinatorialQuestion:
+    question = CombinatorialQuestion.from_record(record)
+    violations = verify(question).violations
+    if violations:
+        raise BankFormatError(f"question {question.id!r}: " + "; ".join(f"{v.rule}: {v.message}" for v in violations))
+    return question
+
+
+def load_bank(path: str) -> list[AtomicQuestion] | list[CombinatorialQuestion]:
+    """Every question of a bank file, parsed once.
+
+    The first record decides the kind: one with an ``answer_set`` makes the
+    bank combinatorial, and then every question must pass ``verify``.
+    """
+    records = _records(path, "questions")
+    combinatorial = bool(records) and isinstance(records[0], dict) and "answer_set" in records[0]
+    from_record = _verified if combinatorial else AtomicQuestion.from_record
+    return [_parse(f"{path}: record {i}", from_record, record) for i, record in enumerate(records)]
+
+
+def _load_kind(path: str, cls: type, kind: str) -> list:
+    questions = load_bank(path)
+    if questions and not isinstance(questions[0], cls):
+        raise BankFormatError(f"{path}: not {kind}")
+    return questions
 
 
 def load_atomic_bank(path: str) -> list[AtomicQuestion]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [AtomicQuestion.from_record(r) for r in _unwrap(data, "questions")]
+    return _load_kind(path, AtomicQuestion, "an atomic bank")
 
 
 def save_atomic_bank(path: str, questions: Sequence[AtomicQuestion]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_wrap([q.to_record() for q in questions], "questions"), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _save(path, "questions", [q.to_record() for q in questions])
 
 
 def load_comb_bank(path: str) -> list[CombinatorialQuestion]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [CombinatorialQuestion.from_record(r) for r in _unwrap(data, "questions")]
+    return _load_kind(path, CombinatorialQuestion, "a combinatorial bank")
 
 
 def save_comb_bank(path: str, questions: Sequence[CombinatorialQuestion]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_wrap([q.to_record() for q in questions], "questions"), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
-
-
-def sniff_bank_kind(path: str) -> str:
-    """Distinguish atomic from combinatorial bank files by record shape."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    records = _unwrap(data, "questions")
-    if not records:
-        return "empty"
-    return "combinatorial" if "answer_set" in records[0] else "atomic"
+    _save(path, "questions", [q.to_record() for q in questions])
 
 
 @dataclass(frozen=True)
@@ -107,15 +137,12 @@ class CalibratedItem:
 
 
 def load_item_bank(path: str) -> list[CalibratedItem]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [CalibratedItem.from_record(r) for r in _unwrap(data, "items")]
+    records = _records(path, "items")
+    return [_parse(f"{path}: record {i}", CalibratedItem.from_record, record) for i, record in enumerate(records)]
 
 
 def save_item_bank(path: str, items: Sequence[CalibratedItem]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_wrap([i.to_record() for i in items], "items"), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _save(path, "items", [i.to_record() for i in items])
 
 
 def load_traces(path: str) -> list[ThinkingTrace]:
@@ -160,6 +187,9 @@ def save_json(path: str, payload: Mapping[str, Any]) -> None:
         fh.write("\n")
 
 
-def load_json(path: str) -> dict[str, Any]:
+def load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise BankFormatError(f"{path}: invalid JSON ({exc})") from None

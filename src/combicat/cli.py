@@ -3,7 +3,9 @@
 Every subcommand is deterministic given its inputs, flags, and seed. Flags
 override values from an optional JSON config file, and the resolved
 configuration is hashed into every emitted report so a run can be reproduced
-from its artifacts alone.
+from its artifacts alone. Each input is checked where it is read (a
+combinatorial bank must pass ``verify``), and ``main`` reports every input
+error as one ``error:`` line with exit status 1.
 """
 
 from __future__ import annotations
@@ -72,9 +74,7 @@ def _config_hash(resolved: Mapping[str, Any]) -> str:
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
-    if not path:
-        return {}
-    return bankio.load_json(path)
+    return bankio.load_json(path) if path else {}
 
 
 def _resolve(flag_value: Any, config: Mapping[str, Any], key: str, default: Any) -> Any:
@@ -113,8 +113,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     if tier is None and tier_split is None:
         tier = "Hard"
     if tier is not None and tier not in TIER_NAMES:
-        print(f"error: unknown tier {tier!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown tier {tier!r}")
 
     questions = bankio.load_atomic_bank(args.bank)
 
@@ -132,12 +131,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         def tier_for(question: AtomicQuestion) -> str:
             return tier
 
-    try:
-        combinatorial, summary = synthesize_bank(questions, seed, tier_for, n_options=n_options)
-    except InfeasibleTierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    combinatorial, summary = synthesize_bank(questions, seed, tier_for, n_options=n_options)
     bankio.save_comb_bank(args.out, combinatorial)
 
     print(f"synthesized {summary.total} questions -> {args.out}")
@@ -174,11 +168,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
         stats = CorpusStats.from_dict(bankio.load_json(args.stats)["stats"])
         z_rows = [normalize_against(stats, m) for m in metrics]
     else:
-        try:
-            z_rows, stats = z_normalize(metrics)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        z_rows, stats = z_normalize(metrics)
 
     rows = []
     for trace, metric, z in zip(traces, metrics, z_rows):
@@ -249,10 +239,9 @@ def _features_from(row: Mapping[str, Any]) -> dict[str, float] | None:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    kind = bankio.sniff_bank_kind(args.bank)
-    if kind == "empty":
-        print("error: bank holds no questions", file=sys.stderr)
-        return 1
+    questions = bankio.load_bank(args.bank)
+    if not questions:
+        raise ValueError(f"{args.bank}: bank holds no questions")
 
     scores: dict[str, Mapping[str, Any]] = {}
     if args.scores:
@@ -264,9 +253,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     items: list[CalibratedItem] = []
     skipped_questions = 0
 
-    if kind == "atomic":
+    if isinstance(questions[0], AtomicQuestion):
         subset = args.subset or BASE_SUBSET
-        for question in bankio.load_atomic_bank(args.bank):
+        for question in questions:
             row = scores.get(question.id, question.extras)
             features = _features_from(row) if row else None
             tier = (features or {}).get("tier") or question.extras.get("tier")
@@ -280,7 +269,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             )
     else:
         subset = args.subset or COMBINATORIAL_SUBSET
-        for question in bankio.load_comb_bank(args.bank):
+        for question in questions:
             row = scores.get(question.id) or scores.get(question.source_id) or question.extras
             features = _features_from(row) if row else None
             if features is None:
@@ -293,8 +282,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             )
 
     if not items:
-        print("error: no questions could be calibrated", file=sys.stderr)
-        return 1
+        raise ValueError("no questions could be calibrated")
 
     bankio.save_item_bank(args.out, items)
     print(f"calibrated {len(items)} items -> {args.out} ({skipped_questions} skipped)")
@@ -358,8 +346,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     baselines = _resolve(args.baseline, config, "baseline", "")
 
     if (simulator is None) == (endpoint_path is None):
-        print("error: provide exactly one of --simulator or --endpoint", file=sys.stderr)
-        return 1
+        raise ValueError("provide exactly one of --simulator or --endpoint")
 
     base_questions = bankio.load_atomic_bank(args.base_bank) if args.base_bank else []
     comb_questions = bankio.load_comb_bank(args.comb_bank) if args.comb_bank else []
@@ -380,24 +367,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             elif name == "shuffle":
                 variants = [shuffle_options(q, derive_seed(seed, q.id, "shuffle")) for q in base_questions]
             else:
-                print(f"error: unknown baseline {name!r}", file=sys.stderr)
-                return 1
+                raise ValueError(f"unknown baseline {name!r}")
             banks.baselines[name] = _join_params(variants, base_items)
 
     responder: Responder
     if simulator is not None:
-        try:
-            parsed = _parse_simulator(str(simulator))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        parsed = _parse_simulator(str(simulator))
         responder_seed = derive_seed(seed, "responder", str(simulator))
         if parsed == "memorization":
             responder = MemorizationRespondent(seed=responder_seed)
         else:
             responder = SimulatedRespondent(parsed, seed=responder_seed)
     else:
-        responder = EndpointResponder(EndpointConfig.from_dict(bankio.load_json(endpoint_path)))
+        responder = EndpointResponder(bankio.load_object(endpoint_path, EndpointConfig.from_dict))
 
     resolved = {
         "command": "evaluate",
@@ -420,11 +402,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
 
     # Checked before the log opens, so a rejected run leaves an earlier run intact.
-    try:
-        check_run(responder, banks, mode)
-    except (ValueError, MissingApiKeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    check_run(responder, banks, mode)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "run.jsonl")
     report_path = os.path.join(args.out, "report.json")
@@ -513,10 +491,9 @@ def _replay_mismatches(embedded: Mapping[str, Any], aggregates: Mapping[str, Any
         if recomputed is None:
             problems.append(f"subset {label!r} missing from log")
             continue
-        for key in ("n", "accuracy", "mean_f1", "parse_failures", "transport_failures"):
-            want = stored[key]
-            have = getattr(recomputed, key)
-            if abs(float(want) - float(have)) > 1e-12:
+        for key, have in recomputed.to_record().items():
+            want = stored.get(key)
+            if want is None or abs(float(want) - float(have)) > 1e-12:
                 problems.append(f"{label}.{key}: report {want} vs log {have}")
     return problems
 
@@ -590,9 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, InfeasibleTierError, MissingApiKeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 import requests
 
-from .bankio import SCHEMA_VERSION
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
@@ -79,7 +78,6 @@ def build_prompt(question: AtomicQuestion | CombinatorialQuestion) -> tuple[str,
         for entry in question.options:
             lines.append(f"{entry.letter}. {entry.text}")
     else:
-        question.validate()
         lines.append("Options:")
         for letter, text in zip(OPTION_LETTERS, question.option_list()):
             lines.append(f"{letter}. {text}")
@@ -563,7 +561,6 @@ class ScoreReport:
 
     def to_record(self) -> dict[str, Any]:
         record: dict[str, Any] = {
-            "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
             "seed": self.seed,
             "config_hash": self.config_hash,
@@ -605,10 +602,8 @@ def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
                 f"item parameters missing for {len(missing)} question(s), e.g. {missing[0]!r}; "
                 "cat mode and the ability simulator need them"
             )
-    for item in items:
-        if isinstance(item.question, AtomicQuestion):
-            item.question.validate()  # a baseline variant is built after loading
-        if simulated:
+    if simulated:
+        for item in items:
             responder.theta_for(item.params)
     if mode == "cat":
         check_dual_banks([item.params for item in banks.base], [item.params for item in banks.comb])

@@ -19,6 +19,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 from typing import Union
@@ -208,6 +209,7 @@ class FormulaSyntaxError(ValueError):
 _TOKEN_RE = re.compile(r"[A-Z]+|[(),]")
 
 
+@lru_cache(maxsize=1024)  # nodes are frozen, so equal texts can share one tree
 def parse_formula(text: str) -> Formula:
     """Inverse of :func:`serialize`; round-trip stable."""
     tokens = _TOKEN_RE.findall(text)

@@ -10,7 +10,7 @@ against the truth-table semantics. Every step is a pure function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping
@@ -49,7 +49,7 @@ class InfeasibleTierError(RuntimeError):
 
 @dataclass(frozen=True)
 class AtomicQuestion:
-    """A four-option single-answer source question."""
+    """A four-option single-answer source question; construction enforces the contract."""
 
     id: str
     context: str
@@ -60,7 +60,7 @@ class AtomicQuestion:
     reasoning_type: str = ""
     extras: Mapping[str, Any] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         labels = tuple(self.options.keys())
         if sorted(labels) != sorted(s.name for s in STATEMENTS):
             raise QuestionFormatError(
@@ -99,8 +99,8 @@ class AtomicQuestion:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "AtomicQuestion":
-        known = {"id", "context", "options", "answer", "language", "source", "reasoning_type"}
-        question = cls(
+        known = {f.name for f in fields(cls)} - {"extras"}
+        return cls(
             id=str(record["id"]),
             context=str(record.get("context", "")),
             options=dict(record["options"]),
@@ -110,8 +110,6 @@ class AtomicQuestion:
             reasoning_type=str(record.get("reasoning_type", "")),
             extras={k: v for k, v in record.items() if k not in known},
         )
-        question.validate()
-        return question
 
 
 @dataclass(frozen=True)
@@ -229,20 +227,7 @@ class CombinatorialQuestion:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "CombinatorialQuestion":
-        known = {
-            "id",
-            "source_id",
-            "context",
-            "statements",
-            "options",
-            "answer_set",
-            "tier",
-            "seed",
-            "source_answer",
-            "language",
-            "source",
-            "reasoning_type",
-        }
+        known = {f.name for f in fields(cls)} - {"extras"}
         options = tuple(
             OptionEntry(item["letter"], parse_formula(item["formula"]), item["text"])
             for item in record["options"]
@@ -293,7 +278,6 @@ def atomize(question: AtomicQuestion) -> tuple[str, str, str, str]:
     Option texts already read as declarative claims, so the restatement is the
     identity.
     """
-    question.validate()
     return tuple(question.option_list())
 
 
@@ -580,7 +564,6 @@ def apply_nota(question: AtomicQuestion) -> AtomicQuestion:
     The answer index is unchanged, so the correct choice becomes the inserted
     text. Idempotent.
     """
-    question.validate()
     options = dict(question.options)
     options[question.answer] = NOTA_TEXT
     return replace(question, options=options)
@@ -588,7 +571,6 @@ def apply_nota(question: AtomicQuestion) -> AtomicQuestion:
 
 def shuffle_options(question: AtomicQuestion, seed: int) -> AtomicQuestion:
     """Seeded permutation of the option texts with the answer index remapped."""
-    question.validate()
     texts = question.option_list()
     order = list(range(4))
     PortableRng(seed).shuffle(order)

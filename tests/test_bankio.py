@@ -8,6 +8,7 @@ from combicat.bankio import (
     BankFormatError,
     CalibratedItem,
     load_atomic_bank,
+    load_bank,
     load_comb_bank,
     load_item_bank,
     load_traces,
@@ -15,7 +16,6 @@ from combicat.bankio import (
     save_atomic_bank,
     save_comb_bank,
     save_item_bank,
-    sniff_bank_kind,
     write_jsonl,
 )
 from combicat.synthesis import assemble, tier_config
@@ -47,16 +47,60 @@ def test_comb_bank_round_trip(tmp_path):
     assert load_comb_bank(str(path)) == combinatorial
 
 
-def test_sniff_bank_kind(tmp_path):
+def test_load_bank_takes_kind_from_first_record(tmp_path):
     atomic_path = tmp_path / "a.json"
-    save_atomic_bank(str(atomic_path), make_atomic_bank(2, seed=3))
-    assert sniff_bank_kind(str(atomic_path)) == "atomic"
+    atomic = make_atomic_bank(2, seed=3)
+    save_atomic_bank(str(atomic_path), atomic)
+    assert load_bank(str(atomic_path)) == atomic
     comb_path = tmp_path / "c.json"
-    save_comb_bank(str(comb_path), [assemble(make_atomic_question(0), tier_config("Medium"), 1)])
-    assert sniff_bank_kind(str(comb_path)) == "combinatorial"
+    combinatorial = [assemble(make_atomic_question(0), tier_config("Medium"), 1)]
+    save_comb_bank(str(comb_path), combinatorial)
+    assert load_bank(str(comb_path)) == combinatorial
     empty = tmp_path / "e.json"
     empty.write_text("[]")
-    assert sniff_bank_kind(str(empty)) == "empty"
+    assert load_bank(str(empty)) == []
+
+
+def test_bank_of_the_wrong_kind_rejected(tmp_path):
+    atomic_path = tmp_path / "a.json"
+    save_atomic_bank(str(atomic_path), make_atomic_bank(2, seed=3))
+    comb_path = tmp_path / "c.json"
+    save_comb_bank(str(comb_path), [assemble(make_atomic_question(0), tier_config("Medium"), 1)])
+    with pytest.raises(BankFormatError, match=f"{comb_path}: not an atomic bank"):
+        load_atomic_bank(str(comb_path))
+    with pytest.raises(BankFormatError, match=f"{atomic_path}: not a combinatorial bank"):
+        load_comb_bank(str(atomic_path))
+
+
+def test_comb_bank_is_verified_on_read(tmp_path):
+    question = assemble(make_atomic_question(0), tier_config("Hard"), 4)
+    record = question.to_record()
+    distractor = next(letter for letter in question.letters() if letter not in question.answer_set)
+    record["answer_set"].append(distractor)
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps({"schema_version": 1, "questions": [record]}))
+    with pytest.raises(BankFormatError) as exc_info:
+        load_comb_bank(str(path))
+    message = str(exc_info.value)
+    assert message.startswith(f"{path}: record 0: question {question.id!r}: ")
+    assert f"truth-mismatch: option {distractor} evaluates False but is labelled correct" in message
+
+
+def test_other_schema_version_rejected(tmp_path):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps({"schema_version": 2, "questions": []}))
+    with pytest.raises(BankFormatError, match="schema_version 2 is not 1"):
+        load_atomic_bank(str(path))
+
+
+def test_item_record_without_a_key_names_file_and_key(tmp_path):
+    path = tmp_path / "items.json"
+    save_item_bank(str(path), [CalibratedItem("Base:q1", "q1", "Base", "Hard", 1.6, -0.5, 0.25, 4)])
+    data = json.loads(path.read_text())
+    del data["items"][0]["b"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(BankFormatError, match=f"{path}: record 0: missing key 'b'"):
+        load_item_bank(str(path))
 
 
 def test_malformed_bank_rejected(tmp_path):

@@ -75,6 +75,14 @@ class TestSynthesize:
         )
         assert code == 1
 
+    def test_bad_tier_split_fails(self, tmp_path, bank_file, capsys):
+        bank_path, _ = bank_file
+        out = tmp_path / "comb.json"
+        code = main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-split", "Foo:1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown tier 'Foo' in split\n"
+        assert not out.exists()
+
     def test_inline_source_tier_does_not_overwrite_synthesized_tier(self, tmp_path):
         source = make_atomic_bank(4, seed=9)
         source[0] = replace(source[0], extras={"tier": "Easy", "note": "kept"})
@@ -176,6 +184,18 @@ class TestCalibrate:
             assert item.c == pytest.approx(1.0 / 6.0)
             assert item.subset == "Combinatorial"
 
+    def test_tampered_comb_bank_rejected(self, tmp_path, bank_file, capsys):
+        bank_path, _ = bank_file
+        comb_path = tmp_path / "comb.json"
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(comb_path), "--tier", "Hard"]) == 0
+        question_id, letter = _add_distractor_to_answer_set(comb_path)
+        out = tmp_path / "items.json"
+        assert main(["calibrate", "--bank", str(comb_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {comb_path}: record 0: question {question_id!r}: ")
+        assert f"truth-mismatch: option {letter} evaluates False but is labelled correct" in err
+        assert not out.exists()
+
     def test_atomic_bank_gets_quarter_guessing(self, tmp_path, bank_file):
         bank_path, questions = bank_file
         score_rows = [
@@ -244,6 +264,16 @@ class TestCalibrate:
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "items.json").exists()
+
+
+def _add_distractor_to_answer_set(comb_path):
+    """Label one wrong option of the first question correct; returns its id and letter."""
+    data = load_json(str(comb_path))
+    question = data["questions"][0]
+    letter = next(o["letter"] for o in question["options"] if o["letter"] not in question["answer_set"])
+    question["answer_set"].append(letter)
+    comb_path.write_text(json.dumps(data))
+    return question["id"], letter
 
 
 def _pipeline(tmp_path, n_questions=40, seed=13):
@@ -380,6 +410,60 @@ class TestEvaluate:
         assert code == 1
         assert "error: environment variable 'COMBICAT_TEST_KEY' is not set" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_tampered_comb_bank_rejected_before_the_log_opens(self, tmp_path, capsys):
+        _, comb, _, comb_items = _pipeline(tmp_path, n_questions=12)
+        question_id, letter = _add_distractor_to_answer_set(comb)
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "evaluate", "--comb-bank", str(comb), "--comb-items", str(comb_items),
+                "--simulator", "3pl:0.5", "--out", str(out_dir),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {comb}: record 0: question {question_id!r}: ")
+        assert f"truth-mismatch: option {letter} evaluates False but is labelled correct" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["endpoint", "items"])
+    def test_missing_key_rejected_before_the_log_opens(self, tmp_path, bank_file, capsys, source):
+        bank_path, questions = bank_file
+        if source == "endpoint":
+            path, key = tmp_path / "endpoint.json", "base_url"
+            path.write_text(json.dumps({"model_name": "m"}))
+            args = ["--endpoint", str(path)]
+        else:
+            path, key = tmp_path / "items.json", "b"
+            save_item_bank(str(path), [CalibratedItem(f"Base:{q.id}", q.id, "Base", "Easy", 0.8, 0.0, 0.25, 4) for q in questions])
+            data = load_json(str(path))
+            del data["items"][0]["b"]
+            path.write_text(json.dumps(data))
+            args = ["--base-items", str(path), "--simulator", "3pl:0.5"]
+        out_dir = tmp_path / "run"
+        assert main(["evaluate", "--base-bank", str(bank_path), "--out", str(out_dir)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and f"missing key {key!r}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, kind",
+        [
+            ("evaluate", "--base-bank", "an atomic bank"),
+            ("evaluate", "--comb-bank", "a combinatorial bank"),
+            ("synthesize", "--bank", "an atomic bank"),
+        ],
+    )
+    def test_bank_of_the_wrong_kind_rejected(self, tmp_path, capsys, command, flag, kind):
+        atomic, comb, _, _ = _pipeline(tmp_path, n_questions=8)
+        wrong = comb if kind == "an atomic bank" else atomic
+        out = tmp_path / "out"
+        rest = ["--simulator", "memorization"] if command == "evaluate" else []
+        capsys.readouterr()
+        assert main([command, flag, str(wrong), "--out", str(out)] + rest) == 1
+        assert capsys.readouterr().err == f"error: {wrong}: not {kind}\n"
+        assert not out.exists()
 
     def test_invalid_baseline_variant_rejected_before_the_log_opens(self, tmp_path, capsys):
         questions = make_atomic_bank(4, seed=9)
@@ -544,6 +628,18 @@ class TestReport:
         report_path.write_text(json.dumps(data))
         code = main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(report_path)])
         assert code == 1
+
+    def test_tampered_overlap_rate_fails_replay(self, tmp_path, capsys):
+        _, comb, _, _ = _pipeline(tmp_path, n_questions=8)
+        out_dir = tmp_path / "run"
+        assert main(["evaluate", "--comb-bank", str(comb), "--simulator", "memorization", "--out", str(out_dir)]) == 0
+        report_path = out_dir / "report.json"
+        data = json.loads(report_path.read_text())
+        data["subsets"]["comb"]["overlap_rate"] += 0.5
+        report_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(report_path)]) == 1
+        assert "replay mismatch: comb.overlap_rate" in capsys.readouterr().err
 
     def test_empty_log_prints_no_records(self, tmp_path, capsys):
         log = tmp_path / "empty.jsonl"

@@ -29,6 +29,14 @@ from combicat.rng import PortableRng
 from oracle import reference_evaluate, reference_table, row_statements
 
 
+FORMULA_TEXTS = st.recursive(
+    st.sampled_from(STATEMENTS).map(lambda s: f"VAR({s.name})"),
+    lambda inner: inner.map(lambda t: f"NOT({t})")
+    | st.tuples(st.sampled_from(["AND", "OR"]), inner, inner).map(lambda p: f"{p[0]}({p[1]},{p[2]})"),
+    max_leaves=12,
+)
+
+
 def holds(formula, row: int) -> bool:
     """A formula's value in one truth-table row: a bit test on its mask."""
     return bool(mask(formula) >> row & 1)
@@ -197,6 +205,20 @@ class TestSerialization:
         for bad in ("", "AND(VAR(I)", "XOR(VAR(I),VAR(II))", "VAR(V)", "VAR(I)X"):
             with pytest.raises((FormulaSyntaxError, ValueError)):
                 parse_formula(bad)
+
+    @given(st.one_of(FORMULA_TEXTS, st.text(alphabet="VARNOTDI(), ", max_size=24)))
+    @settings(max_examples=300)
+    def test_cached_parse_matches_uncached_parse(self, text):
+        """``parse_formula.__wrapped__`` is the uncached parser, kept as the oracle."""
+        try:
+            expected = parse_formula.__wrapped__(text)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as exc_info:
+                parse_formula(text)
+            assert str(exc_info.value) == str(exc)
+            return
+        assert parse_formula(text) == expected
+        assert parse_formula(text) is parse_formula(text)
 
 
 class TestMask:

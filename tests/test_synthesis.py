@@ -64,30 +64,24 @@ class TestAtomize:
         assert list(atomize(question)) == question.option_list()
 
     def test_five_options_rejected(self):
-        question = AtomicQuestion(
-            id="bad",
-            context="c",
-            options={"I": "a", "II": "b", "III": "c", "IV": "d", "V": "e"},
-            answer="I",
-        )
         with pytest.raises(QuestionFormatError, match="not four atomic options"):
-            atomize(question)
+            AtomicQuestion(
+                id="bad",
+                context="c",
+                options={"I": "a", "II": "b", "III": "c", "IV": "d", "V": "e"},
+                answer="I",
+            )
 
     def test_answer_outside_options_rejected(self):
-        question = AtomicQuestion(
-            id="bad", context="c", options={"I": "a", "II": "b", "III": "c", "IV": "d"}, answer="V"
-        )
         with pytest.raises(QuestionFormatError):
-            atomize(question)
+            AtomicQuestion(id="bad", context="c", options={"I": "a", "II": "b", "III": "c", "IV": "d"}, answer="V")
 
     def test_repeated_option_text_rejected(self):
-        question = AtomicQuestion(
-            id="dup", context="c", options={"I": "a", "II": "b", "III": "a", "IV": "d"}, answer="II"
-        )
+        record = {"id": "dup", "context": "c", "options": {"I": "a", "II": "b", "III": "a", "IV": "d"}, "answer": "II"}
         with pytest.raises(QuestionFormatError, match="options I, III repeat one text"):
-            atomize(question)
+            AtomicQuestion(**record)
         with pytest.raises(QuestionFormatError, match="repeat one text"):
-            AtomicQuestion.from_record(question.to_record())
+            AtomicQuestion.from_record(record)
 
 
 class TestPools:
