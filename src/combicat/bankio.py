@@ -150,14 +150,14 @@ def load_traces(path: str) -> list[ThinkingTrace]:
     traces = []
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BankFormatError(f"{path}:{line_number}: invalid JSON ({exc})") from None
-            traces.append(ThinkingTrace.from_text(str(row["question_id"]), str(row.get("text", ""))))
+            if line.strip():
+                traces.append(_parse(f"{path}:{line_number}", _trace_from_line, line))
     return traces
+
+
+def _trace_from_line(line: str) -> ThinkingTrace:
+    row = json.loads(line)
+    return ThinkingTrace.from_text(str(row["question_id"]), str(row.get("text", "")))
 
 
 def read_jsonl(path: str) -> tuple[list[dict[str, Any]], int]:

@@ -165,7 +165,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
     metrics = [extract_metrics(trace, lexicons) for trace in traces]
 
     if args.stats:
-        stats = CorpusStats.from_dict(bankio.load_json(args.stats)["stats"])
+        stats = bankio.load_object(args.stats, lambda data: CorpusStats.from_dict(data["stats"]))
         z_rows = [normalize_against(stats, m) for m in metrics]
     else:
         z_rows, stats = z_normalize(metrics)

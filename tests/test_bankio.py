@@ -151,3 +151,10 @@ def test_traces_loader_rejects_bad_json(tmp_path):
     path.write_text("oops\n")
     with pytest.raises(BankFormatError):
         load_traces(str(path))
+
+
+def test_trace_row_without_question_id_names_file_and_line(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    path.write_text('{"question_id": "q1", "text": "a b"}\n{"text": "no id"}\n')
+    with pytest.raises(BankFormatError, match=f"{path}:2: missing key 'question_id'"):
+        load_traces(str(path))

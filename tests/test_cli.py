@@ -154,6 +154,17 @@ class TestScoreTraces:
         assert first.read_text() == second.read_text()
 
 
+    def test_stats_file_without_stats_key_rejected(self, tmp_path, capsys):
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, [{"question_id": "a", "text": "x y"}, {"question_id": "b", "text": "therefore z"}])
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"schema_version": 1}))
+        out = tmp_path / "s.jsonl"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(out), "--stats", str(stats)]) == 1
+        assert capsys.readouterr().err == f"error: {stats}: missing key 'stats'\n"
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_fixture_parameter_triple(self, tmp_path, bank_file):
         bank_path, questions = bank_file
