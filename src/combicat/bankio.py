@@ -41,7 +41,7 @@ def _parse(where: str, from_record: Callable[[Any], T], record: Any) -> T:
 
 
 def load_object(path: str, from_dict: Callable[[Any], T]) -> T:
-    """A file holding one JSON object (an endpoint config, say), read through ``from_dict``."""
+    """A file holding one JSON object (an endpoint config, corpus stats), read through ``from_dict``."""
     return _parse(path, from_dict, load_json(path))
 
 
