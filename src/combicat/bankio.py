@@ -31,7 +31,7 @@ def _records(path: str, key: str) -> list:
     return list(data[key])
 
 
-def _parse(where: str, from_record: Callable[[Any], T], record: Any) -> T:
+def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
     """``from_record(record)``, with a missing key or a bad value reported at ``where``."""
     try:
         return from_record(record)
@@ -42,7 +42,7 @@ def _parse(where: str, from_record: Callable[[Any], T], record: Any) -> T:
 
 def load_object(path: str, from_dict: Callable[[Any], T]) -> T:
     """A file holding one JSON object (an endpoint config, corpus stats), read through ``from_dict``."""
-    return _parse(path, from_dict, load_json(path))
+    return parse_at(path, from_dict, load_json(path))
 
 
 def _save(path: str, key: str, records: list) -> None:
@@ -68,7 +68,7 @@ def load_bank(path: str) -> list[AtomicQuestion] | list[CombinatorialQuestion]:
     records = _records(path, "questions")
     combinatorial = bool(records) and isinstance(records[0], dict) and "answer_set" in records[0]
     from_record = _verified if combinatorial else AtomicQuestion.from_record
-    return [_parse(f"{path}: record {i}", from_record, record) for i, record in enumerate(records)]
+    return [parse_at(f"{path}: record {i}", from_record, record) for i, record in enumerate(records)]
 
 
 def _load_kind(path: str, cls: type, kind: str) -> list:
@@ -138,7 +138,7 @@ class CalibratedItem:
 
 def load_item_bank(path: str) -> list[CalibratedItem]:
     records = _records(path, "items")
-    return [_parse(f"{path}: record {i}", CalibratedItem.from_record, record) for i, record in enumerate(records)]
+    return [parse_at(f"{path}: record {i}", CalibratedItem.from_record, record) for i, record in enumerate(records)]
 
 
 def save_item_bank(path: str, items: Sequence[CalibratedItem]) -> None:
@@ -151,7 +151,7 @@ def load_traces(path: str) -> list[ThinkingTrace]:
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if line.strip():
-                traces.append(_parse(f"{path}:{line_number}", _trace_from_line, line))
+                traces.append(parse_at(f"{path}:{line_number}", _trace_from_line, line))
     return traces
 
 
@@ -160,17 +160,25 @@ def _trace_from_line(line: str) -> ThinkingTrace:
     return ThinkingTrace.from_text(str(row["question_id"]), str(row.get("text", "")))
 
 
-def read_jsonl(path: str) -> tuple[list[dict[str, Any]], int]:
-    """All parseable rows plus the count of corrupt lines skipped."""
-    rows: list[dict[str, Any]] = []
+def read_jsonl(path: str) -> tuple[list[tuple[int, dict[str, Any]]], int]:
+    """Each row with its line number, plus the count of corrupt lines skipped.
+
+    A row is a line holding a JSON object; a line holding invalid JSON or any
+    other JSON value is corrupt.
+    """
+    rows: list[tuple[int, dict[str, Any]]] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError:
+                row = None
+            if isinstance(row, dict):
+                rows.append((line_number, row))
+            else:
                 skipped += 1
     return rows, skipped
 

@@ -1,9 +1,9 @@
 """Command-line pipeline: synthesize | score-traces | calibrate | evaluate | report.
 
 Every subcommand is deterministic given its inputs, flags, and seed. Flags
-override values from an optional JSON config file, and the resolved
-configuration is hashed into every emitted report so a run can be reproduced
-from its artifacts alone. Each input is checked where it is read (a
+are the only settings: each default is written once, in ``build_parser``, and
+the resolved flags are hashed into every emitted report so a run can be
+reproduced from its artifacts alone. Each input is checked where it is read (a
 combinatorial bank must pass ``verify``), and ``main`` reports every input
 error as one ``error:`` line with exit status 1.
 """
@@ -29,6 +29,7 @@ from .harness import (
     MemorizationRespondent,
     MissingApiKeyError,
     Responder,
+    ResponseRecord,
     RunSettings,
     ScoreReport,
     SimulatedRespondent,
@@ -73,19 +74,6 @@ def _config_hash(resolved: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    return bankio.load_json(path) if path else {}
-
-
-def _resolve(flag_value: Any, config: Mapping[str, Any], key: str, default: Any) -> Any:
-    """Flag wins over config file wins over the built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -105,33 +93,26 @@ def _parse_tier_split(text: str) -> dict[str, float]:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    tier = _resolve(args.tier, config, "tier", None)
-    tier_split = _resolve(args.tier_split, config, "tier_split", None)
-    n_options = int(_resolve(args.n_options, config, "n_options", 6))
-    if tier is None and tier_split is None:
-        tier = "Hard"
-    if tier is not None and tier not in TIER_NAMES:
-        raise ValueError(f"unknown tier {tier!r}")
+    if args.tier not in TIER_NAMES:
+        raise ValueError(f"unknown tier {args.tier!r}")
 
     questions = bankio.load_atomic_bank(args.bank)
 
-    if tier_split is not None:
-        split = _parse_tier_split(tier_split) if isinstance(tier_split, str) else dict(tier_split)
+    if args.tier_split is not None:
+        split = _parse_tier_split(args.tier_split)
         names = sorted(split)
         weights = [split[name] for name in names]
 
         def tier_for(question: AtomicQuestion) -> str:
-            rng = PortableRng(derive_seed(seed, question.id, "tier-assignment"))
+            rng = PortableRng(derive_seed(args.seed, question.id, "tier-assignment"))
             return names[rng.weighted_index(weights)]
 
     else:
 
         def tier_for(question: AtomicQuestion) -> str:
-            return tier
+            return args.tier
 
-    combinatorial, summary = synthesize_bank(questions, seed, tier_for, n_options=n_options)
+    combinatorial, summary = synthesize_bank(questions, args.seed, tier_for, n_options=args.n_options)
     bankio.save_comb_bank(args.out, combinatorial)
 
     print(f"synthesized {summary.total} questions -> {args.out}")
@@ -152,9 +133,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_score_traces(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    locale = _resolve(args.locale, config, "locale", "both")
-    lexicons = load_lexicons(locale=locale, paths=args.lexicon or None)
+    lexicons = load_lexicons(locale=args.locale, paths=args.lexicon or None)
     scoring = (
         ScoringConfig.from_dict(bankio.load_json(args.weights_config))
         if args.weights_config
@@ -189,7 +168,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 
     resolved = {
         "command": "score-traces",
-        "locale": locale,
+        "locale": args.locale,
         "scoring": scoring.to_dict(),
         "frozen_stats": bool(args.stats),
         "traces": os.path.basename(args.traces),
@@ -200,12 +179,10 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
         "config_hash": _config_hash(resolved),
     }
     # The stats file is part of the contract: without it, later runs cannot
-    # score new traces against this corpus. Default next to the scores.
-    stats_out = args.stats_out or (args.out + ".stats.json")
-    if not args.stats:
-        bankio.save_json(stats_out, stats_payload)
-    elif args.stats_out:
-        bankio.save_json(args.stats_out, stats_payload)
+    # score new traces against this corpus. Default next to the scores; stats
+    # read with --stats are written again only to an explicit --stats-out.
+    if args.stats_out or not args.stats:
+        bankio.save_json(args.stats_out or args.out + ".stats.json", stats_payload)
 
     tiers = [row["tier"] for row in rows]
     print(f"scored {len(rows)} traces -> {args.out}")
@@ -248,7 +225,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         rows, skipped = bankio.read_jsonl(args.scores)
         if skipped:
             log.warning("skipped %d corrupt score rows", skipped)
-        scores = {str(row["question_id"]): row for row in rows if "question_id" in row}
+        scores = {str(row["question_id"]): row for _, row in rows if "question_id" in row}
 
     items: list[CalibratedItem] = []
     skipped_questions = 0
@@ -336,16 +313,7 @@ def _join_params(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = int(_resolve(args.seed, config, "seed", 0))
-    mode = _resolve(args.mode, config, "mode", "static")
-    max_items = int(_resolve(args.max_items, config, "max_items", DEFAULT_MAX_ITEMS))
-    se_target = float(_resolve(args.se_target, config, "se_target", DEFAULT_SE_TARGET))
-    simulator = _resolve(args.simulator, config, "simulator", None)
-    endpoint_path = _resolve(args.endpoint, config, "endpoint", None)
-    baselines = _resolve(args.baseline, config, "baseline", "")
-
-    if (simulator is None) == (endpoint_path is None):
+    if (args.simulator is None) == (args.endpoint is None):
         raise ValueError("provide exactly one of --simulator or --endpoint")
 
     base_questions = bankio.load_atomic_bank(args.base_bank) if args.base_bank else []
@@ -357,57 +325,57 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         base=_join_params(base_questions, base_items),
         comb=_join_params(comb_questions, comb_items),
     )
-    if mode == "static" and baselines:
-        for name in str(baselines).split(","):
+    if args.mode == "static" and args.baseline:
+        for name in args.baseline.split(","):
             name = name.strip()
             if not name:
                 continue
             if name == "nota":
                 variants = [apply_nota(q) for q in base_questions]
             elif name == "shuffle":
-                variants = [shuffle_options(q, derive_seed(seed, q.id, "shuffle")) for q in base_questions]
+                variants = [shuffle_options(q, derive_seed(args.seed, q.id, "shuffle")) for q in base_questions]
             else:
                 raise ValueError(f"unknown baseline {name!r}")
             banks.baselines[name] = _join_params(variants, base_items)
 
     responder: Responder
-    if simulator is not None:
-        parsed = _parse_simulator(str(simulator))
-        responder_seed = derive_seed(seed, "responder", str(simulator))
+    if args.simulator is not None:
+        parsed = _parse_simulator(args.simulator)
+        responder_seed = derive_seed(args.seed, "responder", args.simulator)
         if parsed == "memorization":
             responder = MemorizationRespondent(seed=responder_seed)
         else:
             responder = SimulatedRespondent(parsed, seed=responder_seed)
     else:
-        responder = EndpointResponder(bankio.load_object(endpoint_path, EndpointConfig.from_dict))
+        responder = EndpointResponder(bankio.load_object(args.endpoint, EndpointConfig.from_dict))
 
     resolved = {
         "command": "evaluate",
-        "seed": seed,
-        "mode": mode,
-        "max_items": max_items,
-        "se_target": se_target,
-        "simulator": simulator,
-        "endpoint": endpoint_path,
-        "baseline": baselines,
+        "seed": args.seed,
+        "mode": args.mode,
+        "max_items": args.max_items,
+        "se_target": args.se_target,
+        "simulator": args.simulator,
+        "endpoint": args.endpoint,
+        "baseline": args.baseline,
         "base_bank": os.path.basename(args.base_bank or ""),
         "comb_bank": os.path.basename(args.comb_bank or ""),
     }
     settings = RunSettings(
-        seed=seed,
-        max_items=max_items,
-        se_target=se_target,
-        strict_incorrect=bool(args.strict_incorrect),
+        seed=args.seed,
+        max_items=args.max_items,
+        se_target=args.se_target,
+        strict_incorrect=args.strict_incorrect,
         config_hash=_config_hash(resolved),
     )
 
     # Checked before the log opens, so a rejected run leaves an earlier run intact.
-    check_run(responder, banks, mode)
+    check_run(responder, banks, args.mode)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "run.jsonl")
     report_path = os.path.join(args.out, "report.json")
     with JsonlWriter(log_path) as writer:
-        report = run_benchmark(responder, banks, mode=mode, settings=settings, writer=writer)
+        report = run_benchmark(responder, banks, mode=args.mode, settings=settings, writer=writer)
 
     bankio.save_json(report_path, report.to_record())
     _print_report(report)
@@ -441,18 +409,20 @@ def _print_report(report: ScoreReport) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows, skipped = bankio.read_jsonl(args.log)
-    responses = [row for row in rows if row.get("kind") == "response"]
-    steps = [row for row in rows if row.get("kind") == "cat_step"]
-
-    if not responses and not steps:
+    responses = [
+        bankio.parse_at(f"{args.log}:{line}", ResponseRecord.from_record, row)
+        for line, row in rows
+        if row.get("kind") == "response"
+    ]
+    if not responses and not any(row.get("kind") == "cat_step" for _, row in rows):
         print("no records")
-    aggregates = aggregate_log_records(rows)
+    aggregates = aggregate_log_records(responses)
     if responses and len(responses) <= 32:
         print("per-item results:")
-        for row in responses:
+        for record in responses:
             print(
-                f"  {row['question_id']:<40} subset={row['subset']:<8} "
-                f"exact={str(bool(row['exact'])):<5} f1={row['f1']:.3f}"
+                f"  {record.question_id:<40} subset={record.subset:<8} "
+                f"exact={str(record.exact):<5} f1={record.f1:.3f}"
             )
     for label in sorted(aggregates):
         result = aggregates[label]
@@ -461,14 +431,15 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"parse_failures={result.parse_failures} transport_failures={result.transport_failures}"
         )
 
-    theta_lines: dict[str, dict[str, Any]] = {}
-    for step in steps:
-        if "theta_hat" in step:
-            theta_lines[step["subset"]] = step
-    for subset, last in sorted(theta_lines.items()):
-        print(f"{subset:<8} theta={last['theta_hat']:+.3f} se={last['se']:.3f}")
-    if {"base", "comb"} <= set(theta_lines):
-        delta = theta_lines["base"]["theta_hat"] - theta_lines["comb"]["theta_hat"]
+    estimates: dict[str, tuple[float, float]] = {}
+    for line, row in rows:
+        if row.get("kind") == "cat_step" and "theta_hat" in row:
+            subset, theta, se = bankio.parse_at(f"{args.log}:{line}", _estimate_from, row)
+            estimates[subset] = theta, se
+    for subset, (theta, se) in sorted(estimates.items()):
+        print(f"{subset:<8} theta={theta:+.3f} se={se:.3f}")
+    if {"base", "comb"} <= set(estimates):
+        delta = estimates["base"][0] - estimates["comb"][0]
         print(f"delta_theta {delta:+.3f}")
     if skipped:
         print(f"skipped lines: {skipped}")
@@ -484,9 +455,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
+    """The subset, ability estimate and standard error of a ``cat_step`` row."""
+    return str(step["subset"]), float(step["theta_hat"]), float(step["se"])
+
+
 def _replay_mismatches(embedded: Mapping[str, Any], aggregates: Mapping[str, Any]) -> list[str]:
-    problems = []
-    for label, stored in embedded.get("subsets", {}).items():
+    stored_subsets = embedded.get("subsets", {})
+    problems = [f"subset {label!r} missing from report" for label in sorted(set(aggregates) - set(stored_subsets))]
+    for label, stored in stored_subsets.items():
         recomputed = aggregates.get(label)
         if recomputed is None:
             problems.append(f"subset {label!r} missing from log")
@@ -513,11 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="transform an atomic bank into combinatorial questions")
     p.add_argument("--bank", required=True, help="atomic question bank (JSON)")
     p.add_argument("--out", required=True, help="output combinatorial bank (JSON)")
-    p.add_argument("--tier", help="single tier for every question")
+    p.add_argument("--tier", default="Hard", help="single tier for every question, unless --tier-split is given")
     p.add_argument("--tier-split", dest="tier_split", help="e.g. Easy:20,Medium:40,Hard:30,Expert:10")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m", dest="n_options", type=int, help="options per combinatorial question (5-8)")
-    p.add_argument("--config", help="JSON config file; flags win")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", dest="n_options", type=int, default=6, help="options per combinatorial question (5-8)")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("score-traces", help="extract metrics and difficulty scores from traces")
@@ -525,10 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output scores (JSONL)")
     p.add_argument("--stats-out", dest="stats_out", help="output corpus stats (JSON)")
     p.add_argument("--stats", help="frozen corpus stats to score against (JSON)")
-    p.add_argument("--locale", choices=["en", "zh", "both"])
+    p.add_argument("--locale", choices=["en", "zh", "both"], default="both")
     p.add_argument("--lexicon", action="append", help="custom lexicon JSON (repeatable)")
     p.add_argument("--weights-config", dest="weights_config", help="scoring weights JSON")
-    p.add_argument("--config", help="JSON config file; flags win")
     p.set_defaults(func=cmd_score_traces)
 
     p = sub.add_parser("calibrate", help="derive 3PL item parameters from scored questions")
@@ -544,17 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comb-bank", dest="comb_bank", help="combinatorial bank (JSON)")
     p.add_argument("--base-items", dest="base_items", help="calibrated items for the base bank")
     p.add_argument("--comb-items", dest="comb_items", help="calibrated items for the combinatorial bank")
-    p.add_argument("--mode", choices=["static", "cat"])
+    p.add_argument("--mode", choices=["static", "cat"], default="static")
     p.add_argument("--simulator", help="'3pl:<base_theta>,<comb_theta>' or 'memorization'")
     p.add_argument("--endpoint", help="endpoint config JSON for a live model")
-    p.add_argument("--baseline", help="comma list of static baselines: nota,shuffle")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-items", dest="max_items", type=int)
-    p.add_argument("--se-target", dest="se_target", type=float)
+    p.add_argument("--baseline", default="", help="comma list of static baselines: nota,shuffle")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-items", dest="max_items", type=int, default=DEFAULT_MAX_ITEMS)
+    p.add_argument("--se-target", dest="se_target", type=float, default=DEFAULT_SE_TARGET)
     p.add_argument("--strict-incorrect", dest="strict_incorrect", action="store_true",
                    help="score transport failures as incorrect instead of skipping")
     p.add_argument("--out", required=True, help="output directory for run.jsonl and report.json")
-    p.add_argument("--config", help="JSON config file; flags win")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="summarize a run log and verify its report")

@@ -414,6 +414,20 @@ class ResponseRecord:
             "transport_status": self.transport_status,
         }
 
+    @classmethod
+    def from_record(cls, row: Mapping[str, Any]) -> "ResponseRecord":
+        return cls(
+            question_id=str(row["question_id"]),
+            subset=str(row["subset"]),
+            raw_text=str(row.get("raw_text", "")),
+            parsed_set=frozenset(row["parsed_set"]),
+            gold_set=frozenset(row["gold_set"]),
+            exact=bool(row["exact"]),
+            f1=float(row["f1"]),
+            latency_ms=int(row.get("latency_ms", 0)),
+            transport_status=str(row["transport_status"]),
+        )
+
 
 class JsonlWriter:
     """Append-only JSONL sink; appends are serialized across threads."""
@@ -499,23 +513,10 @@ def summarize_records(records: Sequence[ResponseRecord]) -> SubsetResult:
     )
 
 
-def aggregate_log_records(rows: Iterable[Mapping[str, Any]]) -> dict[str, SubsetResult]:
-    """Recompute per-subset aggregates from raw JSONL rows (the replay path)."""
+def aggregate_log_records(records: Iterable[ResponseRecord]) -> dict[str, SubsetResult]:
+    """Recompute per-subset aggregates from logged responses (the replay path)."""
     grouped: dict[str, list[ResponseRecord]] = {}
-    for row in rows:
-        if row.get("kind") != "response":
-            continue
-        record = ResponseRecord(
-            question_id=str(row["question_id"]),
-            subset=str(row["subset"]),
-            raw_text=str(row.get("raw_text", "")),
-            parsed_set=frozenset(row["parsed_set"]),
-            gold_set=frozenset(row["gold_set"]),
-            exact=bool(row["exact"]),
-            f1=float(row["f1"]),
-            latency_ms=int(row.get("latency_ms", 0)),
-            transport_status=str(row["transport_status"]),
-        )
+    for record in records:
         grouped.setdefault(record.subset, []).append(record)
     return {subset: summarize_records(records) for subset, records in grouped.items()}
 

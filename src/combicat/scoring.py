@@ -176,36 +176,19 @@ def _positions(patterns: Iterable[re.Pattern[str]], text: str) -> list[int]:
     return sorted(hits)
 
 
-def _ordered_pairs(first: list[int], second: list[int]) -> int:
-    """Non-overlapping (first, later second) pairs, scanned left to right."""
-    count = 0
-    pending = 0
-    events = sorted([(pos, 0) for pos in first] + [(pos, 1) for pos in second])
-    for _, kind in events:
-        if kind == 0:
-            pending += 1
-        elif pending > 0:
-            pending -= 1
-            count += 1
-    return count
+def _ordered_chains(*stages: list[int]) -> int:
+    """Non-overlapping in-order chains, one hit per stage, greedy left-to-right matching.
 
-
-def _ordered_triples(first: list[int], second: list[int], third: list[int]) -> int:
-    """Non-overlapping in-order triples, greedy left-to-right matching."""
-    count = 0
-    stage_one = 0
-    stage_two = 0
-    events = sorted([(p, 0) for p in first] + [(p, 1) for p in second] + [(p, 2) for p in third])
-    for _, kind in events:
-        if kind == 0:
-            stage_one += 1
-        elif kind == 1 and stage_one > 0:
-            stage_one -= 1
-            stage_two += 1
-        elif kind == 2 and stage_two > 0:
-            stage_two -= 1
-            count += 1
-    return count
+    At equal positions a hit of an earlier stage comes first.
+    """
+    reached = [0] * len(stages)  # reached[k]: chains matched through stage k
+    for _, stage in sorted((pos, k) for k, positions in enumerate(stages) for pos in positions):
+        if stage == 0:
+            reached[0] += 1
+        elif reached[stage - 1] > 0:
+            reached[stage - 1] -= 1
+            reached[stage] += 1
+    return reached[-1]
 
 
 _NUMBERED_STEP_RE = re.compile(r"^\s*(?:step\s+\d+|\d+[.)])\s", re.IGNORECASE | re.MULTILINE)
@@ -236,10 +219,10 @@ def extract_metrics(trace: ThinkingTrace, lexicons: MarkerLexicons) -> Cognitive
     connective_hits = _count_hits(lexicons.connectives, text)
     logic_density = 100.0 * connective_hits / max(1, trace.token_count)
 
-    abductive = _ordered_pairs(
+    abductive = _ordered_chains(
         _positions(lexicons.hypothesis, text), _positions(lexicons.elimination, text)
     )
-    dialectic = _ordered_triples(
+    dialectic = _ordered_chains(
         _positions(lexicons.thesis, text),
         _positions(lexicons.antithesis, text),
         _positions(lexicons.synthesis, text),

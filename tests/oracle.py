@@ -1,10 +1,14 @@
-"""Reference semantics for formula trees, kept as the oracle for truth masks.
+"""Reference implementations that tests check the program's code against.
 
 ``combicat.logic`` decides a formula's meaning by its 16-bit truth mask and
 names a question's valuation by ``truth_row``. This module keeps the plain
 recursive evaluator the masks replaced, over an explicit set of true
 statements, and derives each row's valuation on its own, so tests can check
 the fast path against standard propositional semantics.
+
+``combicat.scoring`` counts in-order marker chains of any length with one
+stage matcher; the two-stage and three-stage matchers it replaced are kept
+here.
 """
 
 from combicat.logic import STATEMENTS, And, Not, Or, Var
@@ -34,3 +38,35 @@ def row_statements(row: int) -> frozenset:
 def reference_table(formula) -> tuple[bool, ...]:
     """Values over all 16 rows, in row order."""
     return tuple(reference_evaluate(formula, row_statements(row)) for row in range(16))
+
+
+def reference_ordered_pairs(first: list[int], second: list[int]) -> int:
+    """Non-overlapping (first, later second) pairs, scanned left to right."""
+    count = 0
+    pending = 0
+    events = sorted([(pos, 0) for pos in first] + [(pos, 1) for pos in second])
+    for _, kind in events:
+        if kind == 0:
+            pending += 1
+        elif pending > 0:
+            pending -= 1
+            count += 1
+    return count
+
+
+def reference_ordered_triples(first: list[int], second: list[int], third: list[int]) -> int:
+    """Non-overlapping in-order triples, greedy left-to-right matching."""
+    count = 0
+    stage_one = 0
+    stage_two = 0
+    events = sorted([(p, 0) for p in first] + [(p, 1) for p in second] + [(p, 2) for p in third])
+    for _, kind in events:
+        if kind == 0:
+            stage_one += 1
+        elif kind == 1 and stage_one > 0:
+            stage_one -= 1
+            stage_two += 1
+        elif kind == 2 and stage_two > 0:
+            stage_two -= 1
+            count += 1
+    return count

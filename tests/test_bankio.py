@@ -124,18 +124,19 @@ def test_item_bank_round_trip(tmp_path):
 
 
 def test_read_jsonl_counts_corrupt_lines(tmp_path):
+    """Invalid JSON and JSON values other than objects are corrupt lines."""
     path = tmp_path / "log.jsonl"
-    path.write_text('{"a": 1}\nnot json\n{"b": 2}\n')
+    path.write_text('{"a": 1}\nnot json\n42\n{"b": 2}\n["c"]\nnull\n')
     rows, skipped = read_jsonl(str(path))
-    assert rows == [{"a": 1}, {"b": 2}]
-    assert skipped == 1
+    assert rows == [(1, {"a": 1}), (4, {"b": 2})]
+    assert skipped == 4
 
 
 def test_write_jsonl_round_trip(tmp_path):
     path = tmp_path / "rows.jsonl"
     rows = [{"x": 1}, {"y": [1, 2]}]
     write_jsonl(str(path), rows)
-    assert read_jsonl(str(path)) == (rows, 0)
+    assert read_jsonl(str(path)) == (list(enumerate(rows, start=1)), 0)
 
 
 def test_traces_loader(tmp_path):

@@ -115,7 +115,7 @@ class TestScoreTraces:
             ]
         )
         assert code == 0
-        scored, _ = read_jsonl(str(out))
+        scored = [row for _, row in read_jsonl(str(out))[0]]
         z_values = sorted(row["z"]["oscillation"] for row in scored)
         assert z_values == pytest.approx([-1.0, 1.0])
 
@@ -129,7 +129,7 @@ class TestScoreTraces:
         out = tmp_path / "scores.jsonl"
         code = main(["score-traces", "--traces", str(traces), "--out", str(out)])
         assert code == 0
-        scored, _ = read_jsonl(str(out))
+        scored = [row for _, row in read_jsonl(str(out))[0]]
         empty_row = next(r for r in scored if r["question_id"] == "a")
         assert empty_row["metrics"]["token_count"] == 0
         assert empty_row["metrics"]["uncertainty_entropy"] == 0.0
@@ -267,14 +267,45 @@ class TestCalibrate:
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 0
         assert len(load_item_bank(str(out))) == 10
 
+    def test_non_object_score_line_skipped_as_corrupt(self, tmp_path, bank_file, caplog):
+        bank_path, questions = bank_file
+        row = {
+            "question_id": questions[0].id,
+            "gold_score": 25.0,
+            "tier": "Hard",
+            "metrics": {"logic_density": 2.0, "token_count": 1000, "segment_count": 100},
+        }
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("42\n" + json.dumps(row) + "\n")
+        out = tmp_path / "items.json"
+        assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 0
+        assert [item.question_id for item in load_item_bank(str(out))] == [questions[0].id]
+        assert "skipped 1 corrupt score rows" in caplog.text
+
     def test_config_flag_rejected(self, tmp_path, bank_file, capsys):
-        bank_path, _ = bank_file
-        argv = ["calibrate", "--bank", str(bank_path), "--out", str(tmp_path / "items.json")]
-        with pytest.raises(SystemExit) as exc_info:
-            main(argv + ["--config", str(tmp_path / "nonexistent.json")])
-        assert exc_info.value.code == 2
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
-        assert not (tmp_path / "items.json").exists()
+        """Flags are the only settings: no subcommand takes a config file."""
+        bank_path, questions = bank_file
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, make_trace_corpus(questions))
+        log = tmp_path / "run.jsonl"
+        log.write_text("")
+        commands = {
+            "comb.json": ["synthesize", "--bank", str(bank_path), "--out", str(tmp_path / "comb.json")],
+            "scores.jsonl": ["score-traces", "--traces", str(traces), "--out", str(tmp_path / "scores.jsonl")],
+            "items.json": ["calibrate", "--bank", str(bank_path), "--out", str(tmp_path / "items.json")],
+            "run": [
+                "evaluate", "--base-bank", str(bank_path), "--simulator", "memorization",
+                "--out", str(tmp_path / "run"),
+            ],
+            None: ["report", "--log", str(log)],
+        }
+        for output, argv in commands.items():
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv + ["--config", str(tmp_path / "nonexistent.json")])
+            assert exc_info.value.code == 2, argv[0]
+            assert "unrecognized arguments: --config" in capsys.readouterr().err, argv[0]
+            if output:
+                assert not (tmp_path / output).exists(), argv[0]
 
 
 def _add_distractor_to_answer_set(comb_path):
@@ -545,26 +576,6 @@ class TestEvaluate:
         report = load_json(str(out_dir / "report.json"))
         assert report["subsets"]["comb"]["n"] == 20
 
-    def test_config_file_supplies_defaults_and_flags_win(self, tmp_path):
-        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=20)
-        config = tmp_path / "run_config.json"
-        config.write_text(json.dumps({"seed": 5, "mode": "static", "simulator": "3pl:0.5,-0.5"}))
-        out_dir = tmp_path / "run"
-        code = main(
-            [
-                "evaluate",
-                "--base-bank", str(atomic),
-                "--base-items", str(base_items),
-                "--config", str(config),
-                "--seed", "9",
-                "--out", str(out_dir),
-            ]
-        )
-        assert code == 0
-        report = load_json(str(out_dir / "report.json"))
-        assert report["seed"] == 9  # flag beats config file
-        assert report["mode"] == "static"  # config file beats built-in default
-
     def test_rejects_simulator_and_endpoint_together(self, tmp_path):
         code = main(
             [
@@ -589,6 +600,13 @@ class TestEvaluate:
             ]
         )
         assert code == 1
+
+
+RESPONSE_ROW = {
+    "kind": "response", "question_id": "q", "subset": "comb", "raw_text": "A",
+    "parsed_set": ["A"], "gold_set": ["A"], "exact": True, "f1": 1.0,
+    "latency_ms": 0, "transport_status": "ok",
+}
 
 
 class TestReport:
@@ -681,6 +699,42 @@ class TestReport:
         assert main(["report", "--log", str(log)]) == 0
         output = capsys.readouterr().out
         assert "skipped lines: 1" in output
+
+    def test_non_object_line_skipped_with_count(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text("42\n" + json.dumps(RESPONSE_ROW) + "\n")
+        assert main(["report", "--log", str(log)]) == 0
+        output = capsys.readouterr().out
+        assert "comb     n=1 " in output
+        assert "skipped lines: 1" in output
+
+    @pytest.mark.parametrize(
+        "row, key",
+        [
+            ({k: v for k, v in RESPONSE_ROW.items() if k != "f1"}, "f1"),
+            ({k: v for k, v in RESPONSE_ROW.items() if k != "transport_status"}, "transport_status"),
+            ({"kind": "cat_step", "theta_hat": 0.5, "se": 0.4}, "subset"),
+            ({"kind": "cat_step", "subset": "base", "theta_hat": 0.5}, "se"),
+        ],
+    )
+    def test_row_missing_key_names_log_and_line(self, tmp_path, capsys, row, key):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n\n" + json.dumps(row) + "\n")
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:3: missing key {key!r}\n"
+
+    def test_log_subset_missing_from_report_fails_replay(self, tmp_path, capsys):
+        _, comb, _, _ = _pipeline(tmp_path, n_questions=8)
+        out_dir = tmp_path / "run"
+        assert main(["evaluate", "--comb-bank", str(comb), "--simulator", "memorization", "--out", str(out_dir)]) == 0
+        log = out_dir / "run.jsonl"
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**RESPONSE_ROW, "subset": "forged"}) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(out_dir / "report.json")]) == 1
+        captured = capsys.readouterr()
+        assert "replay check: ok" not in captured.out
+        assert captured.err == "replay mismatch: subset 'forged' missing from report\n"
 
     def test_per_case_f1_table_for_small_logs(self, tmp_path, capsys):
         rows = []

@@ -21,6 +21,7 @@ from combicat.harness import (
     MissingApiKeyError,
     PromptTask,
     ResponderReply,
+    ResponseRecord,
     RunSettings,
     SimulatedRespondent,
     administer,
@@ -348,7 +349,7 @@ class TestRunsAndLogs:
         assert report.subsets["comb"].n == 6
         assert report.subsets["comb"].accuracy == pytest.approx(4 / 6)
         rows = [json.loads(line) for line in log_path.read_text().splitlines()]
-        replayed = aggregate_log_records(rows)
+        replayed = aggregate_log_records(ResponseRecord.from_record(row) for row in rows)
         assert replayed["comb"].accuracy == pytest.approx(report.subsets["comb"].accuracy)
         assert replayed["comb"].mean_f1 == pytest.approx(report.subsets["comb"].mean_f1)
         assert replayed["comb"].parse_failures == report.subsets["comb"].parse_failures

@@ -14,6 +14,7 @@ from combicat.scoring import (
     ScoringConfig,
     ScoringConfigError,
     ThinkingTrace,
+    _ordered_chains,
     extract_metrics,
     fallacy_penalty,
     gold_score,
@@ -23,6 +24,7 @@ from combicat.scoring import (
     stratify,
     z_normalize,
 )
+from oracle import reference_ordered_pairs, reference_ordered_triples
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,27 @@ class TestExtraction:
         m = extract_metrics(trace("但是这个结论不对。因此排除选项B。"), lexicons)
         assert m.oscillation >= 1
         assert m.logic_density > 0
+
+
+# Positions drawn from a narrow range, so hits of different stages often tie.
+POSITIONS = st.lists(st.integers(min_value=0, max_value=12), max_size=10)
+
+
+class TestOrderedChains:
+    @given(POSITIONS, POSITIONS)
+    @settings(max_examples=300)
+    def test_two_stages_match_the_pair_matcher(self, first, second):
+        assert _ordered_chains(first, second) == reference_ordered_pairs(first, second)
+
+    @given(POSITIONS, POSITIONS, POSITIONS)
+    @settings(max_examples=300)
+    def test_three_stages_match_the_triple_matcher(self, first, second, third):
+        assert _ordered_chains(first, second, third) == reference_ordered_triples(first, second, third)
+
+    def test_equal_positions_order_earlier_stages_first(self):
+        assert _ordered_chains([4], [4]) == 1
+        assert _ordered_chains([4], [4], [4]) == 1
+        assert _ordered_chains([5], [4]) == 0
 
 
 class TestEntropy:
