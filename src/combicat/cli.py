@@ -48,8 +48,8 @@ from .irt import (
 )
 from .rng import PortableRng, derive_seed
 from .scoring import (
+    SCORING_MODEL,
     CorpusStats,
-    ScoringConfig,
     extract_metrics,
     fallacy_penalty,
     gold_score,
@@ -133,12 +133,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_score_traces(args: argparse.Namespace) -> int:
-    lexicons = load_lexicons(locale=args.locale, paths=args.lexicon or None)
-    scoring = (
-        ScoringConfig.from_dict(bankio.load_json(args.weights_config))
-        if args.weights_config
-        else ScoringConfig()
-    )
+    lexicons = load_lexicons(locale=args.locale)
 
     traces = bankio.load_traces(args.traces)
     metrics = [extract_metrics(trace, lexicons) for trace in traces]
@@ -152,7 +147,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
     rows = []
     for trace, metric, z in zip(traces, metrics, z_rows):
         penalty_score = fallacy_penalty(trace, lexicons)
-        score = gold_score(z, scoring, penalty_score)
+        score = gold_score(z, penalty_score)
         rows.append(
             {
                 "question_id": trace.question_id,
@@ -160,7 +155,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
                 "z": z,
                 "fallacy": penalty_score,
                 "gold_score": score.value,
-                "penalty": score.penalty,
+                "penalty": penalty_score,
                 "tier": score.tier,
             }
         )
@@ -169,13 +164,13 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
     resolved = {
         "command": "score-traces",
         "locale": args.locale,
-        "scoring": scoring.to_dict(),
+        "scoring": SCORING_MODEL,
         "frozen_stats": bool(args.stats),
         "traces": os.path.basename(args.traces),
     }
     stats_payload = {
         "stats": stats.to_dict(),
-        "scoring": scoring.to_dict(),
+        "scoring": SCORING_MODEL,
         "config_hash": _config_hash(resolved),
     }
     # The stats file is part of the contract: without it, later runs cannot
@@ -240,10 +235,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 log.warning("question %s: missing calibration features, skipped", question.id)
                 skipped_questions += 1
                 continue
-            n_options = int(args.n_options or 4)
-            items.append(
-                _calibrated_item(question.id, subset, str(tier), features, n_options)
-            )
+            items.append(_calibrated_item(question.id, subset, str(tier), features, 4))
     else:
         subset = args.subset or COMBINATORIAL_SUBSET
         for question in questions:
@@ -253,10 +245,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 log.warning("question %s: missing calibration features, skipped", question.id)
                 skipped_questions += 1
                 continue
-            n_options = int(args.n_options or len(question.options))
-            items.append(
-                _calibrated_item(question.id, subset, question.tier, features, n_options)
-            )
+            items.append(_calibrated_item(question.id, subset, question.tier, features, len(question.options)))
 
     if not items:
         raise ValueError("no questions could be calibrated")
@@ -315,6 +304,8 @@ def _join_params(
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if (args.simulator is None) == (args.endpoint is None):
         raise ValueError("provide exactly one of --simulator or --endpoint")
+    if args.baseline and args.mode != "static":
+        raise ValueError("--baseline applies to --mode static only")
 
     base_questions = bankio.load_atomic_bank(args.base_bank) if args.base_bank else []
     comb_questions = bankio.load_comb_bank(args.comb_bank) if args.comb_bank else []
@@ -325,7 +316,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         base=_join_params(base_questions, base_items),
         comb=_join_params(comb_questions, comb_items),
     )
-    if args.mode == "static" and args.baseline:
+    if args.baseline:
         for name in args.baseline.split(","):
             name = name.strip()
             if not name:
@@ -365,7 +356,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_items=args.max_items,
         se_target=args.se_target,
-        strict_incorrect=args.strict_incorrect,
         config_hash=_config_hash(resolved),
     )
 
@@ -445,8 +435,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"skipped lines: {skipped}")
 
     if args.report:
-        embedded = bankio.load_json(args.report)
-        mismatches = _replay_mismatches(embedded, aggregates)
+        stored = bankio.load_object(args.report, _stored_subsets)
+        mismatches = _replay_mismatches(stored, aggregates)
         if mismatches:
             for line in mismatches:
                 print(f"replay mismatch: {line}", file=sys.stderr)
@@ -460,8 +450,18 @@ def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
     return str(step["subset"]), float(step["theta_hat"]), float(step["se"])
 
 
-def _replay_mismatches(embedded: Mapping[str, Any], aggregates: Mapping[str, Any]) -> list[str]:
-    stored_subsets = embedded.get("subsets", {})
+def _stored_subsets(report: Any) -> dict[str, dict[str, Any]]:
+    """The ``subsets`` map of a report file: one object of numbers per subset."""
+    subsets = report.get("subsets", {}) if isinstance(report, dict) else None
+    if not isinstance(subsets, dict):
+        raise ValueError("a report must be an object whose 'subsets' is an object")
+    for label, stored in subsets.items():
+        if not isinstance(stored, dict) or not all(isinstance(value, (int, float)) for value in stored.values()):
+            raise ValueError(f"subset {label!r} must be an object of numbers")
+    return subsets
+
+
+def _replay_mismatches(stored_subsets: Mapping[str, Any], aggregates: Mapping[str, Any]) -> list[str]:
     problems = [f"subset {label!r} missing from report" for label in sorted(set(aggregates) - set(stored_subsets))]
     for label, stored in stored_subsets.items():
         recomputed = aggregates.get(label)
@@ -502,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", dest="stats_out", help="output corpus stats (JSON)")
     p.add_argument("--stats", help="frozen corpus stats to score against (JSON)")
     p.add_argument("--locale", choices=["en", "zh", "both"], default="both")
-    p.add_argument("--lexicon", action="append", help="custom lexicon JSON (repeatable)")
-    p.add_argument("--weights-config", dest="weights_config", help="scoring weights JSON")
     p.set_defaults(func=cmd_score_traces)
 
     p = sub.add_parser("calibrate", help="derive 3PL item parameters from scored questions")
@@ -511,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", help="score rows from score-traces (JSONL)")
     p.add_argument("--out", required=True, help="output item bank (JSON)")
     p.add_argument("--subset", choices=[BASE_SUBSET, COMBINATORIAL_SUBSET])
-    p.add_argument("--m", dest="n_options", type=int, help="override option count for guessing")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="run a responder over the banks")
@@ -526,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-items", dest="max_items", type=int, default=DEFAULT_MAX_ITEMS)
     p.add_argument("--se-target", dest="se_target", type=float, default=DEFAULT_SE_TARGET)
-    p.add_argument("--strict-incorrect", dest="strict_incorrect", action="store_true",
-                   help="score transport failures as incorrect instead of skipping")
     p.add_argument("--out", required=True, help="output directory for run.jsonl and report.json")
     p.set_defaults(func=cmd_evaluate)
 

@@ -546,7 +546,6 @@ class RunSettings:
     seed: int = 0
     max_items: int = DEFAULT_MAX_ITEMS
     se_target: float = DEFAULT_SE_TARGET
-    strict_incorrect: bool = False
     config_hash: str = ""
 
 
@@ -665,7 +664,6 @@ def run_benchmark(
             max_items=settings.max_items,
             se_target=settings.se_target,
             on_step=on_step,
-            strict_incorrect=settings.strict_incorrect,
         )
         subsets["base"] = summarize_records(records[BASE_SUBSET])
         subsets["comb"] = summarize_records(records[COMBINATORIAL_SUBSET])

@@ -241,13 +241,11 @@ def run_cat_session(
     max_items: int = DEFAULT_MAX_ITEMS,
     se_target: float = DEFAULT_SE_TARGET,
     on_step: StepCallback | None = None,
-    strict_incorrect: bool = False,
 ) -> CatSession:
     """Select/administer/update loop for one subset until termination.
 
-    Responder failures are skipped and logged by default so transport trouble
-    cannot pass for low ability; ``strict_incorrect`` scores them wrong
-    instead.
+    Responder failures are skipped and logged so transport trouble cannot pass
+    for low ability; a skipped item still counts toward ``max_items``.
     """
     session = CatSession.start(subset=subset)
     items_by_id = {item.item_id: item for item in bank}
@@ -256,7 +254,7 @@ def run_cat_session(
         item_id = select_next(session, bank)
         item = items_by_id[item_id]
         outcome = respond(item)
-        if outcome is None and not strict_incorrect:
+        if outcome is None:
             session.skipped.add(item_id)
             if on_step is not None:
                 on_step(subset, {"step": step, "item_id": item_id, "skipped": True})
@@ -319,12 +317,11 @@ def run_dual_session(
     max_items: int = DEFAULT_MAX_ITEMS,
     se_target: float = DEFAULT_SE_TARGET,
     on_step: StepCallback | None = None,
-    strict_incorrect: bool = False,
 ) -> DualReport:
     """Independent adaptive sessions on both subsets with a shared responder."""
     check_dual_banks(base_bank, comb_bank)
     base, comb = [
-        run_cat_session(bank, respond, subset, max_items, se_target, on_step, strict_incorrect)
+        run_cat_session(bank, respond, subset, max_items, se_target, on_step)
         for subset, bank in ((BASE_SUBSET, base_bank), (COMBINATORIAL_SUBSET, comb_bank))
     ]
     return DualReport(

@@ -1,12 +1,13 @@
-"""Trace-derived difficulty metrics, their weighted aggregate, and tier cutoffs.
+"""Trace-derived difficulty metrics, the fixed difficulty score, and tier cutoffs.
 
 A thinking trace is scored along nine dimensions (reversals, connective
 density, hypothesis-elimination cycles, dialectic structure, premise layering,
 enumerated steps, epistemic entropy, pivots, abstraction level), each
-operationalized as marker counts against editable lexicons. Per-corpus
-z-scores of the nine dimensions combine linearly, minus a penalty for
-self-contradictory traces, into a single difficulty score that maps onto the
-Easy/Medium/Hard/Expert ladder.
+operationalized as marker counts against the packaged lexicons
+(``data/lexicon_en.json``, ``data/lexicon_zh.json``), which are edited in
+place. The difficulty score is fixed: ``OFFSET`` plus the sum of the nine
+per-corpus z-scores, minus the count of self-contradictions in the trace.
+It maps onto the Easy/Medium/Hard/Expert ladder.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
 
 class CorpusError(ValueError):
     """The trace corpus cannot support the requested statistic."""
-
-
-class ScoringConfigError(ValueError):
-    """The weight configuration is incomplete or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -145,18 +142,13 @@ def _build_lexicons(raw: Mapping[str, Any]) -> MarkerLexicons:
     )
 
 
-def load_lexicons(locale: str = "both", paths: Sequence[str] | None = None) -> MarkerLexicons:
-    """Load marker lexicons from packaged data or explicit JSON files."""
-    raws: list[Mapping[str, Any]] = []
-    if paths:
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                raws.append(json.load(fh))
-    else:
-        wanted = ("en", "zh") if locale == "both" else (locale,)
-        for name in wanted:
-            raw = resources.files("combicat.data").joinpath(f"lexicon_{name}.json").read_text("utf-8")
-            raws.append(json.loads(raw))
+def load_lexicons(locale: str = "both") -> MarkerLexicons:
+    """The packaged marker lexicons of one locale ("en", "zh") or of both, merged."""
+    wanted = ("en", "zh") if locale == "both" else (locale,)
+    raws = [
+        json.loads(resources.files("combicat.data").joinpath(f"lexicon_{name}.json").read_text("utf-8"))
+        for name in wanted
+    ]
     return _build_lexicons(_merge_raw(raws))
 
 
@@ -281,9 +273,19 @@ class CorpusStats:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CorpusStats":
-        return cls(
-            means=dict(data["means"]), stds=dict(data["stds"]), corpus_size=int(data["corpus_size"])
-        )
+        """Read back ``to_dict``: a finite mean and a std of at least ``STD_FLOOR`` per scored metric."""
+        means = {name: _finite(data["means"][name], f"mean of {name}") for name in SCORED_METRICS}
+        stds = {name: _finite(data["stds"][name], f"std of {name}") for name in SCORED_METRICS}
+        low = [name for name in SCORED_METRICS if stds[name] < STD_FLOOR]
+        if low:
+            raise ValueError(f"std of {low[0]} is below the floor {STD_FLOOR}")
+        return cls(means=means, stds=stds, corpus_size=int(data["corpus_size"]))
+
+
+def _finite(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def z_normalize(corpus: Sequence[CognitiveMetrics]) -> tuple[list[dict[str, float]], CorpusStats]:
@@ -314,47 +316,20 @@ def normalize_against(stats: CorpusStats, metrics: CognitiveMetrics) -> dict[str
     }
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    """Weights and offsets for the aggregate score; all overridable from files."""
+OFFSET = 23.2
 
-    weights: Mapping[str, float] = field(
-        default_factory=lambda: {name: 1.0 for name in SCORED_METRICS}
-    )
-    penalty_rate: float = 1.0
-    offset: float = 23.2
-
-    def __post_init__(self) -> None:
-        missing = [name for name in SCORED_METRICS if name not in self.weights]
-        if missing:
-            raise ScoringConfigError(f"missing weight(s) for {', '.join(missing)}")
-        if self.penalty_rate < 0:
-            raise ScoringConfigError("penalty rate must be non-negative")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "weights": dict(self.weights),
-            "penalty_rate": self.penalty_rate,
-            "offset": self.offset,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScoringConfig":
-        weights = {name: 1.0 for name in SCORED_METRICS}
-        weights.update(data.get("weights", {}))
-        return cls(
-            weights=weights,
-            penalty_rate=float(data.get("penalty_rate", 1.0)),
-            offset=float(data.get("offset", 23.2)),
-        )
+# The fixed score model, recorded in every stats file and in its config_hash.
+SCORING_MODEL: Mapping[str, Any] = {
+    "weights": {name: 1.0 for name in SCORED_METRICS},
+    "penalty_rate": 1.0,
+    "offset": OFFSET,
+}
 
 
 @dataclass(frozen=True)
 class GoldScore:
     value: float
     tier: str
-    components: Mapping[str, float]
-    penalty: float
 
 
 def stratify(value: float) -> str:
@@ -368,27 +343,15 @@ def stratify(value: float) -> str:
     return "Expert"
 
 
-def gold_score(
-    z: Mapping[str, float],
-    config: ScoringConfig | None = None,
-    fallacy_score: float = 0.0,
-) -> GoldScore:
-    """Weighted sum of z-scores around the offset, minus the fallacy penalty."""
-    config = config or ScoringConfig()
+def gold_score(z: Mapping[str, float], fallacy_score: float = 0.0) -> GoldScore:
+    """``OFFSET`` plus the sum of the nine z-scores, minus the fallacy score."""
     if fallacy_score < 0:
         raise ValueError("fallacy score must be non-negative")
     missing = [name for name in SCORED_METRICS if name not in z]
     if missing:
-        raise ScoringConfigError(f"missing z-score(s) for {', '.join(missing)}")
-    weighted = sum(config.weights[name] * z[name] for name in SCORED_METRICS)
-    penalty = config.penalty_rate * fallacy_score
-    value = config.offset + weighted - penalty
-    return GoldScore(
-        value=value,
-        tier=stratify(value),
-        components={name: z[name] for name in SCORED_METRICS},
-        penalty=penalty,
-    )
+        raise ValueError(f"missing z-score(s) for {', '.join(missing)}")
+    value = OFFSET + sum(z[name] for name in SCORED_METRICS) - fallacy_score
+    return GoldScore(value=value, tier=stratify(value))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior on temporary working directories."""
 
+import argparse
 import json
 from dataclasses import replace
 
@@ -14,7 +15,8 @@ from combicat.bankio import (
     save_atomic_bank,
     save_item_bank,
 )
-from combicat.cli import main
+from combicat.cli import build_parser, main
+from combicat.scoring import SCORED_METRICS
 from combicat.synthesis import NOTA_TEXT, tier_config, verify
 from conftest import make_atomic_bank, make_trace_corpus, write_jsonl
 
@@ -164,6 +166,36 @@ class TestScoreTraces:
         assert capsys.readouterr().err == f"error: {stats}: missing key 'stats'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda stats: stats["means"].pop("logic_density"), "missing key 'logic_density'"),
+            (
+                lambda stats: stats["stds"].update(dict.fromkeys(SCORED_METRICS, 0.0)),
+                "std of oscillation is below the floor 1e-08",
+            ),
+            (
+                lambda stats: stats["means"].update(chain_steps="0.5"),
+                "mean of chain_steps must be a finite number, not '0.5'",
+            ),
+        ],
+        ids=["missing-mean", "zero-stds", "string-mean"],
+    )
+    def test_malformed_stats_file_rejected(self, tmp_path, capsys, corrupt, message):
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, [{"question_id": "a", "text": "x y"}, {"question_id": "b", "text": "therefore z"}])
+        stats = tmp_path / "stats.json"
+        first = ["score-traces", "--traces", str(traces), "--out", str(tmp_path / "a.jsonl"), "--stats-out", str(stats)]
+        assert main(first) == 0
+        data = load_json(str(stats))
+        corrupt(data["stats"])
+        stats.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "b.jsonl"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(out), "--stats", str(stats)]) == 1
+        assert capsys.readouterr().err == f"error: {stats}: {message}\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_fixture_parameter_triple(self, tmp_path, bank_file):
@@ -283,7 +315,7 @@ class TestCalibrate:
         assert "skipped 1 corrupt score rows" in caplog.text
 
     def test_config_flag_rejected(self, tmp_path, bank_file, capsys):
-        """Flags are the only settings: no subcommand takes a config file."""
+        """Flags are the only settings: no subcommand takes a config file, and removed settings stay removed."""
         bank_path, questions = bank_file
         traces = tmp_path / "traces.jsonl"
         write_jsonl(traces, make_trace_corpus(questions))
@@ -299,13 +331,39 @@ class TestCalibrate:
             ],
             None: ["report", "--log", str(log)],
         }
+        removed = {
+            "score-traces": [["--weights-config", "x.json"], ["--lexicon", "x.json"]],
+            "calibrate": [["--m", "6"]],
+            "evaluate": [["--strict-incorrect"]],
+        }
         for output, argv in commands.items():
-            with pytest.raises(SystemExit) as exc_info:
-                main(argv + ["--config", str(tmp_path / "nonexistent.json")])
-            assert exc_info.value.code == 2, argv[0]
-            assert "unrecognized arguments: --config" in capsys.readouterr().err, argv[0]
-            if output:
-                assert not (tmp_path / output).exists(), argv[0]
+            for flag in [["--config", str(tmp_path / "nonexistent.json")]] + removed.get(argv[0], []):
+                with pytest.raises(SystemExit) as exc_info:
+                    main(argv + flag)
+                assert exc_info.value.code == 2, flag
+                assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err, flag
+                if output:
+                    assert not (tmp_path / output).exists(), flag
+
+    def test_each_subcommand_takes_only_its_pinned_flags(self):
+        """Adding a setting means adding it here."""
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: [flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+            for name, sub in subparsers.choices.items()
+        }
+        assert flags == {
+            "synthesize": ["--bank", "--out", "--tier", "--tier-split", "--seed", "--m"],
+            "score-traces": ["--traces", "--out", "--stats-out", "--stats", "--locale"],
+            "calibrate": ["--bank", "--scores", "--out", "--subset"],
+            "evaluate": [
+                "--base-bank", "--comb-bank", "--base-items", "--comb-items", "--mode", "--simulator",
+                "--endpoint", "--baseline", "--seed", "--max-items", "--se-target", "--out",
+            ],
+            "report": ["--log", "--report"],
+        }
+        assert sum(map(len, flags.values())) == 29
 
 
 def _add_distractor_to_answer_set(comb_path):
@@ -576,6 +634,20 @@ class TestEvaluate:
         report = load_json(str(out_dir / "report.json"))
         assert report["subsets"]["comb"]["n"] == 20
 
+    def test_baseline_under_cat_mode_rejected_before_the_log_opens(self, tmp_path, capsys):
+        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=8)
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "evaluate", "--base-bank", str(atomic), "--comb-bank", str(comb),
+                "--base-items", str(base_items), "--comb-items", str(comb_items),
+                "--mode", "cat", "--simulator", "3pl:0.5,-1.5", "--baseline", "bogus", "--out", str(out_dir),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --baseline applies to --mode static only\n"
+        assert not out_dir.exists()
+
     def test_rejects_simulator_and_endpoint_together(self, tmp_path):
         code = main(
             [
@@ -735,6 +807,26 @@ class TestReport:
         captured = capsys.readouterr()
         assert "replay check: ok" not in captured.out
         assert captured.err == "replay mismatch: subset 'forged' missing from report\n"
+
+    @pytest.mark.parametrize(
+        "stored, message",
+        [
+            ([1], "a report must be an object whose 'subsets' is an object"),
+            ({"subsets": []}, "a report must be an object whose 'subsets' is an object"),
+            ({"subsets": {"comb": 5}}, "subset 'comb' must be an object of numbers"),
+            ({"subsets": {"comb": {"n": [1]}}}, "subset 'comb' must be an object of numbers"),
+        ],
+        ids=["list", "subsets-list", "subset-int", "value-list"],
+    )
+    def test_malformed_report_rejected(self, tmp_path, capsys, stored, message):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(stored))
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert "replay check: ok" not in captured.out
+        assert captured.err == f"error: {report}: {message}\n"
 
     def test_per_case_f1_table_for_small_logs(self, tmp_path, capsys):
         rows = []

@@ -392,16 +392,6 @@ class TestSessions:
             run_dual_session(lambda item: calls.append(item) or True, comb, base)
         assert calls == []
 
-    def test_strict_mode_scores_failures_incorrect(self):
-        bank = make_bank("Base", 30, 46)
-
-        def respond(item: ItemParams):
-            return None
-
-        session = run_cat_session(bank, respond, max_items=5, strict_incorrect=True)
-        assert session.estimate.n_administered == 5
-        assert all(correct is False for _, correct in session.administered)
-
     def test_step_callback_sees_every_administration(self):
         bank = make_bank("Base", 50, 47)
         respond = simulated_responder({"Base": 0.5}, 3)

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combicat.scoring import (
+    OFFSET,
     SCORED_METRICS,
     CognitiveMetrics,
     CorpusError,
     CorpusStats,
-    ScoringConfig,
-    ScoringConfigError,
     ThinkingTrace,
     _ordered_chains,
     extract_metrics,
@@ -213,31 +212,21 @@ class TestGoldScore:
 
     def test_penalty_subtracts_linearly(self):
         z = {name: 0.5 for name in SCORED_METRICS}
-        clean = gold_score(z, ScoringConfig(penalty_rate=2.0), fallacy_score=0.0)
-        hit = gold_score(z, ScoringConfig(penalty_rate=2.0), fallacy_score=5.0)
-        assert clean.value - hit.value == pytest.approx(10.0)
-        assert hit.penalty == pytest.approx(10.0)
+        clean = gold_score(z, fallacy_score=0.0)
+        hit = gold_score(z, fallacy_score=5.0)
+        assert clean.value - hit.value == pytest.approx(5.0)
 
     def test_linearity_around_offset(self):
         za = {name: 0.3 * i for i, name in enumerate(SCORED_METRICS)}
         zb = {name: -0.1 * i for i, name in enumerate(SCORED_METRICS)}
         zsum = {name: za[name] + zb[name] for name in SCORED_METRICS}
-        offset = ScoringConfig().offset
-        lhs = gold_score(zsum).value - offset
-        rhs = (gold_score(za).value - offset) + (gold_score(zb).value - offset)
+        lhs = gold_score(zsum).value - OFFSET
+        rhs = (gold_score(za).value - OFFSET) + (gold_score(zb).value - OFFSET)
         assert lhs == pytest.approx(rhs)
 
-    def test_missing_weight_rejected(self):
-        with pytest.raises(ScoringConfigError):
-            ScoringConfig(weights={"oscillation": 1.0})
-
     def test_missing_z_entry_rejected(self):
-        with pytest.raises(ScoringConfigError):
+        with pytest.raises(ValueError, match="missing z-score"):
             gold_score({"oscillation": 1.0})
-
-    def test_components_recorded(self):
-        z = {name: 0.25 for name in SCORED_METRICS}
-        assert gold_score(z).components == z
 
 
 class TestStratify:
