@@ -146,18 +146,34 @@ def save_item_bank(path: str, items: Sequence[CalibratedItem]) -> None:
 
 
 def load_traces(path: str) -> list[ThinkingTrace]:
-    """Traces arrive as JSONL rows of {question_id, text}."""
-    traces = []
+    """Traces arrive as JSONL rows of {question_id, text}, one row per question."""
+    numbered = []
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if line.strip():
-                traces.append(parse_at(f"{path}:{line_number}", _trace_from_line, line))
-    return traces
+                numbered.append((line_number, parse_at(f"{path}:{line_number}", _trace_from_line, line)))
+    check_unique_ids(path, ((line_number, trace.question_id) for line_number, trace in numbered))
+    return [trace for _, trace in numbered]
 
 
 def _trace_from_line(line: str) -> ThinkingTrace:
     row = json.loads(line)
-    return ThinkingTrace.from_text(str(row["question_id"]), str(row.get("text", "")))
+    question_id = str(row["question_id"])
+    text = row.get("text", "")
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, not {text!r}")
+    return ThinkingTrace.from_text(question_id, text)
+
+
+def check_unique_ids(path: str, numbered_ids: Iterable[tuple[int, str]]) -> None:
+    """Reject a question id that two lines of ``path`` share, naming both lines."""
+    first_line: dict[str, int] = {}
+    for line_number, question_id in numbered_ids:
+        if question_id in first_line:
+            raise BankFormatError(
+                f"{path}:{line_number}: question_id {question_id!r} repeats line {first_line[question_id]}"
+            )
+        first_line[question_id] = line_number
 
 
 def read_jsonl(path: str) -> tuple[list[tuple[int, dict[str, Any]]], int]:

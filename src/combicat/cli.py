@@ -220,7 +220,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         rows, skipped = bankio.read_jsonl(args.scores)
         if skipped:
             log.warning("skipped %d corrupt score rows", skipped)
-        scores = {str(row["question_id"]): row for _, row in rows if "question_id" in row}
+        rows = [(line_number, row) for line_number, row in rows if "question_id" in row]
+        bankio.check_unique_ids(args.scores, ((line_number, str(row["question_id"])) for line_number, row in rows))
+        scores = {str(row["question_id"]): row for _, row in rows}
 
     items: list[CalibratedItem] = []
     skipped_questions = 0

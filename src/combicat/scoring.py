@@ -74,58 +74,121 @@ METRIC_NAMES: tuple[str, ...] = SCORED_METRICS + ("token_count", "segment_count"
 # ---------------------------------------------------------------------------
 
 
-def _compile_marker(marker: str) -> re.Pattern[str]:
-    escaped = re.escape(marker)
-    # ASCII word phrases get word boundaries; anything else (CJK, punctuation)
-    # matches as a plain substring.
-    if re.fullmatch(r"[a-z0-9' ,-]+", marker, re.IGNORECASE):
-        return re.compile(rf"\b{escaped}\b", re.IGNORECASE)
-    return re.compile(escaped)
+_BOUNDED_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789' ,-")
+
+
+def fold(text: str) -> str:
+    """Case-fold one character to one character, keeping each character's ``\\w`` class.
+
+    A character matches an ASCII marker character under ``re.IGNORECASE``
+    exactly when its fold equals that character. ``str.lower`` alone agrees
+    with ``re`` except on ``İ``, ``ı`` and ``ſ``, which are mapped first
+    (``"İ".lower()`` is even two characters long). ``str.casefold`` would
+    not do: it grows ``ß`` to ``ss`` and leaves ``İ`` and ``ı`` apart from ``i``.
+    """
+    # Three replace calls scan much faster than one translate over non-ASCII text.
+    return text.replace("\u0130", "i").replace("\u0131", "i").replace("\u017f", "s").lower()
+
+
+def _is_word(ch: str) -> bool:
+    """``re``'s ``\\w`` on a str pattern."""
+    return ch.isalnum() or ch == "_"
+
+
+@dataclass(frozen=True)
+class Marker:
+    """A lexicon marker as the scan looks for it.
+
+    A bounded marker (ASCII letters, digits, spaces, commas, hyphens and
+    apostrophes) holds its folded literal and matches the folded text between
+    word boundaries, so it is caseless; any other marker (CJK, punctuation)
+    holds its raw literal and matches the raw text as a plain substring.
+    """
+
+    literal: str
+    bounded: bool
+
+    @classmethod
+    def parse(cls, marker: str) -> "Marker":
+        folded = fold(marker)
+        if all(ch in _BOUNDED_CHARS for ch in folded):
+            return cls(folded, True)
+        return cls(marker, False)
+
+    def starts(self, text: str, folded: str) -> list[int]:
+        """Start positions of the non-overlapping hits, left to right, as ``re.finditer`` finds them."""
+        literal = self.literal
+        haystack = folded if self.bounded else text
+        width = len(literal)
+        hits: list[int] = []
+        at = haystack.find(literal)
+        while at != -1:
+            end = at + width
+            if self.bounded and (
+                (at > 0 and _is_word(haystack[at - 1])) == _is_word(literal[0])
+                or (end < len(haystack) and _is_word(haystack[end])) == _is_word(literal[-1])
+            ):
+                at = haystack.find(literal, at + 1)
+                continue
+            hits.append(at)
+            at = haystack.find(literal, end)
+        return hits
 
 
 @dataclass(frozen=True)
 class MarkerLexicons:
-    """Compiled marker lists per metric, merged over one or more locales."""
+    """Marker lists per metric, merged over one or more locales."""
 
-    reversal: tuple[re.Pattern[str], ...]
-    connectives: tuple[re.Pattern[str], ...]
-    epistemic: Mapping[str, tuple[re.Pattern[str], ...]]
-    pivot: tuple[re.Pattern[str], ...]
-    hypothesis: tuple[re.Pattern[str], ...]
-    elimination: tuple[re.Pattern[str], ...]
-    thesis: tuple[re.Pattern[str], ...]
-    antithesis: tuple[re.Pattern[str], ...]
-    synthesis: tuple[re.Pattern[str], ...]
-    premise_layer: tuple[re.Pattern[str], ...]
-    deduction_step: tuple[re.Pattern[str], ...]
-    abstraction: Mapping[int, tuple[re.Pattern[str], ...]]
-    contradiction: tuple[re.Pattern[str], ...]
+    reversal: tuple[Marker, ...]
+    connectives: tuple[Marker, ...]
+    epistemic: Mapping[str, tuple[Marker, ...]]
+    pivot: tuple[Marker, ...]
+    hypothesis: tuple[Marker, ...]
+    elimination: tuple[Marker, ...]
+    thesis: tuple[Marker, ...]
+    antithesis: tuple[Marker, ...]
+    synthesis: tuple[Marker, ...]
+    premise_layer: tuple[Marker, ...]
+    deduction_step: tuple[Marker, ...]
+    abstraction: Mapping[int, tuple[Marker, ...]]
+    contradiction: tuple[Marker, ...]
 
 
-def _merge_raw(locales: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+def _add_markers(bucket: list[Marker], markers: Iterable[Any], where: str) -> None:
+    """Parse ``markers`` into ``bucket``, rejecting what the scan cannot search for or would count twice."""
+    for marker in markers:
+        if not isinstance(marker, str):
+            raise ValueError(f"{where}: marker {marker!r} is not a string")
+        if not marker.strip():
+            raise ValueError(f"{where}: empty marker {marker!r}")
+        parsed = Marker.parse(marker)
+        if parsed in bucket:
+            raise ValueError(f"{where}: marker {marker!r} repeats a marker of the same metric")
+        bucket.append(parsed)
+
+
+def _merge_raw(locales: Sequence[tuple[str, Mapping[str, Any]]]) -> dict[str, Any]:
+    """Markers per key (and per class or level), merged over the named lexicons in order."""
     merged: dict[str, Any] = {}
-    for raw in locales:
+    for name, raw in locales:
         for key, value in raw.items():
             if isinstance(value, dict):
                 bucket = merged.setdefault(key, {})
                 for sub, markers in value.items():
-                    bucket.setdefault(sub, []).extend(markers)
+                    _add_markers(bucket.setdefault(sub, []), markers, f"{name}: {key}.{sub}")
             else:
-                merged.setdefault(key, []).extend(value)
+                _add_markers(merged.setdefault(key, []), value, f"{name}: {key}")
     return merged
 
 
-def _build_lexicons(raw: Mapping[str, Any]) -> MarkerLexicons:
-    def plain(key: str) -> tuple[re.Pattern[str], ...]:
-        return tuple(_compile_marker(m) for m in raw.get(key, []))
+def _build_lexicons(merged: Mapping[str, Any]) -> MarkerLexicons:
+    def plain(key: str) -> tuple[Marker, ...]:
+        return tuple(merged.get(key, []))
 
     return MarkerLexicons(
         reversal=plain("reversal"),
         connectives=plain("connectives"),
-        epistemic={
-            cls: tuple(_compile_marker(m) for m in markers)
-            for cls, markers in raw.get("epistemic", {}).items()
-        },
+        epistemic={cls: tuple(markers) for cls, markers in merged.get("epistemic", {}).items()},
         pivot=plain("pivot"),
         hypothesis=plain("hypothesis"),
         elimination=plain("elimination"),
@@ -134,21 +197,20 @@ def _build_lexicons(raw: Mapping[str, Any]) -> MarkerLexicons:
         synthesis=plain("synthesis"),
         premise_layer=plain("premise_layer"),
         deduction_step=plain("deduction_step"),
-        abstraction={
-            int(level): tuple(_compile_marker(m) for m in markers)
-            for level, markers in raw.get("abstraction", {}).items()
-        },
+        abstraction={int(level): tuple(markers) for level, markers in merged.get("abstraction", {}).items()},
         contradiction=plain("contradiction"),
     )
 
 
 def load_lexicons(locale: str = "both") -> MarkerLexicons:
-    """The packaged marker lexicons of one locale ("en", "zh") or of both, merged."""
+    """The packaged marker lexicons of one locale ("en", "zh") or of both, merged.
+
+    A marker that is not a string, is empty or blank, or repeats another of
+    the same metric raises ``ValueError`` naming the lexicon file and the key.
+    """
     wanted = ("en", "zh") if locale == "both" else (locale,)
-    raws = [
-        json.loads(resources.files("combicat.data").joinpath(f"lexicon_{name}.json").read_text("utf-8"))
-        for name in wanted
-    ]
+    files = [f"lexicon_{name}.json" for name in wanted]
+    raws = [(file, json.loads(resources.files("combicat.data").joinpath(file).read_text("utf-8"))) for file in files]
     return _build_lexicons(_merge_raw(raws))
 
 
@@ -157,15 +219,12 @@ def load_lexicons(locale: str = "both") -> MarkerLexicons:
 # ---------------------------------------------------------------------------
 
 
-def _count_hits(patterns: Iterable[re.Pattern[str]], text: str) -> int:
-    return sum(len(p.findall(text)) for p in patterns)
+def _count_hits(markers: Iterable[Marker], text: str, folded: str) -> int:
+    return sum(len(m.starts(text, folded)) for m in markers)
 
 
-def _positions(patterns: Iterable[re.Pattern[str]], text: str) -> list[int]:
-    hits: list[int] = []
-    for p in patterns:
-        hits.extend(m.start() for m in p.finditer(text))
-    return sorted(hits)
+def _positions(markers: Iterable[Marker], text: str, folded: str) -> list[int]:
+    return sorted(at for m in markers for at in m.starts(text, folded))
 
 
 def _ordered_chains(*stages: list[int]) -> int:
@@ -199,36 +258,37 @@ def shannon_entropy(counts: Iterable[int]) -> float:
 def extract_metrics(trace: ThinkingTrace, lexicons: MarkerLexicons) -> CognitiveMetrics:
     """Score one trace against the lexicons.
 
-    All counts are case-insensitive non-overlapping marker matches. Enumerated
+    Counts are non-overlapping marker hits (see ``Marker``). Enumerated
     steps also count numbered line heads ("1.", "2)", "Step 3"). Segments are
     blank-line-delimited blocks. An empty trace scores zero everywhere.
     """
     text = trace.text
     if not text.strip():
         return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0)
+    folded = fold(text)
 
-    reversal_hits = _count_hits(lexicons.reversal, text)
-    connective_hits = _count_hits(lexicons.connectives, text)
+    reversal_hits = _count_hits(lexicons.reversal, text, folded)
+    connective_hits = _count_hits(lexicons.connectives, text, folded)
     logic_density = 100.0 * connective_hits / max(1, trace.token_count)
 
     abductive = _ordered_chains(
-        _positions(lexicons.hypothesis, text), _positions(lexicons.elimination, text)
+        _positions(lexicons.hypothesis, text, folded), _positions(lexicons.elimination, text, folded)
     )
     dialectic = _ordered_chains(
-        _positions(lexicons.thesis, text),
-        _positions(lexicons.antithesis, text),
-        _positions(lexicons.synthesis, text),
+        _positions(lexicons.thesis, text, folded),
+        _positions(lexicons.antithesis, text, folded),
+        _positions(lexicons.synthesis, text, folded),
     )
-    dimensional = _count_hits(lexicons.premise_layer, text)
-    chain_steps = _count_hits(lexicons.deduction_step, text) + len(_NUMBERED_STEP_RE.findall(text))
+    dimensional = _count_hits(lexicons.premise_layer, text, folded)
+    chain_steps = _count_hits(lexicons.deduction_step, text, folded) + len(_NUMBERED_STEP_RE.findall(text))
 
-    epistemic_counts = [_count_hits(markers, text) for markers in lexicons.epistemic.values()]
+    epistemic_counts = [_count_hits(markers, text, folded) for markers in lexicons.epistemic.values()]
     entropy = shannon_entropy(epistemic_counts)
 
-    pivots = _count_hits(lexicons.pivot, text)
+    pivots = _count_hits(lexicons.pivot, text, folded)
     abstraction = 0
     for level in sorted(lexicons.abstraction):
-        if _count_hits(lexicons.abstraction[level], text) > 0:
+        if _count_hits(lexicons.abstraction[level], text, folded) > 0:
             abstraction = max(abstraction, level)
 
     segments = [block for block in _SEGMENT_SPLIT_RE.split(text) if block.strip()]
@@ -393,5 +453,5 @@ def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
                 continue
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.contradiction, trace.text)
+    contradictions = _count_hits(lexicons.contradiction, trace.text, fold(trace.text))
     return float(mismatches + contradictions)

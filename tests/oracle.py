@@ -8,10 +8,27 @@ the fast path against standard propositional semantics.
 
 ``combicat.scoring`` counts in-order marker chains of any length with one
 stage matcher; the two-stage and three-stage matchers it replaced are kept
-here.
+here. It finds lexicon markers with a literal scan over a once-folded text;
+the per-marker regexes that scan replaced are kept here too, with a scorer
+that matches every marker through them.
 """
 
+import json
+import re
+from dataclasses import fields
+from importlib import resources
+
 from combicat.logic import STATEMENTS, And, Not, Or, Var
+from combicat.scoring import (
+    _NUMBERED_STEP_RE,
+    _SEGMENT_SPLIT_RE,
+    CognitiveMetrics,
+    MarkerLexicons,
+    ThinkingTrace,
+    _ordered_chains,
+    fallacy_penalty,
+    shannon_entropy,
+)
 
 
 def reference_evaluate(formula, true_statements) -> bool:
@@ -70,3 +87,77 @@ def reference_ordered_triples(first: list[int], second: list[int], third: list[i
             stage_two -= 1
             count += 1
     return count
+
+
+def reference_marker_pattern(marker: str) -> re.Pattern:
+    """ASCII word phrases match caselessly between ``\\b`` boundaries; anything else
+    (CJK, punctuation) matches as a plain, case-sensitive substring."""
+    escaped = re.escape(marker)
+    if re.fullmatch(r"[a-z0-9' ,-]+", marker, re.IGNORECASE):
+        return re.compile(rf"\b{escaped}\b", re.IGNORECASE)
+    return re.compile(escaped)
+
+
+def reference_count(markers, text: str) -> int:
+    """Non-overlapping hits of all ``markers``, one ``findall`` pass per marker."""
+    return sum(len(reference_marker_pattern(m).findall(text)) for m in markers)
+
+
+def reference_positions(markers, text: str) -> list[int]:
+    """Sorted start positions of the hits of all ``markers``."""
+    return sorted(hit.start() for m in markers for hit in reference_marker_pattern(m).finditer(text))
+
+
+def reference_lexicon_groups(locale: str = "both") -> dict[str, list[str]]:
+    """The packaged markers per metric group ("reversal", "epistemic.certain",
+    "abstraction.2"), merged over the locales in order."""
+    groups: dict[str, list[str]] = {}
+    for name in ("en", "zh") if locale == "both" else (locale,):
+        raw = json.loads(resources.files("combicat.data").joinpath(f"lexicon_{name}.json").read_text("utf-8"))
+        for key, value in raw.items():
+            for sub, markers in value.items() if isinstance(value, dict) else [(None, value)]:
+                groups.setdefault(key if sub is None else f"{key}.{sub}", []).extend(markers)
+    return groups
+
+
+# fallacy_penalty reads only the contradiction markers; with none it counts
+# the assertions that disagree with the final answer line.
+_NO_MARKERS = MarkerLexicons(*(() for _ in fields(MarkerLexicons)))
+
+
+def _subgroups(groups: dict[str, list[str]], key: str) -> dict[str, list[str]]:
+    return {name.split(".", 1)[1]: markers for name, markers in groups.items() if name.startswith(key + ".")}
+
+
+def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tuple[CognitiveMetrics, float]:
+    """``extract_metrics`` and ``fallacy_penalty`` with every marker matched by its reference regex."""
+    text = trace.text
+    contradictions = reference_count(groups.get("contradiction", []), text)
+    penalty = fallacy_penalty(trace, _NO_MARKERS) + contradictions
+    if not text.strip():
+        return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0), penalty
+
+    def count_of(markers: list[str]) -> int:
+        return reference_count(markers, text)
+
+    def count(key: str) -> int:
+        return count_of(groups.get(key, []))
+
+    def positions(key: str) -> list[int]:
+        return reference_positions(groups.get(key, []), text)
+
+    levels = _subgroups(groups, "abstraction")
+    metrics = CognitiveMetrics(
+        oscillation=count("reversal"),
+        logic_density=100.0 * count("connectives") / max(1, trace.token_count),
+        abductive_depth=_ordered_chains(positions("hypothesis"), positions("elimination")),
+        dialectic_tension=_ordered_chains(positions("thesis"), positions("antithesis"), positions("synthesis")),
+        dimensional_awareness=count("premise_layer"),
+        chain_steps=count("deduction_step") + len(_NUMBERED_STEP_RE.findall(text)),
+        uncertainty_entropy=shannon_entropy(count_of(markers) for markers in _subgroups(groups, "epistemic").values()),
+        pivot_count=count("pivot"),
+        abstraction_level=max([0] + [int(level) for level, markers in levels.items() if count_of(markers)]),
+        token_count=trace.token_count,
+        segment_count=len([block for block in _SEGMENT_SPLIT_RE.split(text) if block.strip()]),
+    )
+    return metrics, penalty

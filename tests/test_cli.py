@@ -197,6 +197,34 @@ class TestScoreTraces:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("text", [None, 5, ["a", "b"], {"t": "x"}], ids=["null", "number", "list", "object"])
+    def test_non_string_text_rejected_naming_file_and_line(self, tmp_path, capsys, text):
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, [{"question_id": "a", "text": "x y"}, {"question_id": "b", "text": text}])
+        out = tmp_path / "s.jsonl"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {traces}:2: text must be a string, not {text!r}\n"
+        assert not out.exists()
+
+    def test_row_without_text_scores_as_empty_trace(self, tmp_path):
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, [{"question_id": "a"}, {"question_id": "b", "text": "therefore and because"}])
+        out = tmp_path / "s.jsonl"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(out)]) == 0
+        scored = {row["question_id"]: row for _, row in read_jsonl(str(out))[0]}
+        assert scored["a"]["metrics"]["token_count"] == 0
+        assert scored["a"]["metrics"]["segment_count"] == 0
+
+    def test_repeated_question_id_rejected_naming_both_lines(self, tmp_path, capsys):
+        traces = tmp_path / "traces.jsonl"
+        rows = [{"question_id": qid, "text": f"therefore {i}"} for i, qid in enumerate(["q", "r", "q", "q"])]
+        write_jsonl(traces, rows)
+        out = tmp_path / "s.jsonl"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {traces}:3: question_id 'q' repeats line 1\n"
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_fixture_parameter_triple(self, tmp_path, bank_file):
         bank_path, questions = bank_file
@@ -313,6 +341,24 @@ class TestCalibrate:
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 0
         assert [item.question_id for item in load_item_bank(str(out))] == [questions[0].id]
         assert "skipped 1 corrupt score rows" in caplog.text
+
+    def test_repeated_score_question_id_rejected_naming_both_lines(self, tmp_path, bank_file, capsys):
+        bank_path, questions = bank_file
+        rows = [
+            {
+                "question_id": questions[i].id,
+                "gold_score": score,
+                "tier": "Hard",
+                "metrics": {"logic_density": 2.0, "token_count": 1000, "segment_count": 100},
+            }
+            for i, score in [(0, 25.0), (1, 26.0), (0, 27.0)]
+        ]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("\n".join(["[1]"] + [json.dumps(row) for row in rows]) + "\n")
+        out = tmp_path / "items.json"
+        assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {scores}:4: question_id {questions[0].id!r} repeats line 2\n"
+        assert not out.exists()
 
     def test_config_flag_rejected(self, tmp_path, bank_file, capsys):
         """Flags are the only settings: no subcommand takes a config file, and removed settings stay removed."""

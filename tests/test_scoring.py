@@ -1,21 +1,29 @@
 """Metric extraction, z-normalization, the aggregate score, and tier cutoffs."""
 
+import json
 import math
+import re
+import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combicat import scoring
 from combicat.scoring import (
     OFFSET,
     SCORED_METRICS,
     CognitiveMetrics,
     CorpusError,
     CorpusStats,
+    Marker,
     ThinkingTrace,
     _ordered_chains,
+    _is_word,
     extract_metrics,
     fallacy_penalty,
+    fold,
     gold_score,
     load_lexicons,
     normalize_against,
@@ -23,7 +31,14 @@ from combicat.scoring import (
     stratify,
     z_normalize,
 )
-from oracle import reference_ordered_pairs, reference_ordered_triples
+from oracle import (
+    reference_lexicon_groups,
+    reference_marker_pattern,
+    reference_ordered_pairs,
+    reference_ordered_triples,
+    reference_positions,
+    reference_scores,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +131,117 @@ class TestExtraction:
         m = extract_metrics(trace("但是这个结论不对。因此排除选项B。"), lexicons)
         assert m.oscillation >= 1
         assert m.logic_density > 0
+
+
+PACKAGED_GROUPS = reference_lexicon_groups()
+PACKAGED_MARKERS = sorted({marker for markers in PACKAGED_GROUPS.values() for marker in markers})
+
+# Each character's spellings that re.IGNORECASE treats alike, with the
+# Turkish dotted and dotless i, the long s and the Kelvin sign.
+CASE_VARIANTS = {"i": "iIİı", "s": "sSſ", "k": "kK\u212a"}
+
+
+@st.composite
+def cased_marker(draw):
+    marker = draw(st.sampled_from(PACKAGED_MARKERS))
+    return "".join(draw(st.sampled_from(CASE_VARIANTS.get(ch.lower(), ch.lower() + ch.upper()))) for ch in marker)
+
+
+# Neighbours that make or break a word boundary: CJK (a word character, so
+# "如果if" has no boundary before "if"), underscore, digits, case-folding edge
+# cases, punctuation and plain letters, and "等", which overlaps the marker "等等".
+NEIGHBOURS = st.sampled_from(
+    ["İ", "ı", "ſ", "\u212a", "ß", "ẞ", "如果", "但是", "等", "_", "7", "0", ",", "'", "-", "a", "S", ".", "？"]
+)
+SEPARATORS = st.sampled_from(["", " ", " ", ", ", "\n\n", "\n"])
+TEXTS = st.lists(st.tuples(st.one_of(cased_marker(), NEIGHBOURS), SEPARATORS), max_size=24).map(
+    lambda parts: "".join(piece + separator for piece, separator in parts)
+)
+
+
+class TestMarkerScan:
+    @given(TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_every_packaged_marker_matches_its_regex(self, text):
+        folded = fold(text)
+        for marker in PACKAGED_MARKERS:
+            expected = reference_positions([marker], text)
+            assert Marker.parse(marker).starts(text, folded) == expected, marker
+
+    @given(TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_scores_match_the_regex_scorer(self, lexicons, text):
+        t = trace(text)
+        assert (extract_metrics(t, lexicons), fallacy_penalty(t, lexicons)) == reference_scores(t, PACKAGED_GROUPS)
+
+    def test_folding_edge_cases(self):
+        marker = Marker.parse("if")
+        cases = [("İF ıf", [0, 3]), ("如果if", []), ("if_", []), ("_if", []), ("if7", []), ("(If)", [1]), ("ifif", [])]
+        for text, hits in cases:
+            assert marker.starts(text, fold(text)) == hits, text
+            assert [m.start() for m in reference_marker_pattern("if").finditer(text)] == hits, text
+        assert Marker.parse("\u212aNOW") == Marker.parse("know") == Marker("know", True)
+        assert Marker.parse("如果") == Marker("如果", False)
+        assert Marker.parse("Ἀ") == Marker("Ἀ", False)
+
+    def test_fold_over_every_code_point(self):
+        """fold keeps positions, word classes and re.IGNORECASE's matches of marker characters."""
+        word = re.compile(r"\w")
+        marker_char = re.compile(r"[a-z0-9' ,-]", re.IGNORECASE)
+        marker_chars = set("abcdefghijklmnopqrstuvwxyz0123456789' ,-")
+        for code in range(sys.maxunicode + 1):
+            c = chr(code)
+            f = fold(c)
+            assert len(f) == 1, hex(code)
+            is_word = word.fullmatch(c) is not None
+            assert _is_word(c) == is_word, hex(code)
+            assert (word.fullmatch(f) is not None) == is_word, hex(code)
+            assert (marker_char.fullmatch(c) is not None) == (f in marker_chars), hex(code)
+
+
+class TestLexiconRules:
+    @pytest.fixture
+    def packaged_as(self, monkeypatch, tmp_path):
+        """Load lexicons from ``tmp_path`` instead of the package."""
+        monkeypatch.setattr(scoring, "resources", SimpleNamespace(files=lambda package: tmp_path))
+
+        def write(name: str, raw: dict) -> None:
+            (tmp_path / f"lexicon_{name}.json").write_text(json.dumps(raw, ensure_ascii=False), "utf-8")
+
+        return write
+
+    def test_packaged_lexicons_load(self):
+        for locale in ("en", "zh", "both"):
+            scoring.load_lexicons(locale)
+
+    @pytest.mark.parametrize(
+        "raw, where, problem",
+        [
+            ({"reversal": ["however", ""]}, "lexicon_en.json: reversal", "empty marker ''"),
+            ({"epistemic": {"certain": ["clearly", " \t"]}}, "lexicon_en.json: epistemic.certain", "empty marker"),
+            ({"pivot": ["instead", 5]}, "lexicon_en.json: pivot", "marker 5 is not a string"),
+            ({"abstraction": {"2": [["in general"]]}}, "lexicon_en.json: abstraction.2", "is not a string"),
+            ({"reversal": ["However", "however"]}, "lexicon_en.json: reversal", "'however' repeats"),
+            ({"reversal": ["wait", "ſtop", "STOP"]}, "lexicon_en.json: reversal", "'STOP' repeats"),
+        ],
+    )
+    def test_bad_marker_rejected_naming_lexicon_and_key(self, packaged_as, raw, where, problem):
+        packaged_as("en", raw)
+        with pytest.raises(ValueError, match=re.escape(where) + ": .*" + re.escape(problem)):
+            scoring.load_lexicons("en")
+
+    def test_repeat_across_locales_rejected_after_merging(self, packaged_as):
+        packaged_as("en", {"reversal": ["but"], "connectives": ["。"]})
+        packaged_as("zh", {"reversal": ["但是"], "connectives": ["。"]})
+        scoring.load_lexicons("en")
+        scoring.load_lexicons("zh")
+        with pytest.raises(ValueError, match=r"lexicon_zh\.json: connectives: marker '。' repeats"):
+            scoring.load_lexicons("both")
+
+    def test_same_marker_in_two_metrics_allowed(self, packaged_as):
+        packaged_as("en", {"hypothesis": ["suppose"], "thesis": ["suppose"]})
+        lexicons = scoring.load_lexicons("en")
+        assert lexicons.hypothesis == lexicons.thesis == (Marker("suppose", True),)
 
 
 # Positions drawn from a narrow range, so hits of different stages often tie.
