@@ -158,11 +158,19 @@ def load_traces(path: str) -> list[ThinkingTrace]:
 
 def _trace_from_line(line: str) -> ThinkingTrace:
     row = json.loads(line)
-    question_id = str(row["question_id"])
+    question_id = question_id_of(row)
     text = row.get("text", "")
     if not isinstance(text, str):
         raise ValueError(f"text must be a string, not {text!r}")
     return ThinkingTrace.from_text(question_id, text)
+
+
+def question_id_of(row: Mapping[str, Any]) -> str:
+    """The ``question_id`` of a trace or score row: a non-empty string, never coerced."""
+    question_id = row["question_id"]
+    if not isinstance(question_id, str) or not question_id:
+        raise ValueError(f"question_id must be a non-empty string, not {question_id!r}")
+    return question_id
 
 
 def check_unique_ids(path: str, numbered_ids: Iterable[tuple[int, str]]) -> None:

@@ -24,17 +24,17 @@ from .harness import (
     EndpointConfig,
     EndpointResponder,
     EvalBanks,
-    EvalItem,
-    JsonlWriter,
     MemorizationRespondent,
     MissingApiKeyError,
+    PromptTask,
     Responder,
     ResponseRecord,
     RunSettings,
     ScoreReport,
     SimulatedRespondent,
+    SubsetResult,
     aggregate_log_records,
-    check_run,
+    build_task,
     run_benchmark,
 )
 from .irt import (
@@ -220,9 +220,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         rows, skipped = bankio.read_jsonl(args.scores)
         if skipped:
             log.warning("skipped %d corrupt score rows", skipped)
-        rows = [(line_number, row) for line_number, row in rows if "question_id" in row]
-        bankio.check_unique_ids(args.scores, ((line_number, str(row["question_id"])) for line_number, row in rows))
-        scores = {str(row["question_id"]): row for _, row in rows}
+        ids = [
+            (line, bankio.parse_at(f"{args.scores}:{line}", bankio.question_id_of, row)) for line, row in rows
+        ]
+        bankio.check_unique_ids(args.scores, ids)
+        scores = {question_id: row for (_, question_id), (_, row) in zip(ids, rows)}
 
     items: list[CalibratedItem] = []
     skipped_questions = 0
@@ -298,9 +300,9 @@ def _parse_simulator(spec: str) -> dict[str, float] | str:
 
 def _join_params(
     questions: Sequence[Any], item_bank: list[CalibratedItem] | None
-) -> list[EvalItem]:
+) -> list[PromptTask]:
     by_question = {item.question_id: item.item_params() for item in item_bank or []}
-    return [EvalItem(question=q, params=by_question.get(q.id)) for q in questions]
+    return [build_task(q, by_question.get(q.id)) for q in questions]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -308,6 +310,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("provide exactly one of --simulator or --endpoint")
     if args.baseline and args.mode != "static":
         raise ValueError("--baseline applies to --mode static only")
+    if not (args.base_bank or args.comb_bank):
+        raise ValueError("provide --base-bank, --comb-bank or both")
+    if args.baseline and not args.base_bank:
+        raise ValueError("--baseline needs --base-bank: a baseline is a variant of the base bank")
+    if args.max_items < 1:
+        raise ValueError(f"--max-items must be at least 1, not {args.max_items}")
 
     base_questions = bankio.load_atomic_bank(args.base_bank) if args.base_bank else []
     comb_questions = bankio.load_comb_bank(args.comb_bank) if args.comb_bank else []
@@ -361,14 +369,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config_hash=_config_hash(resolved),
     )
 
-    # Checked before the log opens, so a rejected run leaves an earlier run intact.
-    check_run(responder, banks, args.mode)
-    os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "run.jsonl")
     report_path = os.path.join(args.out, "report.json")
-    with JsonlWriter(log_path) as writer:
-        report = run_benchmark(responder, banks, mode=args.mode, settings=settings, writer=writer)
-
+    report = run_benchmark(responder, banks, log_path, mode=args.mode, settings=settings)
     bankio.save_json(report_path, report.to_record())
     _print_report(report)
     print(f"log: {log_path}")
@@ -379,11 +382,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _print_report(report: ScoreReport) -> None:
     print(f"mode {report.mode}  seed {report.seed}  config {report.config_hash}")
     for label, result in report.subsets.items():
-        print(
-            f"  {label:<8} n={result.n:<5} accuracy={result.accuracy:.4f} "
-            f"f1={result.mean_f1:.4f} parse_failures={result.parse_failures} "
-            f"transport_failures={result.transport_failures}"
-        )
+        print(_subset_line(label, result, indent="  "))
     if report.dual is not None:
         dual = report.dual
         print(
@@ -392,6 +391,14 @@ def _print_report(report: ScoreReport) -> None:
             f"(se {dual.comb.se:.3f}, n {dual.comb.n_administered})"
         )
         print(f"  delta_theta {dual.delta_theta:+.3f}")
+
+
+def _subset_line(label: str, result: SubsetResult, indent: str = "") -> str:
+    """The one-line summary of a subset that ``evaluate`` and ``report`` print."""
+    return (
+        f"{indent}{label:<8} n={result.n:<5} accuracy={result.accuracy:.4f} f1={result.mean_f1:.4f} "
+        f"parse_failures={result.parse_failures} transport_failures={result.transport_failures}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +424,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"exact={str(record.exact):<5} f1={record.f1:.3f}"
             )
     for label in sorted(aggregates):
-        result = aggregates[label]
-        print(
-            f"{label:<8} n={result.n:<5} accuracy={result.accuracy:.4f} f1={result.mean_f1:.4f} "
-            f"parse_failures={result.parse_failures} transport_failures={result.transport_failures}"
-        )
+        print(_subset_line(label, aggregates[label]))
 
     estimates: dict[str, tuple[float, float]] = {}
     for line, row in rows:

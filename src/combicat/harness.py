@@ -3,8 +3,10 @@
 A responder maps a rendered prompt task to raw answer text; implementations
 cover a live chat-completions endpoint, an ability-parameterized simulator and
 a memorization-only guesser. Static runs administer a whole bank in order;
-adaptive runs delegate selection to the CAT engine. Every administration is
-appended to a JSONL log from which all report aggregates can be recomputed.
+adaptive runs delegate selection to the CAT engine. ``run_benchmark`` appends
+every administration to a JSONL log, and a report's per-subset aggregates are
+``aggregate_log_records`` of the rows it logged, so ``combicat report`` gets
+the same numbers back from the log alone.
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ SYSTEM_PROMPT = (
 )
 
 
+# The log's label for each calibrated subset.
+_SUBSET_LABELS = {BASE_SUBSET: "base", COMBINATORIAL_SUBSET: "comb"}
+
+# Reply statuses that mean the responder was never heard, not that it was wrong.
+_TRANSPORT_FAILURES = ("timeout", "http_error")
+
+
 class MissingApiKeyError(RuntimeError):
     """The configured API key environment variable is not set."""
 
@@ -56,44 +65,6 @@ class MissingApiKeyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Prompt construction
 # ---------------------------------------------------------------------------
-
-
-def build_prompt(question: AtomicQuestion | CombinatorialQuestion) -> tuple[str, str]:
-    """System and user texts for one question.
-
-    The system text is the fixed instruction block. The user text carries the
-    context, the atomized statements (combinatorial questions only, listed
-    before the options), and one lettered option per line.
-    """
-    lines: list[str] = []
-    if question.context:
-        lines.append(question.context)
-        lines.append("")
-    if isinstance(question, CombinatorialQuestion):
-        lines.append("Statements:")
-        for label, statement in zip(("I", "II", "III", "IV"), question.statements):
-            lines.append(f"{label}. {statement}")
-        lines.append("")
-        lines.append("Options:")
-        for entry in question.options:
-            lines.append(f"{entry.letter}. {entry.text}")
-    else:
-        lines.append("Options:")
-        for letter, text in zip(OPTION_LETTERS, question.option_list()):
-            lines.append(f"{letter}. {text}")
-    return SYSTEM_PROMPT, "\n".join(lines)
-
-
-def valid_letters_for(question: AtomicQuestion | CombinatorialQuestion) -> tuple[str, ...]:
-    if isinstance(question, CombinatorialQuestion):
-        return question.letters()
-    return tuple(OPTION_LETTERS[:4])
-
-
-def gold_set_for(question: AtomicQuestion | CombinatorialQuestion) -> frozenset[str]:
-    if isinstance(question, CombinatorialQuestion):
-        return question.answer_set
-    return frozenset({OPTION_LETTERS[question.answer_index() - 1]})
 
 
 @dataclass(frozen=True)
@@ -111,13 +82,31 @@ class PromptTask:
 def build_task(
     question: AtomicQuestion | CombinatorialQuestion, params: ItemParams | None = None
 ) -> PromptTask:
-    system_text, user_text = build_prompt(question)
+    """The administered form of a question; the one place that dispatches on its kind.
+
+    The system text is the fixed instruction block. The user text carries the
+    context, the atomized statements (combinatorial questions only, listed
+    before the options), and one lettered option per line.
+    """
+    lines = [question.context, ""] if question.context else []
+    if isinstance(question, CombinatorialQuestion):
+        lines.append("Statements:")
+        for label, statement in zip(("I", "II", "III", "IV"), question.statements):
+            lines.append(f"{label}. {statement}")
+        lines.append("")
+        options = [(entry.letter, entry.text) for entry in question.options]
+        gold_set = question.answer_set
+    else:
+        options = list(zip(OPTION_LETTERS, question.option_list()))
+        gold_set = frozenset({OPTION_LETTERS[question.answer_index() - 1]})
+    lines.append("Options:")
+    lines += [f"{letter}. {text}" for letter, text in options]
     return PromptTask(
         question_id=question.id,
-        system_text=system_text,
-        user_text=user_text,
-        valid_letters=valid_letters_for(question),
-        gold_set=gold_set_for(question),
+        system_text=SYSTEM_PROMPT,
+        user_text="\n".join(lines),
+        valid_letters=tuple(letter for letter, _ in options),
+        gold_set=gold_set,
         params=params,
     )
 
@@ -497,28 +486,28 @@ class SubsetResult:
         }
 
 
-def summarize_records(records: Sequence[ResponseRecord]) -> SubsetResult:
+def _summarize(records: Sequence[ResponseRecord]) -> SubsetResult:
     """Aggregate one subset's records; unparseable responses count as wrong."""
-    if not records:
-        return SubsetResult(0, 0.0, 0.0, 0.0, 0, 0)
     return SubsetResult(
         n=len(records),
         accuracy=fmean(1.0 if r.exact else 0.0 for r in records),
         mean_f1=fmean(r.f1 for r in records),
         overlap_rate=fmean(1.0 if r.parsed_set & r.gold_set else 0.0 for r in records),
         parse_failures=sum(1 for r in records if r.transport_status == "parse_failure"),
-        transport_failures=sum(
-            1 for r in records if r.transport_status in ("timeout", "http_error")
-        ),
+        transport_failures=sum(1 for r in records if r.transport_status in _TRANSPORT_FAILURES),
     )
 
 
 def aggregate_log_records(records: Iterable[ResponseRecord]) -> dict[str, SubsetResult]:
-    """Recompute per-subset aggregates from logged responses (the replay path)."""
+    """Per-subset aggregates of logged responses, in order of first appearance.
+
+    This is the only aggregation: ``run_benchmark`` builds its report with it
+    from the records it logs, and ``combicat report`` from the log it reads.
+    """
     grouped: dict[str, list[ResponseRecord]] = {}
     for record in records:
         grouped.setdefault(record.subset, []).append(record)
-    return {subset: summarize_records(records) for subset, records in grouped.items()}
+    return {subset: _summarize(records) for subset, records in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +516,12 @@ def aggregate_log_records(records: Iterable[ResponseRecord]) -> dict[str, Subset
 
 
 @dataclass
-class EvalItem:
-    question: AtomicQuestion | CombinatorialQuestion
-    params: ItemParams | None = None
-
-
-@dataclass
 class EvalBanks:
     """Everything one evaluation run may administer."""
 
-    base: list[EvalItem] = field(default_factory=list)
-    comb: list[EvalItem] = field(default_factory=list)
-    baselines: dict[str, list[EvalItem]] = field(default_factory=dict)
+    base: list[PromptTask] = field(default_factory=list)
+    comb: list[PromptTask] = field(default_factory=list)
+    baselines: dict[str, list[PromptTask]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -551,7 +534,7 @@ class RunSettings:
 
 @dataclass
 class ScoreReport:
-    """Aggregates for one run; everything here is recomputable from the log."""
+    """Aggregates for one run: its subsets are ``aggregate_log_records`` of the run's log."""
 
     mode: str
     seed: int
@@ -571,42 +554,26 @@ class ScoreReport:
         return record
 
 
-def run_static(
-    responder: Responder,
-    items: Sequence[EvalItem],
-    subset: str,
-    writer: JsonlWriter | None = None,
-) -> SubsetResult:
-    """Administer a bank in order, streaming records to the log."""
-    records = []
-    for item in items:
-        record = administer(responder, build_task(item.question, item.params), subset)
-        records.append(record)
-        if writer is not None:
-            writer.write(record.to_record())
-    return summarize_records(records)
-
-
 def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
     """Every input check of a run, made before anything is administered or logged."""
     if mode not in ("static", "cat"):
         raise ValueError(f"unknown mode {mode!r}")
-    items = banks.base + banks.comb
+    tasks = banks.base + banks.comb
     if mode == "static":
-        items += [item for bank in banks.baselines.values() for item in bank]
+        tasks += [task for bank in banks.baselines.values() for task in bank]
     simulated = isinstance(responder, SimulatedRespondent)
     if mode == "cat" or simulated:
-        missing = [item.question.id for item in items if item.params is None]
+        missing = [task.question_id for task in tasks if task.params is None]
         if missing:
             raise ValueError(
                 f"item parameters missing for {len(missing)} question(s), e.g. {missing[0]!r}; "
                 "cat mode and the ability simulator need them"
             )
     if simulated:
-        for item in items:
-            responder.theta_for(item.params)
+        for task in tasks:
+            responder.theta_for(task.params)
     if mode == "cat":
-        check_dual_banks([item.params for item in banks.base], [item.params for item in banks.comb])
+        check_dual_banks([task.params for task in banks.base], [task.params for task in banks.comb])
     if isinstance(responder, EndpointResponder):
         _request_headers(responder.endpoint)
 
@@ -614,64 +581,60 @@ def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
 def run_benchmark(
     responder: Responder,
     banks: EvalBanks,
+    log_path: str,
     mode: str = "static",
     settings: RunSettings | None = None,
-    writer: JsonlWriter | None = None,
 ) -> ScoreReport:
-    """Run a full evaluation in static or adaptive mode.
+    """Run a full evaluation in static or adaptive mode, logging it to ``log_path``.
 
-    Static mode administers every supplied bank (base, combinatorial, and any
-    baseline variants) in order. Adaptive mode runs the dual-subset protocol
-    and requires item parameters on every question; transport failures are
-    skipped and logged rather than scored. Inputs pass ``check_run`` first.
+    Static mode administers every supplied bank (base, the baseline variants
+    by name, then combinatorial) in order. Adaptive mode runs the dual-subset
+    protocol and requires item parameters on every question; transport
+    failures are skipped and logged rather than scored. Inputs pass
+    ``check_run`` before the log's directory is made and the log is opened,
+    so a rejected run leaves an earlier run's files intact. The report's
+    subsets are ``aggregate_log_records`` of the logged responses.
     """
     check_run(responder, banks, mode)
     settings = settings or RunSettings()
-    subsets: dict[str, SubsetResult] = {}
+    records: list[ResponseRecord] = []
     dual: DualReport | None = None
+    os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
+    with JsonlWriter(log_path) as writer:
 
-    if mode == "static":
-        if banks.base:
-            subsets["base"] = run_static(responder, banks.base, "base", writer)
-        for label, items in sorted(banks.baselines.items()):
-            subsets[label] = run_static(responder, items, label, writer)
-        if banks.comb:
-            subsets["comb"] = run_static(responder, banks.comb, "comb", writer)
-    else:
-        items_by_id = {item.params.item_id: item for item in banks.base + banks.comb}
-        records: dict[str, list[ResponseRecord]] = {BASE_SUBSET: [], COMBINATORIAL_SUBSET: []}
+        def administer_logged(task: PromptTask, subset: str) -> ResponseRecord:
+            record = administer(responder, task, subset)
+            writer.write(record.to_record())
+            records.append(record)
+            return record
 
-        def respond_to_item(params: ItemParams) -> bool | None:
-            item = items_by_id[params.item_id]
-            subset = "base" if params.subset == BASE_SUBSET else "comb"
-            record = administer(responder, build_task(item.question, item.params), subset)
-            if writer is not None:
-                writer.write(record.to_record())
-            records[params.subset].append(record)
-            if record.transport_status in ("timeout", "http_error"):
-                return None
-            return record.exact
+        if mode == "static":
+            for subset, tasks in [("base", banks.base), *sorted(banks.baselines.items()), ("comb", banks.comb)]:
+                for task in tasks:
+                    administer_logged(task, subset)
+        else:
+            tasks_by_id = {task.params.item_id: task for task in banks.base + banks.comb}
 
-        def on_step(subset: str, payload: dict) -> None:
-            if writer is not None:
-                label = "base" if subset == BASE_SUBSET else "comb"
-                writer.write({"kind": "cat_step", "subset": label, **payload})
+            def respond_to_item(params: ItemParams) -> bool | None:
+                record = administer_logged(tasks_by_id[params.item_id], _SUBSET_LABELS[params.subset])
+                return None if record.transport_status in _TRANSPORT_FAILURES else record.exact
 
-        dual = run_dual_session(
-            respond_to_item,
-            [item.params for item in banks.base],
-            [item.params for item in banks.comb],
-            max_items=settings.max_items,
-            se_target=settings.se_target,
-            on_step=on_step,
-        )
-        subsets["base"] = summarize_records(records[BASE_SUBSET])
-        subsets["comb"] = summarize_records(records[COMBINATORIAL_SUBSET])
+            def on_step(subset: str, payload: dict) -> None:
+                writer.write({"kind": "cat_step", "subset": _SUBSET_LABELS[subset], **payload})
+
+            dual = run_dual_session(
+                respond_to_item,
+                [task.params for task in banks.base],
+                [task.params for task in banks.comb],
+                max_items=settings.max_items,
+                se_target=settings.se_target,
+                on_step=on_step,
+            )
 
     return ScoreReport(
         mode=mode,
         seed=settings.seed,
         config_hash=settings.config_hash,
-        subsets=subsets,
+        subsets=aggregate_log_records(records),
         dual=dual,
     )

@@ -92,13 +92,14 @@ def make_trace_corpus(questions: list[AtomicQuestion], seed: int = 321) -> list[
 
 
 class ScriptedResponder:
-    """Replays canned raw texts keyed by question id."""
+    """Replays canned raw texts, or whole replies such as transport failures, keyed by question id."""
 
-    def __init__(self, responses: dict[str, str]) -> None:
+    def __init__(self, responses: dict[str, str | ResponderReply]) -> None:
         self._responses = dict(responses)
 
     def respond(self, task: PromptTask) -> ResponderReply:
-        return ResponderReply(self._responses.get(task.question_id, ""))
+        reply = self._responses.get(task.question_id, "")
+        return reply if isinstance(reply, ResponderReply) else ResponderReply(reply)
 
 
 def write_jsonl(path, rows) -> None:

@@ -206,6 +206,17 @@ class TestScoreTraces:
         assert capsys.readouterr().err == f"error: {traces}:2: text must be a string, not {text!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("question_id", [None, 7, ""], ids=["null", "number", "empty"])
+    def test_question_id_not_a_string_rejected_naming_file_and_line(self, tmp_path, capsys, question_id):
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, [{"question_id": "a", "text": "x y"}, {"question_id": question_id, "text": "z"}])
+        out = tmp_path / "s.jsonl"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traces}:2: question_id must be a non-empty string, not {question_id!r}\n"
+        )
+        assert not out.exists()
+
     def test_row_without_text_scores_as_empty_trace(self, tmp_path):
         traces = tmp_path / "traces.jsonl"
         write_jsonl(traces, [{"question_id": "a"}, {"question_id": "b", "text": "therefore and because"}])
@@ -358,6 +369,33 @@ class TestCalibrate:
         out = tmp_path / "items.json"
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {scores}:4: question_id {questions[0].id!r} repeats line 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ({"qid": "q0003"}, "missing key 'question_id'"),
+            ({"question_id": None}, "question_id must be a non-empty string, not None"),
+            ({"question_id": 7}, "question_id must be a non-empty string, not 7"),
+            ({"question_id": ""}, "question_id must be a non-empty string, not ''"),
+        ],
+        ids=["qid", "null", "number", "empty"],
+    )
+    def test_score_row_without_a_question_id_rejected_naming_line(
+        self, tmp_path, bank_file, capsys, bad_row, message
+    ):
+        bank_path, questions = bank_file
+        features = {
+            "gold_score": 25.0,
+            "tier": "Hard",
+            "metrics": {"logic_density": 2.0, "token_count": 1000, "segment_count": 100},
+        }
+        scores = tmp_path / "scores.jsonl"
+        rows = [{"question_id": questions[0].id, **features}, {"question_id": questions[1].id, **features}]
+        write_jsonl(scores, rows + [{**bad_row, **features}])
+        out = tmp_path / "items.json"
+        assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {scores}:3: {message}\n"
         assert not out.exists()
 
     def test_config_flag_rejected(self, tmp_path, bank_file, capsys):
@@ -694,6 +732,27 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: --baseline applies to --mode static only\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--base-bank", "atomic.json", "--max-items", "0"], "--max-items must be at least 1, not 0"),
+            (
+                ["--comb-bank", "comb.json", "--baseline", "nota"],
+                "--baseline needs --base-bank: a baseline is a variant of the base bank",
+            ),
+            ([], "provide --base-bank, --comb-bank or both"),
+        ],
+        ids=["max-items", "baseline", "no-bank"],
+    )
+    def test_run_that_administers_nothing_rejected_before_the_log_opens(self, tmp_path, capsys, flags, message):
+        _pipeline(tmp_path, n_questions=8)
+        flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["evaluate", *flags, "--simulator", "memorization", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_rejects_simulator_and_endpoint_together(self, tmp_path):
         code = main(
             [
@@ -752,6 +811,22 @@ class TestReport:
         output = capsys.readouterr().out
         assert "replay check: ok" in output
         assert "delta_theta" in output
+
+    def test_cat_run_that_administers_nothing_replays(self, tmp_path, capsys):
+        """A standard error target the prior already meets stops both sessions before any item."""
+        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=8)
+        out_dir = tmp_path / "run"
+        assert main(
+            [
+                "evaluate", "--base-bank", str(atomic), "--comb-bank", str(comb),
+                "--base-items", str(base_items), "--comb-items", str(comb_items),
+                "--mode", "cat", "--simulator", "3pl:0.5,-1.5", "--se-target", "2", "--out", str(out_dir),
+            ]
+        ) == 0
+        assert load_json(str(out_dir / "report.json"))["subsets"] == {}
+        capsys.readouterr()
+        assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
+        assert "replay check: ok" in capsys.readouterr().out
 
     def test_tampered_report_fails_replay(self, tmp_path, capsys):
         atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=20)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combicat.bankio import read_jsonl
 from combicat.harness import (
     SYSTEM_PROMPT,
     EndpointConfig,
     EndpointResponder,
     EvalBanks,
-    EvalItem,
     JsonlWriter,
     MemorizationRespondent,
     MissingApiKeyError,
@@ -26,13 +26,11 @@ from combicat.harness import (
     SimulatedRespondent,
     administer,
     aggregate_log_records,
-    build_prompt,
     build_task,
     parse_answer,
     query_model,
     run_benchmark,
     score_response,
-    summarize_records,
 )
 from combicat.irt import ItemParams, probability_3pl
 from combicat.logic import all_patterns
@@ -75,27 +73,26 @@ REPLAY_CASES = [
 
 class TestBuildPrompt:
     def test_system_text_contains_the_format_line(self):
-        system_text, _ = build_prompt(make_atomic_question(0))
+        system_text = build_task(make_atomic_question(0)).system_text
         assert '- Format: "A" or "A, B" or "B, C, D"' in system_text
         assert system_text == SYSTEM_PROMPT
 
     def test_atomic_options_lettered_one_per_line(self):
         question = make_atomic_question(0, "II")
-        _, user_text = build_prompt(question)
-        lines = user_text.splitlines()
+        lines = build_task(question).user_text.splitlines()
         assert f"A. {question.options['I']}" in lines
         assert f"D. {question.options['IV']}" in lines
 
     def test_combinatorial_statements_precede_options(self):
         combinatorial = assemble(make_atomic_question(1, "III"), tier_config("Hard"), 9)
-        _, user_text = build_prompt(combinatorial)
+        user_text = build_task(combinatorial).user_text
         assert user_text.index("I. ") < user_text.index("A. ")
         for statement in combinatorial.statements:
             assert statement in user_text
 
     def test_prompts_deterministic(self):
         question = make_atomic_question(2, "I")
-        assert build_prompt(question) == build_prompt(question)
+        assert build_task(question) == build_task(question)
 
     def test_task_gold_set_for_atomic_maps_answer_to_letter(self):
         task = build_task(make_atomic_question(0, "III"))
@@ -338,59 +335,84 @@ class TestResponders:
         assert parse_answer(responder.respond(hard).raw_text, hard.valid_letters) != {"A"}
 
 
+def logged_responses(log_path) -> list[ResponseRecord]:
+    """The response rows of a run log, read back from the file."""
+    rows, skipped = read_jsonl(str(log_path))
+    assert skipped == 0
+    return [ResponseRecord.from_record(row) for _, row in rows if row["kind"] == "response"]
+
+
+def cat_banks(n: int, seed: int) -> EvalBanks:
+    """Calibrated base (atomic) and combinatorial tasks for adaptive runs."""
+    rng = PortableRng(seed)
+    base, comb = [], []
+    for i in range(n):
+        base_params = ItemParams(f"B{i:02d}", 1.6, -3 + 6 * rng.random(), 0.25, subset="Base")
+        base.append(build_task(make_atomic_question(i), base_params))
+        comb_params = ItemParams(f"C{i:02d}", 1.6, -3 + 6 * rng.random(), 1.0 / 6.0, subset="Combinatorial")
+        comb.append(build_task(fixture_comb_question(f"c{i}", 6, {"A", "C"}), comb_params))
+    return EvalBanks(base=base, comb=comb)
+
+
 class TestRunsAndLogs:
     def test_static_run_writes_replayable_log(self, tmp_path):
         questions = [fixture_comb_question(f"q{i}", 6, {"A", "B"}) for i in range(6)]
         responder = ScriptedResponder({q.id: "A, B" for q in questions[:4]})
-        banks = EvalBanks(comb=[EvalItem(q) for q in questions])
-        log_path = tmp_path / "run.jsonl"
-        with JsonlWriter(str(log_path)) as writer:
-            report = run_benchmark(responder, banks, mode="static", writer=writer)
+        banks = EvalBanks(comb=[build_task(q) for q in questions])
+        log_path = tmp_path / "run" / "run.jsonl"
+        report = run_benchmark(responder, banks, str(log_path), mode="static")
         assert report.subsets["comb"].n == 6
         assert report.subsets["comb"].accuracy == pytest.approx(4 / 6)
-        rows = [json.loads(line) for line in log_path.read_text().splitlines()]
-        replayed = aggregate_log_records(ResponseRecord.from_record(row) for row in rows)
-        assert replayed["comb"].accuracy == pytest.approx(report.subsets["comb"].accuracy)
-        assert replayed["comb"].mean_f1 == pytest.approx(report.subsets["comb"].mean_f1)
-        assert replayed["comb"].parse_failures == report.subsets["comb"].parse_failures
+        assert report.subsets == aggregate_log_records(logged_responses(log_path))
 
-    def test_static_accuracy_converges_to_mean_probability(self):
+    def test_static_run_with_baselines_reports_the_aggregates_of_its_log(self, tmp_path):
+        atomic = [make_atomic_question(i) for i in range(8)]
+        comb = [fixture_comb_question(f"c{i}", 6, {"A", "C"}) for i in range(5)]
+        banks = EvalBanks(
+            base=[build_task(q) for q in atomic],
+            comb=[build_task(q) for q in comb],
+            baselines={
+                "shuffle": [build_task(q) for q in atomic[:6]],
+                "nota": [build_task(q) for q in atomic[2:]],
+                "empty": [],
+            },
+        )
+        script = {q.id: "ABCD"[i % 4] for i, q in enumerate(atomic[:6])}
+        script.update({comb[0].id: "A, C", comb[1].id: "A", comb[2].id: "no answer"})
+        log_path = tmp_path / "run.jsonl"
+        report = run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="static")
+        # base, the baselines by name, then comb; a subset that administered nothing is not listed
+        assert list(report.subsets) == ["base", "nota", "shuffle", "comb"]
+        assert [report.subsets[label].n for label in report.subsets] == [8, 6, 6, 5]
+        assert report.subsets == aggregate_log_records(logged_responses(log_path))
+
+    def test_static_accuracy_converges_to_mean_probability(self, tmp_path):
         """Simulated accuracy over a large static bank approaches mean 3PL P."""
         rng = PortableRng(11)
-        items = []
+        tasks = []
         for i in range(10000):
             params = ItemParams(f"p{i}", a=1.2, b=-2.0 + 4.0 * rng.random(), c=1.0 / 6.0)
-            items.append(EvalItem(fixture_comb_question(f"p{i}", 6, {"A", "B"}), params))
+            tasks.append(build_task(fixture_comb_question(f"p{i}", 6, {"A", "B"}), params))
         responder = SimulatedRespondent(0.3, seed=12)
-        report = run_benchmark(responder, EvalBanks(comb=items), mode="static")
-        expected = fmean(probability_3pl(0.3, item.params) for item in items)
+        report = run_benchmark(responder, EvalBanks(comb=tasks), str(tmp_path / "run.jsonl"), mode="static")
+        expected = fmean(probability_3pl(0.3, task.params) for task in tasks)
         assert report.subsets["comb"].accuracy == pytest.approx(expected, abs=0.02)
 
-    def test_cat_mode_requires_params(self):
+    def test_cat_mode_requires_params(self, tmp_path):
         banks = EvalBanks(
-            base=[EvalItem(make_atomic_question(0))],
-            comb=[EvalItem(fixture_comb_question("c", 5, {"A"}))],
+            base=[build_task(make_atomic_question(0))],
+            comb=[build_task(fixture_comb_question("c", 5, {"A"}))],
         )
         with pytest.raises(ValueError, match="parameters"):
-            run_benchmark(ScriptedResponder({}), banks, mode="cat")
+            run_benchmark(ScriptedResponder({}), banks, str(tmp_path / "run" / "run.jsonl"), mode="cat")
+        assert not (tmp_path / "run").exists()
 
     def test_cat_mode_dual_report_and_step_log(self, tmp_path):
-        rng = PortableRng(21)
-        base, comb = [], []
-        for i in range(80):
-            base_params = ItemParams(f"B{i:02d}", 1.6, -3 + 6 * rng.random(), 0.25, subset="Base")
-            base.append(EvalItem(make_atomic_question(i), base_params))
-            comb_params = ItemParams(
-                f"C{i:02d}", 1.6, -3 + 6 * rng.random(), 1.0 / 6.0, subset="Combinatorial"
-            )
-            comb.append(EvalItem(fixture_comb_question(f"c{i}", 6, {"A", "C"}), comb_params))
         responder = SimulatedRespondent({"Base": 1.0, "Combinatorial": -1.0}, seed=5)
         log_path = tmp_path / "run.jsonl"
-        with JsonlWriter(str(log_path)) as writer:
-            report = run_benchmark(
-                responder, EvalBanks(base=base, comb=comb), mode="cat",
-                settings=RunSettings(seed=5), writer=writer,
-            )
+        report = run_benchmark(
+            responder, cat_banks(80, seed=21), str(log_path), mode="cat", settings=RunSettings(seed=5)
+        )
         assert report.dual is not None
         assert report.dual.delta_theta > 0
         assert report.dual.base.n_administered <= 60
@@ -398,13 +420,29 @@ class TestRunsAndLogs:
         kinds = {row["kind"] for row in rows}
         assert kinds == {"response", "cat_step"}
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_benchmark(ScriptedResponder({}), EvalBanks(), mode="nonsense")
+    def test_cat_run_with_transport_failures_reports_the_aggregates_of_its_log(self, tmp_path):
+        banks = cat_banks(40, seed=23)
+        script: dict[str, str | ResponderReply] = {}
+        for i, task in enumerate(banks.base + banks.comb):
+            if i % 3 == 0:
+                script[task.question_id] = ResponderReply("", "timeout", 1000)
+            elif i % 5 == 0:
+                script[task.question_id] = ResponderReply("busy", "http_error", 20, http_status=503)
+            elif i % 2 == 0:
+                script[task.question_id] = ", ".join(sorted(task.gold_set))
+            else:
+                script[task.question_id] = "B"
+        log_path = tmp_path / "run.jsonl"
+        report = run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="cat")
+        assert list(report.subsets) == ["base", "comb"]
+        assert all(result.transport_failures > 0 for result in report.subsets.values())
+        assert report.subsets == aggregate_log_records(logged_responses(log_path))
 
-    def test_summarize_empty(self):
-        result = summarize_records([])
-        assert result.n == 0 and result.accuracy == 0.0
+    def test_unknown_mode_rejected(self, tmp_path):
+        log_path = tmp_path / "run.jsonl"
+        with pytest.raises(ValueError):
+            run_benchmark(ScriptedResponder({}), EvalBanks(), str(log_path), mode="nonsense")
+        assert not log_path.exists()
 
     def test_jsonl_writer_serializes_threads(self, tmp_path):
         path = tmp_path / "w.jsonl"
