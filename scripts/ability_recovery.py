@@ -12,7 +12,7 @@ import argparse
 import sys
 from statistics import fmean, median, quantiles
 
-from combicat.irt import ItemParams, probability_3pl, run_cat_session
+from combicat.irt import CatSession, ItemParams, eap_update, probability_3pl, select_next
 from combicat.rng import PortableRng, derive_seed
 
 
@@ -43,13 +43,10 @@ def run(args: argparse.Namespace) -> int:
             seed = derive_seed(args.seed, f"recovery:{theta_star}:{s}")
             bank = make_bank(seed, args.n_items)
             draw = PortableRng(derive_seed(seed, "responses"))
-
-            def respond(item: ItemParams) -> bool:
-                return draw.random() < probability_3pl(theta_star, item)
-
-            estimate = run_cat_session(
-                bank, respond, max_items=args.max_items, se_target=args.se_target
-            ).estimate
+            session = CatSession.start(max_items=args.max_items, se_target=args.se_target)
+            while (item := select_next(session, bank)) is not None:
+                eap_update(session, item, draw.random() < probability_3pl(theta_star, item))
+            estimate = session.estimate
             error = abs(estimate.theta_hat - theta_star)
             errors.append(error)
             covered += error <= 2.0 * estimate.se

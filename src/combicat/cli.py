@@ -36,6 +36,7 @@ from .harness import (
     aggregate_log_records,
     build_task,
     run_benchmark,
+    subset_of,
 )
 from .irt import (
     BASE_SUBSET,
@@ -319,6 +320,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     base_questions = bankio.load_atomic_bank(args.base_bank) if args.base_bank else []
     comb_questions = bankio.load_comb_bank(args.comb_bank) if args.comb_bank else []
+    for path, questions in ((args.base_bank, base_questions), (args.comb_bank, comb_questions)):
+        if path and not questions:
+            raise ValueError(f"{path}: bank holds no questions")
     base_items = bankio.load_item_bank(args.base_items) if args.base_items else None
     comb_items = bankio.load_item_bank(args.comb_items) if args.comb_items else None
 
@@ -452,7 +456,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
     """The subset, ability estimate and standard error of a ``cat_step`` row."""
-    return str(step["subset"]), float(step["theta_hat"]), float(step["se"])
+    return subset_of(step), float(step["theta_hat"]), float(step["se"])
 
 
 def _stored_subsets(report: Any) -> dict[str, dict[str, Any]]:

@@ -2,11 +2,13 @@
 
 A responder maps a rendered prompt task to raw answer text; implementations
 cover a live chat-completions endpoint, an ability-parameterized simulator and
-a memorization-only guesser. Static runs administer a whole bank in order;
-adaptive runs delegate selection to the CAT engine. ``run_benchmark`` appends
-every administration to a JSONL log, and a report's per-subset aggregates are
-``aggregate_log_records`` of the rows it logged, so ``combicat report`` gets
-the same numbers back from the log alone.
+a memorization-only guesser. Static runs administer a whole bank in order.
+Adaptive runs step one CAT session per subset: ``run_benchmark`` asks
+``irt.select_next`` for each item, administers it and folds the response in
+with ``irt.eap_update``, or skips it on a transport failure. It appends every
+administration and every CAT step to a JSONL log, and a report's per-subset
+aggregates are ``aggregate_log_records`` of the rows it logged, so
+``combicat report`` gets the same numbers back from the log alone.
 """
 
 from __future__ import annotations
@@ -23,16 +25,19 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 import requests
 
+from .bankio import question_id_of
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
     DEFAULT_MAX_ITEMS,
     DEFAULT_SE_TARGET,
+    CatSession,
     DualReport,
     ItemParams,
     check_dual_banks,
+    eap_update,
     probability_3pl,
-    run_dual_session,
+    select_next,
 )
 from .rng import PortableRng
 from .synthesis import OPTION_LETTERS, AtomicQuestion, CombinatorialQuestion
@@ -406,8 +411,8 @@ class ResponseRecord:
     @classmethod
     def from_record(cls, row: Mapping[str, Any]) -> "ResponseRecord":
         return cls(
-            question_id=str(row["question_id"]),
-            subset=str(row["subset"]),
+            question_id=question_id_of(row),
+            subset=subset_of(row),
             raw_text=str(row.get("raw_text", "")),
             parsed_set=frozenset(row["parsed_set"]),
             gold_set=frozenset(row["gold_set"]),
@@ -416,6 +421,14 @@ class ResponseRecord:
             latency_ms=int(row.get("latency_ms", 0)),
             transport_status=str(row["transport_status"]),
         )
+
+
+def subset_of(row: Mapping[str, Any]) -> str:
+    """The ``subset`` label of a log row: a string, never coerced."""
+    subset = row["subset"]
+    if not isinstance(subset, str):
+        raise ValueError(f"subset must be a string, not {subset!r}")
+    return subset
 
 
 class JsonlWriter:
@@ -588,9 +601,10 @@ def run_benchmark(
     """Run a full evaluation in static or adaptive mode, logging it to ``log_path``.
 
     Static mode administers every supplied bank (base, the baseline variants
-    by name, then combinatorial) in order. Adaptive mode runs the dual-subset
-    protocol and requires item parameters on every question; transport
-    failures are skipped and logged rather than scored. Inputs pass
+    by name, then combinatorial) in order. Adaptive mode steps one CAT session
+    on each of the base and combinatorial banks, which need item parameters on
+    every question. Each step logs a ``cat_step`` row after its response row;
+    a transport failure skips the item rather than scoring it. Inputs pass
     ``check_run`` before the log's directory is made and the log is opened,
     so a rejected run leaves an earlier run's files intact. The report's
     subsets are ``aggregate_log_records`` of the logged responses.
@@ -613,23 +627,26 @@ def run_benchmark(
                 for task in tasks:
                     administer_logged(task, subset)
         else:
-            tasks_by_id = {task.params.item_id: task for task in banks.base + banks.comb}
-
-            def respond_to_item(params: ItemParams) -> bool | None:
-                record = administer_logged(tasks_by_id[params.item_id], _SUBSET_LABELS[params.subset])
-                return None if record.transport_status in _TRANSPORT_FAILURES else record.exact
-
-            def on_step(subset: str, payload: dict) -> None:
-                writer.write({"kind": "cat_step", "subset": _SUBSET_LABELS[subset], **payload})
-
-            dual = run_dual_session(
-                respond_to_item,
-                [task.params for task in banks.base],
-                [task.params for task in banks.comb],
-                max_items=settings.max_items,
-                se_target=settings.se_target,
-                on_step=on_step,
-            )
+            sessions = []
+            for subset, tasks in ((BASE_SUBSET, banks.base), (COMBINATORIAL_SUBSET, banks.comb)):
+                label = _SUBSET_LABELS[subset]
+                session = CatSession.start(subset, settings.max_items, settings.se_target)
+                bank = [task.params for task in tasks]
+                tasks_by_id = {task.params.item_id: task for task in tasks}
+                while (item := select_next(session, bank)) is not None:
+                    step = len(session.administered) + len(session.skipped)
+                    row = {"kind": "cat_step", "subset": label, "step": step, "item_id": item.item_id}
+                    record = administer_logged(tasks_by_id[item.item_id], label)
+                    if record.transport_status in _TRANSPORT_FAILURES:
+                        session.skipped.add(item.item_id)
+                        row["skipped"] = True
+                    else:
+                        eap_update(session, item, record.exact)
+                        row.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=record.exact)
+                    writer.write(row)
+                sessions.append(session)
+            base, comb = sessions
+            dual = DualReport(base.estimate, comb.estimate, base.accuracy(), comb.accuracy())
 
     return ScoreReport(
         mode=mode,

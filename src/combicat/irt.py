@@ -1,11 +1,14 @@
 """Three-parameter logistic response model and the adaptive testing engine.
 
 Ability is estimated as the posterior mean over a fixed 61-node quadrature
-grid on [-6, 6] under a standard-normal prior. Items are chosen greedily by
-information at the current estimate, and a session stops once the posterior
-standard deviation falls under the target or the item budget is spent. A dual
-run estimates ability independently on the Base (atomic) and Combinatorial
-(hardened) subsets and reports the gap between the two estimates.
+grid on [-6, 6] under a standard-normal prior. A ``CatSession`` is a value its
+caller steps through: ``select_next`` returns the most informative eligible
+item at the current estimate, or ``None`` once the posterior standard
+deviation falls under the target, the item budget is spent or no eligible item
+is left; ``eap_update`` records a response, and a skipped item is added to
+``session.skipped``. A dual run holds one session each on the Base (atomic)
+and Combinatorial (hardened) subsets, and ``DualReport`` gives the gap
+between the two estimates.
 
 Reductions over grid nodes use ``math.fsum`` so that symmetric posteriors give
 exactly symmetric estimates (a fresh session's mean is exactly zero).
@@ -15,17 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 BASE_SUBSET = "Base"
 COMBINATORIAL_SUBSET = "Combinatorial"
 
 DEFAULT_MAX_ITEMS = 60
 DEFAULT_SE_TARGET = 0.3
-
-
-class BankExhaustedError(RuntimeError):
-    """No eligible unadministered item remains for the session."""
 
 
 class DuplicateAdministrationError(RuntimeError):
@@ -99,10 +98,12 @@ def _posterior_estimate(posterior: Sequence[float], n: int) -> AbilityEstimate:
 
 @dataclass
 class CatSession:
-    """Posterior state on the standard grid and administration history for one subset."""
+    """Posterior state on the standard grid, stop settings and administration history for one subset."""
 
     subset: str
     posterior: list[float]
+    max_items: int = DEFAULT_MAX_ITEMS
+    se_target: float = DEFAULT_SE_TARGET
     administered: list[tuple[str, bool]] = field(default_factory=list)
     skipped: set[str] = field(default_factory=set)
     estimate: AbilityEstimate = field(init=False)
@@ -111,8 +112,10 @@ class CatSession:
         self.estimate = _posterior_estimate(self.posterior, len(self.administered))
 
     @classmethod
-    def start(cls, subset: str = BASE_SUBSET) -> "CatSession":
-        return cls(subset=subset, posterior=list(PRIOR_WEIGHTS))
+    def start(
+        cls, subset: str = BASE_SUBSET, max_items: int = DEFAULT_MAX_ITEMS, se_target: float = DEFAULT_SE_TARGET
+    ) -> "CatSession":
+        return cls(subset=subset, posterior=list(PRIOR_WEIGHTS), max_items=max_items, se_target=se_target)
 
     def administered_ids(self) -> set[str]:
         return {item_id for item_id, _ in self.administered}
@@ -140,43 +143,30 @@ def eap_update(session: CatSession, item: ItemParams, correct: bool) -> CatSessi
     return session
 
 
-def _eligible(session: CatSession, bank: Iterable[ItemParams]) -> list[ItemParams]:
-    used = session.administered_ids() | session.skipped
-    return [item for item in bank if item.subset == session.subset and item.item_id not in used]
+def select_next(session: CatSession, bank: Sequence[ItemParams]) -> ItemParams | None:
+    """The most informative eligible item at the current estimate, or None once the session stops.
 
-
-def select_next(session: CatSession, bank: Sequence[ItemParams]) -> str:
-    """Unadministered item with maximal information at the current estimate.
-
-    Ties go to the lexicographically smallest item id so replays are stable.
+    A session stops once precise enough, out of budget (administered plus
+    skipped) or out of eligible items: those of its subset neither
+    administered nor skipped. Ties go to the lexicographically smallest item
+    id so replays are stable.
     """
+    if session.estimate.se < session.se_target:
+        return None
+    if len(session.administered) + len(session.skipped) >= session.max_items:
+        return None
     theta = session.estimate.theta_hat
-    best_id: str | None = None
+    used = session.administered_ids() | session.skipped
+    best: ItemParams | None = None
     best_info = -math.inf
-    for item in _eligible(session, bank):
+    for item in bank:
+        if item.subset != session.subset or item.item_id in used:
+            continue
         info = fisher_information(theta, item)
-        if info > best_info or (info == best_info and (best_id is None or item.item_id < best_id)):
-            best_id = item.item_id
+        if info > best_info or (info == best_info and item.item_id < best.item_id):
+            best = item
             best_info = info
-    if best_id is None:
-        raise BankExhaustedError(f"bank exhausted for subset {session.subset!r}")
-    return best_id
-
-
-def should_terminate(
-    session: CatSession,
-    max_items: int = DEFAULT_MAX_ITEMS,
-    se_target: float = DEFAULT_SE_TARGET,
-    bank: Sequence[ItemParams] | None = None,
-) -> bool:
-    """Stop once precise enough, out of budget (administered plus skipped), or out of items."""
-    if session.estimate.se < se_target:
-        return True
-    if len(session.administered) + len(session.skipped) >= max_items:
-        return True
-    if bank is not None and not _eligible(session, bank):
-        return True
-    return False
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -224,57 +214,8 @@ def calibrate_difficulty(
 
 
 # ---------------------------------------------------------------------------
-# Session protocol
+# Dual runs
 # ---------------------------------------------------------------------------
-
-# Answers an administered item: True/False for a scored response, None when the
-# responder failed (timeout, unparseable output) and the item should be skipped.
-ItemResponder = Callable[[ItemParams], "bool | None"]
-
-StepCallback = Callable[[str, dict], None]
-
-
-def run_cat_session(
-    bank: Sequence[ItemParams],
-    respond: ItemResponder,
-    subset: str = BASE_SUBSET,
-    max_items: int = DEFAULT_MAX_ITEMS,
-    se_target: float = DEFAULT_SE_TARGET,
-    on_step: StepCallback | None = None,
-) -> CatSession:
-    """Select/administer/update loop for one subset until termination.
-
-    Responder failures are skipped and logged so transport trouble cannot pass
-    for low ability; a skipped item still counts toward ``max_items``.
-    """
-    session = CatSession.start(subset=subset)
-    items_by_id = {item.item_id: item for item in bank}
-    step = 0
-    while not should_terminate(session, max_items=max_items, se_target=se_target, bank=bank):
-        item_id = select_next(session, bank)
-        item = items_by_id[item_id]
-        outcome = respond(item)
-        if outcome is None:
-            session.skipped.add(item_id)
-            if on_step is not None:
-                on_step(subset, {"step": step, "item_id": item_id, "skipped": True})
-            step += 1
-            continue
-        correct = bool(outcome)
-        eap_update(session, item, correct)
-        if on_step is not None:
-            on_step(
-                subset,
-                {
-                    "step": step,
-                    "item_id": item_id,
-                    "theta_hat": session.estimate.theta_hat,
-                    "se": session.estimate.se,
-                    "response": correct,
-                },
-            )
-        step += 1
-    return session
 
 
 @dataclass(frozen=True)
@@ -308,25 +249,3 @@ def check_dual_banks(base_bank: Sequence[ItemParams], comb_bank: Sequence[ItemPa
         for item in bank:
             if item.subset != subset:
                 raise ValueError(f"item {item.item_id!r} is labeled {item.subset!r} but was passed as {subset!r}")
-
-
-def run_dual_session(
-    respond: ItemResponder,
-    base_bank: Sequence[ItemParams],
-    comb_bank: Sequence[ItemParams],
-    max_items: int = DEFAULT_MAX_ITEMS,
-    se_target: float = DEFAULT_SE_TARGET,
-    on_step: StepCallback | None = None,
-) -> DualReport:
-    """Independent adaptive sessions on both subsets with a shared responder."""
-    check_dual_banks(base_bank, comb_bank)
-    base, comb = [
-        run_cat_session(bank, respond, subset, max_items, se_target, on_step)
-        for subset, bank in ((BASE_SUBSET, base_bank), (COMBINATORIAL_SUBSET, comb_bank))
-    ]
-    return DualReport(
-        base=base.estimate,
-        comb=comb.estimate,
-        base_accuracy=base.accuracy(),
-        comb_accuracy=comb.accuracy(),
-    )

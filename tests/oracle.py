@@ -11,13 +11,27 @@ stage matcher; the two-stage and three-stage matchers it replaced are kept
 here. It finds lexicon markers with a literal scan over a once-folded text;
 the per-marker regexes that scan replaced are kept here too, with a scorer
 that matches every marker through them.
+
+``combicat.irt`` steps a CAT session through ``select_next``, which its
+caller loops on. The self-contained loop that drove a session before is kept
+here: a linear scan for the most informative item, the stop rule checked
+before each pick, and the skip of an item whose response failed.
 """
 
 import json
+import math
 import re
 from dataclasses import fields
 from importlib import resources
 
+from combicat.irt import (
+    BASE_SUBSET,
+    DEFAULT_MAX_ITEMS,
+    DEFAULT_SE_TARGET,
+    CatSession,
+    eap_update,
+    fisher_information,
+)
 from combicat.logic import STATEMENTS, And, Not, Or, Var
 from combicat.scoring import (
     _NUMBERED_STEP_RE,
@@ -161,3 +175,58 @@ def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tupl
         segment_count=len([block for block in _SEGMENT_SPLIT_RE.split(text) if block.strip()]),
     )
     return metrics, penalty
+
+
+def _reference_eligible(session, bank) -> list:
+    used = session.administered_ids() | session.skipped
+    return [item for item in bank if item.subset == session.subset and item.item_id not in used]
+
+
+def reference_select_next(session, bank) -> str:
+    """The unused item of the session's subset with maximal information; ties to the smallest id."""
+    theta = session.estimate.theta_hat
+    best_id = None
+    best_info = -math.inf
+    for item in _reference_eligible(session, bank):
+        info = fisher_information(theta, item)
+        if info > best_info or (info == best_info and (best_id is None or item.item_id < best_id)):
+            best_id = item.item_id
+            best_info = info
+    if best_id is None:
+        raise LookupError(f"bank exhausted for subset {session.subset!r}")
+    return best_id
+
+
+def reference_should_terminate(session, max_items, se_target, bank) -> bool:
+    """Stop once precise enough, out of budget (administered plus skipped), or out of items."""
+    if session.estimate.se < se_target:
+        return True
+    if len(session.administered) + len(session.skipped) >= max_items:
+        return True
+    return not _reference_eligible(session, bank)
+
+
+def reference_cat_session(
+    bank, respond, subset=BASE_SUBSET, max_items=DEFAULT_MAX_ITEMS, se_target=DEFAULT_SE_TARGET
+) -> tuple[CatSession, list[dict]]:
+    """One whole session and its steps, each as a ``cat_step`` log row holds it.
+
+    ``respond(item)`` gives True or False for a scored response and None for a
+    failed one, whose item is skipped; a skip still counts toward
+    ``max_items``.
+    """
+    session = CatSession.start(subset)
+    items_by_id = {item.item_id: item for item in bank}
+    steps: list[dict] = []
+    while not reference_should_terminate(session, max_items, se_target, bank):
+        item_id = reference_select_next(session, bank)
+        outcome = respond(items_by_id[item_id])
+        step = {"step": len(steps), "item_id": item_id}
+        if outcome is None:
+            session.skipped.add(item_id)
+            step["skipped"] = True
+        else:
+            eap_update(session, items_by_id[item_id], bool(outcome))
+            step.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=bool(outcome))
+        steps.append(step)
+    return session, steps

@@ -22,7 +22,6 @@ from combicat.irt import (
     fisher_information,
     calibrate_difficulty,
     probability_3pl,
-    run_cat_session,
     select_next,
 )
 from combicat.logic import Pattern, PatternKind, classify
@@ -242,11 +241,10 @@ def test_criterion_07_ability_recovery():
             seed = derive_seed(1234, f"recovery:{theta_star}:{s}")
             bank = _recovery_bank(seed)
             draw = PortableRng(derive_seed(seed, "responses"))
-
-            def respond(item: ItemParams) -> bool:
-                return draw.random() < probability_3pl(theta_star, item)
-
-            estimate = run_cat_session(bank, respond).estimate
+            session = CatSession.start()
+            while (item := select_next(session, bank)) is not None:
+                eap_update(session, item, draw.random() < probability_3pl(theta_star, item))
+            estimate = session.estimate
             error = abs(estimate.theta_hat - theta_star)
             errors.append(error)
             covered += error <= 2.0 * estimate.se
@@ -275,9 +273,8 @@ def test_criterion_08_cat_efficiency():
     started = time.monotonic()
 
     def items_until_precise(bank, respond, pick):
-        session = CatSession.start()
-        while session.estimate.se >= 0.3 and len(session.administered) < len(bank):
-            item = pick(session, bank)
+        session = CatSession.start(max_items=len(bank), se_target=0.3)
+        while (item := pick(session, bank)) is not None:
             eap_update(session, item, respond(item))
         return len(session.administered)
 
@@ -286,21 +283,18 @@ def test_criterion_08_cat_efficiency():
     for pair in range(pairs):
         seed = derive_seed(777, f"pair:{pair}")
         bank = _recovery_bank(seed)
-        by_id = {item.item_id: item for item in bank}
         theta_star = -2.0 + 4.0 * PortableRng(derive_seed(seed, "theta")).random()
 
         def make_respond(stream_seed):
             draw = PortableRng(stream_seed)
             return lambda item: draw.random() < probability_3pl(theta_star, item)
 
-        greedy_n = items_until_precise(
-            bank,
-            make_respond(derive_seed(seed, "responses")),
-            lambda session, items: by_id[select_next(session, items)],
-        )
+        greedy_n = items_until_precise(bank, make_respond(derive_seed(seed, "responses")), select_next)
         selector_rng = PortableRng(derive_seed(seed, "selector"))
 
         def random_pick(session, items):
+            if session.estimate.se < session.se_target or len(session.administered) == len(items):
+                return None
             used = session.administered_ids()
             eligible = [item for item in items if item.item_id not in used]
             return eligible[selector_rng.below(len(eligible))]

@@ -611,6 +611,16 @@ class TestEvaluate:
         assert f"truth-mismatch: option {letter} evaluates False but is labelled correct" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag", ["--base-bank", "--comb-bank"])
+    def test_empty_bank_rejected_before_the_log_opens(self, tmp_path, capsys, flag):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"schema_version": 1, "questions": []}))
+        out_dir = tmp_path / "run"
+        code = main(["evaluate", flag, str(empty), "--simulator", "memorization", "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: bank holds no questions\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("source", ["endpoint", "items"])
     def test_missing_key_rejected_before_the_log_opens(self, tmp_path, bank_file, capsys, source):
         bank_path, questions = bank_file
@@ -915,6 +925,21 @@ class TestReport:
         log.write_text(json.dumps(RESPONSE_ROW) + "\n\n" + json.dumps(row) + "\n")
         assert main(["report", "--log", str(log)]) == 1
         assert capsys.readouterr().err == f"error: {log}:3: missing key {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({**RESPONSE_ROW, "question_id": None, "subset": 7}, "question_id must be a non-empty string, not None"),
+            ({**RESPONSE_ROW, "subset": 7}, "subset must be a string, not 7"),
+            ({"kind": "cat_step", "subset": 7, "theta_hat": 0.5, "se": 0.4}, "subset must be a string, not 7"),
+        ],
+        ids=["null-id", "number-subset", "cat-step-subset"],
+    )
+    def test_row_with_an_uncoerced_label_names_log_and_line(self, tmp_path, capsys, row, message):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n" + json.dumps(row) + "\n")
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
 
     def test_log_subset_missing_from_report_fails_replay(self, tmp_path, capsys):
         _, comb, _, _ = _pipeline(tmp_path, n_questions=8)

@@ -37,6 +37,7 @@ from combicat.logic import all_patterns
 from combicat.synthesis import CombinatorialQuestion, OptionEntry, assemble, tier_config
 from combicat.rng import PortableRng
 from conftest import ScriptedResponder, make_atomic_question
+from oracle import reference_cat_session
 
 LETTERS = "ABCDEFGH"
 
@@ -459,6 +460,66 @@ class TestRunsAndLogs:
         assert len(lines) == 200
         for line in lines:
             json.loads(line)
+
+
+# One scripted bank item: 3PL parameters, often extreme or repeated, a
+# uniform draw that decides the response at the respondent's ability, and the
+# transport failure, if any, of its request.
+CAT_ITEMS = st.tuples(
+    st.sampled_from([0.8, 1.6, 2.0]) | st.floats(0.3, 2.5),
+    st.sampled_from([-12.0, -6.0, 0.0, 6.0, 12.0]) | st.floats(-12.0, 12.0),
+    st.sampled_from([0.0, 1.0 / 6.0, 0.25]) | st.floats(0.0, 0.5),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([None, None, None, "timeout", "http_error"]),
+)
+
+
+class TestCatLoopAgainstReference:
+    @given(
+        theta=st.sampled_from([-8.0, 8.0]) | st.floats(-8.0, 8.0),
+        base=st.lists(CAT_ITEMS, min_size=1, max_size=10),
+        comb=st.lists(CAT_ITEMS, min_size=1, max_size=10),
+        max_items=st.integers(1, 12),
+        se_target=st.sampled_from([0.0, 0.3]) | st.floats(0.0, 1.2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sessions_match_the_reference_loop(self, tmp_path_factory, theta, base, comb, max_items, se_target):
+        """Picks, skips and every estimate of both sessions equal the reference loop's exactly."""
+        script: dict[str, str | ResponderReply] = {}
+        outcomes: dict[str, bool | None] = {}
+        banks = EvalBanks()
+        for subset, label, items in (("Base", "base", base), ("Combinatorial", "comb", comb)):
+            for i, (a, b, c, draw, failure) in enumerate(items):
+                params = ItemParams(f"{label}{i}", a, b, c, subset=subset)
+                correct = draw < probability_3pl(theta, params)
+                script[params.item_id] = ResponderReply("", failure) if failure else "A" if correct else "B"
+                outcomes[params.item_id] = None if failure else correct
+                task = PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params)
+                getattr(banks, label).append(task)
+        log_path = tmp_path_factory.getbasetemp() / "cat_oracle" / "run.jsonl"
+        report = run_benchmark(
+            ScriptedResponder(script), banks, str(log_path), mode="cat",
+            settings=RunSettings(max_items=max_items, se_target=se_target),
+        )
+        rows = [row for _, row in read_jsonl(str(log_path))[0]]
+        for subset, label, estimate, accuracy in (
+            ("Base", "base", report.dual.base, report.dual.base_accuracy),
+            ("Combinatorial", "comb", report.dual.comb, report.dual.comb_accuracy),
+        ):
+            expected, expected_steps = reference_cat_session(
+                [task.params for task in getattr(banks, label)], lambda item: outcomes[item.item_id],
+                subset, max_items, se_target,
+            )
+            steps = [
+                {k: v for k, v in row.items() if k not in ("kind", "subset")}
+                for row in rows
+                if row["kind"] == "cat_step" and row["subset"] == label
+            ]
+            responses = [row["question_id"] for row in rows if row["kind"] == "response" and row["subset"] == label]
+            assert steps == expected_steps
+            assert responses == [step["item_id"] for step in expected_steps]
+            assert estimate == expected.estimate
+            assert accuracy == expected.accuracy()
 
 
 class TestMemorizationBound:

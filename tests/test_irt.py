@@ -1,4 +1,4 @@
-"""Response model, information, EAP updates, selection, and dual sessions."""
+"""Response model, information, EAP updates, selection, stopping, and sessions."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 
 from combicat.irt import (
     AbilityEstimate,
-    BankExhaustedError,
     CalibrationInputError,
     CatSession,
     DualReport,
@@ -21,11 +20,9 @@ from combicat.irt import (
     eap_update,
     fisher_information,
     guessing_for_options,
+    check_dual_banks,
     probability_3pl,
-    run_cat_session,
-    run_dual_session,
     select_next,
-    should_terminate,
 )
 from combicat.rng import PortableRng
 
@@ -198,7 +195,7 @@ class TestSelection:
             ItemParams("mid", a=1.5, b=0.0, c=0.2),
             ItemParams("high", a=1.5, b=2.0, c=0.2),
         ]
-        assert select_next(session, bank) == "mid"
+        assert select_next(session, bank) is bank[1]
 
     def test_tie_breaks_to_smaller_id(self):
         session = CatSession.start()
@@ -206,7 +203,7 @@ class TestSelection:
             ItemParams("zz", a=1.5, b=0.0, c=0.2),
             ItemParams("aa", a=1.5, b=0.0, c=0.2),
         ]
-        assert select_next(session, bank) == "aa"
+        assert select_next(session, bank).item_id == "aa"
 
     def test_administered_items_not_reselected(self):
         session = CatSession.start()
@@ -215,15 +212,17 @@ class TestSelection:
             ItemParams("two", a=1.5, b=0.5, c=0.2),
         ]
         first = select_next(session, bank)
-        eap_update(session, next(i for i in bank if i.item_id == first), True)
-        assert select_next(session, bank) != first
+        eap_update(session, first, True)
+        assert select_next(session, bank) is not first
 
-    def test_exhausted_bank_raises(self):
+    def test_skipped_items_not_reselected(self):
         session = CatSession.start()
-        item = ItemParams("only", a=1.0, b=0.0, c=0.0)
-        eap_update(session, item, True)
-        with pytest.raises(BankExhaustedError):
-            select_next(session, [item])
+        bank = [
+            ItemParams("one", a=1.5, b=0.0, c=0.2),
+            ItemParams("two", a=1.5, b=0.5, c=0.2),
+        ]
+        session.skipped.add("one")
+        assert select_next(session, bank).item_id == "two"
 
     def test_subset_filtering(self):
         session = CatSession.start(subset="Combinatorial")
@@ -231,32 +230,47 @@ class TestSelection:
             ItemParams("b1", a=1.0, b=0.0, c=0.0, subset="Base"),
             ItemParams("c1", a=1.0, b=0.0, c=0.0, subset="Combinatorial"),
         ]
-        assert select_next(session, bank) == "c1"
+        assert select_next(session, bank).item_id == "c1"
 
 
 class TestTermination:
+    """``select_next`` returns None exactly when the session's stop rule holds."""
+
+    BANK = [ItemParams(f"i{k}", a=1.0, b=0.0, c=0.0) for k in range(70)]
+
     def test_precise_enough_stops(self):
         session = CatSession.start()
         session.estimate = AbilityEstimate(0.0, 0.29, 5)
-        assert should_terminate(session) is True
+        assert select_next(session, self.BANK) is None
 
     def test_budget_spent_stops(self):
         session = CatSession.start()
         session.estimate = AbilityEstimate(0.0, 0.8, 60)
         session.administered = [(f"i{k}", True) for k in range(60)]
-        assert should_terminate(session) is True
+        assert select_next(session, self.BANK) is None
+
+    def test_skips_spend_the_budget(self):
+        session = CatSession.start(max_items=10)
+        session.administered = [(f"i{k}", True) for k in range(4)]
+        session.skipped = {f"i{k}" for k in range(4, 10)}
+        assert select_next(session, self.BANK) is None
 
     def test_midway_continues(self):
         session = CatSession.start()
         session.estimate = AbilityEstimate(0.0, 0.8, 10)
         session.administered = [(f"i{k}", True) for k in range(10)]
-        assert should_terminate(session) is False
+        assert select_next(session, self.BANK).item_id == "i10"
 
     def test_exhausted_bank_stops(self):
         session = CatSession.start()
         item = ItemParams("only", a=1.0, b=0.0, c=0.0)
         eap_update(session, item, True)
-        assert should_terminate(session, bank=[item]) is True
+        assert select_next(session, [item]) is None
+
+    def test_stop_settings_come_from_the_session(self):
+        assert select_next(CatSession.start(max_items=0), self.BANK) is None
+        assert select_next(CatSession.start(se_target=1.5), self.BANK) is None
+        assert select_next(CatSession.start(max_items=1, se_target=0.0), self.BANK) is not None
 
 
 class TestParameterMaps:
@@ -331,11 +345,30 @@ def simulated_responder(theta_by_subset, seed):
     return respond
 
 
+def run_session(bank, respond, subset="Base", max_items=60, se_target=0.3) -> CatSession:
+    """Step one session to its end; ``respond`` returning None skips the item."""
+    session = CatSession.start(subset, max_items, se_target)
+    while (item := select_next(session, bank)) is not None:
+        outcome = respond(item)
+        if outcome is None:
+            session.skipped.add(item.item_id)
+        else:
+            eap_update(session, item, outcome)
+    return session
+
+
+def run_dual(respond, base_bank, comb_bank) -> DualReport:
+    check_dual_banks(base_bank, comb_bank)
+    base = run_session(base_bank, respond, "Base")
+    comb = run_session(comb_bank, respond, "Combinatorial")
+    return DualReport(base.estimate, comb.estimate, base.accuracy(), comb.accuracy())
+
+
 class TestSessions:
     def test_session_respects_se_target(self):
         bank = make_bank("Base", 200, 41)
         respond = simulated_responder({"Base": 0.0}, 17)
-        session = run_cat_session(bank, respond, se_target=0.3)
+        session = run_session(bank, respond, se_target=0.3)
         assert session.estimate.se < 0.3
         assert session.estimate.n_administered <= 60
 
@@ -343,20 +376,20 @@ class TestSessions:
         base = make_bank("Base", 200, 42)
         comb = make_bank("Combinatorial", 200, 43)
         respond = simulated_responder({"Base": 1.0, "Combinatorial": -1.0}, 7)
-        report = run_dual_session(respond, base, comb)
+        report = run_dual(respond, base, comb)
         assert report.delta_theta > 0
 
     def test_dual_session_identical_ability_near_zero_gap(self):
         base = make_bank("Base", 200, 44)
         comb = make_bank("Combinatorial", 200, 44)
         respond = simulated_responder({"Base": 0.2, "Combinatorial": 0.2}, 23)
-        report = run_dual_session(respond, base, comb)
+        report = run_dual(respond, base, comb)
         combined = math.hypot(report.base.se, report.comb.se)
         assert abs(report.delta_theta) <= 2 * combined
 
     def test_empty_bank_rejected(self):
-        with pytest.raises(ValueError):
-            run_dual_session(lambda item: True, [], make_bank("Combinatorial", 5, 1))
+        with pytest.raises(ValueError, match="non-empty"):
+            check_dual_banks([], make_bank("Combinatorial", 5, 1))
 
     def test_responder_failures_skipped_not_scored(self):
         bank = make_bank("Base", 30, 45)
@@ -367,7 +400,7 @@ class TestSessions:
                 return None
             return True
 
-        session = run_cat_session(bank, respond, max_items=10)
+        session = run_session(bank, respond, max_items=10)
         administered = {item_id for item_id, _ in session.administered}
         assert not (administered & failures)
         assert session.skipped <= failures
@@ -380,7 +413,7 @@ class TestSessions:
             calls.append(item.item_id)
             return None
 
-        session = run_cat_session(bank, respond, max_items=60)
+        session = run_session(bank, respond, max_items=60)
         assert len(calls) <= 60
         assert session.estimate.n_administered == 0
 
@@ -389,16 +422,15 @@ class TestSessions:
         comb = make_bank("Combinatorial", 5, 3)
         calls = []
         with pytest.raises(ValueError, match="'Combinatorial-000'.*'Combinatorial'.*'Base'"):
-            run_dual_session(lambda item: calls.append(item) or True, comb, base)
+            run_dual(lambda item: calls.append(item) or True, comb, base)
         assert calls == []
 
-    def test_step_callback_sees_every_administration(self):
+    def test_zero_se_target_runs_the_whole_budget(self):
         bank = make_bank("Base", 50, 47)
         respond = simulated_responder({"Base": 0.5}, 3)
-        steps = []
-        run_cat_session(bank, respond, max_items=8, se_target=0.0, on_step=lambda s, p: steps.append(p))
-        assert len(steps) == 8
-        assert all("theta_hat" in p for p in steps)
+        session = run_session(bank, respond, max_items=8, se_target=0.0)
+        assert len(session.administered) == 8
+        assert session.estimate.n_administered == 8
 
     def test_dual_report_delta_identity(self):
         report = DualReport(
