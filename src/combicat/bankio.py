@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .irt import ItemParams
@@ -45,10 +47,49 @@ def load_object(path: str, from_dict: Callable[[Any], T]) -> T:
     return parse_at(path, from_dict, load_json(path))
 
 
-def _save(path: str, key: str, records: list) -> None:
+def _save(path: str, key: str, records: Iterable[Any]) -> None:
+    """Write ``{"schema_version": 1, key: [records]}`` with the bytes of ``json.dump(...,
+    ensure_ascii=False, indent=2)`` and a final newline, one record at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, key: records}, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  {encode_basestring(key)}: [')
+        separator = "\n    "
+        for record in records:
+            fh.write(separator + _json_text(record, "    "))
+            separator = ",\n    "
+        fh.write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
+
+
+def _json_text(value: Any, indent: str) -> str:
+    """``value`` as ``json.dump(..., ensure_ascii=False, indent=2)`` writes it ``indent`` deep.
+
+    Python's json runs its C encoder only without ``indent``, so the layout is
+    built here. Strings go through ``encode_basestring``, the C function json
+    uses for them; ints and finite floats take json's spelling. Any other
+    value (booleans, null, NaN and infinities, empty containers, mappings
+    whose keys are not all exactly ``str``) goes through ``json.dumps`` itself,
+    re-indented, so it reads or fails exactly as json would have it.
+    """
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if type(value) is list and value:
+        parts = [encode_basestring(item) if type(item) is str else _json_text(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        parts = [
+            encode_basestring(key) + ": " + (encode_basestring(item) if type(item) is str else _json_text(item, inner))
+            for key, item in value.items()
+        ]
+        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
+    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n" + indent)
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+_LEAF_TEXT: dict[type, Callable[[Any], str]] = {str: encode_basestring, int: int.__repr__, float: _float_text}
 
 
 def _verified(record: Any) -> CombinatorialQuestion:
@@ -83,7 +124,7 @@ def load_atomic_bank(path: str) -> list[AtomicQuestion]:
 
 
 def save_atomic_bank(path: str, questions: Sequence[AtomicQuestion]) -> None:
-    _save(path, "questions", [q.to_record() for q in questions])
+    _save(path, "questions", (q.to_record() for q in questions))
 
 
 def load_comb_bank(path: str) -> list[CombinatorialQuestion]:
@@ -91,7 +132,7 @@ def load_comb_bank(path: str) -> list[CombinatorialQuestion]:
 
 
 def save_comb_bank(path: str, questions: Sequence[CombinatorialQuestion]) -> None:
-    _save(path, "questions", [q.to_record() for q in questions])
+    _save(path, "questions", (q.to_record() for q in questions))
 
 
 @dataclass(frozen=True)
@@ -142,7 +183,7 @@ def load_item_bank(path: str) -> list[CalibratedItem]:
 
 
 def save_item_bank(path: str, items: Sequence[CalibratedItem]) -> None:
-    _save(path, "items", [i.to_record() for i in items])
+    _save(path, "items", (i.to_record() for i in items))
 
 
 def load_traces(path: str) -> list[ThinkingTrace]:

@@ -410,17 +410,32 @@ class ResponseRecord:
 
     @classmethod
     def from_record(cls, row: Mapping[str, Any]) -> "ResponseRecord":
+        """A logged response row; each field must already have its type, and none is coerced."""
         return cls(
             question_id=question_id_of(row),
             subset=subset_of(row),
-            raw_text=str(row.get("raw_text", "")),
-            parsed_set=frozenset(row["parsed_set"]),
-            gold_set=frozenset(row["gold_set"]),
-            exact=bool(row["exact"]),
-            f1=float(row["f1"]),
-            latency_ms=int(row.get("latency_ms", 0)),
-            transport_status=str(row["transport_status"]),
+            raw_text=_typed("raw_text", row.get("raw_text", ""), str, "a string"),
+            parsed_set=_letter_set("parsed_set", row["parsed_set"]),
+            gold_set=_letter_set("gold_set", row["gold_set"]),
+            exact=_typed("exact", row["exact"], bool, "true or false"),
+            f1=float(_typed("f1", row["f1"], (int, float), "a number")),
+            latency_ms=_typed("latency_ms", row.get("latency_ms", 0), int, "an integer"),
+            transport_status=_typed("transport_status", row["transport_status"], str, "a string"),
         )
+
+
+def _typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """``value`` of log field ``key`` if it is a ``kind``; a bool passes only as a bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
+def _letter_set(key: str, value: Any) -> frozenset[str]:
+    """The letters of a JSON array of strings, such as a row's ``parsed_set``."""
+    if not isinstance(value, list) or not all(isinstance(letter, str) for letter in value):
+        raise ValueError(f"{key} must be a list of strings, not {value!r}")
+    return frozenset(value)
 
 
 def subset_of(row: Mapping[str, Any]) -> str:

@@ -9,8 +9,9 @@ valuation, with exactly the answered statement true, is the single row
 duplicates exactly when their masks are equal, and a small family of option
 shapes (exactness, disjunction, negation, compound negation, plus the
 universal distractor) is recognized by a lookup from mask to shape: the 21
-shapes have pairwise distinct masks. The trees themselves remain the on-disk
-form (prefix text) and the input to symbolic rendering.
+shapes have pairwise distinct masks. Each node derives its mask and its
+prefix text (the on-disk form) from its children when it is built, so a tree
+shared through the pools or the parse cache is walked once, not per use.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Union
+from typing import Any, Union
 
 
 class Statement(enum.IntEnum):
@@ -44,53 +45,72 @@ def statement_from_label(label: str) -> Statement:
         raise ValueError(f"unknown statement label {label!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    index: Statement
-
-
-@dataclass(frozen=True, slots=True)
-class Not:
-    child: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = Union[Var, Not, And, Or]
-
-
 # Bit r of a variable's mask is its value in row r of the lexicographic
 # (I, II, III, IV) enumeration, so statement I is the most significant position.
 _VAR_MASKS = {Statement.I: 0xFF00, Statement.II: 0xF0F0, Statement.III: 0xCCCC, Statement.IV: 0xAAAA}
 _ALL_ROWS = 0xFFFF
 
 
+def _derived() -> Any:
+    """A node field set in ``__post_init__``: left out of ``__init__``, ``repr``, ``==`` and ``hash``."""
+    return field(init=False, repr=False, compare=False)
+
+
+def _derive(node: "Formula", truth_mask: int, serialized: str) -> None:
+    """Set a node's 16-bit truth table and its compact prefix text, e.g.
+    ``AND(VAR(I),NOT(VAR(II)))``, which ``parse_formula`` reads back."""
+    object.__setattr__(node, "mask", truth_mask)
+    object.__setattr__(node, "serialized", serialized)
+
+
+@dataclass(frozen=True, slots=True)
+class Var:
+    index: Statement
+    mask: int = _derived()
+    serialized: str = _derived()
+
+    def __post_init__(self) -> None:
+        _derive(self, _VAR_MASKS[self.index], f"VAR({self.index.name})")
+
+
+@dataclass(frozen=True, slots=True)
+class Not:
+    child: "Formula"
+    mask: int = _derived()
+    serialized: str = _derived()
+
+    def __post_init__(self) -> None:
+        _derive(self, _ALL_ROWS ^ self.child.mask, f"NOT({self.child.serialized})")
+
+
+@dataclass(frozen=True, slots=True)
+class And:
+    left: "Formula"
+    right: "Formula"
+    mask: int = _derived()
+    serialized: str = _derived()
+
+    def __post_init__(self) -> None:
+        _derive(self, self.left.mask & self.right.mask, f"AND({self.left.serialized},{self.right.serialized})")
+
+
+@dataclass(frozen=True, slots=True)
+class Or:
+    left: "Formula"
+    right: "Formula"
+    mask: int = _derived()
+    serialized: str = _derived()
+
+    def __post_init__(self) -> None:
+        _derive(self, self.left.mask | self.right.mask, f"OR({self.left.serialized},{self.right.serialized})")
+
+
+Formula = Union[Var, Not, And, Or]
+
+
 def truth_row(answer: Statement) -> int:
     """The truth-table row in which exactly the answered statement is true."""
     return 1 << (4 - answer)
-
-
-def mask(formula: Formula) -> int:
-    """16-bit truth table of a formula in one bitwise walk of the tree."""
-    if isinstance(formula, Var):
-        return _VAR_MASKS[formula.index]
-    if isinstance(formula, Not):
-        return _ALL_ROWS ^ mask(formula.child)
-    if isinstance(formula, And):
-        return mask(formula.left) & mask(formula.right)
-    if isinstance(formula, Or):
-        return mask(formula.left) | mask(formula.right)
-    raise TypeError(f"not a formula node: {formula!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +188,8 @@ def universal_none() -> Formula:
 Shape = Union[Pattern, str]
 """An option shape: a Pattern, or the string "universal_none"."""
 
-SHAPES: dict[int, Shape] = {mask(p.expand()): p for p in all_patterns()}
-SHAPES[mask(universal_none())] = "universal_none"
+SHAPES: dict[int, Shape] = {p.expand().mask: p for p in all_patterns()}
+SHAPES[universal_none().mask] = "universal_none"
 
 
 def classify(formula: Formula) -> Shape | None:
@@ -181,25 +201,12 @@ def classify(formula: Formula) -> Shape | None:
     and De Morgan forms such as ``NOT(OR(VAR(I),VAR(II)))`` (the compound
     negation of I and II) are recognized too.
     """
-    return SHAPES.get(mask(formula))
+    return SHAPES.get(formula.mask)
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Parsing
 # ---------------------------------------------------------------------------
-
-
-def serialize(formula: Formula) -> str:
-    """Compact prefix text form, e.g. ``AND(VAR(I),NOT(VAR(II)))``."""
-    if isinstance(formula, Var):
-        return f"VAR({formula.index.name})"
-    if isinstance(formula, Not):
-        return f"NOT({serialize(formula.child)})"
-    if isinstance(formula, And):
-        return f"AND({serialize(formula.left)},{serialize(formula.right)})"
-    if isinstance(formula, Or):
-        return f"OR({serialize(formula.left)},{serialize(formula.right)})"
-    raise TypeError(f"not a formula node: {formula!r}")
 
 
 class FormulaSyntaxError(ValueError):
@@ -211,7 +218,7 @@ _TOKEN_RE = re.compile(r"[A-Z]+|[(),]")
 
 @lru_cache(maxsize=1024)  # nodes are frozen, so equal texts can share one tree
 def parse_formula(text: str) -> Formula:
-    """Inverse of :func:`serialize`; round-trip stable."""
+    """The formula whose ``serialized`` text this is; round-trip stable."""
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens) != text.replace(" ", ""):
         raise FormulaSyntaxError(f"unexpected characters in {text!r}")
@@ -281,27 +288,31 @@ def render_symbolic(formula: Formula) -> str:
     return f"({render_symbolic(formula.left)} {op} {render_symbolic(formula.right)})"
 
 
-def render_shape(shape: Shape | None, formula: Formula, locale: str = "en") -> str:
-    """Option text for a formula whose shape is already known (None: free-form).
-
-    Template wording per locale lives in ``data/render_templates.json`` so the
-    phrasing can be edited without touching code; free-form formulas fall back
-    to symbolic notation.
-    """
+@lru_cache(maxsize=None)
+def _shape_texts(locale: str) -> dict[int, str]:
+    """The option text of every shape in ``locale``, keyed by its truth mask."""
     tables = templates()
     if locale not in tables:
         raise ValueError(f"unknown locale {locale!r}")
     table = tables[locale]
-    if shape is None:
-        return render_symbolic(formula)
-    if isinstance(shape, str):
-        return table[shape]
-    text = table[shape.kind.value].replace("{i}", shape.first.name)
-    if shape.second is not None:
-        text = text.replace("{j}", shape.second.name)
-    return text
+    texts = {}
+    for shape_mask, shape in SHAPES.items():
+        if isinstance(shape, str):
+            texts[shape_mask] = table[shape]
+            continue
+        text = table[shape.kind.value].replace("{i}", shape.first.name)
+        if shape.second is not None:
+            text = text.replace("{j}", shape.second.name)
+        texts[shape_mask] = text
+    return texts
 
 
 def render(formula: Formula, locale: str = "en") -> str:
-    """Natural-language option text for pattern expansions; symbolic otherwise."""
-    return render_shape(classify(formula), formula, locale)
+    """Option text: the template of the formula's shape, or symbolic notation for a free-form formula.
+
+    Template wording per locale lives in ``data/render_templates.json`` so the
+    phrasing can be edited without touching code. The text of a shape depends
+    only on (shape, locale), so each is filled in once.
+    """
+    text = _shape_texts(locale).get(formula.mask)
+    return render_symbolic(formula) if text is None else text

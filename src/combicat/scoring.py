@@ -16,6 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -33,6 +34,11 @@ class ThinkingTrace:
     @classmethod
     def from_text(cls, question_id: str, text: str) -> "ThinkingTrace":
         return cls(question_id=question_id, text=text, token_count=len(text.split()))
+
+    @cached_property
+    def folded(self) -> str:
+        """``fold(text)``, made once for every scorer that reads the trace."""
+        return fold(self.text)
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,7 @@ def extract_metrics(trace: ThinkingTrace, lexicons: MarkerLexicons) -> Cognitive
     text = trace.text
     if not text.strip():
         return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0)
-    folded = fold(text)
+    folded = trace.folded
 
     reversal_hits = _count_hits(lexicons.reversal, text, folded)
     connective_hits = _count_hits(lexicons.connectives, text, folded)
@@ -426,17 +432,17 @@ _FINAL_LETTERS_RE = re.compile(r"(?<![A-Za-z])([A-H])(?![A-Za-z])")
 
 
 def _final_answer_span(text: str) -> tuple[set[str], int]:
-    """Letters on the last non-empty line and that line's character offset."""
-    last_letters: set[str] = set()
-    last_start = len(text)
-    offset = 0
-    for line in text.splitlines(keepends=True):
+    """Letters on the last non-empty line and that line's character offset.
+
+    Lines are those of ``str.splitlines``, read from the end.
+    """
+    start = len(text)
+    for line in reversed(text.splitlines(keepends=True)):
+        start -= len(line)
         stripped = line.strip().strip("*_`\"'").strip()
         if stripped:
-            last_letters = {m.group(1).upper() for m in _FINAL_LETTERS_RE.finditer(stripped)}
-            last_start = offset
-        offset += len(line)
-    return last_letters, last_start
+            return {m.group(1).upper() for m in _FINAL_LETTERS_RE.finditer(stripped)}, start
+    return set(), len(text)
 
 
 def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
@@ -453,5 +459,5 @@ def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
                 continue
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.contradiction, trace.text, fold(trace.text))
+    contradictions = _count_hits(lexicons.contradiction, trace.text, trace.folded)
     return float(mismatches + contradictions)

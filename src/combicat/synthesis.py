@@ -23,10 +23,8 @@ from .logic import (
     PatternKind,
     Shape,
     Statement,
-    mask,
     parse_formula,
-    render_shape,
-    serialize,
+    render,
     statement_from_label,
     templates,
     truth_row,
@@ -45,6 +43,12 @@ class QuestionFormatError(ValueError):
 
 class InfeasibleTierError(RuntimeError):
     """The tier configuration cannot be satisfied by the available pools."""
+
+
+@lru_cache(maxsize=None)
+def _known_keys(cls: type) -> frozenset[str]:
+    """The record keys a question class reads itself; every other key is kept in ``extras``."""
+    return frozenset(f.name for f in fields(cls)) - {"extras"}
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class AtomicQuestion:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "AtomicQuestion":
-        known = {f.name for f in fields(cls)} - {"extras"}
+        known = _known_keys(cls)
         return cls(
             id=str(record["id"]),
             context=str(record.get("context", "")),
@@ -133,12 +137,14 @@ class TierConfig:
             raise ValueError(f"tier {self.tier!r}: required patterns must be allowed")
 
 
+@lru_cache(maxsize=None)
 def tier_config(tier: str, n_options: int = 6) -> TierConfig:
     """Built-in tier ladder: each tier widens the allowed operator family.
 
     The Easy pools hold five formulas in total (one always-true exactness plus
     four distractors), so Easy questions carry at most five options no matter
-    what is configured; the other tiers honor the requested count.
+    what is configured; the other tiers honor the requested count. A config is
+    frozen, so each (tier, option count) is built once and shared.
     """
     if not 5 <= n_options <= 8:
         raise ValueError(f"option count {n_options} outside the supported range 5..8")
@@ -208,7 +214,7 @@ class CombinatorialQuestion:
             "context": self.context,
             "statements": list(self.statements),
             "options": [
-                {"letter": entry.letter, "formula": serialize(entry.formula), "text": entry.text}
+                {"letter": entry.letter, "formula": entry.formula.serialized, "text": entry.text}
                 for entry in self.options
             ],
             "answer_set": sorted(self.answer_set),
@@ -227,7 +233,7 @@ class CombinatorialQuestion:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "CombinatorialQuestion":
-        known = {f.name for f in fields(cls)} - {"extras"}
+        known = _known_keys(cls)
         options = tuple(
             OptionEntry(item["letter"], parse_formula(item["formula"]), item["text"])
             for item in record["options"]
@@ -404,9 +410,9 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
 
     entries = []
     answer_letters = set()
-    for position, ((shape, formula), is_correct) in enumerate(labelled):
+    for position, ((_, formula), is_correct) in enumerate(labelled):
         letter = OPTION_LETTERS[position]
-        entries.append(OptionEntry(letter, formula, render_shape(shape, formula, question.language)))
+        entries.append(OptionEntry(letter, formula, render(formula, question.language)))
         if is_correct:
             answer_letters.add(letter)
 
@@ -464,7 +470,7 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     shapes: list[Shape | None] = []
     seen: dict[int, str] = {}
     for entry in question.options:
-        truth_mask = mask(entry.formula)
+        truth_mask = entry.formula.mask
         shape = SHAPES.get(truth_mask)
         shapes.append(shape)
         value = bool(truth_mask >> row & 1)
@@ -472,7 +478,7 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
         if value != (labelled == "correct"):
             flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
         if templated:
-            expected_text = render_shape(shape, entry.formula, question.language)
+            expected_text = render(entry.formula, question.language)
             if entry.text != expected_text:
                 flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
         if truth_mask in seen:

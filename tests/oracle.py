@@ -16,6 +16,18 @@ that matches every marker through them.
 caller loops on. The self-contained loop that drove a session before is kept
 here: a linear scan for the most informative item, the stop rule checked
 before each pick, and the skip of an item whose response failed.
+
+``combicat.scoring.fallacy_penalty`` reads the fold that ``extract_metrics``
+made and finds the final answer line from the end; the version that folded
+each trace again and walked every line from the start is kept here.
+
+A formula node carries its mask and prefix text, derived from its children
+when it is built, and option texts come from a per-locale table filled once.
+``verify`` as it stood before, walking each option's tree and filling its
+template per call, is kept here over a mask derived from the reference
+evaluator. ``combicat.bankio`` lays out a bank file by hand around the C
+string encoder; the ``json.dump(..., indent=2)`` writer it replaced is kept
+here too.
 """
 
 import json
@@ -32,17 +44,21 @@ from combicat.irt import (
     eap_update,
     fisher_information,
 )
-from combicat.logic import STATEMENTS, And, Not, Or, Var
+from combicat.logic import SHAPES, STATEMENTS, And, Not, Or, Var, render_symbolic, templates
 from combicat.scoring import (
+    _ASSERTION_RE,
+    _FINAL_LETTERS_RE,
     _NUMBERED_STEP_RE,
     _SEGMENT_SPLIT_RE,
     CognitiveMetrics,
     MarkerLexicons,
     ThinkingTrace,
+    _count_hits,
     _ordered_chains,
-    fallacy_penalty,
+    fold,
     shannon_entropy,
 )
+from combicat.synthesis import OPTION_LETTERS, VerificationReport, Violation, _satisfies, tier_config
 
 
 def reference_evaluate(formula, true_statements) -> bool:
@@ -134,6 +150,34 @@ def reference_lexicon_groups(locale: str = "both") -> dict[str, list[str]]:
     return groups
 
 
+def reference_final_answer_span(text: str) -> tuple[set[str], int]:
+    """Letters on the last non-empty line and that line's offset, every line walked from the start."""
+    last_letters: set[str] = set()
+    last_start = len(text)
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        stripped = line.strip().strip("*_`\"'").strip()
+        if stripped:
+            last_letters = {m.group(1).upper() for m in _FINAL_LETTERS_RE.finditer(stripped)}
+            last_start = offset
+        offset += len(line)
+    return last_letters, last_start
+
+
+def reference_fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
+    """``fallacy_penalty`` over a fold of its own and the forward line walk."""
+    final_letters, final_start = reference_final_answer_span(trace.text)
+    mismatches = 0
+    if final_letters:
+        for match in _ASSERTION_RE.finditer(trace.text):
+            if match.start() >= final_start:
+                continue
+            if match.group(1).upper() not in final_letters:
+                mismatches += 1
+    contradictions = _count_hits(lexicons.contradiction, trace.text, fold(trace.text))
+    return float(mismatches + contradictions)
+
+
 # fallacy_penalty reads only the contradiction markers; with none it counts
 # the assertions that disagree with the final answer line.
 _NO_MARKERS = MarkerLexicons(*(() for _ in fields(MarkerLexicons)))
@@ -147,7 +191,7 @@ def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tupl
     """``extract_metrics`` and ``fallacy_penalty`` with every marker matched by its reference regex."""
     text = trace.text
     contradictions = reference_count(groups.get("contradiction", []), text)
-    penalty = fallacy_penalty(trace, _NO_MARKERS) + contradictions
+    penalty = reference_fallacy_penalty(trace, _NO_MARKERS) + contradictions
     if not text.strip():
         return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0), penalty
 
@@ -230,3 +274,87 @@ def reference_cat_session(
             step.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=bool(outcome))
         steps.append(step)
     return session, steps
+
+
+def reference_mask(formula) -> int:
+    """The 16-bit truth mask, bit ``r`` set where the reference evaluator holds in row ``r``."""
+    return sum(1 << row for row, value in enumerate(reference_table(formula)) if value)
+
+
+def reference_render(formula, locale: str = "en") -> str:
+    """The template of the formula's shape, filled in per call, or its symbolic notation."""
+    tables = templates()
+    if locale not in tables:
+        raise ValueError(f"unknown locale {locale!r}")
+    table = tables[locale]
+    shape = SHAPES.get(reference_mask(formula))
+    if shape is None:
+        return render_symbolic(formula)
+    if isinstance(shape, str):
+        return table[shape]
+    text = table[shape.kind.value].replace("{i}", shape.first.name)
+    if shape.second is not None:
+        text = text.replace("{j}", shape.second.name)
+    return text
+
+
+def reference_verify(question, cfg=None) -> VerificationReport:
+    """``synthesis.verify`` with each option's mask and text derived per call."""
+    if cfg is None:
+        cfg = tier_config(question.tier)
+    row = question.truth_row()
+    letters = question.letters()
+    violations = []
+
+    def flag(letter: str, rule: str, message: str) -> None:
+        violations.append(Violation(letter, rule, message))
+
+    templated = question.language in templates()
+    if not templated:
+        flag("", "unknown-language", f"no option templates for language {question.language!r}")
+    if letters != tuple(OPTION_LETTERS[: len(letters)]):
+        flag("", "letter-order", f"option letters {','.join(letters)} do not run A, B, C... in order")
+
+    shapes = []
+    seen: dict[int, str] = {}
+    for entry in question.options:
+        truth_mask = reference_mask(entry.formula)
+        shape = SHAPES.get(truth_mask)
+        shapes.append(shape)
+        value = bool(truth_mask >> row & 1)
+        labelled = "correct" if entry.letter in question.answer_set else "incorrect"
+        if value != (labelled == "correct"):
+            flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
+        if templated:
+            expected_text = reference_render(entry.formula, question.language)
+            if entry.text != expected_text:
+                flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
+        if truth_mask in seen:
+            flag(
+                entry.letter,
+                "duplicate-formula",
+                f"options {seen[truth_mask]} and {entry.letter} share truth table {truth_mask:#06x}",
+            )
+        seen.setdefault(truth_mask, entry.letter)
+
+    for letter in sorted(question.answer_set - set(letters)):
+        flag(letter, "unknown-letter", f"answer letter {letter!r} names no option")
+
+    for requirement in sorted(cfg.required_patterns, key=lambda k: k.value):
+        if not any(_satisfies(shape, requirement) for shape in shapes):
+            flag("", "missing-required-pattern", f"no option presents {requirement.value}")
+
+    n_answers = len(question.answer_set)
+    if not 1 <= n_answers < len(question.options):
+        flag("", "degenerate-answer-set", f"answer set size {n_answers} of {len(question.options)} options")
+    if not cfg.n_correct_min <= n_answers <= cfg.n_correct_max:
+        flag("", "answer-count", f"{n_answers} answers outside the {cfg.tier} range {cfg.n_correct_min}-{cfg.n_correct_max}")
+
+    return VerificationReport.from_violations(violations)
+
+
+def reference_save(path: str, key: str, records: list) -> None:
+    """A versioned bank file through ``json.dump(..., ensure_ascii=False, indent=2)``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": 1, key: records}, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")

@@ -1,8 +1,13 @@
 """File format round-trips and tolerant readers."""
 
 import json
+import os
+import tempfile
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combicat.bankio import (
     BankFormatError,
@@ -20,6 +25,7 @@ from combicat.bankio import (
 )
 from combicat.synthesis import assemble, tier_config
 from conftest import make_atomic_bank, make_atomic_question
+from oracle import reference_save
 
 
 def test_atomic_bank_round_trip(tmp_path):
@@ -159,3 +165,68 @@ def test_trace_row_without_question_id_names_file_and_line(tmp_path):
     path.write_text('{"question_id": "q1", "text": "a b"}\n{"text": "no id"}\n')
     with pytest.raises(BankFormatError, match=f"{path}:2: missing key 'question_id'"):
         load_traces(str(path))
+
+
+# Strings json must escape (quotes, backslashes, control characters) or may
+# keep (non-ASCII, U+2028 and U+2029, which ensure_ascii=False writes raw).
+JSON_TEXT = st.one_of(
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\r", "\u2028", "\u2029",
+                             "é", "陈", "😀", "a", " ", "/"]), max_size=8),
+    st.text(max_size=8),
+)
+FLOATS = st.one_of(st.floats(), st.sampled_from([1e-07, -0.0, 0.0, 1e16, 2.0, -3.0, 1e300, 5e-324, 0.1]))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(min_value=-(2**80), max_value=2**80), FLOATS, JSON_TEXT)
+# json turns keys that are numbers, booleans or None into strings; the writer must too.
+KEYS = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none(), FLOATS)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=3),
+        st.dictionaries(KEYS, inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+EXTRAS = st.dictionaries(st.one_of(JSON_TEXT, KEYS), VALUES, max_size=4)
+
+COMB_BASES = [assemble(make_atomic_question(i, answer), tier_config(tier), i) for i, (answer, tier) in
+              enumerate([("I", "Easy"), ("II", "Medium"), ("III", "Hard"), ("IV", "Expert")])]
+
+
+def _same_bytes(save, key, rows, records):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = os.path.join(tmp, "ours.json"), os.path.join(tmp, "theirs.json")
+        save(ours, rows)
+        reference_save(theirs, key, records)
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+
+
+@given(st.lists(st.tuples(st.sampled_from(COMB_BASES), EXTRAS), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_comb_bank_bytes_match_json_dump(drawn):
+    """The hand-laid writer against ``json.dump(..., indent=2)``, the empty bank included."""
+    questions = [replace(question, extras=extras) for question, extras in drawn]
+    _same_bytes(save_comb_bank, "questions", questions, [q.to_record() for q in questions])
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), EXTRAS), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_atomic_bank_bytes_match_json_dump(drawn):
+    questions = [replace(make_atomic_question(i), extras=extras) for i, extras in drawn]
+    _same_bytes(save_atomic_bank, "questions", questions, [q.to_record() for q in questions])
+
+
+ITEMS = st.builds(
+    CalibratedItem,
+    item_id=JSON_TEXT, question_id=JSON_TEXT, subset=JSON_TEXT, tier=JSON_TEXT,
+    a=FLOATS, b=FLOATS, c=FLOATS, n_options=st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@given(st.lists(ITEMS, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_item_bank_bytes_match_json_dump(items):
+    _same_bytes(save_item_bank, "items", items, [item.to_record() for item in items])
+

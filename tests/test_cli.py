@@ -941,6 +941,27 @@ class TestReport:
         assert main(["report", "--log", str(log)]) == 1
         assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("exact", "no", "exact must be true or false, not 'no'"),
+            ("exact", 1, "exact must be true or false, not 1"),
+            ("transport_status", 7, "transport_status must be a string, not 7"),
+            ("raw_text", None, "raw_text must be a string, not None"),
+            ("parsed_set", "AB", "parsed_set must be a list of strings, not 'AB'"),
+            ("gold_set", ["A", 1], "gold_set must be a list of strings, not ['A', 1]"),
+            ("f1", "1.0", "f1 must be a number, not '1.0'"),
+            ("f1", True, "f1 must be a number, not True"),
+            ("latency_ms", 2.5, "latency_ms must be an integer, not 2.5"),
+        ],
+    )
+    def test_row_field_of_the_wrong_type_names_log_and_line(self, tmp_path, capsys, field, value, message):
+        """A response row is read as logged: ``"exact": "no"`` is an error, not a correct answer."""
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n" + json.dumps({**RESPONSE_ROW, field: value}) + "\n")
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
+
     def test_log_subset_missing_from_report_fails_replay(self, tmp_path, capsys):
         _, comb, _, _ = _pipeline(tmp_path, n_questions=8)
         out_dir = tmp_path / "run"

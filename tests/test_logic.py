@@ -17,16 +17,14 @@ from combicat.logic import (
     Var,
     all_patterns,
     classify,
-    mask,
     parse_formula,
     render,
     render_symbolic,
-    serialize,
     truth_row,
     universal_none,
 )
 from combicat.rng import PortableRng
-from oracle import reference_evaluate, reference_table, row_statements
+from oracle import reference_evaluate, reference_render, reference_table, row_statements
 
 
 FORMULA_TEXTS = st.recursive(
@@ -39,7 +37,7 @@ FORMULA_TEXTS = st.recursive(
 
 def holds(formula, row: int) -> bool:
     """A formula's value in one truth-table row: a bit test on its mask."""
-    return bool(mask(formula) >> row & 1)
+    return bool(formula.mask >> row & 1)
 
 
 def random_formula(rng: PortableRng, max_depth: int) -> object:
@@ -78,19 +76,19 @@ class TestTruthTable:
         assert row_statements(15) == frozenset(STATEMENTS)
         assert row_statements(0b1000) == {Statement.I}
         # bit r is row r; statement I is the most significant position
-        assert [mask(Var(s)) for s in STATEMENTS] == [0xFF00, 0xF0F0, 0xCCCC, 0xAAAA]
+        assert [Var(s).mask for s in STATEMENTS] == [0xFF00, 0xF0F0, 0xCCCC, 0xAAAA]
         assert all(holds(Var(s), row) == (s in row_statements(row)) for s in STATEMENTS for row in range(16))
 
     def test_single_variable_true_in_eight_rows(self):
-        assert mask(Var(Statement.I)).bit_count() == 8
+        assert Var(Statement.I).mask.bit_count() == 8
 
     def test_exactness_true_in_exactly_one_row(self):
         formula = Pattern(PatternKind.EXACTNESS, Statement.I).expand()
-        assert mask(formula).bit_count() == 1
+        assert formula.mask.bit_count() == 1
 
     def test_two_way_disjunction_true_in_twelve_rows(self):
         formula = Or(Var(Statement.I), Var(Statement.II))
-        assert mask(formula).bit_count() == 12
+        assert formula.mask.bit_count() == 12
 
 
 class TestPatternOracles:
@@ -129,7 +127,7 @@ class TestDeMorgan:
             right = random_formula(rng, 6)
             lhs = Not(Or(left, right))
             rhs = And(Not(left), Not(right))
-            assert mask(lhs) == mask(rhs)
+            assert lhs.mask == rhs.mask
 
 
 class TestClassify:
@@ -184,22 +182,33 @@ class TestRender:
         with pytest.raises(ValueError):
             render(Var(Statement.I), "fr")
 
+    def test_every_shape_renders_as_the_reference(self):
+        formulas = [p.expand() for p in all_patterns()] + [universal_none(), Not(Or(Var(Statement.I), Var(Statement.II)))]
+        for locale in ("en", "zh"):
+            assert [render(f, locale) for f in formulas] == [reference_render(f, locale) for f in formulas]
+
+    @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["en", "zh"]))
+    @settings(max_examples=200)
+    def test_random_formulas_render_as_the_reference(self, seed, locale):
+        formula = random_formula(PortableRng(seed), 4)
+        assert render(formula, locale) == reference_render(formula, locale)
+
 
 class TestSerialization:
     def test_example_form(self):
         formula = And(Var(Statement.I), Not(Var(Statement.II)))
-        assert serialize(formula) == "AND(VAR(I),NOT(VAR(II)))"
+        assert formula.serialized == "AND(VAR(I),NOT(VAR(II)))"
 
     def test_round_trip_fixed_cases(self):
         for pattern in all_patterns():
             formula = pattern.expand()
-            assert parse_formula(serialize(formula)) == formula
+            assert parse_formula(formula.serialized) == formula
 
     def test_round_trip_random_formulas(self):
         rng = PortableRng(7)
         for _ in range(200):
             formula = random_formula(rng, 7)
-            assert parse_formula(serialize(formula)) == formula
+            assert parse_formula(formula.serialized) == formula
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "AND(VAR(I)", "XOR(VAR(I),VAR(II))", "VAR(V)", "VAR(I)X"):
@@ -219,6 +228,7 @@ class TestSerialization:
             return
         assert parse_formula(text) == expected
         assert parse_formula(text) is parse_formula(text)
+        assert parse_formula(text).serialized == text.replace(" ", "")
 
 
 class TestMask:
@@ -227,17 +237,17 @@ class TestMask:
     def test_commutative_operands_share_a_mask(self):
         a = And(Var(Statement.II), Var(Statement.I))
         b = And(Var(Statement.I), Var(Statement.II))
-        assert mask(a) == mask(b)
+        assert a.mask == b.mask
 
     def test_distinct_formulas_differ(self):
-        assert mask(Var(Statement.I)) != mask(Not(Var(Statement.I)))
+        assert Var(Statement.I).mask != Not(Var(Statement.I)).mask
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=200)
     def test_mask_bits_match_reference_evaluator(self, seed):
         formula = random_formula(PortableRng(seed), 6)
         table = reference_table(formula)
-        assert [bool(mask(formula) >> row & 1) for row in range(16)] == list(table)
+        assert [bool(formula.mask >> row & 1) for row in range(16)] == list(table)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=200)
@@ -246,7 +256,7 @@ class TestMask:
         # About 3 % of these shallow pairs share a mask, so both directions get exercised.
         x = random_formula(rng, 2 + rng.below(3))
         y = random_formula(rng, 2 + rng.below(3))
-        assert (mask(x) == mask(y)) == (reference_table(x) == reference_table(y))
+        assert (x.mask == y.mask) == (reference_table(x) == reference_table(y))
 
 
 class TestAssignment:

@@ -19,6 +19,7 @@ from combicat.scoring import (
     CorpusStats,
     Marker,
     ThinkingTrace,
+    _final_answer_span,
     _ordered_chains,
     _is_word,
     extract_metrics,
@@ -32,6 +33,8 @@ from combicat.scoring import (
     z_normalize,
 )
 from oracle import (
+    reference_fallacy_penalty,
+    reference_final_answer_span,
     reference_lexicon_groups,
     reference_marker_pattern,
     reference_ordered_pairs,
@@ -394,3 +397,32 @@ class TestFallacyPenalty:
         t = trace("the answer is B and that is all I will say about it")
         # the final line contains prose, still parses the letter B, consistent
         assert fallacy_penalty(t, lexicons) == 0.0
+
+    def test_trace_is_folded_once(self, lexicons):
+        t = trace("The answer is B.\nMaybe C. However, I contradict myself.\nC")
+        extract_metrics(t, lexicons)
+        folded = t.folded
+        fallacy_penalty(t, lexicons)
+        assert t.folded is folded and folded == fold(t.text)
+
+
+# Every line break str.splitlines honours, CRLF, blank and decorated lines,
+# answer assertions and bare letters.
+LINE_PIECES = st.sampled_from(
+    ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f", " ", "\t",
+     "**", "`", "'", "_", "the answer is B", "Final answer: (c)", "answer: D", "A", "C, D", "B", "x", "等", "I contradict myself"]
+)
+LINE_TEXTS = st.lists(LINE_PIECES, max_size=16).map("".join)
+
+
+class TestFallacyPenaltyOracle:
+    @given(LINE_TEXTS)
+    @settings(max_examples=400, deadline=None)
+    def test_final_answer_span_matches_the_forward_walk(self, text):
+        assert _final_answer_span(text) == reference_final_answer_span(text)
+
+    @given(st.one_of(LINE_TEXTS, TEXTS))
+    @settings(max_examples=300, deadline=None)
+    def test_penalty_matches_the_refolding_version(self, lexicons, text):
+        assert fallacy_penalty(trace(text), lexicons) == reference_fallacy_penalty(trace(text), lexicons)
+

@@ -1,19 +1,26 @@
 """Pool enumeration, assembly, verification, and the baseline transforms."""
 
 import json
+import os
+import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combicat.bankio import BankFormatError, load_bank, save_comb_bank
 from combicat.logic import (
     STATEMENTS,
+    And,
     Not,
+    Or,
     Pattern,
     PatternKind,
     Statement,
     Var,
     classify,
+    render_symbolic,
     truth_row,
 )
 from combicat.synthesis import (
@@ -35,7 +42,7 @@ from combicat.synthesis import (
     verify,
 )
 from conftest import make_atomic_question
-from oracle import reference_evaluate, row_statements
+from oracle import reference_evaluate, reference_verify, row_statements
 
 TIERS = ("Easy", "Medium", "Hard", "Expert")
 
@@ -372,6 +379,71 @@ def test_property_correct_options_true_under_truth(answer, tier, seed):
     for entry in combinatorial.options:
         expected = entry.letter in combinatorial.answer_set
         assert reference_evaluate(entry.formula, true_statements) == expected
+
+
+FORMULAS = st.recursive(
+    st.sampled_from(STATEMENTS).map(Var),
+    lambda inner: inner.map(Not) | st.builds(And, inner, inner) | st.builds(Or, inner, inner),
+    max_leaves=6,
+)
+MUTATIONS = ("text", "answer", "duplicate", "letter", "language", "free-form", "answer-count")
+
+
+@st.composite
+def mutated_questions(draw):
+    """An assembled question with up to three edits, each of which may break a rule of ``verify``."""
+    language = draw(st.sampled_from(["en", "zh"]))
+    question = replace(make_atomic_question(0, draw(st.sampled_from(["I", "II", "III", "IV"]))), language=language)
+    combinatorial = assemble(question, tier_config(draw(st.sampled_from(TIERS))), draw(st.integers(0, 2**48)))
+    options = list(combinatorial.options)
+    answer_set = set(combinatorial.answer_set)
+    changes = {}
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(options) - 1))
+        entry = options[i]
+        if mutation == "text":
+            texts = [other.text for other in options] + ["", "Only statement IV is correct", "(I ∧ II)"]
+            options[i] = replace(entry, text=draw(st.sampled_from(texts)))
+        elif mutation == "answer":
+            answer_set ^= {entry.letter}
+        elif mutation == "duplicate":
+            options[i] = replace(entry, formula=draw(st.sampled_from(options)).formula)
+        elif mutation == "letter":
+            options[i] = replace(entry, letter=draw(st.sampled_from("ABCDEFGHZ")))
+        elif mutation == "language":
+            changes["language"] = draw(st.sampled_from(["en", "zh", "fr", ""]))
+        elif mutation == "free-form":
+            formula = draw(FORMULAS)
+            options[i] = replace(entry, formula=formula, text=draw(st.sampled_from([render_symbolic(formula), entry.text])))
+        else:
+            letters = [option.letter for option in options]
+            answer_set = set(draw(st.lists(st.sampled_from(letters), max_size=len(letters))))
+            changes["tier"] = draw(st.sampled_from(TIERS))
+    return replace(combinatorial, options=tuple(options), answer_set=frozenset(answer_set), **changes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(question=mutated_questions(), tier=st.sampled_from((None,) + TIERS))
+def test_property_verify_matches_the_reference(question, tier):
+    """Cached masks and texts report exactly what the per-call walk reports, rule for rule."""
+    cfg = None if tier is None else tier_config(tier, n_options=max(5, len(question.options)))
+    assert verify(question, cfg) == reference_verify(question, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(question=mutated_questions())
+def test_property_load_bank_reports_the_reference_violations(question):
+    expected = reference_verify(question).violations
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "comb.json")
+        save_comb_bank(path, [question])
+        if not expected:
+            assert load_bank(path) == [question]
+            return
+        with pytest.raises(BankFormatError) as exc_info:
+            load_bank(path)
+    detail = "; ".join(f"{v.rule}: {v.message}" for v in expected)
+    assert str(exc_info.value) == f"{path}: record 0: question {question.id!r}: {detail}"
 
 
 class TestNota:
