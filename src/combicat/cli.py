@@ -137,7 +137,10 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
     lexicons = load_lexicons(locale=args.locale)
 
     traces = bankio.load_traces(args.traces)
-    metrics = [extract_metrics(trace, lexicons) for trace in traces]
+    metrics, penalties = [], []
+    for trace in traces:  # back to back, so the penalty reads the fold extract_metrics made
+        metrics.append(extract_metrics(trace, lexicons))
+        penalties.append(fallacy_penalty(trace, lexicons))
 
     if args.stats:
         stats = bankio.load_object(args.stats, lambda data: CorpusStats.from_dict(data["stats"]))
@@ -146,8 +149,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
         z_rows, stats = z_normalize(metrics)
 
     rows = []
-    for trace, metric, z in zip(traces, metrics, z_rows):
-        penalty_score = fallacy_penalty(trace, lexicons)
+    for trace, metric, z, penalty_score in zip(traces, metrics, z_rows, penalties):
         score = gold_score(z, penalty_score)
         rows.append(
             {

@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -34,11 +34,6 @@ class ThinkingTrace:
     @classmethod
     def from_text(cls, question_id: str, text: str) -> "ThinkingTrace":
         return cls(question_id=question_id, text=text, token_count=len(text.split()))
-
-    @cached_property
-    def folded(self) -> str:
-        """``fold(text)``, made once for every scorer that reads the trace."""
-        return fold(self.text)
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,7 @@ METRIC_NAMES: tuple[str, ...] = SCORED_METRICS + ("token_count", "segment_count"
 _BOUNDED_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789' ,-")
 
 
+@lru_cache(maxsize=1)
 def fold(text: str) -> str:
     """Case-fold one character to one character, keeping each character's ``\\w`` class.
 
@@ -91,6 +87,10 @@ def fold(text: str) -> str:
     with ``re`` except on ``İ``, ``ı`` and ``ſ``, which are mapped first
     (``"İ".lower()`` is even two characters long). ``str.casefold`` would
     not do: it grows ``ß`` to ``ss`` and leaves ``İ`` and ``ı`` apart from ``i``.
+
+    The last fold is kept, so ``fallacy_penalty`` called right after
+    ``extract_metrics`` on the same trace reads the fold it made; no more
+    than one folded text is held.
     """
     # Three replace calls scan much faster than one translate over non-ASCII text.
     return text.replace("\u0130", "i").replace("\u0131", "i").replace("\u017f", "s").lower()
@@ -271,7 +271,7 @@ def extract_metrics(trace: ThinkingTrace, lexicons: MarkerLexicons) -> Cognitive
     text = trace.text
     if not text.strip():
         return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0)
-    folded = trace.folded
+    folded = fold(text)
 
     reversal_hits = _count_hits(lexicons.reversal, text, folded)
     connective_hits = _count_hits(lexicons.connectives, text, folded)
@@ -459,5 +459,5 @@ def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
                 continue
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.contradiction, trace.text, trace.folded)
+    contradictions = _count_hits(lexicons.contradiction, trace.text, fold(trace.text))
     return float(mismatches + contradictions)

@@ -398,12 +398,12 @@ class TestFallacyPenalty:
         # the final line contains prose, still parses the letter B, consistent
         assert fallacy_penalty(t, lexicons) == 0.0
 
-    def test_trace_is_folded_once(self, lexicons):
+    def test_penalty_reads_the_fold_of_the_metrics(self, lexicons):
         t = trace("The answer is B.\nMaybe C. However, I contradict myself.\nC")
+        fold.cache_clear()
         extract_metrics(t, lexicons)
-        folded = t.folded
         fallacy_penalty(t, lexicons)
-        assert t.folded is folded and folded == fold(t.text)
+        assert (fold.cache_info().misses, fold.cache_info().hits) == (1, 1)
 
 
 # Every line break str.splitlines honours, CRLF, blank and decorated lines,
