@@ -229,4 +229,3 @@ ITEMS = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_item_bank_bytes_match_json_dump(items):
     _same_bytes(save_item_bank, "items", items, [item.to_record() for item in items])
-

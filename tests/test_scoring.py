@@ -425,4 +425,3 @@ class TestFallacyPenaltyOracle:
     @settings(max_examples=300, deadline=None)
     def test_penalty_matches_the_refolding_version(self, lexicons, text):
         assert fallacy_penalty(trace(text), lexicons) == reference_fallacy_penalty(trace(text), lexicons)
-
