@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass, field
-from statistics import fmean
 from typing import Any, Iterable, Mapping, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .bankio import question_id_of
 from .irt import (
@@ -202,21 +201,30 @@ class EndpointConfig:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
+        """Reject settings that would fail every request, before any is sent."""
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http(s) URL with a host, not {self.base_url!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and at least 0, not {self.temperature!r}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be at least 1, not {self.max_tokens!r}")
         if self.timeout_seconds <= 0:
-            raise ValueError("timeout must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+            raise ValueError(f"timeout_seconds must be positive, not {self.timeout_seconds!r}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be at least 0, not {self.max_retries!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EndpointConfig":
+        """An endpoint file's object; each field must already have its type, and none is coerced."""
         return cls(
-            base_url=str(data["base_url"]),
-            model_name=str(data["model_name"]),
-            api_key_env=str(data.get("api_key_env", "")),
-            temperature=float(data.get("temperature", 1.0)),
-            max_tokens=int(data.get("max_tokens", 65536)),
-            timeout_seconds=int(data.get("timeout_seconds", 600)),
-            max_retries=int(data.get("max_retries", 2)),
+            base_url=_typed("base_url", data["base_url"], str, "a string"),
+            model_name=_typed("model_name", data["model_name"], str, "a string"),
+            api_key_env=_typed("api_key_env", data.get("api_key_env", ""), str, "a string"),
+            temperature=float(_typed("temperature", data.get("temperature", 1.0), (int, float), "a number")),
+            max_tokens=_typed("max_tokens", data.get("max_tokens", 65536), int, "an integer"),
+            timeout_seconds=_typed("timeout_seconds", data.get("timeout_seconds", 600), int, "an integer"),
+            max_retries=_typed("max_retries", data.get("max_retries", 2), int, "an integer"),
         )
 
 
@@ -252,8 +260,11 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
     Timeouts are terminal (the per-query deadline is the whole budget); 5xx
     and 429 responses and connection drops retry with exponential backoff up
     to ``max_retries``. The API key is read from the configured environment
-    variable and never logged.
+    variable and never logged. Only live runs send requests, so ``requests``
+    is imported here rather than with this module.
     """
+    import requests
+
     headers = _request_headers(endpoint)
     payload = {
         "model": endpoint.model_name,
@@ -425,7 +436,7 @@ class ResponseRecord:
 
 
 def _typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
-    """``value`` of log field ``key`` if it is a ``kind``; a bool passes only as a bool."""
+    """``value`` of field ``key`` if it is a ``kind``; a bool passes only as a bool."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{key} must be {what}, not {value!r}")
     return value
@@ -515,12 +526,16 @@ class SubsetResult:
 
 
 def _summarize(records: Sequence[ResponseRecord]) -> SubsetResult:
-    """Aggregate one subset's records; unparseable responses count as wrong."""
+    """Aggregate one subset's records; unparseable responses count as wrong.
+
+    Each mean is ``math.fsum`` over the count, the float ``statistics.fmean`` returns.
+    """
+    n = len(records)
     return SubsetResult(
-        n=len(records),
-        accuracy=fmean(1.0 if r.exact else 0.0 for r in records),
-        mean_f1=fmean(r.f1 for r in records),
-        overlap_rate=fmean(1.0 if r.parsed_set & r.gold_set else 0.0 for r in records),
+        n=n,
+        accuracy=math.fsum(1.0 if r.exact else 0.0 for r in records) / n,
+        mean_f1=math.fsum(r.f1 for r in records) / n,
+        overlap_rate=math.fsum(1.0 if r.parsed_set & r.gold_set else 0.0 for r in records) / n,
         parse_failures=sum(1 for r in records if r.transport_status == "parse_failure"),
         transport_failures=sum(1 for r in records if r.transport_status in _TRANSPORT_FAILURES),
     )
@@ -604,6 +619,7 @@ def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
         check_dual_banks([task.params for task in banks.base], [task.params for task in banks.comb])
     if isinstance(responder, EndpointResponder):
         _request_headers(responder.endpoint)
+        import requests  # noqa: F401  (loaded now, so a broken install fails before the log opens)
 
 
 def run_benchmark(

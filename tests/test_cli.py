@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import combicat
 from combicat.bankio import (
     CalibratedItem,
     load_comb_bank,
@@ -642,6 +646,36 @@ class TestEvaluate:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("temperature", float("nan"), "temperature must be finite and at least 0, not nan"),
+            ("temperature", float("inf"), "temperature must be finite and at least 0, not inf"),
+            ("temperature", "0.5", "temperature must be a number, not '0.5'"),
+            ("base_url", "localhost:9/v1", "base_url must be an http(s) URL with a host, not 'localhost:9/v1'"),
+            ("base_url", "http:///v1", "base_url must be an http(s) URL with a host, not 'http:///v1'"),
+            ("base_url", "ftp://127.0.0.1/v1", "base_url must be an http(s) URL with a host, not 'ftp://127.0.0.1/v1'"),
+            ("base_url", 5, "base_url must be a string, not 5"),
+            ("model_name", None, "model_name must be a string, not None"),
+            ("timeout_seconds", 2.7, "timeout_seconds must be an integer, not 2.7"),
+            ("timeout_seconds", True, "timeout_seconds must be an integer, not True"),
+            ("max_tokens", 0, "max_tokens must be at least 1, not 0"),
+            ("max_retries", -1, "max_retries must be at least 0, not -1"),
+        ],
+    )
+    def test_bad_endpoint_file_rejected_before_any_request(self, tmp_path, bank_file, capsys, key, value, message):
+        bank_path, _ = bank_file
+        path = tmp_path / "endpoint.json"
+        # json.dumps spells NaN and inf as NaN and Infinity, which json.load reads back
+        path.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m", key: value}))
+        out_dir = tmp_path / "run"
+        code = main(
+            ["evaluate", "--base-bank", str(bank_path), "--endpoint", str(path), "--mode", "static", "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "command, flag, kind",
         [
             ("evaluate", "--base-bank", "an atomic bank"),
@@ -1011,3 +1045,48 @@ class TestReport:
         output = capsys.readouterr().out
         for expected in ("f1=1.000", "f1=0.857", "f1=0.500"):
             assert expected in output
+
+
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports combicat from this checkout."""
+    src = os.path.dirname(os.path.dirname(combicat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+# Runs main(argv) with requests unimportable: any import of it raises ModuleNotFoundError.
+_MAIN_WITHOUT_REQUESTS = (
+    "import sys; sys.modules['requests'] = None; from combicat.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+class TestStartUp:
+    def test_import_loads_neither_transport_nor_statistics(self):
+        result = _run_python(
+            "import sys, combicat.cli; print([m for m in ('requests', 'urllib3', 'statistics') if m in sys.modules])"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_offline_command_runs_without_requests(self, tmp_path, bank_file):
+        bank_path, _ = bank_file
+        out = tmp_path / "comb.json"
+        result = _run_python(_MAIN_WITHOUT_REQUESTS, "synthesize", "--bank", str(bank_path), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert len(load_comb_bank(str(out))) == 16
+
+    def test_endpoint_run_loads_requests_before_the_log_opens(self, tmp_path, bank_file):
+        bank_path, _ = bank_file
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m"}))
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "run.jsonl").write_text("earlier run\n")
+        result = _run_python(
+            _MAIN_WITHOUT_REQUESTS,
+            "evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir),
+        )
+        assert result.returncode != 0
+        assert "ModuleNotFoundError" in result.stderr
+        assert (out_dir / "run.jsonl").read_text() == "earlier run\n"
+        assert sorted(path.name for path in out_dir.iterdir()) == ["run.jsonl"]

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combicat.bankio import read_jsonl
@@ -353,6 +353,34 @@ def cat_banks(n: int, seed: int) -> EvalBanks:
         comb_params = ItemParams(f"C{i:02d}", 1.6, -3 + 6 * rng.random(), 1.0 / 6.0, subset="Combinatorial")
         comb.append(build_task(fixture_comb_question(f"c{i}", 6, {"A", "C"}), comb_params))
     return EvalBanks(base=base, comb=comb)
+
+
+def _float_outcome(compute):
+    """What ``compute()`` gives: the exact bits of a float (so -0.0 differs from 0.0) or the error raised."""
+    try:
+        return compute().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestAggregateMean:
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([5e-324])
+    @example([5e-324, -0.0, 2.2250738585072014e-308])
+    @example([1.7976931348623157e308])
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    @example([1e308, 1.0, -1e308])
+    @example([0.1, 0.2, 0.3])
+    @settings(max_examples=400)
+    def test_mean_f1_is_statistics_fmean(self, values):
+        records = [
+            ResponseRecord(f"q{i}", "comb", "", frozenset(), frozenset({"A"}), False, value, 0, "ok")
+            for i, value in enumerate(values)
+        ]
+        mean_f1 = _float_outcome(lambda: aggregate_log_records(records)["comb"].mean_f1)
+        assert mean_f1 == _float_outcome(lambda: fmean(values))
 
 
 class TestRunsAndLogs:
