@@ -661,6 +661,11 @@ class TestEvaluate:
             ("max_tokens", 0, "max_tokens must be at least 1, not 0"),
             ("max_retries", -1, "max_retries must be at least 0, not -1"),
         ],
+        ids=[
+            "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
+            "ftp-url", "int-url", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
+            "negative-retries",
+        ],
     )
     def test_bad_endpoint_file_rejected_before_any_request(self, tmp_path, bank_file, capsys, key, value, message):
         bank_path, _ = bank_file
