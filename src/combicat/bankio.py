@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -42,6 +44,20 @@ def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
         raise BankFormatError(f"{where}: {detail}") from None
 
 
+def typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """``value`` of field ``key`` if it is a ``kind``; a bool passes only as a bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
+def _finite(key: str, value: Any) -> float:
+    """``value`` of field ``key`` as a float, if it is a JSON number (an int too) that a float holds."""
+    if not -sys.float_info.max <= typed(key, value, (int, float), "a finite number") <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def load_object(path: str, from_dict: Callable[[Any], T]) -> T:
     """A file holding one JSON object (an endpoint config, corpus stats), read through ``from_dict``."""
     return parse_at(path, from_dict, load_json(path))
@@ -77,12 +93,22 @@ def _json_text(value: Any, indent: str) -> str:
         parts = [encode_basestring(item) if type(item) is str else _json_text(item, inner) for item in value]
         return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
     if type(value) is dict and value and set(map(type, value)) == {str}:
+        if set(map(type, value.values())) == {str}:
+            return _flat_text(tuple(value.items()), indent)
         parts = [
             encode_basestring(key) + ": " + (encode_basestring(item) if type(item) is str else _json_text(item, inner))
             for key, item in value.items()
         ]
         return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
     return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n" + indent)
+
+
+@lru_cache(maxsize=1024)
+def _flat_text(items: tuple[tuple[str, str], ...], indent: str) -> str:
+    """A mapping of strings to strings, such as a bank option, laid out once per text."""
+    inner = indent + "  "
+    parts = [encode_basestring(key) + ": " + encode_basestring(item) for key, item in items]
+    return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
 
 
 def _float_text(value: float) -> str:
@@ -165,15 +191,16 @@ class CalibratedItem:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "CalibratedItem":
+        """An item bank row; each field must already have its type, and none is coerced."""
         return cls(
-            item_id=str(record["item_id"]),
-            question_id=str(record["question_id"]),
-            subset=str(record["subset"]),
-            tier=str(record["tier"]),
-            a=float(record["a"]),
-            b=float(record["b"]),
-            c=float(record["c"]),
-            n_options=int(record["n_options"]),
+            item_id=typed("item_id", record["item_id"], str, "a string"),
+            question_id=typed("question_id", record["question_id"], str, "a string"),
+            subset=typed("subset", record["subset"], str, "a string"),
+            tier=typed("tier", record["tier"], str, "a string"),
+            a=_finite("a", record["a"]),
+            b=_finite("b", record["b"]),
+            c=_finite("c", record["c"]),
+            n_options=typed("n_options", record["n_options"], int, "an integer"),
         )
 
 

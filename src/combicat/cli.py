@@ -36,7 +36,6 @@ from .harness import (
     aggregate_log_records,
     build_task,
     run_benchmark,
-    subset_of,
 )
 from .irt import (
     BASE_SUBSET,
@@ -458,7 +457,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
     """The subset, ability estimate and standard error of a ``cat_step`` row."""
-    return subset_of(step), float(step["theta_hat"]), float(step["se"])
+    return bankio.typed("subset", step["subset"], str, "a string"), float(step["theta_hat"]), float(step["se"])
 
 
 def _stored_subsets(report: Any) -> dict[str, dict[str, Any]]:

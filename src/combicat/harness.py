@@ -20,11 +20,11 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .bankio import question_id_of
+from .bankio import question_id_of, typed
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
@@ -216,15 +216,18 @@ class EndpointConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EndpointConfig":
-        """An endpoint file's object; each field must already have its type, and none is coerced."""
+        """An endpoint file's object; each field must already have its type, none is coerced and no other key is allowed."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return cls(
-            base_url=_typed("base_url", data["base_url"], str, "a string"),
-            model_name=_typed("model_name", data["model_name"], str, "a string"),
-            api_key_env=_typed("api_key_env", data.get("api_key_env", ""), str, "a string"),
-            temperature=float(_typed("temperature", data.get("temperature", 1.0), (int, float), "a number")),
-            max_tokens=_typed("max_tokens", data.get("max_tokens", 65536), int, "an integer"),
-            timeout_seconds=_typed("timeout_seconds", data.get("timeout_seconds", 600), int, "an integer"),
-            max_retries=_typed("max_retries", data.get("max_retries", 2), int, "an integer"),
+            base_url=typed("base_url", data["base_url"], str, "a string"),
+            model_name=typed("model_name", data["model_name"], str, "a string"),
+            api_key_env=typed("api_key_env", data.get("api_key_env", ""), str, "a string"),
+            temperature=float(typed("temperature", data.get("temperature", 1.0), (int, float), "a number")),
+            max_tokens=typed("max_tokens", data.get("max_tokens", 65536), int, "an integer"),
+            timeout_seconds=typed("timeout_seconds", data.get("timeout_seconds", 600), int, "an integer"),
+            max_retries=typed("max_retries", data.get("max_retries", 2), int, "an integer"),
         )
 
 
@@ -424,22 +427,15 @@ class ResponseRecord:
         """A logged response row; each field must already have its type, and none is coerced."""
         return cls(
             question_id=question_id_of(row),
-            subset=subset_of(row),
-            raw_text=_typed("raw_text", row.get("raw_text", ""), str, "a string"),
+            subset=typed("subset", row["subset"], str, "a string"),
+            raw_text=typed("raw_text", row.get("raw_text", ""), str, "a string"),
             parsed_set=_letter_set("parsed_set", row["parsed_set"]),
             gold_set=_letter_set("gold_set", row["gold_set"]),
-            exact=_typed("exact", row["exact"], bool, "true or false"),
-            f1=float(_typed("f1", row["f1"], (int, float), "a number")),
-            latency_ms=_typed("latency_ms", row.get("latency_ms", 0), int, "an integer"),
-            transport_status=_typed("transport_status", row["transport_status"], str, "a string"),
+            exact=typed("exact", row["exact"], bool, "true or false"),
+            f1=float(typed("f1", row["f1"], (int, float), "a number")),
+            latency_ms=typed("latency_ms", row.get("latency_ms", 0), int, "an integer"),
+            transport_status=typed("transport_status", row["transport_status"], str, "a string"),
         )
-
-
-def _typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
-    """``value`` of field ``key`` if it is a ``kind``; a bool passes only as a bool."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{key} must be {what}, not {value!r}")
-    return value
 
 
 def _letter_set(key: str, value: Any) -> frozenset[str]:
@@ -447,14 +443,6 @@ def _letter_set(key: str, value: Any) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(letter, str) for letter in value):
         raise ValueError(f"{key} must be a list of strings, not {value!r}")
     return frozenset(value)
-
-
-def subset_of(row: Mapping[str, Any]) -> str:
-    """The ``subset`` label of a log row: a string, never coerced."""
-    subset = row["subset"]
-    if not isinstance(subset, str):
-        raise ValueError(f"subset must be a string, not {subset!r}")
-    return subset
 
 
 class JsonlWriter:
@@ -619,7 +607,10 @@ def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
         check_dual_banks([task.params for task in banks.base], [task.params for task in banks.comb])
     if isinstance(responder, EndpointResponder):
         _request_headers(responder.endpoint)
-        import requests  # noqa: F401  (loaded now, so a broken install fails before the log opens)
+        try:
+            import requests  # noqa: F401  (loaded now, so a broken install fails before the log opens)
+        except ImportError as exc:
+            raise OSError(f"--endpoint needs the requests package: {exc}") from None
 
 
 def run_benchmark(

@@ -25,6 +25,7 @@ everywhere, unlike Python's salted ``hash``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
@@ -42,11 +43,16 @@ def fnv1a64(data: bytes) -> int:
     return value
 
 
+@lru_cache(maxsize=1024)  # the constant parts ("tier-assignment", tier names) recur per item
+def _part_hash(part: str) -> int:
+    return fnv1a64(part.encode("utf-8"))
+
+
 def derive_seed(seed: int, *parts: str) -> int:
     """Stable per-item seed: mix the run seed with identifying strings."""
     value = seed & _MASK64
     for part in parts:
-        value = (value ^ fnv1a64(part.encode("utf-8"))) & _MASK64
+        value = (value ^ _part_hash(part)) & _MASK64
         value = PortableRng(value).next_u64()
     return value
 

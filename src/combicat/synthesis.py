@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .logic import (
     SHAPES,
@@ -35,6 +35,8 @@ from .rng import PortableRng, derive_seed
 OPTION_LETTERS = "ABCDEFGH"
 
 TIER_NAMES = ("Easy", "Medium", "Hard", "Expert")
+
+LABELS = tuple(s.name for s in STATEMENTS)  # "I".."IV", read without the enum's name property
 
 
 class QuestionFormatError(ValueError):
@@ -66,7 +68,7 @@ class AtomicQuestion:
 
     def __post_init__(self) -> None:
         labels = tuple(self.options.keys())
-        if sorted(labels) != sorted(s.name for s in STATEMENTS):
+        if sorted(labels) != sorted(LABELS):
             raise QuestionFormatError(
                 f"question {self.id!r}: not four atomic options keyed I..IV (got {labels})"
             )
@@ -75,7 +77,7 @@ class AtomicQuestion:
                 f"question {self.id!r}: answer {self.answer!r} not among option keys"
             )
         texts = list(self.options.values())
-        repeated = [s.name for s in STATEMENTS if texts.count(self.options[s.name]) > 1]
+        repeated = [label for label in LABELS if texts.count(self.options[label]) > 1]
         if repeated:
             raise QuestionFormatError(f"question {self.id!r}: options {', '.join(repeated)} repeat one text")
         if self.language not in ("en", "zh"):
@@ -86,13 +88,13 @@ class AtomicQuestion:
 
     def option_list(self) -> list[str]:
         """Option texts in statement order I..IV."""
-        return [self.options[s.name] for s in STATEMENTS]
+        return [self.options[label] for label in LABELS]
 
     def to_record(self) -> dict[str, Any]:
         record: dict[str, Any] = {
             "id": self.id,
             "context": self.context,
-            "options": {s.name: self.options[s.name] for s in STATEMENTS},
+            "options": {label: self.options[label] for label in LABELS},
             "answer": self.answer,
             "language": self.language,
             "source": self.source,
@@ -183,6 +185,21 @@ class OptionEntry:
     text: str
 
 
+# An option is one of a few hundred (letter, shape, wording) combinations, each built once and
+# shared. The key is text: hashing a formula tree would walk it.
+@lru_cache(maxsize=1024)
+def _shared_option(letter: str, formula_text: str, text: str) -> OptionEntry:
+    return OptionEntry(letter, parse_formula(formula_text), text)
+
+
+def _loaded_option(item: Mapping[str, Any]) -> OptionEntry:
+    """A record's option, failing as a fresh entry would; one of plain strings is shared."""
+    letter, formula, text = item["letter"], parse_formula(item["formula"]), item["text"]
+    if type(letter) is type(item["formula"]) is type(text) is str:
+        return _shared_option(letter, item["formula"], text)
+    return OptionEntry(letter, formula, text)
+
+
 @dataclass(frozen=True)
 class CombinatorialQuestion:
     """Multi-select question whose options are formulas over the statements."""
@@ -234,10 +251,7 @@ class CombinatorialQuestion:
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "CombinatorialQuestion":
         known = _known_keys(cls)
-        options = tuple(
-            OptionEntry(item["letter"], parse_formula(item["formula"]), item["text"])
-            for item in record["options"]
-        )
+        options = tuple(_loaded_option(item) for item in record["options"])
         return cls(
             id=str(record["id"]),
             source_id=str(record["source_id"]),
@@ -340,6 +354,14 @@ def _satisfies(shape: Shape | None, requirement: PatternKind) -> bool:
 
 _REQUIREMENT_ORDER = (PatternKind.DISJUNCTION, PatternKind.NEGATION)
 
+@lru_cache(maxsize=64)
+def _flagged_pools(allowed: frozenset[PatternKind], answer: str, language: str) -> tuple[tuple[tuple, ...], ...]:
+    """``pools`` as (formula text, option text, flags), flag ``k`` set if the shape satisfies ``_REQUIREMENT_ORDER[k]``."""
+    return tuple(
+        tuple((f.serialized, render(f, language), tuple(_satisfies(shape, r) for r in _REQUIREMENT_ORDER)) for shape, f in pool)
+        for pool in pools(allowed, statement_from_label(answer))
+    )
+
 
 def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> CombinatorialQuestion:
     """Sample, label, and shuffle one combinatorial question.
@@ -351,11 +373,10 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     uniform without replacement; (5) one Fisher-Yates shuffle of the
     assembled options.
     """
-    statements = atomize(question)
-    answer = question.answer_index()
     rng = PortableRng(seed)
-
-    valid_pool, distractor_pool = (list(pool) for pool in pools(cfg.allowed_patterns, answer))
+    valid_pool, distractor_pool = (
+        list(pool) for pool in _flagged_pools(cfg.allowed_patterns, question.answer, question.language)
+    )
 
     n_correct = rng.randint(cfg.n_correct_min, cfg.n_correct_max)
     n_distract = cfg.n_options - n_correct
@@ -366,31 +387,30 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
             f"{len(valid_pool)}/{len(distractor_pool)}"
         )
 
-    correct_picks: list[PoolEntry] = []
-    distract_picks: list[PoolEntry] = []
+    correct_picks: list[tuple] = []
+    distract_picks: list[tuple] = []
 
-    # Both picks are uniform. Correct ones keep weighted_index's single random()
-    # draw rather than below(): the synthesized bank bytes are pinned to it.
-    def take_correct(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
-        chosen = indices[rng.weighted_index([1.0] * len(indices))]
-        return pool.pop(chosen)
+    # Both picks are uniform. A correct one spends a single random() draw, the
+    # draw of weighted_index over equal weights that the synthesized bank bytes
+    # are pinned to: its running sums are exact integers, so it returns
+    # floor(target), or n - 1 when the target rounds up to n.
+    def take_correct(pool: list[tuple], indices: Sequence[int]) -> tuple:
+        n = len(indices)
+        return pool.pop(indices[min(int(rng.random() * n), n - 1)])
 
-    def take_distractor(pool: list[PoolEntry], indices: list[int]) -> PoolEntry:
-        chosen = indices[rng.below(len(indices))]
-        return pool.pop(chosen)
+    def take_distractor(pool: list[tuple], indices: Sequence[int]) -> tuple:
+        return pool.pop(indices[rng.below(len(indices))])
 
-    for requirement in _REQUIREMENT_ORDER:
+    for k, requirement in enumerate(_REQUIREMENT_ORDER):
         if requirement not in cfg.required_patterns:
             continue
-        if any(_satisfies(shape, requirement) for shape, _ in correct_picks + distract_picks):
+        if any(flags[k] for _, _, flags in correct_picks + distract_picks):
             continue
-        valid_candidates = [i for i, (shape, _) in enumerate(valid_pool) if _satisfies(shape, requirement)]
+        valid_candidates = [i for i, (_, _, flags) in enumerate(valid_pool) if flags[k]]
         if len(correct_picks) < n_correct and valid_candidates:
             correct_picks.append(take_correct(valid_pool, valid_candidates))
             continue
-        distractor_candidates = [
-            i for i, (shape, _) in enumerate(distractor_pool) if _satisfies(shape, requirement)
-        ]
+        distractor_candidates = [i for i, (_, _, flags) in enumerate(distractor_pool) if flags[k]]
         if len(distract_picks) < n_distract and distractor_candidates:
             distract_picks.append(take_distractor(distractor_pool, distractor_candidates))
             continue
@@ -400,29 +420,23 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
         )
 
     while len(correct_picks) < n_correct:
-        correct_picks.append(take_correct(valid_pool, list(range(len(valid_pool)))))
+        correct_picks.append(take_correct(valid_pool, range(len(valid_pool))))
     while len(distract_picks) < n_distract:
-        distract_picks.append(take_distractor(distractor_pool, list(range(len(distractor_pool)))))
+        distract_picks.append(take_distractor(distractor_pool, range(len(distractor_pool))))
 
-    labelled = [(entry, True) for entry in correct_picks]
-    labelled += [(entry, False) for entry in distract_picks]
+    labelled = [(entry, True) for entry in correct_picks] + [(entry, False) for entry in distract_picks]
     rng.shuffle(labelled)
-
-    entries = []
-    answer_letters = set()
-    for position, ((_, formula), is_correct) in enumerate(labelled):
-        letter = OPTION_LETTERS[position]
-        entries.append(OptionEntry(letter, formula, render(formula, question.language)))
-        if is_correct:
-            answer_letters.add(letter)
 
     return CombinatorialQuestion(
         id=f"{question.id}::{cfg.tier}::{seed:016x}",
         source_id=question.id,
         context=question.context,
-        statements=statements,
-        options=tuple(entries),
-        answer_set=frozenset(answer_letters),
+        statements=atomize(question),
+        options=tuple(
+            _shared_option(OPTION_LETTERS[position], formula_text, text)
+            for position, ((formula_text, text, _), _) in enumerate(labelled)
+        ),
+        answer_set=frozenset(OPTION_LETTERS[position] for position, (_, correct) in enumerate(labelled) if correct),
         tier=cfg.tier,
         seed=seed,
         source_answer=question.answer,
@@ -471,11 +485,10 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     seen: dict[int, str] = {}
     for entry in question.options:
         truth_mask = entry.formula.mask
-        shape = SHAPES.get(truth_mask)
-        shapes.append(shape)
+        shapes.append(SHAPES.get(truth_mask))
         value = bool(truth_mask >> row & 1)
-        labelled = "correct" if entry.letter in question.answer_set else "incorrect"
-        if value != (labelled == "correct"):
+        if value is not (entry.letter in question.answer_set):
+            labelled = "incorrect" if value else "correct"
             flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
         if templated:
             expected_text = render(entry.formula, question.language)
@@ -492,9 +505,11 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     for letter in sorted(question.answer_set - set(letters)):
         flag(letter, "unknown-letter", f"answer letter {letter!r} names no option")
 
+    kinds = [shape.kind for shape in shapes if isinstance(shape, Pattern)]  # a list: hashing an enum runs Python
     for requirement in sorted(cfg.required_patterns, key=lambda k: k.value):
-        if not any(_satisfies(shape, requirement) for shape in shapes):
-            flag("", "missing-required-pattern", f"no option presents {requirement.value}")
+        if requirement in kinds or requirement is PatternKind.NEGATION and PatternKind.COMPOUND_NEGATION in kinds:
+            continue  # a compound negation is a negation for requirements
+        flag("", "missing-required-pattern", f"no option presents {requirement.value}")
 
     n_answers = len(question.answer_set)
     if not 1 <= n_answers < len(question.options):

@@ -28,6 +28,14 @@ template per call, is kept here over a mask derived from the reference
 evaluator. ``combicat.bankio`` lays out a bank file by hand around the C
 string encoder; the ``json.dump(..., indent=2)`` writer it replaced is kept
 here too.
+
+``combicat.synthesis.assemble`` reads each pool entry's requirement flags,
+computed once per pool, draws a correct option's index directly and shares
+one option entry per (letter, formula, language). ``assemble`` as it stood
+before, scanning the pools with ``_satisfies``, drawing through
+``weighted_index`` over equal weights and building and rendering every
+option, is kept here, as is the ``CombinatorialQuestion.from_record`` that
+built a fresh entry for every option it loaded.
 """
 
 import json
@@ -44,7 +52,8 @@ from combicat.irt import (
     eap_update,
     fisher_information,
 )
-from combicat.logic import SHAPES, STATEMENTS, And, Not, Or, Var, render_symbolic, templates
+from combicat.logic import SHAPES, STATEMENTS, And, Not, Or, Var, parse_formula, render, render_symbolic, templates
+from combicat.rng import PortableRng
 from combicat.scoring import (
     _ASSERTION_RE,
     _FINAL_LETTERS_RE,
@@ -58,7 +67,20 @@ from combicat.scoring import (
     fold,
     shannon_entropy,
 )
-from combicat.synthesis import OPTION_LETTERS, VerificationReport, Violation, _satisfies, tier_config
+from combicat.synthesis import (
+    _REQUIREMENT_ORDER,
+    OPTION_LETTERS,
+    CombinatorialQuestion,
+    InfeasibleTierError,
+    OptionEntry,
+    VerificationReport,
+    Violation,
+    _known_keys,
+    _satisfies,
+    atomize,
+    pools,
+    tier_config,
+)
 
 
 def reference_evaluate(formula, true_statements) -> bool:
@@ -358,3 +380,108 @@ def reference_save(path: str, key: str, records: list) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": 1, key: records}, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+
+def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:
+    """``synthesis.assemble`` with per-question pool scans, ``weighted_index`` draws and fresh option entries."""
+    statements = atomize(question)
+    answer = question.answer_index()
+    rng = PortableRng(seed)
+
+    valid_pool, distractor_pool = (list(pool) for pool in pools(cfg.allowed_patterns, answer))
+
+    n_correct = rng.randint(cfg.n_correct_min, cfg.n_correct_max)
+    n_distract = cfg.n_options - n_correct
+    if n_correct > len(valid_pool) or n_distract > len(distractor_pool):
+        raise InfeasibleTierError(
+            f"tier infeasible for this configuration: need {n_correct} valid and "
+            f"{n_distract} distractor options, pools hold "
+            f"{len(valid_pool)}/{len(distractor_pool)}"
+        )
+
+    correct_picks = []
+    distract_picks = []
+
+    def take_correct(pool, indices):
+        chosen = indices[rng.weighted_index([1.0] * len(indices))]
+        return pool.pop(chosen)
+
+    def take_distractor(pool, indices):
+        chosen = indices[rng.below(len(indices))]
+        return pool.pop(chosen)
+
+    for requirement in _REQUIREMENT_ORDER:
+        if requirement not in cfg.required_patterns:
+            continue
+        if any(_satisfies(shape, requirement) for shape, _ in correct_picks + distract_picks):
+            continue
+        valid_candidates = [i for i, (shape, _) in enumerate(valid_pool) if _satisfies(shape, requirement)]
+        if len(correct_picks) < n_correct and valid_candidates:
+            correct_picks.append(take_correct(valid_pool, valid_candidates))
+            continue
+        distractor_candidates = [
+            i for i, (shape, _) in enumerate(distractor_pool) if _satisfies(shape, requirement)
+        ]
+        if len(distract_picks) < n_distract and distractor_candidates:
+            distract_picks.append(take_distractor(distractor_pool, distractor_candidates))
+            continue
+        raise InfeasibleTierError(
+            f"tier infeasible for this configuration: cannot place required pattern "
+            f"{requirement.value}"
+        )
+
+    while len(correct_picks) < n_correct:
+        correct_picks.append(take_correct(valid_pool, list(range(len(valid_pool)))))
+    while len(distract_picks) < n_distract:
+        distract_picks.append(take_distractor(distractor_pool, list(range(len(distractor_pool)))))
+
+    labelled = [(entry, True) for entry in correct_picks]
+    labelled += [(entry, False) for entry in distract_picks]
+    rng.shuffle(labelled)
+
+    entries = []
+    answer_letters = set()
+    for position, ((_, formula), is_correct) in enumerate(labelled):
+        letter = OPTION_LETTERS[position]
+        entries.append(OptionEntry(letter, formula, render(formula, question.language)))
+        if is_correct:
+            answer_letters.add(letter)
+
+    return CombinatorialQuestion(
+        id=f"{question.id}::{cfg.tier}::{seed:016x}",
+        source_id=question.id,
+        context=question.context,
+        statements=statements,
+        options=tuple(entries),
+        answer_set=frozenset(answer_letters),
+        tier=cfg.tier,
+        seed=seed,
+        source_answer=question.answer,
+        language=question.language,
+        source=question.source,
+        reasoning_type=question.reasoning_type,
+        extras=dict(question.extras),
+    )
+
+
+def reference_comb_from_record(record) -> CombinatorialQuestion:
+    """``CombinatorialQuestion.from_record`` with a fresh ``OptionEntry`` for every option."""
+    known = _known_keys(CombinatorialQuestion)
+    options = tuple(
+        OptionEntry(item["letter"], parse_formula(item["formula"]), item["text"]) for item in record["options"]
+    )
+    return CombinatorialQuestion(
+        id=str(record["id"]),
+        source_id=str(record["source_id"]),
+        context=str(record.get("context", "")),
+        statements=tuple(record["statements"]),
+        options=options,
+        answer_set=frozenset(record["answer_set"]),
+        tier=str(record["tier"]),
+        seed=int(record["seed"]),
+        source_answer=str(record["source_answer"]),
+        language=str(record.get("language", "en")),
+        source=str(record.get("source", "")),
+        reasoning_type=str(record.get("reasoning_type", "")),
+        extras={k: v for k, v in record.items() if k not in known},
+    )

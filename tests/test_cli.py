@@ -648,6 +648,71 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "key, value, message",
         [
+            ("item_id", 5, "item_id must be a string, not 5"),
+            ("question_id", None, "question_id must be a string, not None"),
+            ("subset", ["Base"], "subset must be a string, not ['Base']"),
+            ("tier", 3, "tier must be a string, not 3"),
+            ("a", "1.6", "a must be a finite number, not '1.6'"),
+            ("a", True, "a must be a finite number, not True"),
+            ("b", float("nan"), "b must be a finite number, not nan"),
+            ("b", float("-inf"), "b must be a finite number, not -inf"),
+            ("c", 10**400, f"c must be a finite number, not {10**400!r}"),
+            ("n_options", 6.9, "n_options must be an integer, not 6.9"),
+            ("n_options", "4", "n_options must be an integer, not '4'"),
+        ],
+        ids=[
+            "int-item-id", "null-question-id", "list-subset", "int-tier", "string-a", "bool-a", "nan-b", "inf-b",
+            "huge-c", "float-n-options", "string-n-options",
+        ],
+    )
+    def test_bad_item_row_rejected_without_coercion(self, tmp_path, bank_file, capsys, key, value, message):
+        bank_path, questions = bank_file
+        path = tmp_path / "items.json"
+        items = [CalibratedItem(f"Base:{q.id}", q.id, "Base", "Easy", 0.8, 0.0, 0.25, 4) for q in questions]
+        save_item_bank(str(path), items)
+        data = load_json(str(path))
+        data["items"][1][key] = value
+        # json.dumps spells NaN and -inf as NaN and -Infinity, which json.load reads back
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "run"
+        code = main(["evaluate", "--base-bank", str(bank_path), "--base-items", str(path), "--simulator", "3pl:0.5",
+                     "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: record 1: {message}\n"
+        assert not out_dir.exists()
+
+    def test_item_row_with_int_parameters_loads_as_floats(self, tmp_path):
+        path = tmp_path / "items.json"
+        path.write_text(json.dumps({"schema_version": 1, "items": [
+            {"item_id": "Base:q", "question_id": "q", "subset": "Base", "tier": "Hard", "a": 2, "b": -1, "c": 0,
+             "n_options": 4}]}))
+        (item,) = load_item_bank(str(path))
+        assert (item.a, item.b, item.c) == (2.0, -1.0, 0.0)
+        assert all(type(value) is float for value in (item.a, item.b, item.c))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"temprature": 0.0}, "unknown key 'temprature'"),
+            ({"max_token": 5, "temprature": 0.0}, "unknown key 'max_token', 'temprature'"),
+        ],
+        ids=["misspelt-temperature", "two-misspelt-keys"],
+    )
+    def test_unknown_endpoint_key_rejected_before_any_request(self, tmp_path, bank_file, capsys, extra, message):
+        bank_path, _ = bank_file
+        path = tmp_path / "endpoint.json"
+        path.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m", **extra}))
+        out_dir = tmp_path / "run"
+        code = main(
+            ["evaluate", "--base-bank", str(bank_path), "--endpoint", str(path), "--mode", "static", "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
             ("temperature", float("nan"), "temperature must be finite and at least 0, not nan"),
             ("temperature", float("inf"), "temperature must be finite and at least 0, not inf"),
             ("temperature", "0.5", "temperature must be a number, not '0.5'"),
@@ -1091,7 +1156,9 @@ class TestStartUp:
             _MAIN_WITHOUT_REQUESTS,
             "evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir),
         )
-        assert result.returncode != 0
-        assert "ModuleNotFoundError" in result.stderr
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: --endpoint needs the requests package: import of requests halted; None in sys.modules\n"
+        )
         assert (out_dir / "run.jsonl").read_text() == "earlier run\n"
         assert sorted(path.name for path in out_dir.iterdir()) == ["run.jsonl"]

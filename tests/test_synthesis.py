@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combicat.bankio import BankFormatError, load_bank, save_comb_bank
+from combicat.bankio import BankFormatError, load_bank, load_json, save_comb_bank
 from combicat.logic import (
     STATEMENTS,
     And,
@@ -25,6 +25,7 @@ from combicat.logic import (
 )
 from combicat.synthesis import (
     NOTA_TEXT,
+    OPTION_LETTERS,
     AtomicQuestion,
     CombinatorialQuestion,
     InfeasibleTierError,
@@ -42,7 +43,8 @@ from combicat.synthesis import (
     verify,
 )
 from conftest import make_atomic_question
-from oracle import reference_evaluate, reference_verify, row_statements
+from combicat.rng import PortableRng
+from oracle import reference_assemble, reference_comb_from_record, reference_evaluate, reference_verify, row_statements
 
 TIERS = ("Easy", "Medium", "Hard", "Expert")
 
@@ -430,20 +432,95 @@ def test_property_verify_matches_the_reference(question, tier):
     assert verify(question, cfg) == reference_verify(question, cfg)
 
 
-@settings(max_examples=100, deadline=None)
-@given(question=mutated_questions())
-def test_property_load_bank_reports_the_reference_violations(question):
-    expected = reference_verify(question).violations
+def _reference_load(path, record):
+    """The question ``load_bank`` should read from a one-record bank, or the error text it should report."""
+    try:
+        question = reference_comb_from_record(record)
+        violations = reference_verify(question).violations
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"{path}: record 0: " + (f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
+    if violations:
+        detail = "; ".join(f"{v.rule}: {v.message}" for v in violations)
+        return f"{path}: record 0: question {question.id!r}: {detail}"
+    return question
+
+
+# Option fields of another JSON type, which only a bank file can hold. Shared
+# option entries are keyed by text, so 1, 1.0 and true must not meet in a key.
+ODD_FIELDS = st.tuples(
+    st.sampled_from(["letter", "formula", "text"]),
+    st.integers(0, 7),
+    st.sampled_from([["A"], ["VAR(I)"], 1, 1.0, True, None, {"VAR": "I"}, 5]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(question=mutated_questions(), edits=st.lists(ODD_FIELDS, max_size=2))
+def test_property_load_bank_reports_the_reference_violations(question, edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "comb.json")
         save_comb_bank(path, [question])
-        if not expected:
-            assert load_bank(path) == [question]
+        data = load_json(path)
+        options = data["questions"][0]["options"]
+        for key, i, value in edits:
+            options[i % len(options)][key] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        expected = _reference_load(path, data["questions"][0])
+        if not isinstance(expected, str):
+            assert load_bank(path) == [expected] == ([question] if not edits else [expected])
             return
         with pytest.raises(BankFormatError) as exc_info:
             load_bank(path)
-    detail = "; ".join(f"{v.rule}: {v.message}" for v in expected)
-    assert str(exc_info.value) == f"{path}: record 0: question {question.id!r}: {detail}"
+    assert str(exc_info.value) == expected
+
+
+@st.composite
+def tier_configs(draw):
+    """A built-in tier at 5..8 options, or any config ``TierConfig`` accepts, feasible or not."""
+    if draw(st.booleans()):
+        return tier_config(draw(st.sampled_from(TIERS)), draw(st.integers(5, 8)))
+    allowed = draw(st.frozensets(st.sampled_from(list(PatternKind)), min_size=1))
+    required = draw(st.frozensets(st.sampled_from(sorted(allowed, key=lambda kind: kind.value))))
+    n_options = draw(st.integers(2, len(OPTION_LETTERS)))
+    low = draw(st.integers(1, n_options - 1))
+    return TierConfig("Custom", allowed, required, low, draw(st.integers(low, n_options - 1)), n_options)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    answer=st.sampled_from(["I", "II", "III", "IV"]),
+    language=st.sampled_from(["en", "zh"]),
+    cfg=tier_configs(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_property_assemble_matches_the_reference(answer, language, cfg, seed):
+    """Pool flags, the direct index draw and shared entries build the question the per-question scans built."""
+    question = replace(make_atomic_question(seed % 50, answer), language=language)
+    try:
+        expected = reference_assemble(question, cfg, seed)
+    except InfeasibleTierError as exc:
+        with pytest.raises(InfeasibleTierError) as exc_info:
+            assemble(question, cfg, seed)
+        assert str(exc_info.value) == str(exc)
+        return
+    actual = assemble(question, cfg, seed)
+    assert actual == expected
+    assert actual.to_record() == expected.to_record()
+
+
+class _TopDraw(PortableRng):
+    """A stream stuck at its largest word, so ``random()`` is ``1 - 2**-53``."""
+
+    def next_u64(self) -> int:
+        return (1 << 64) - 1
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2**64 - 1))
+def test_direct_index_is_weighted_index_over_equal_weights(n, seed):
+    assert min(int(PortableRng(seed).random() * n), n - 1) == PortableRng(seed).weighted_index([1.0] * n)
+    assert min(int(_TopDraw(seed).random() * n), n - 1) == _TopDraw(seed).weighted_index([1.0] * n) == n - 1
 
 
 class TestNota:
