@@ -691,26 +691,6 @@ class TestEvaluate:
         assert all(type(value) is float for value in (item.a, item.b, item.c))
 
     @pytest.mark.parametrize(
-        "extra, message",
-        [
-            ({"temprature": 0.0}, "unknown key 'temprature'"),
-            ({"max_token": 5, "temprature": 0.0}, "unknown key 'max_token', 'temprature'"),
-        ],
-        ids=["misspelt-temperature", "two-misspelt-keys"],
-    )
-    def test_unknown_endpoint_key_rejected_before_any_request(self, tmp_path, bank_file, capsys, extra, message):
-        bank_path, _ = bank_file
-        path = tmp_path / "endpoint.json"
-        path.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m", **extra}))
-        out_dir = tmp_path / "run"
-        code = main(
-            ["evaluate", "--base-bank", str(bank_path), "--endpoint", str(path), "--mode", "static", "--out", str(out_dir)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize(
         "key, value, message",
         [
             ("temperature", float("nan"), "temperature must be finite and at least 0, not nan"),
@@ -725,11 +705,13 @@ class TestEvaluate:
             ("timeout_seconds", True, "timeout_seconds must be an integer, not True"),
             ("max_tokens", 0, "max_tokens must be at least 1, not 0"),
             ("max_retries", -1, "max_retries must be at least 0, not -1"),
+            ("temprature", 0.0, "unknown key 'temprature'"),
+            ("max_token", 5, "unknown key 'max_token'"),
         ],
         ids=[
             "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
             "ftp-url", "int-url", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
-            "negative-retries",
+            "negative-retries", "misspelt-temperature", "misspelt-max-tokens",
         ],
     )
     def test_bad_endpoint_file_rejected_before_any_request(self, tmp_path, bank_file, capsys, key, value, message):
