@@ -354,6 +354,7 @@ def _satisfies(shape: Shape | None, requirement: PatternKind) -> bool:
 
 _REQUIREMENT_ORDER = (PatternKind.DISJUNCTION, PatternKind.NEGATION)
 
+
 @lru_cache(maxsize=64)
 def _flagged_pools(allowed: frozenset[PatternKind], answer: str, language: str) -> tuple[tuple[tuple, ...], ...]:
     """``pools`` as (formula text, option text, flags), flag ``k`` set if the shape satisfies ``_REQUIREMENT_ORDER[k]``."""
