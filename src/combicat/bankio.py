@@ -12,7 +12,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .irt import ItemParams
 from .scoring import ThinkingTrace
-from .synthesis import AtomicQuestion, CombinatorialQuestion, verify
+from .synthesis import AtomicQuestion, CombinatorialQuestion, typed, verify
 
 SCHEMA_VERSION = 1
 
@@ -44,14 +44,7 @@ def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
         raise BankFormatError(f"{where}: {detail}") from None
 
 
-def typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
-    """``value`` of field ``key`` if it is a ``kind``; a bool passes only as a bool."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{key} must be {what}, not {value!r}")
-    return value
-
-
-def _finite(key: str, value: Any) -> float:
+def finite(key: str, value: Any) -> float:
     """``value`` of field ``key`` as a float, if it is a JSON number (an int too) that a float holds."""
     if not -sys.float_info.max <= typed(key, value, (int, float), "a finite number") <= sys.float_info.max:
         raise ValueError(f"{key} must be a finite number, not {value!r}")
@@ -197,9 +190,9 @@ class CalibratedItem:
             question_id=typed("question_id", record["question_id"], str, "a string"),
             subset=typed("subset", record["subset"], str, "a string"),
             tier=typed("tier", record["tier"], str, "a string"),
-            a=_finite("a", record["a"]),
-            b=_finite("b", record["b"]),
-            c=_finite("c", record["c"]),
+            a=finite("a", record["a"]),
+            b=finite("b", record["b"]),
+            c=finite("c", record["c"]),
             n_options=typed("n_options", record["n_options"], int, "an integer"),
         )
 

@@ -194,21 +194,20 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-def _features_from(row: Mapping[str, Any]) -> dict[str, float] | None:
-    """Pull calibration features from a score row or an inline record."""
-    metrics = row.get("metrics", row)
-    try:
-        features = {
-            "gold_score": float(row["gold_score"]),
-            "logic_density": float(metrics["logic_density"]),
-            "token_count": float(metrics["token_count"]),
-            "segment_count": float(metrics["segment_count"]),
-        }
-    except (KeyError, TypeError, ValueError):
+def _features_from(row: Mapping[str, Any]) -> dict[str, Any] | None:
+    """Calibration features from a score row or an inline record, or ``None`` if one is missing.
+
+    A feature that is present must be a finite number, and a tier a string; none is coerced.
+    """
+    metrics = bankio.typed("metrics", row.get("metrics", row), dict, "an object")
+    sources = {"gold_score": row, "logic_density": metrics, "token_count": metrics, "segment_count": metrics}
+    features: dict[str, Any] = {
+        key: bankio.finite(key, source[key]) for key, source in sources.items() if key in source
+    }
+    if len(features) < len(sources):
         return None
-    tier = row.get("tier")
-    if tier is not None:
-        features["tier"] = tier
+    if row.get("tier") is not None:
+        features["tier"] = bankio.typed("tier", row["tier"], str, "a string")
     return features
 
 
@@ -217,7 +216,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not questions:
         raise ValueError(f"{args.bank}: bank holds no questions")
 
-    scores: dict[str, Mapping[str, Any]] = {}
+    # Each question's score row, with the place it was read from.
+    scores: dict[str, tuple[str, Mapping[str, Any]]] = {}
     if args.scores:
         rows, skipped = bankio.read_jsonl(args.scores)
         if skipped:
@@ -226,16 +226,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             (line, bankio.parse_at(f"{args.scores}:{line}", bankio.question_id_of, row)) for line, row in rows
         ]
         bankio.check_unique_ids(args.scores, ids)
-        scores = {question_id: row for (_, question_id), (_, row) in zip(ids, rows)}
+        scores = {question_id: (f"{args.scores}:{line}", row) for (line, question_id), (_, row) in zip(ids, rows)}
 
     items: list[CalibratedItem] = []
     skipped_questions = 0
 
     if isinstance(questions[0], AtomicQuestion):
         subset = args.subset or BASE_SUBSET
-        for question in questions:
-            row = scores.get(question.id, question.extras)
-            features = _features_from(row) if row else None
+        for i, question in enumerate(questions):
+            where, row = scores.get(question.id, (f"{args.bank}: record {i}", question.extras))
+            features = bankio.parse_at(where, _features_from, row) if row else None
             tier = (features or {}).get("tier") or question.extras.get("tier")
             if features is None or tier is None:
                 log.warning("question %s: missing calibration features, skipped", question.id)
@@ -244,9 +244,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             items.append(_calibrated_item(question.id, subset, str(tier), features, 4))
     else:
         subset = args.subset or COMBINATORIAL_SUBSET
-        for question in questions:
-            row = scores.get(question.id) or scores.get(question.source_id) or question.extras
-            features = _features_from(row) if row else None
+        for i, question in enumerate(questions):
+            inline = (f"{args.bank}: record {i}", question.extras)
+            where, row = scores.get(question.id) or scores.get(question.source_id) or inline
+            features = bankio.parse_at(where, _features_from, row) if row else None
             if features is None:
                 log.warning("question %s: missing calibration features, skipped", question.id)
                 skipped_questions += 1
@@ -457,7 +458,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
     """The subset, ability estimate and standard error of a ``cat_step`` row."""
-    return bankio.typed("subset", step["subset"], str, "a string"), float(step["theta_hat"]), float(step["se"])
+    subset = bankio.typed("subset", step["subset"], str, "a string")
+    return subset, bankio.finite("theta_hat", step["theta_hat"]), bankio.finite("se", step["se"])
 
 
 def _stored_subsets(report: Any) -> dict[str, dict[str, Any]]:

@@ -21,10 +21,12 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .bankio import question_id_of, typed
+from . import __version__
+from .bankio import question_id_of
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
@@ -39,7 +41,7 @@ from .irt import (
     select_next,
 )
 from .rng import PortableRng
-from .synthesis import OPTION_LETTERS, AtomicQuestion, CombinatorialQuestion
+from .synthesis import OPTION_LETTERS, AtomicQuestion, CombinatorialQuestion, string_list, typed
 
 log = logging.getLogger(__name__)
 
@@ -205,6 +207,8 @@ class EndpointConfig:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host, not {self.base_url!r}")
+        if not (url.path + url.query).isascii():  # urllib sends them as they are, and fails on every request
+            raise ValueError(f"base_url must percent-encode its path and query, not {self.base_url!r}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and at least 0, not {self.temperature!r}")
         if self.max_tokens < 1:
@@ -244,7 +248,7 @@ class ResponderReply:
 
 def _request_headers(endpoint: EndpointConfig) -> dict[str, str]:
     """Request headers, with the API key read from its environment variable."""
-    headers = {"Content-Type": "application/json"}
+    headers = {"Content-Type": "application/json", "User-Agent": f"combicat/{__version__}"}
     if endpoint.api_key_env:
         key = os.environ.get(endpoint.api_key_env)
         if not key:
@@ -257,16 +261,44 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _BACKOFF_BASE_SECONDS = 0.5
 
 
+@lru_cache(maxsize=None)
+def _opener() -> Any:
+    """The live transport's ``urllib`` opener, built once, on first use.
+
+    It sends requests through the proxies that ``http_proxy`` and
+    ``https_proxy`` name at that moment, except to the hosts in ``no_proxy``.
+    A 307 or 308 reply to a POST is followed with the same body, as other
+    HTTP clients do (``urllib`` alone gives up on it). The API key goes along
+    only to the same host, and never from https to http.
+    """
+    import urllib.request
+
+    class PostRedirectHandler(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if code not in (307, 308) or req.get_method() != "POST":
+                return super().redirect_request(req, fp, code, msg, headers, newurl)
+            old, new = urlsplit(req.full_url), urlsplit(newurl)
+            keep_key = new.hostname == old.hostname and (old.scheme, new.scheme) != ("https", "http")
+            kept = {name: value for name, value in req.headers.items() if keep_key or name != "Authorization"}
+            return urllib.request.Request(newurl, data=req.data, headers=kept, method="POST")
+
+    return urllib.request.build_opener(PostRedirectHandler)
+
+
 def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> ResponderReply:
     """Single chat request with bounded retries on transient failures.
 
     Timeouts are terminal (the per-query deadline is the whole budget); 5xx
-    and 429 responses and connection drops retry with exponential backoff up
-    to ``max_retries``. The API key is read from the configured environment
-    variable and never logged. Only live runs send requests, so ``requests``
-    is imported here rather than with this module.
+    and 429 responses and dropped connections retry with exponential backoff
+    up to ``max_retries``. Each attempt opens and closes its own connection,
+    through ``_opener``, and ``timeout_seconds`` bounds the connect and each
+    read. The API key is read from the configured environment variable and
+    never logged. Only live runs reach the network, so the transport modules
+    are imported here rather than with this module.
     """
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     headers = _request_headers(endpoint)
     payload = {
@@ -278,6 +310,7 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
         "temperature": endpoint.temperature,
         "max_tokens": endpoint.max_tokens,
     }
+    body = json.dumps(payload).encode("utf-8")
     started = time.monotonic()
 
     def elapsed_ms() -> int:
@@ -286,36 +319,33 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
     attempt = 0
     while True:
         try:
-            response = requests.post(
-                endpoint.base_url, json=payload, headers=headers, timeout=endpoint.timeout_seconds
-            )
-        except requests.Timeout:
-            log.warning("request to %s timed out after %ss", endpoint.base_url, endpoint.timeout_seconds)
-            return ResponderReply("", "timeout", elapsed_ms(), retries=attempt)
-        except requests.RequestException as exc:
+            # A fresh request each attempt: opening one rewrites it for the proxy it goes through.
+            request = urllib.request.Request(endpoint.base_url, data=body, headers=headers, method="POST")
+            try:
+                reply = _opener().open(request, timeout=endpoint.timeout_seconds)
+            except urllib.error.HTTPError as error:  # a reply outside 2xx that was not followed
+                reply = error
+            with reply:
+                status, text = reply.status, reply.read().decode("utf-8", errors="replace")
+        except (OSError, http.client.HTTPException) as exc:
+            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+            if isinstance(reason, TimeoutError):
+                log.warning("request to %s timed out after %ss", endpoint.base_url, endpoint.timeout_seconds)
+                return ResponderReply("", "timeout", elapsed_ms(), retries=attempt)
             log.warning("request to %s failed: %s", endpoint.base_url, exc)
             if attempt >= endpoint.max_retries:
                 return ResponderReply(str(exc), "http_error", elapsed_ms(), retries=attempt)
         else:
-            if response.ok:
+            if status < 400:
                 try:
-                    data = response.json()
-                    content = data["choices"][0]["message"]["content"]
+                    content = json.loads(text)["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError):
-                    log.warning("malformed response body: %.200s", response.text)
-                    return ResponderReply(
-                        response.text, "http_error", elapsed_ms(), retries=attempt,
-                        http_status=response.status_code,
-                    )
-                return ResponderReply(
-                    str(content), "ok", elapsed_ms(), retries=attempt, http_status=response.status_code
-                )
-            log.warning("HTTP %s from %s: %.500s", response.status_code, endpoint.base_url, response.text)
-            if response.status_code not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
-                return ResponderReply(
-                    response.text, "http_error", elapsed_ms(), retries=attempt,
-                    http_status=response.status_code,
-                )
+                    log.warning("malformed response body: %.200s", text)
+                    return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt, http_status=status)
+                return ResponderReply(str(content), "ok", elapsed_ms(), retries=attempt, http_status=status)
+            log.warning("HTTP %s from %s: %.500s", status, endpoint.base_url, text)
+            if status not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
+                return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt, http_status=status)
         time.sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
         attempt += 1
 
@@ -429,20 +459,13 @@ class ResponseRecord:
             question_id=question_id_of(row),
             subset=typed("subset", row["subset"], str, "a string"),
             raw_text=typed("raw_text", row.get("raw_text", ""), str, "a string"),
-            parsed_set=_letter_set("parsed_set", row["parsed_set"]),
-            gold_set=_letter_set("gold_set", row["gold_set"]),
+            parsed_set=frozenset(string_list("parsed_set", row["parsed_set"])),
+            gold_set=frozenset(string_list("gold_set", row["gold_set"])),
             exact=typed("exact", row["exact"], bool, "true or false"),
             f1=float(typed("f1", row["f1"], (int, float), "a number")),
             latency_ms=typed("latency_ms", row.get("latency_ms", 0), int, "an integer"),
             transport_status=typed("transport_status", row["transport_status"], str, "a string"),
         )
-
-
-def _letter_set(key: str, value: Any) -> frozenset[str]:
-    """The letters of a JSON array of strings, such as a row's ``parsed_set``."""
-    if not isinstance(value, list) or not all(isinstance(letter, str) for letter in value):
-        raise ValueError(f"{key} must be a list of strings, not {value!r}")
-    return frozenset(value)
 
 
 class JsonlWriter:
@@ -607,10 +630,6 @@ def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
         check_dual_banks([task.params for task in banks.base], [task.params for task in banks.comb])
     if isinstance(responder, EndpointResponder):
         _request_headers(responder.endpoint)
-        try:
-            import requests  # noqa: F401  (loaded now, so a broken install fails before the log opens)
-        except ImportError as exc:
-            raise OSError(f"--endpoint needs the requests package: {exc}") from None
 
 
 def run_benchmark(

@@ -53,6 +53,23 @@ def _known_keys(cls: type) -> frozenset[str]:
     return frozenset(f.name for f in fields(cls)) - {"extras"}
 
 
+# The field checks of every file reader. They sit here, below bankio, because question records use them.
+def typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """``value`` of field ``key`` if it is a ``kind``; a bool passes only as a bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
+def string_list(key: str, value: Any, length: int | None = None) -> list[str]:
+    """``value`` of field ``key`` if it is a JSON array of strings, of ``length`` items when given."""
+    strings = isinstance(value, list) and all(isinstance(item, str) for item in value)
+    if not strings or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"{key} must be a list of {count}strings, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AtomicQuestion:
     """A four-option single-answer source question; construction enforces the contract."""
@@ -105,15 +122,19 @@ class AtomicQuestion:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "AtomicQuestion":
+        """A bank record; each field must already have its type, and none is coerced."""
         known = _known_keys(cls)
+        options = typed("options", record["options"], dict, "an object")
+        for label, text in options.items():
+            typed(f"option {label}", text, str, "a string")
         return cls(
-            id=str(record["id"]),
-            context=str(record.get("context", "")),
-            options=dict(record["options"]),
-            answer=str(record["answer"]),
-            language=str(record.get("language", "en")),
-            source=str(record.get("source", "")),
-            reasoning_type=str(record.get("reasoning_type", "")),
+            id=typed("id", record["id"], str, "a string"),
+            context=typed("context", record.get("context", ""), str, "a string"),
+            options=dict(options),
+            answer=typed("answer", record["answer"], str, "a string"),
+            language=typed("language", record.get("language", "en"), str, "a string"),
+            source=typed("source", record.get("source", ""), str, "a string"),
+            reasoning_type=typed("reasoning_type", record.get("reasoning_type", ""), str, "a string"),
             extras={k: v for k, v in record.items() if k not in known},
         )
 
@@ -250,21 +271,22 @@ class CombinatorialQuestion:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "CombinatorialQuestion":
+        """A bank record; each field must already have its type, and none is coerced."""
         known = _known_keys(cls)
         options = tuple(_loaded_option(item) for item in record["options"])
         return cls(
-            id=str(record["id"]),
-            source_id=str(record["source_id"]),
-            context=str(record.get("context", "")),
-            statements=tuple(record["statements"]),
+            id=typed("id", record["id"], str, "a string"),
+            source_id=typed("source_id", record["source_id"], str, "a string"),
+            context=typed("context", record.get("context", ""), str, "a string"),
+            statements=tuple(string_list("statements", record["statements"], 4)),
             options=options,
-            answer_set=frozenset(record["answer_set"]),
-            tier=str(record["tier"]),
-            seed=int(record["seed"]),
-            source_answer=str(record["source_answer"]),
-            language=str(record.get("language", "en")),
-            source=str(record.get("source", "")),
-            reasoning_type=str(record.get("reasoning_type", "")),
+            answer_set=frozenset(string_list("answer_set", record["answer_set"])),
+            tier=typed("tier", record["tier"], str, "a string"),
+            seed=typed("seed", record["seed"], int, "an integer"),
+            source_answer=typed("source_answer", record["source_answer"], str, "a string"),
+            language=typed("language", record.get("language", "en"), str, "a string"),
+            source=typed("source", record.get("source", ""), str, "a string"),
+            reasoning_type=typed("reasoning_type", record.get("reasoning_type", ""), str, "a string"),
             extras={k: v for k, v in record.items() if k not in known},
         )
 

@@ -1,8 +1,12 @@
-"""Shared fixture builders: synthetic atomic banks and trace corpora."""
+"""Shared fixture builders: synthetic atomic banks, trace corpora and a mock chat endpoint."""
 
 from __future__ import annotations
 
 import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -111,3 +115,78 @@ def write_jsonl(path, rows) -> None:
 @pytest.fixture
 def small_bank() -> list[AtomicQuestion]:
     return make_atomic_bank(12, seed=5)
+
+
+class MockChatHandler(BaseHTTPRequestHandler):
+    """A chat-completions endpoint whose path picks the reply.
+
+    ``/flaky`` fails ``flaky_failures_left`` times with ``flaky_status``, or
+    hangs up without a reply when that is ``None``, and then answers. A
+    request through a proxy names an absolute URL, whose path picks alike.
+    ``/moved`` redirects to ``/echo`` with a 307, and ``/moved-away`` with a
+    308 to host ``other.test``. ``last_headers`` holds the headers of the
+    latest request.
+    """
+
+    flaky_failures_left = 1
+    flaky_status: int | None = 500
+    last_headers: dict[str, str] = {}
+
+    def _send(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        MockChatHandler.last_headers = dict(self.headers)
+        length = int(self.headers.get("Content-Length", "0"))
+        self.rfile.read(length)
+        path = urlsplit(self.path).path
+        if path == "/echo":
+            self._send(200, {"choices": [{"message": {"content": "A"}}]})
+        elif path == "/flaky":
+            if MockChatHandler.flaky_failures_left > 0:
+                MockChatHandler.flaky_failures_left -= 1
+                if MockChatHandler.flaky_status is None:
+                    self.close_connection = True
+                else:
+                    self._send(MockChatHandler.flaky_status, {"error": "transient"})
+            else:
+                self._send(200, {"choices": [{"message": {"content": "B, C"}}]})
+        elif path in ("/moved", "/moved-away"):
+            host = "127.0.0.1" if path == "/moved" else "other.test"
+            self.send_response(307 if path == "/moved" else 308)
+            self.send_header("Location", f"http://{host}:{self.server.server_address[1]}/echo")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+        elif path == "/slow":
+            time.sleep(3)
+            self._send(200, {"choices": [{"message": {"content": "A"}}]})
+        elif path == "/badbody":
+            self._send(200, {"unexpected": "shape"})
+        elif path == "/denied":
+            self._send(403, {"error": "forbidden"})
+        else:
+            self._send(404, {"error": "not found"})
+
+    def log_message(self, *args) -> None:  # silence test output
+        pass
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):  # client hangups are expected
+        pass
+
+
+@pytest.fixture(scope="module")
+def mock_server():
+    """The base URL of a ``MockChatHandler`` served on localhost."""
+    server = _QuietServer(("127.0.0.1", 0), MockChatHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()

@@ -79,7 +79,9 @@ from combicat.synthesis import (
     _satisfies,
     atomize,
     pools,
+    string_list,
     tier_config,
+    typed,
 )
 
 
@@ -471,17 +473,17 @@ def reference_comb_from_record(record) -> CombinatorialQuestion:
         OptionEntry(item["letter"], parse_formula(item["formula"]), item["text"]) for item in record["options"]
     )
     return CombinatorialQuestion(
-        id=str(record["id"]),
-        source_id=str(record["source_id"]),
-        context=str(record.get("context", "")),
-        statements=tuple(record["statements"]),
+        id=typed("id", record["id"], str, "a string"),
+        source_id=typed("source_id", record["source_id"], str, "a string"),
+        context=typed("context", record.get("context", ""), str, "a string"),
+        statements=tuple(string_list("statements", record["statements"], 4)),
         options=options,
-        answer_set=frozenset(record["answer_set"]),
-        tier=str(record["tier"]),
-        seed=int(record["seed"]),
-        source_answer=str(record["source_answer"]),
-        language=str(record.get("language", "en")),
-        source=str(record.get("source", "")),
-        reasoning_type=str(record.get("reasoning_type", "")),
+        answer_set=frozenset(string_list("answer_set", record["answer_set"])),
+        tier=typed("tier", record["tier"], str, "a string"),
+        seed=typed("seed", record["seed"], int, "an integer"),
+        source_answer=typed("source_answer", record["source_answer"], str, "a string"),
+        language=typed("language", record.get("language", "en"), str, "a string"),
+        source=typed("source", record.get("source", ""), str, "a string"),
+        reasoning_type=typed("reasoning_type", record.get("reasoning_type", ""), str, "a string"),
         extras={k: v for k, v in record.items() if k not in known},
     )

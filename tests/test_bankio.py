@@ -92,6 +92,38 @@ def test_comb_bank_is_verified_on_read(tmp_path):
     assert f"truth-mismatch: option {distractor} evaluates False but is labelled correct" in message
 
 
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        ("comb", "answer_set", "CDF", "answer_set must be a list of strings, not 'CDF'"),
+        ("comb", "seed", True, "seed must be an integer, not True"),
+        ("comb", "context", None, "context must be a string, not None"),
+        ("comb", "statements", ["a", "b", "c"], "statements must be a list of 4 strings, not ['a', 'b', 'c']"),
+        ("comb", "tier", 3, "tier must be a string, not 3"),
+        ("atomic", "id", 5, "id must be a string, not 5"),
+        ("atomic", "context", None, "context must be a string, not None"),
+        ("atomic", "options", [["I", "a"]], "options must be an object, not [['I', 'a']]"),
+        ("atomic", "options", {"I": 1, "II": "b", "III": "c", "IV": "d"}, "option I must be a string, not 1"),
+    ],
+    ids=[
+        "letter-string-answer-set", "bool-seed", "null-context", "three-statements", "int-tier",
+        "int-id", "null-atomic-context", "pair-list-options", "int-option-text",
+    ],
+)
+def test_bank_field_of_another_type_names_the_record(tmp_path, kind, key, value, message):
+    if kind == "comb":
+        questions = [assemble(make_atomic_question(i), tier_config("Hard"), 4) for i in range(2)]
+    else:
+        questions = make_atomic_bank(2, seed=3)
+    records = [question.to_record() for question in questions]
+    records[1][key] = value
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps({"schema_version": 1, "questions": records}))
+    with pytest.raises(BankFormatError) as exc_info:
+        load_bank(str(path))
+    assert str(exc_info.value) == f"{path}: record 1: {message}"
+
+
 def test_other_schema_version_rejected(tmp_path):
     path = tmp_path / "bank.json"
     path.write_text(json.dumps({"schema_version": 2, "questions": []}))

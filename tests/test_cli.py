@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior on temporary working directories."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -341,6 +342,42 @@ class TestCalibrate:
         out = tmp_path / "items.json"
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 0
         assert len(load_item_bank(str(out))) == 10
+
+    @pytest.mark.parametrize(
+        "source, key, value, message",
+        [
+            ("scores", "gold_score", True, "gold_score must be a finite number, not True"),
+            ("scores", "gold_score", "31.5", "gold_score must be a finite number, not '31.5'"),
+            ("scores", "token_count", float("nan"), "token_count must be a finite number, not nan"),
+            ("scores", "metrics", [2.0], "metrics must be an object, not [2.0]"),
+            ("scores", "tier", 3, "tier must be a string, not 3"),
+            ("bank", "gold_score", "31.5", "gold_score must be a finite number, not '31.5'"),
+            ("bank", "segment_count", None, "segment_count must be a finite number, not None"),
+        ],
+        ids=["bool-score", "string-score", "nan-count", "list-metrics", "int-tier", "bank-string-score", "bank-null"],
+    )
+    def test_feature_of_another_type_names_the_row(self, tmp_path, bank_file, capsys, source, key, value, message):
+        """A feature that is present is read as written; only a missing one skips its question."""
+        bank_path, questions = bank_file
+        row = {"gold_score": 25.0, "tier": "Hard"}
+        metrics = {"logic_density": 2.0, "token_count": 1000, "segment_count": 100}
+        out = tmp_path / "items.json"
+        if source == "scores":
+            rows = [{"question_id": q.id, **row, "metrics": dict(metrics)} for q in questions[:3]]
+            (rows[2]["metrics"] if key in metrics else rows[2])[key] = value
+            scores = tmp_path / "scores.jsonl"
+            write_jsonl(scores, rows)
+            argv = ["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]
+            where = f"{scores}:3"
+        else:
+            records = [{**q.to_record(), **row, **metrics} for q in questions[:3]]
+            records[1][key] = value
+            bank_path.write_text(json.dumps({"schema_version": 1, "questions": records}))
+            argv = ["calibrate", "--bank", str(bank_path), "--out", str(out)]
+            where = f"{bank_path}: record 1"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not out.exists()
 
     def test_non_object_score_line_skipped_as_corrupt(self, tmp_path, bank_file, caplog):
         bank_path, questions = bank_file
@@ -700,6 +737,10 @@ class TestEvaluate:
             ("base_url", "http:///v1", "base_url must be an http(s) URL with a host, not 'http:///v1'"),
             ("base_url", "ftp://127.0.0.1/v1", "base_url must be an http(s) URL with a host, not 'ftp://127.0.0.1/v1'"),
             ("base_url", 5, "base_url must be a string, not 5"),
+            (
+                "base_url", "http://127.0.0.1:9/ü",
+                "base_url must percent-encode its path and query, not 'http://127.0.0.1:9/ü'",
+            ),
             ("model_name", None, "model_name must be a string, not None"),
             ("timeout_seconds", 2.7, "timeout_seconds must be an integer, not 2.7"),
             ("timeout_seconds", True, "timeout_seconds must be an integer, not True"),
@@ -710,7 +751,7 @@ class TestEvaluate:
         ],
         ids=[
             "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
-            "ftp-url", "int-url", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
+            "ftp-url", "int-url", "non-ascii-path", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
             "negative-retries", "misspelt-temperature", "misspelt-max-tokens",
         ],
     )
@@ -1028,6 +1069,23 @@ class TestReport:
         assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("theta_hat", True, "theta_hat must be a finite number, not True"),
+            ("se", "0.5", "se must be a finite number, not '0.5'"),
+            ("theta_hat", float("inf"), "theta_hat must be a finite number, not inf"),
+        ],
+        ids=["bool-theta", "string-se", "inf-theta"],
+    )
+    def test_cat_step_estimate_of_another_type_names_log_and_line(self, tmp_path, capsys, key, value, message):
+        """``"theta_hat": true`` is an error, not an ability of +1."""
+        log = tmp_path / "log.jsonl"
+        step = {"kind": "cat_step", "subset": "base", "theta_hat": 0.5, "se": 0.4}
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n" + json.dumps({**step, key: value}) + "\n")
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("exact", "no", "exact must be true or false, not 'no'"),
@@ -1115,7 +1173,8 @@ _MAIN_WITHOUT_REQUESTS = (
 class TestStartUp:
     def test_import_loads_neither_transport_nor_statistics(self):
         result = _run_python(
-            "import sys, combicat.cli; print([m for m in ('requests', 'urllib3', 'statistics') if m in sys.modules])"
+            "import sys, combicat.cli; print([m for m in ('requests', 'urllib3', 'urllib.request', 'http.client', "
+            "'ssl', 'statistics') if m in sys.modules])"
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
@@ -1127,20 +1186,53 @@ class TestStartUp:
         assert result.returncode == 0, result.stderr
         assert len(load_comb_bank(str(out))) == 16
 
-    def test_endpoint_run_loads_requests_before_the_log_opens(self, tmp_path, bank_file):
-        bank_path, _ = bank_file
+    def test_endpoint_run_needs_no_requests(self, tmp_path, bank_file, mock_server):
+        bank_path, questions = bank_file
         endpoint = tmp_path / "endpoint.json"
-        endpoint.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m"}))
+        endpoint.write_text(json.dumps({"base_url": f"{mock_server}/echo", "model_name": "m"}))
         out_dir = tmp_path / "run"
-        out_dir.mkdir()
-        (out_dir / "run.jsonl").write_text("earlier run\n")
         result = _run_python(
             _MAIN_WITHOUT_REQUESTS,
             "evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir),
         )
-        assert result.returncode == 1
-        assert result.stderr == (
-            "error: --endpoint needs the requests package: import of requests halted; None in sys.modules\n"
+        assert result.returncode == 0, result.stderr
+        rows, skipped = read_jsonl(str(out_dir / "run.jsonl"))
+        assert skipped == 0
+        assert [row["question_id"] for _, row in rows] == [question.id for question in questions]
+        assert {(row["raw_text"], row["transport_status"]) for _, row in rows} == {("A", "ok")}
+        assert load_json(str(out_dir / "report.json"))["subsets"]["base"]["n"] == len(questions)
+
+    def test_missing_api_key_leaves_an_earlier_log_untouched(
+        self, tmp_path, bank_file, mock_server, monkeypatch, capsys
+    ):
+        bank_path, _ = bank_file
+        monkeypatch.delenv("COMBICAT_TEST_KEY", raising=False)
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(
+            json.dumps({"base_url": f"{mock_server}/echo", "model_name": "m", "api_key_env": "COMBICAT_TEST_KEY"})
         )
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "run.jsonl").write_text("earlier run\n")
+        code = main(["evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: environment variable 'COMBICAT_TEST_KEY' is not set\n"
         assert (out_dir / "run.jsonl").read_text() == "earlier run\n"
         assert sorted(path.name for path in out_dir.iterdir()) == ["run.jsonl"]
+
+    def test_runtime_imports_only_the_standard_library(self):
+        package = os.path.dirname(combicat.__file__)
+        imported = set()
+        for filename in sorted(os.listdir(package)):
+            if filename.endswith(".py"):
+                with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=filename)
+                for node in ast.walk(tree):  # imports inside functions too
+                    if isinstance(node, ast.Import):
+                        imported.update((filename, alias.name.partition(".")[0]) for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add((filename, node.module.partition(".")[0]))
+        assert ("harness.py", "urllib") in imported
+        assert [
+            pair for pair in sorted(imported) if pair[1] != "combicat" and pair[1] not in sys.stdlib_module_names
+        ] == []

@@ -1,15 +1,17 @@
 """Prompt construction, answer parsing, scoring, transport, and benchmark runs."""
 
 import json
+import socket
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import urllib.error
 from statistics import fmean
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import combicat
+from combicat import harness
 from combicat.bankio import read_jsonl
 from combicat.harness import (
     SYSTEM_PROMPT,
@@ -36,7 +38,7 @@ from combicat.irt import ItemParams, probability_3pl
 from combicat.logic import all_patterns
 from combicat.synthesis import CombinatorialQuestion, OptionEntry, assemble, tier_config
 from combicat.rng import PortableRng
-from conftest import ScriptedResponder, make_atomic_question
+from conftest import MockChatHandler, ScriptedResponder, make_atomic_question
 from oracle import reference_cat_session
 
 LETTERS = "ABCDEFGH"
@@ -174,57 +176,24 @@ class TestScoreResponse:
             assert f1 == pytest.approx(reverse)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    flaky_failures_left = 1
-
-    def _send(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        length = int(self.headers.get("Content-Length", "0"))
-        self.rfile.read(length)
-        if self.path == "/echo":
-            self._send(200, {"choices": [{"message": {"content": "A"}}]})
-        elif self.path == "/flaky":
-            if _Handler.flaky_failures_left > 0:
-                _Handler.flaky_failures_left -= 1
-                self._send(500, {"error": "transient"})
-            else:
-                self._send(200, {"choices": [{"message": {"content": "B, C"}}]})
-        elif self.path == "/slow":
-            time.sleep(3)
-            self._send(200, {"choices": [{"message": {"content": "A"}}]})
-        elif self.path == "/badbody":
-            self._send(200, {"unexpected": "shape"})
-        elif self.path == "/denied":
-            self._send(403, {"error": "forbidden"})
-        else:
-            self._send(404, {"error": "not found"})
-
-    def log_message(self, *args) -> None:  # silence test output
-        pass
-
-
-class _QuietServer(ThreadingHTTPServer):
-    def handle_error(self, request, client_address):  # client hangups are expected
-        pass
-
-
-@pytest.fixture(scope="module")
-def mock_server():
-    server = _QuietServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-
-
 class TestQueryModel:
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        """Retries take no wall time."""
+        monkeypatch.setattr(harness, "_BACKOFF_BASE_SECONDS", 0)
+
+    @pytest.fixture
+    def local_names(self, monkeypatch):
+        """Resolve ``other.test`` to the loopback address and no other name, so no lookup leaves the machine."""
+        resolve = socket.getaddrinfo
+
+        def resolve_locally(host, *args, **kwargs):
+            if host not in ("127.0.0.1", "other.test"):
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+            return resolve("127.0.0.1", *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", resolve_locally)
+
     def test_echo_round_trip(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/echo", model_name="m")
         result = query_model(endpoint, "sys", "user")
@@ -232,18 +201,82 @@ class TestQueryModel:
         assert result.raw_text == "A"
         assert result.retries == 0
 
-    def test_transient_error_retried_once(self, mock_server):
-        _Handler.flaky_failures_left = 1
+    def test_transient_error_retried_once(self, mock_server, monkeypatch):
+        monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 1)
         endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
         result = query_model(endpoint, "sys", "user")
         assert result.transport_status == "ok"
         assert result.raw_text == "B, C"
         assert result.retries == 1
 
+    def test_rate_limit_retried_once(self, mock_server, monkeypatch):
+        monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 1)
+        monkeypatch.setattr(MockChatHandler, "flaky_status", 429)
+        endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.raw_text, result.retries) == ("ok", "B, C", 1)
+        assert result.http_status == 200
+
+    def test_hangup_without_reply_retried(self, mock_server, monkeypatch):
+        monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 2)
+        monkeypatch.setattr(MockChatHandler, "flaky_status", None)
+        endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.raw_text, result.retries) == ("ok", "B, C", 2)
+
+    def test_refused_connection_is_http_error_after_every_retry(self):
+        with socket.socket() as sock:  # a port that was free a moment ago, and nothing listens on now
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        endpoint = EndpointConfig(base_url=f"http://127.0.0.1:{port}/x", model_name="m", max_retries=2)
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.retries, result.http_status) == ("http_error", 2, None)
+        assert "Connection refused" in result.raw_text
+
+    def test_http_proxy_carries_a_request_for_an_unresolvable_host(self, mock_server, monkeypatch, local_names):
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", mock_server)
+        harness._opener.cache_clear()  # the opener reads the proxy settings when it is built
+        try:
+            endpoint = EndpointConfig(base_url="http://proxied.invalid/echo", model_name="m", max_retries=0)
+            result = query_model(endpoint, "sys", "user")
+        finally:
+            monkeypatch.undo()
+            harness._opener.cache_clear()
+        assert (result.transport_status, result.raw_text) == ("ok", "A")
+
+    @pytest.mark.parametrize(
+        "path, key_sent", [("/moved", True), ("/moved-away", False)], ids=["same-host-307", "other-host-308"]
+    )
+    def test_post_redirect_followed_with_its_body(self, mock_server, monkeypatch, local_names, path, key_sent):
+        monkeypatch.setenv("COMBICAT_TEST_KEY", "sekrit")
+        endpoint = EndpointConfig(base_url=f"{mock_server}{path}", model_name="m", api_key_env="COMBICAT_TEST_KEY")
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.raw_text, result.retries) == ("ok", "A", 0)
+        headers = MockChatHandler.last_headers
+        assert int(headers["Content-Length"]) > 0
+        assert headers["Content-Type"] == "application/json"
+        assert ("Authorization" in headers) == key_sent
+
     def test_timeout_reported_without_crash(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/slow", model_name="m", timeout_seconds=1)
         result = query_model(endpoint, "sys", "user")
         assert result.transport_status == "timeout"
+
+    def test_connect_timeout_is_terminal(self, monkeypatch):
+        calls = []
+
+        class ConnectTimesOut:
+            def open(self, request, timeout):
+                calls.append(timeout)
+                raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(harness, "_opener", ConnectTimesOut)
+        endpoint = EndpointConfig(base_url="http://127.0.0.1:9/x", model_name="m", timeout_seconds=7)
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.raw_text, result.retries) == ("timeout", "", 0)
+        assert calls == [7]
 
     def test_non_retryable_http_error(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/denied", model_name="m")
@@ -270,6 +303,10 @@ class TestQueryModel:
             base_url=f"{mock_server}/echo", model_name="m", api_key_env="COMBICAT_TEST_KEY"
         )
         assert query_model(endpoint, "sys", "user").transport_status == "ok"
+        headers = MockChatHandler.last_headers
+        assert headers["Authorization"] == "Bearer sekrit"
+        assert headers["User-Agent"] == f"combicat/{combicat.__version__}"
+        assert headers["Content-Type"] == "application/json"
 
     def test_endpoint_responder_timeout_becomes_skippable_record(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/slow", model_name="m", timeout_seconds=1)
