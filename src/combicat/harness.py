@@ -265,8 +265,8 @@ _BACKOFF_BASE_SECONDS = 0.5
 def _opener() -> Any:
     """The live transport's ``urllib`` opener, built once, on first use.
 
-    It sends requests through the proxies that ``http_proxy`` and
-    ``https_proxy`` name at that moment, except to the hosts in ``no_proxy``.
+    It sends each chat request through the proxy that ``http_proxy`` or
+    ``https_proxy`` names at that moment, except to the hosts in ``no_proxy``.
     A 307 or 308 reply to a POST is followed with the same body, as other
     HTTP clients do (``urllib`` alone gives up on it). The API key goes along
     only to the same host, and never from https to http.
