@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring
@@ -12,7 +11,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .irt import ItemParams
 from .scoring import ThinkingTrace
-from .synthesis import AtomicQuestion, CombinatorialQuestion, typed, verify
+from .synthesis import AtomicQuestion, CombinatorialQuestion, finite, typed, verify
 
 SCHEMA_VERSION = 1
 
@@ -42,13 +41,6 @@ def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise BankFormatError(f"{where}: {detail}") from None
-
-
-def finite(key: str, value: Any) -> float:
-    """``value`` of field ``key`` as a float, if it is a JSON number (an int too) that a float holds."""
-    if not -sys.float_info.max <= typed(key, value, (int, float), "a finite number") <= sys.float_info.max:
-        raise ValueError(f"{key} must be a finite number, not {value!r}")
-    return float(value)
 
 
 def load_object(path: str, from_dict: Callable[[Any], T]) -> T:

@@ -62,8 +62,10 @@ from .synthesis import (
     AtomicQuestion,
     InfeasibleTierError,
     apply_nota,
+    finite,
     shuffle_options,
     synthesize_bank,
+    typed,
 )
 
 log = logging.getLogger(__name__)
@@ -199,15 +201,15 @@ def _features_from(row: Mapping[str, Any]) -> dict[str, Any] | None:
 
     A feature that is present must be a finite number, and a tier a string; none is coerced.
     """
-    metrics = bankio.typed("metrics", row.get("metrics", row), dict, "an object")
+    metrics = typed("metrics", row.get("metrics", row), dict, "an object")
     sources = {"gold_score": row, "logic_density": metrics, "token_count": metrics, "segment_count": metrics}
     features: dict[str, Any] = {
-        key: bankio.finite(key, source[key]) for key, source in sources.items() if key in source
+        key: finite(key, source[key]) for key, source in sources.items() if key in source
     }
     if len(features) < len(sources):
         return None
     if row.get("tier") is not None:
-        features["tier"] = bankio.typed("tier", row["tier"], str, "a string")
+        features["tier"] = typed("tier", row["tier"], str, "a string")
     return features
 
 
@@ -458,8 +460,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
     """The subset, ability estimate and standard error of a ``cat_step`` row."""
-    subset = bankio.typed("subset", step["subset"], str, "a string")
-    return subset, bankio.finite("theta_hat", step["theta_hat"]), bankio.finite("se", step["se"])
+    subset = typed("subset", step["subset"], str, "a string")
+    return subset, finite("theta_hat", step["theta_hat"]), finite("se", step["se"])
 
 
 def _stored_subsets(report: Any) -> dict[str, dict[str, Any]]:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Iterable, Mapping, Protocol, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 from . import __version__
 from .bankio import question_id_of
@@ -207,8 +207,6 @@ class EndpointConfig:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host, not {self.base_url!r}")
-        if not (url.path + url.query).isascii():  # urllib sends them as they are, and fails on every request
-            raise ValueError(f"base_url must percent-encode its path and query, not {self.base_url!r}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and at least 0, not {self.temperature!r}")
         if self.max_tokens < 1:
@@ -261,6 +259,38 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _BACKOFF_BASE_SECONDS = 0.5
 
 
+# The characters that stand for themselves in a request line; every other one is percent-encoded, as requests does.
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def _quoted(url: str) -> str:
+    """``url`` with its path and query percent-encoded where they hold a space, a control or a non-ASCII character.
+
+    ``urllib`` sends a URL as it is written, and ``http.client`` refuses such a
+    character on every request. The host is left to ``http.client``, which
+    encodes a non-ASCII one with IDNA.
+    """
+    parts = urlsplit(url)
+    return parts._replace(path=quote(parts.path, _URL_SAFE), query=quote(parts.query, _URL_SAFE)).geturl()
+
+
+def _keeps_key(old_url: str, new_url: str) -> bool:
+    """Whether a redirect from ``old_url`` to ``new_url`` may carry the API key.
+
+    Only to the same scheme, host and port, or from http to https on the
+    default ports: the rule of ``requests``.
+    """
+    def origin(url: str) -> tuple[str, str | None, int | None]:
+        parts = urlsplit(url)
+        return parts.scheme, parts.hostname, parts.port or {"http": 80, "https": 443}.get(parts.scheme)
+
+    try:
+        old, new = origin(old_url), origin(new_url)
+    except ValueError:  # a port that is not a number
+        return False
+    return old == new or (old, new) == (("http", old[1], 80), ("https", old[1], 443))
+
+
 @lru_cache(maxsize=None)
 def _opener() -> Any:
     """The live transport's ``urllib`` opener, built once, on first use.
@@ -268,21 +298,22 @@ def _opener() -> Any:
     It sends each chat request through the proxy that ``http_proxy`` or
     ``https_proxy`` names at that moment, except to the hosts in ``no_proxy``.
     A 307 or 308 reply to a POST is followed with the same body, as other
-    HTTP clients do (``urllib`` alone gives up on it). The API key goes along
-    only to the same host, and never from https to http.
+    HTTP clients do (``urllib`` alone gives up on it). On every redirect the
+    API key is dropped unless ``_keeps_key`` allows it.
     """
     import urllib.request
 
-    class PostRedirectHandler(urllib.request.HTTPRedirectHandler):
+    class KeyGuardingRedirectHandler(urllib.request.HTTPRedirectHandler):
         def redirect_request(self, req, fp, code, msg, headers, newurl):
-            if code not in (307, 308) or req.get_method() != "POST":
-                return super().redirect_request(req, fp, code, msg, headers, newurl)
-            old, new = urlsplit(req.full_url), urlsplit(newurl)
-            keep_key = new.hostname == old.hostname and (old.scheme, new.scheme) != ("https", "http")
-            kept = {name: value for name, value in req.headers.items() if keep_key or name != "Authorization"}
-            return urllib.request.Request(newurl, data=req.data, headers=kept, method="POST")
+            if code in (307, 308) and req.get_method() == "POST":
+                new = urllib.request.Request(newurl, data=req.data, headers=req.headers, method="POST")
+            else:
+                new = super().redirect_request(req, fp, code, msg, headers, newurl)
+            if new is not None and not _keeps_key(req.full_url, newurl):
+                new.remove_header("Authorization")
+            return new
 
-    return urllib.request.build_opener(PostRedirectHandler)
+    return urllib.request.build_opener(KeyGuardingRedirectHandler)
 
 
 def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> ResponderReply:
@@ -301,6 +332,7 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
     import urllib.request
 
     headers = _request_headers(endpoint)
+    url = _quoted(endpoint.base_url)
     payload = {
         "model": endpoint.model_name,
         "messages": [
@@ -320,7 +352,7 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
     while True:
         try:
             # A fresh request each attempt: opening one rewrites it for the proxy it goes through.
-            request = urllib.request.Request(endpoint.base_url, data=body, headers=headers, method="POST")
+            request = urllib.request.Request(url, data=body, headers=headers, method="POST")
             try:
                 reply = _opener().open(request, timeout=endpoint.timeout_seconds)
             except urllib.error.HTTPError as error:  # a reply outside 2xx that was not followed

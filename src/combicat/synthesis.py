@@ -10,6 +10,7 @@ against the truth-table semantics. Every step is a pure function of
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import combinations
@@ -68,6 +69,13 @@ def string_list(key: str, value: Any, length: int | None = None) -> list[str]:
         count = "" if length is None else f"{length} "
         raise ValueError(f"{key} must be a list of {count}strings, not {value!r}")
     return value
+
+
+def finite(key: str, value: Any) -> float:
+    """``value`` of field ``key`` as a float, if it is a JSON number (an int too) that a float holds."""
+    if not -sys.float_info.max <= typed(key, value, (int, float), "a finite number") <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

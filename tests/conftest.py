@@ -120,17 +120,20 @@ def small_bank() -> list[AtomicQuestion]:
 class MockChatHandler(BaseHTTPRequestHandler):
     """A chat-completions endpoint whose path picks the reply.
 
-    ``/flaky`` fails ``flaky_failures_left`` times with ``flaky_status``, or
-    hangs up without a reply when that is ``None``, and then answers. A
-    request through a proxy names an absolute URL, whose path picks alike.
-    ``/moved`` redirects to ``/echo`` with a 307, and ``/moved-away`` with a
-    308 to host ``other.test``. ``last_headers`` holds the headers of the
-    latest request.
+    ``/echo`` and any path below it answers "A". ``/flaky`` fails
+    ``flaky_failures_left`` times with ``flaky_status``, or hangs up without
+    a reply when that is ``None``, and then answers. A request through a proxy
+    names an absolute URL, whose path picks alike. ``/redirect`` answers
+    ``redirect_status`` with ``redirect_location``. A GET, which is what a
+    301, 302 or 303 turns a POST into, gets a 405. ``last_request`` holds the
+    method, the path as sent and the headers of the latest request.
     """
 
     flaky_failures_left = 1
     flaky_status: int | None = 500
-    last_headers: dict[str, str] = {}
+    redirect_status = 307
+    redirect_location = "/echo"
+    last_request: tuple[str, str, dict[str, str]] = ("", "", {})
 
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
@@ -140,12 +143,16 @@ class MockChatHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        MockChatHandler.last_request = ("GET", self.path, dict(self.headers))
+        self._send(405, {"error": "method not allowed"})
+
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        MockChatHandler.last_headers = dict(self.headers)
+        MockChatHandler.last_request = ("POST", self.path, dict(self.headers))
         length = int(self.headers.get("Content-Length", "0"))
         self.rfile.read(length)
         path = urlsplit(self.path).path
-        if path == "/echo":
+        if path == "/echo" or path.startswith("/echo/"):
             self._send(200, {"choices": [{"message": {"content": "A"}}]})
         elif path == "/flaky":
             if MockChatHandler.flaky_failures_left > 0:
@@ -156,10 +163,9 @@ class MockChatHandler(BaseHTTPRequestHandler):
                     self._send(MockChatHandler.flaky_status, {"error": "transient"})
             else:
                 self._send(200, {"choices": [{"message": {"content": "B, C"}}]})
-        elif path in ("/moved", "/moved-away"):
-            host = "127.0.0.1" if path == "/moved" else "other.test"
-            self.send_response(307 if path == "/moved" else 308)
-            self.send_header("Location", f"http://{host}:{self.server.server_address[1]}/echo")
+        elif path == "/redirect":
+            self.send_response(MockChatHandler.redirect_status)
+            self.send_header("Location", MockChatHandler.redirect_location)
             self.send_header("Content-Length", "0")
             self.end_headers()
         elif path == "/slow":
@@ -181,12 +187,22 @@ class _QuietServer(ThreadingHTTPServer):
         pass
 
 
-@pytest.fixture(scope="module")
-def mock_server():
-    """The base URL of a ``MockChatHandler`` served on localhost."""
+def _serve_mock_chat():
     server = _QuietServer(("127.0.0.1", 0), MockChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture(scope="module")
+def mock_server():
+    """The base URL of a ``MockChatHandler`` served on localhost."""
+    yield from _serve_mock_chat()
+
+
+@pytest.fixture(scope="module")
+def other_mock_server():
+    """A second ``MockChatHandler`` on localhost, on another port."""
+    yield from _serve_mock_chat()

@@ -737,10 +737,6 @@ class TestEvaluate:
             ("base_url", "http:///v1", "base_url must be an http(s) URL with a host, not 'http:///v1'"),
             ("base_url", "ftp://127.0.0.1/v1", "base_url must be an http(s) URL with a host, not 'ftp://127.0.0.1/v1'"),
             ("base_url", 5, "base_url must be a string, not 5"),
-            (
-                "base_url", "http://127.0.0.1:9/ü",
-                "base_url must percent-encode its path and query, not 'http://127.0.0.1:9/ü'",
-            ),
             ("model_name", None, "model_name must be a string, not None"),
             ("timeout_seconds", 2.7, "timeout_seconds must be an integer, not 2.7"),
             ("timeout_seconds", True, "timeout_seconds must be an integer, not True"),
@@ -751,7 +747,7 @@ class TestEvaluate:
         ],
         ids=[
             "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
-            "ftp-url", "int-url", "non-ascii-path", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
+            "ftp-url", "int-url", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
             "negative-retries", "misspelt-temperature", "misspelt-max-tokens",
         ],
     )

@@ -5,6 +5,7 @@ import socket
 import threading
 import urllib.error
 from statistics import fmean
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import example, given, settings
@@ -247,17 +248,75 @@ class TestQueryModel:
         assert (result.transport_status, result.raw_text) == ("ok", "A")
 
     @pytest.mark.parametrize(
-        "path, key_sent", [("/moved", True), ("/moved-away", False)], ids=["same-host-307", "other-host-308"]
+        "status, location, key_sent",
+        [
+            (307, "{server}/echo", True),
+            (308, "http://other.test:{port}/echo", False),
+            (307, "{other_server}/echo", False),
+        ],
+        ids=["same-origin-307", "other-host-308", "other-port-307"],
     )
-    def test_post_redirect_followed_with_its_body(self, mock_server, monkeypatch, local_names, path, key_sent):
+    def test_post_redirect_followed_with_its_body(
+        self, mock_server, other_mock_server, monkeypatch, local_names, status, location, key_sent
+    ):
+        """A 307 or 308 is followed with the same POST; the key goes along only to the same scheme, host and port."""
+        target = location.format(server=mock_server, other_server=other_mock_server, port=urlsplit(mock_server).port)
+        monkeypatch.setattr(MockChatHandler, "redirect_status", status)
+        monkeypatch.setattr(MockChatHandler, "redirect_location", target)
         monkeypatch.setenv("COMBICAT_TEST_KEY", "sekrit")
-        endpoint = EndpointConfig(base_url=f"{mock_server}{path}", model_name="m", api_key_env="COMBICAT_TEST_KEY")
+        endpoint = EndpointConfig(base_url=f"{mock_server}/redirect", model_name="m", api_key_env="COMBICAT_TEST_KEY")
         result = query_model(endpoint, "sys", "user")
         assert (result.transport_status, result.raw_text, result.retries) == ("ok", "A", 0)
-        headers = MockChatHandler.last_headers
+        method, _, headers = MockChatHandler.last_request
+        assert method == "POST"
         assert int(headers["Content-Length"]) > 0
         assert headers["Content-Type"] == "application/json"
         assert ("Authorization" in headers) == key_sent
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    @pytest.mark.parametrize(
+        "location, key_sent", [("{server}/echo", True), ("http://other.test:{port}/echo", False)],
+        ids=["same-origin", "other-host"],
+    )
+    def test_redirect_to_get_drops_the_key_on_another_host(
+        self, mock_server, monkeypatch, local_names, status, location, key_sent
+    ):
+        """A 301, 302 or 303 turns the POST into a GET, as requests does, and keeps the key only on the same origin."""
+        target = location.format(server=mock_server, port=urlsplit(mock_server).port)
+        monkeypatch.setattr(MockChatHandler, "redirect_status", status)
+        monkeypatch.setattr(MockChatHandler, "redirect_location", target)
+        monkeypatch.setenv("COMBICAT_TEST_KEY", "sekrit")
+        endpoint = EndpointConfig(
+            base_url=f"{mock_server}/redirect", model_name="m", api_key_env="COMBICAT_TEST_KEY", max_retries=0
+        )
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.http_status) == ("http_error", 405)
+        method, path, headers = MockChatHandler.last_request
+        assert (method, path) == ("GET", "/echo")
+        assert ("Authorization" in headers) == key_sent
+
+    @pytest.mark.parametrize(
+        "old, new, kept",
+        [
+            ("http://h/x", "http://h:80/y", True),
+            ("https://h/x", "https://h:443/y", True),
+            ("http://h/x", "https://h/y", True),
+            ("https://h/x", "http://h/y", False),
+            ("http://h:8080/x", "https://h:8080/y", False),
+            ("http://h:8080/x", "http://h:8081/x", False),
+            ("http://h/x", "http://H/x", True),
+            ("http://h/x", "http://g/x", False),
+            ("http://h/x", "http://h:port/x", False),
+        ],
+    )
+    def test_key_kept_only_on_the_same_origin(self, old, new, kept):
+        assert harness._keeps_key(old, new) is kept
+
+    def test_unsafe_characters_in_base_url_are_percent_encoded(self, mock_server):
+        endpoint = EndpointConfig(base_url=f"{mock_server}/echo/a b/ü?q=é x&r=%41", model_name="m")
+        result = query_model(endpoint, "sys", "user")
+        assert (result.transport_status, result.raw_text) == ("ok", "A")
+        assert MockChatHandler.last_request[1] == "/echo/a%20b/%C3%BC?q=%C3%A9%20x&r=%41"
 
     def test_timeout_reported_without_crash(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/slow", model_name="m", timeout_seconds=1)
@@ -303,7 +362,7 @@ class TestQueryModel:
             base_url=f"{mock_server}/echo", model_name="m", api_key_env="COMBICAT_TEST_KEY"
         )
         assert query_model(endpoint, "sys", "user").transport_status == "ok"
-        headers = MockChatHandler.last_headers
+        headers = MockChatHandler.last_request[2]
         assert headers["Authorization"] == "Bearer sekrit"
         assert headers["User-Agent"] == f"combicat/{combicat.__version__}"
         assert headers["Content-Type"] == "application/json"
