@@ -200,64 +200,60 @@ def save_item_bank(path: str, items: Sequence[CalibratedItem]) -> None:
 
 def load_traces(path: str) -> list[ThinkingTrace]:
     """Traces arrive as JSONL rows of {question_id, text}, one row per question."""
-    numbered = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if line.strip():
-                numbered.append((line_number, parse_at(f"{path}:{line_number}", _trace_from_line, line)))
-    check_unique_ids(path, ((line_number, trace.question_id) for line_number, trace in numbered))
-    return [trace for _, trace in numbered]
+    return [parse_at(where, _trace_from_row, row) for where, row in question_rows(path).values()]
 
 
-def _trace_from_line(line: str) -> ThinkingTrace:
-    row = json.loads(line)
-    question_id = question_id_of(row)
-    text = row.get("text", "")
-    if not isinstance(text, str):
-        raise ValueError(f"text must be a string, not {text!r}")
-    return ThinkingTrace.from_text(question_id, text)
+def _trace_from_row(row: Mapping[str, Any]) -> ThinkingTrace:
+    return ThinkingTrace.from_text(row["question_id"], typed("text", row.get("text", ""), str, "a string"))
 
 
 def question_id_of(row: Mapping[str, Any]) -> str:
-    """The ``question_id`` of a trace or score row: a non-empty string, never coerced."""
+    """The ``question_id`` of a trace, score or log row: a non-empty string, never coerced."""
     question_id = row["question_id"]
     if not isinstance(question_id, str) or not question_id:
         raise ValueError(f"question_id must be a non-empty string, not {question_id!r}")
     return question_id
 
 
-def check_unique_ids(path: str, numbered_ids: Iterable[tuple[int, str]]) -> None:
-    """Reject a question id that two lines of ``path`` share, naming both lines."""
-    first_line: dict[str, int] = {}
-    for line_number, question_id in numbered_ids:
-        if question_id in first_line:
-            raise BankFormatError(
-                f"{path}:{line_number}: question_id {question_id!r} repeats line {first_line[question_id]}"
-            )
-        first_line[question_id] = line_number
+def question_rows(path: str) -> dict[str, tuple[str, dict[str, Any]]]:
+    """The rows of a trace or score file by ``question_id``, in file order, each with its ``<path>:<line>``.
 
-
-def read_jsonl(path: str) -> tuple[list[tuple[int, dict[str, Any]]], int]:
-    """Each row with its line number, plus the count of corrupt lines skipped.
-
-    A row is a line holding a JSON object; a line holding invalid JSON or any
-    other JSON value is corrupt.
+    Every row names its question with ``question_id_of``, and no two lines name the same one.
     """
-    rows: list[tuple[int, dict[str, Any]]] = []
-    skipped = 0
+    rows: dict[str, tuple[str, dict[str, Any]]] = {}
+    first_line: dict[str, int] = {}
+    for line, row in read_jsonl(path):
+        where = f"{path}:{line}"
+        question_id = parse_at(where, question_id_of, row)
+        if question_id in rows:
+            raise BankFormatError(f"{where}: question_id {question_id!r} repeats line {first_line[question_id]}")
+        rows[question_id] = where, row
+        first_line[question_id] = line
+    return rows
+
+
+def read_jsonl(path: str) -> list[tuple[int, dict[str, Any]]]:
+    """Each row of a JSONL file with its line number; blank lines are not rows.
+
+    Every other line must hold one JSON object. A torn line, or one holding any
+    other JSON value, fails as ``<path>:<line>: ...``.
+    """
+    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                row = None
-            if isinstance(row, dict):
-                rows.append((line_number, row))
-            else:
-                skipped += 1
-    return rows, skipped
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                rows.append((number, parse_at(f"{path}:{number}", _json_object, line)))
+    return rows
+
+
+def _json_object(line: str) -> dict[str, Any]:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"a row must be a JSON object, not {row!r}")
+    return row
 
 
 def write_jsonl(path: str, rows: Iterable[Mapping[str, Any]]) -> None:

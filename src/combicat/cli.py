@@ -11,6 +11,7 @@ error as one ``error:`` line with exit status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -60,6 +61,7 @@ from .scoring import (
 from .synthesis import (
     TIER_NAMES,
     AtomicQuestion,
+    CombinatorialQuestion,
     InfeasibleTierError,
     apply_nota,
     finite,
@@ -196,90 +198,65 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-def _features_from(row: Mapping[str, Any]) -> dict[str, Any] | None:
-    """Calibration features from a score row or an inline record, or ``None`` if one is missing.
-
-    A feature that is present must be a finite number, and a tier a string; none is coerced.
-    """
-    metrics = typed("metrics", row.get("metrics", row), dict, "an object")
-    sources = {"gold_score": row, "logic_density": metrics, "token_count": metrics, "segment_count": metrics}
-    features: dict[str, Any] = {
-        key: finite(key, source[key]) for key, source in sources.items() if key in source
-    }
-    if len(features) < len(sources):
-        return None
-    if row.get("tier") is not None:
-        features["tier"] = typed("tier", row["tier"], str, "a string")
-    return features
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     questions = bankio.load_bank(args.bank)
     if not questions:
         raise ValueError(f"{args.bank}: bank holds no questions")
-
-    # Each question's score row, with the place it was read from.
-    scores: dict[str, tuple[str, Mapping[str, Any]]] = {}
-    if args.scores:
-        rows, skipped = bankio.read_jsonl(args.scores)
-        if skipped:
-            log.warning("skipped %d corrupt score rows", skipped)
-        ids = [
-            (line, bankio.parse_at(f"{args.scores}:{line}", bankio.question_id_of, row)) for line, row in rows
-        ]
-        bankio.check_unique_ids(args.scores, ids)
-        scores = {question_id: (f"{args.scores}:{line}", row) for (line, question_id), (_, row) in zip(ids, rows)}
+    scores = bankio.question_rows(args.scores) if args.scores else {}
+    combinatorial = isinstance(questions[0], CombinatorialQuestion)
+    subset = args.subset or (COMBINATORIAL_SUBSET if combinatorial else BASE_SUBSET)
 
     items: list[CalibratedItem] = []
-    skipped_questions = 0
-
-    if isinstance(questions[0], AtomicQuestion):
-        subset = args.subset or BASE_SUBSET
-        for i, question in enumerate(questions):
-            where, row = scores.get(question.id, (f"{args.bank}: record {i}", question.extras))
-            features = bankio.parse_at(where, _features_from, row) if row else None
-            tier = (features or {}).get("tier") or question.extras.get("tier")
-            if features is None or tier is None:
-                log.warning("question %s: missing calibration features, skipped", question.id)
-                skipped_questions += 1
-                continue
-            items.append(_calibrated_item(question.id, subset, str(tier), features, 4))
-    else:
-        subset = args.subset or COMBINATORIAL_SUBSET
-        for i, question in enumerate(questions):
-            inline = (f"{args.bank}: record {i}", question.extras)
-            where, row = scores.get(question.id) or scores.get(question.source_id) or inline
-            features = bankio.parse_at(where, _features_from, row) if row else None
-            if features is None:
-                log.warning("question %s: missing calibration features, skipped", question.id)
-                skipped_questions += 1
-                continue
-            items.append(_calibrated_item(question.id, subset, question.tier, features, len(question.options)))
+    for i, question in enumerate(questions):
+        # A combinatorial question may be scored under the id of the atomic question it came from.
+        keys = (question.id, question.source_id) if combinatorial else (question.id,)
+        inline = f"{args.bank}: record {i}", question.extras
+        where, row = next((scores[key] for key in keys if key in scores), inline)
+        item = bankio.parse_at(where, functools.partial(_calibrated_item, question, subset), row)
+        if item is None:
+            log.warning("question %s: missing calibration features, skipped", question.id)
+        else:
+            items.append(item)
 
     if not items:
         raise ValueError("no questions could be calibrated")
 
     bankio.save_item_bank(args.out, items)
-    print(f"calibrated {len(items)} items -> {args.out} ({skipped_questions} skipped)")
+    print(f"calibrated {len(items)} items -> {args.out} ({len(questions) - len(items)} skipped)")
     return 0
 
 
+_FEATURES = ("gold_score", "logic_density", "token_count", "segment_count")
+
+
 def _calibrated_item(
-    question_id: str, subset: str, tier: str, features: Mapping[str, float], n_options: int
-) -> CalibratedItem:
-    b = calibrate_difficulty(
-        features["gold_score"],
-        features["logic_density"],
-        features["token_count"],
-        features["segment_count"],
-    )
+    question: AtomicQuestion | CombinatorialQuestion, subset: str, row: Mapping[str, Any]
+) -> CalibratedItem | None:
+    """``question`` calibrated from its score row or inline record, or ``None`` if a feature is missing.
+
+    ``gold_score`` sits in the row, the other features in its ``metrics`` object (an
+    inline record holds them itself). A combinatorial question keeps its own tier; an
+    atomic one takes the row's, or failing that its bank record's. A feature that is
+    present must be a finite number, and the tier a known tier name; none is coerced.
+    """
+    metrics = typed("metrics", row.get("metrics", row), dict, "an object")
+    features = [finite(key, source[key]) for key, source in zip(_FEATURES, (row, metrics, metrics, metrics))
+                if key in source]
+    if isinstance(question, CombinatorialQuestion):
+        tier = question.tier
+    else:
+        record = row if "tier" in row else question.extras
+        tier = typed("tier", record["tier"], str, "a string") if "tier" in record else None
+    if len(features) < len(_FEATURES) or tier is None:
+        return None
+    n_options = len(question.options)
     return CalibratedItem(
-        item_id=f"{subset}:{question_id}",
-        question_id=question_id,
+        item_id=f"{subset}:{question.id}",
+        question_id=question.id,
         subset=subset,
         tier=tier,
         a=discrimination_for_tier(tier),
-        b=b,
+        b=calibrate_difficulty(*features),
         c=guessing_for_options(n_options),
         n_options=n_options,
     )
@@ -415,14 +392,10 @@ def _subset_line(label: str, result: SubsetResult, indent: str = "") -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows, skipped = bankio.read_jsonl(args.log)
-    responses = [
-        bankio.parse_at(f"{args.log}:{line}", ResponseRecord.from_record, row)
-        for line, row in rows
-        if row.get("kind") == "response"
-    ]
-    if not responses and not any(row.get("kind") == "cat_step" for _, row in rows):
+    entries = [bankio.parse_at(f"{args.log}:{line}", _log_entry, row) for line, row in bankio.read_jsonl(args.log)]
+    if not entries:
         print("no records")
+    responses = [entry for entry in entries if isinstance(entry, ResponseRecord)]
     aggregates = aggregate_log_records(responses)
     if responses and len(responses) <= 32:
         print("per-item results:")
@@ -434,18 +407,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     for label in sorted(aggregates):
         print(_subset_line(label, aggregates[label]))
 
-    estimates: dict[str, tuple[float, float]] = {}
-    for line, row in rows:
-        if row.get("kind") == "cat_step" and "theta_hat" in row:
-            subset, theta, se = bankio.parse_at(f"{args.log}:{line}", _estimate_from, row)
-            estimates[subset] = theta, se
+    steps = [entry for entry in entries if isinstance(entry, tuple)]
+    estimates = {subset: (theta, se) for subset, theta, se in steps}
     for subset, (theta, se) in sorted(estimates.items()):
         print(f"{subset:<8} theta={theta:+.3f} se={se:.3f}")
     if {"base", "comb"} <= set(estimates):
         delta = estimates["base"][0] - estimates["comb"][0]
         print(f"delta_theta {delta:+.3f}")
-    if skipped:
-        print(f"skipped lines: {skipped}")
 
     if args.report:
         stored = bankio.load_object(args.report, _stored_subsets)
@@ -458,21 +426,31 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimate_from(step: Mapping[str, Any]) -> tuple[str, float, float]:
-    """The subset, ability estimate and standard error of a ``cat_step`` row."""
-    subset = typed("subset", step["subset"], str, "a string")
-    return subset, finite("theta_hat", step["theta_hat"]), finite("se", step["se"])
+def _log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, float] | None:
+    """A log row: a response's record, or a ``cat_step``'s subset, ability estimate and
+    standard error (``None`` for a step whose item was skipped)."""
+    kind = row["kind"]
+    if kind == "response":
+        return ResponseRecord.from_record(row)
+    if kind != "cat_step":
+        raise ValueError(f"kind must be 'response' or 'cat_step', not {kind!r}")
+    if "theta_hat" not in row:
+        return None
+    subset = typed("subset", row["subset"], str, "a string")
+    return subset, finite("theta_hat", row["theta_hat"]), finite("se", row["se"])
 
 
-def _stored_subsets(report: Any) -> dict[str, dict[str, Any]]:
-    """The ``subsets`` map of a report file: one object of numbers per subset."""
+def _stored_subsets(report: Any) -> dict[str, dict[str, float]]:
+    """The ``subsets`` map of a report file: one object of finite numbers per subset."""
     subsets = report.get("subsets", {}) if isinstance(report, dict) else None
     if not isinstance(subsets, dict):
         raise ValueError("a report must be an object whose 'subsets' is an object")
+    numbers = {}
     for label, stored in subsets.items():
-        if not isinstance(stored, dict) or not all(isinstance(value, (int, float)) for value in stored.values()):
+        if not isinstance(stored, dict):
             raise ValueError(f"subset {label!r} must be an object of numbers")
-    return subsets
+        numbers[label] = {key: finite(f"{label}.{key}", value) for key, value in stored.items()}
+    return numbers
 
 
 def _replay_mismatches(stored_subsets: Mapping[str, Any], aggregates: Mapping[str, Any]) -> list[str]:
@@ -484,7 +462,7 @@ def _replay_mismatches(stored_subsets: Mapping[str, Any], aggregates: Mapping[st
             continue
         for key, have in recomputed.to_record().items():
             want = stored.get(key)
-            if want is None or abs(float(want) - float(have)) > 1e-12:
+            if want is None or abs(want - have) > 1e-12:
                 problems.append(f"{label}.{key}: report {want} vs log {have}")
     return problems
 

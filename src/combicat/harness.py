@@ -41,7 +41,7 @@ from .irt import (
     select_next,
 )
 from .rng import PortableRng
-from .synthesis import OPTION_LETTERS, AtomicQuestion, CombinatorialQuestion, string_list, typed
+from .synthesis import OPTION_LETTERS, AtomicQuestion, CombinatorialQuestion, finite, string_list, typed
 
 log = logging.getLogger(__name__)
 
@@ -490,12 +490,12 @@ class ResponseRecord:
         return cls(
             question_id=question_id_of(row),
             subset=typed("subset", row["subset"], str, "a string"),
-            raw_text=typed("raw_text", row.get("raw_text", ""), str, "a string"),
+            raw_text=typed("raw_text", row["raw_text"], str, "a string"),
             parsed_set=frozenset(string_list("parsed_set", row["parsed_set"])),
             gold_set=frozenset(string_list("gold_set", row["gold_set"])),
             exact=typed("exact", row["exact"], bool, "true or false"),
-            f1=float(typed("f1", row["f1"], (int, float), "a number")),
-            latency_ms=typed("latency_ms", row.get("latency_ms", 0), int, "an integer"),
+            f1=finite("f1", row["f1"]),
+            latency_ms=typed("latency_ms", row["latency_ms"], int, "an integer"),
             transport_status=typed("transport_status", row["transport_status"], str, "a string"),
         )
 

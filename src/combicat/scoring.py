@@ -20,6 +20,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
+from .synthesis import finite, typed
+
 
 class CorpusError(ValueError):
     """The trace corpus cannot support the requested statistic."""
@@ -339,19 +341,16 @@ class CorpusStats:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CorpusStats":
-        """Read back ``to_dict``: a finite mean and a std of at least ``STD_FLOOR`` per scored metric."""
-        means = {name: _finite(data["means"][name], f"mean of {name}") for name in SCORED_METRICS}
-        stds = {name: _finite(data["stds"][name], f"std of {name}") for name in SCORED_METRICS}
+        """Read back ``to_dict``: a finite mean and a std of at least ``STD_FLOOR`` per scored metric, and an
+        integer ``corpus_size``; none is coerced."""
+        given_means = typed("means", data["means"], dict, "an object")
+        given_stds = typed("stds", data["stds"], dict, "an object")
+        means = {name: finite(f"mean of {name}", given_means[name]) for name in SCORED_METRICS}
+        stds = {name: finite(f"std of {name}", given_stds[name]) for name in SCORED_METRICS}
         low = [name for name in SCORED_METRICS if stds[name] < STD_FLOOR]
         if low:
             raise ValueError(f"std of {low[0]} is below the floor {STD_FLOOR}")
-        return cls(means=means, stds=stds, corpus_size=int(data["corpus_size"]))
-
-
-def _finite(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
-    return float(value)
+        return cls(means=means, stds=stds, corpus_size=typed("corpus_size", data["corpus_size"], int, "an integer"))
 
 
 def z_normalize(corpus: Sequence[CognitiveMetrics]) -> tuple[list[dict[str, float]], CorpusStats]:

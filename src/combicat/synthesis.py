@@ -222,11 +222,8 @@ def _shared_option(letter: str, formula_text: str, text: str) -> OptionEntry:
 
 
 def _loaded_option(item: Mapping[str, Any]) -> OptionEntry:
-    """A record's option, failing as a fresh entry would; one of plain strings is shared."""
-    letter, formula, text = item["letter"], parse_formula(item["formula"]), item["text"]
-    if type(letter) is type(item["formula"]) is type(text) is str:
-        return _shared_option(letter, item["formula"], text)
-    return OptionEntry(letter, formula, text)
+    """A record's option: its ``letter``, ``formula`` and ``text`` must be strings."""
+    return _shared_option(*(typed(key, item[key], str, "a string") for key in ("letter", "formula", "text")))
 
 
 @dataclass(frozen=True)

@@ -469,15 +469,16 @@ def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:
 def reference_comb_from_record(record) -> CombinatorialQuestion:
     """``CombinatorialQuestion.from_record`` with a fresh ``OptionEntry`` for every option."""
     known = _known_keys(CombinatorialQuestion)
-    options = tuple(
-        OptionEntry(item["letter"], parse_formula(item["formula"]), item["text"]) for item in record["options"]
-    )
+    options = []
+    for item in record["options"]:
+        letter, formula, text = (typed(key, item[key], str, "a string") for key in ("letter", "formula", "text"))
+        options.append(OptionEntry(letter, parse_formula(formula), text))
     return CombinatorialQuestion(
         id=typed("id", record["id"], str, "a string"),
         source_id=typed("source_id", record["source_id"], str, "a string"),
         context=typed("context", record.get("context", ""), str, "a string"),
         statements=tuple(string_list("statements", record["statements"], 4)),
-        options=options,
+        options=tuple(options),
         answer_set=frozenset(string_list("answer_set", record["answer_set"])),
         tier=typed("tier", record["tier"], str, "a string"),
         seed=typed("seed", record["seed"], int, "an integer"),

@@ -124,6 +124,24 @@ def test_bank_field_of_another_type_names_the_record(tmp_path, kind, key, value,
     assert str(exc_info.value) == f"{path}: record 1: {message}"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("letter", 5, "letter must be a string, not 5"),
+        ("formula", 3, "formula must be a string, not 3"),
+        ("text", None, "text must be a string, not None"),
+    ],
+)
+def test_option_field_of_another_type_names_the_record(tmp_path, key, value, message):
+    records = [assemble(make_atomic_question(i), tier_config("Hard"), 4).to_record() for i in range(2)]
+    records[1]["options"][2][key] = value
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps({"schema_version": 1, "questions": records}))
+    with pytest.raises(BankFormatError) as exc_info:
+        load_bank(str(path))
+    assert str(exc_info.value) == f"{path}: record 1: {message}"
+
+
 def test_other_schema_version_rejected(tmp_path):
     path = tmp_path / "bank.json"
     path.write_text(json.dumps({"schema_version": 2, "questions": []}))
@@ -161,20 +179,31 @@ def test_item_bank_round_trip(tmp_path):
     assert params.subset == "Base" and params.a == 1.6
 
 
-def test_read_jsonl_counts_corrupt_lines(tmp_path):
-    """Invalid JSON and JSON values other than objects are corrupt lines."""
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("not json", "invalid JSON (Expecting value)"),
+        ("42", "a row must be a JSON object, not 42"),
+        ('["c"]', "a row must be a JSON object, not ['c']"),
+        ("null", "a row must be a JSON object, not None"),
+        ('{"b": ', "invalid JSON (Expecting value)"),
+    ],
+    ids=["not-json", "number", "array", "null", "torn"],
+)
+def test_read_jsonl_names_each_corrupt_line(tmp_path, line, message):
+    """Invalid JSON and JSON values other than objects fail at their line; blank lines are not rows."""
     path = tmp_path / "log.jsonl"
-    path.write_text('{"a": 1}\nnot json\n42\n{"b": 2}\n["c"]\nnull\n')
-    rows, skipped = read_jsonl(str(path))
-    assert rows == [(1, {"a": 1}), (4, {"b": 2})]
-    assert skipped == 4
+    path.write_text('{"a": 1}\n\n' + line + '\n{"b": 2}\n')
+    with pytest.raises(BankFormatError) as caught:
+        read_jsonl(str(path))
+    assert str(caught.value) == f"{path}:3: {message}"
 
 
 def test_write_jsonl_round_trip(tmp_path):
     path = tmp_path / "rows.jsonl"
     rows = [{"x": 1}, {"y": [1, 2]}]
     write_jsonl(str(path), rows)
-    assert read_jsonl(str(path)) == (list(enumerate(rows, start=1)), 0)
+    assert read_jsonl(str(path)) == list(enumerate(rows, start=1))
 
 
 def test_traces_loader(tmp_path):

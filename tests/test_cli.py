@@ -122,7 +122,7 @@ class TestScoreTraces:
             ]
         )
         assert code == 0
-        scored = [row for _, row in read_jsonl(str(out))[0]]
+        scored = [row for _, row in read_jsonl(str(out))]
         z_values = sorted(row["z"]["oscillation"] for row in scored)
         assert z_values == pytest.approx([-1.0, 1.0])
 
@@ -136,7 +136,7 @@ class TestScoreTraces:
         out = tmp_path / "scores.jsonl"
         code = main(["score-traces", "--traces", str(traces), "--out", str(out)])
         assert code == 0
-        scored = [row for _, row in read_jsonl(str(out))[0]]
+        scored = [row for _, row in read_jsonl(str(out))]
         empty_row = next(r for r in scored if r["question_id"] == "a")
         assert empty_row["metrics"]["token_count"] == 0
         assert empty_row["metrics"]["uncertainty_entropy"] == 0.0
@@ -183,8 +183,12 @@ class TestScoreTraces:
                 lambda stats: stats["means"].update(chain_steps="0.5"),
                 "mean of chain_steps must be a finite number, not '0.5'",
             ),
+            (lambda stats: stats.update(corpus_size="12"), "corpus_size must be an integer, not '12'"),
+            (lambda stats: stats.update(corpus_size=True), "corpus_size must be an integer, not True"),
+            (lambda stats: stats.update(corpus_size=7.9), "corpus_size must be an integer, not 7.9"),
+            (lambda stats: stats.update(stds=[1.0]), "stds must be an object, not [1.0]"),
         ],
-        ids=["missing-mean", "zero-stds", "string-mean"],
+        ids=["missing-mean", "zero-stds", "string-mean", "string-size", "bool-size", "float-size", "list-stds"],
     )
     def test_malformed_stats_file_rejected(self, tmp_path, capsys, corrupt, message):
         traces = tmp_path / "traces.jsonl"
@@ -227,7 +231,7 @@ class TestScoreTraces:
         write_jsonl(traces, [{"question_id": "a"}, {"question_id": "b", "text": "therefore and because"}])
         out = tmp_path / "s.jsonl"
         assert main(["score-traces", "--traces", str(traces), "--out", str(out)]) == 0
-        scored = {row["question_id"]: row for _, row in read_jsonl(str(out))[0]}
+        scored = {row["question_id"]: row for _, row in read_jsonl(str(out))}
         assert scored["a"]["metrics"]["token_count"] == 0
         assert scored["a"]["metrics"]["segment_count"] == 0
 
@@ -353,8 +357,14 @@ class TestCalibrate:
             ("scores", "tier", 3, "tier must be a string, not 3"),
             ("bank", "gold_score", "31.5", "gold_score must be a finite number, not '31.5'"),
             ("bank", "segment_count", None, "segment_count must be a finite number, not None"),
+            ("scores", "tier", "Hardest", "unknown tier 'Hardest'"),
+            ("bank", "tier", "Hardest", "unknown tier 'Hardest'"),
+            ("bank", "tier", 3, "tier must be a string, not 3"),
         ],
-        ids=["bool-score", "string-score", "nan-count", "list-metrics", "int-tier", "bank-string-score", "bank-null"],
+        ids=[
+            "bool-score", "string-score", "nan-count", "list-metrics", "int-tier", "bank-string-score", "bank-null",
+            "unknown-tier", "bank-unknown-tier", "bank-int-tier",
+        ],
     )
     def test_feature_of_another_type_names_the_row(self, tmp_path, bank_file, capsys, source, key, value, message):
         """A feature that is present is read as written; only a missing one skips its question."""
@@ -379,7 +389,12 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
         assert not out.exists()
 
-    def test_non_object_score_line_skipped_as_corrupt(self, tmp_path, bank_file, caplog):
+    @pytest.mark.parametrize(
+        "line, message",
+        [("42", "a row must be a JSON object, not 42"), ('{"question_id": "q', "invalid JSON (Unterminated string")],
+        ids=["number", "torn"],
+    )
+    def test_corrupt_score_line_rejected_naming_line(self, tmp_path, bank_file, capsys, line, message):
         bank_path, questions = bank_file
         row = {
             "question_id": questions[0].id,
@@ -388,11 +403,11 @@ class TestCalibrate:
             "metrics": {"logic_density": 2.0, "token_count": 1000, "segment_count": 100},
         }
         scores = tmp_path / "scores.jsonl"
-        scores.write_text("42\n" + json.dumps(row) + "\n")
+        scores.write_text(json.dumps(row) + "\n" + line)
         out = tmp_path / "items.json"
-        assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 0
-        assert [item.question_id for item in load_item_bank(str(out))] == [questions[0].id]
-        assert "skipped 1 corrupt score rows" in caplog.text
+        assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {scores}:2: {message}")
+        assert not out.exists()
 
     def test_repeated_score_question_id_rejected_naming_both_lines(self, tmp_path, bank_file, capsys):
         bank_path, questions = bank_file
@@ -406,10 +421,10 @@ class TestCalibrate:
             for i, score in [(0, 25.0), (1, 26.0), (0, 27.0)]
         ]
         scores = tmp_path / "scores.jsonl"
-        scores.write_text("\n".join(["[1]"] + [json.dumps(row) for row in rows]) + "\n")
+        scores.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
         out = tmp_path / "items.json"
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {scores}:4: question_id {questions[0].id!r} repeats line 2\n"
+        assert capsys.readouterr().err == f"error: {scores}:3: question_id {questions[0].id!r} repeats line 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1014,25 +1029,35 @@ class TestReport:
         assert "replay mismatch: subset 'base' missing from log" in captured.err
         assert "replay mismatch: subset 'comb' missing from log" in captured.err
 
-    def test_truncated_line_skipped_with_count(self, tmp_path, capsys):
+    def test_torn_line_names_log_and_line(self, tmp_path, capsys):
+        """A torn last line, as a crash leaves it, is an error: report reads whole logs only."""
         log = tmp_path / "log.jsonl"
-        good = {
-            "kind": "response", "question_id": "q", "subset": "comb", "raw_text": "A",
-            "parsed_set": ["A"], "gold_set": ["A"], "exact": True, "f1": 1.0,
-            "latency_ms": 0, "transport_status": "ok",
-        }
-        log.write_text(json.dumps(good) + "\n" + '{"kind": "response", "question_id"')
-        assert main(["report", "--log", str(log)]) == 0
-        output = capsys.readouterr().out
-        assert "skipped lines: 1" in output
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n" + '{"kind": "response", "question_id"')
+        assert main(["report", "--log", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {log}:2: invalid JSON (Expecting ':' delimiter)\n"
+        assert captured.out == ""
 
-    def test_non_object_line_skipped_with_count(self, tmp_path, capsys):
+    def test_non_object_line_names_log_and_line(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         log.write_text("42\n" + json.dumps(RESPONSE_ROW) + "\n")
-        assert main(["report", "--log", str(log)]) == 0
-        output = capsys.readouterr().out
-        assert "comb     n=1 " in output
-        assert "skipped lines: 1" in output
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:1: a row must be a JSON object, not 42\n"
+
+    @pytest.mark.parametrize("kind", [None, 7, "reply"])
+    def test_row_of_an_unknown_kind_names_log_and_line(self, tmp_path, capsys, kind):
+        """A row that is neither a response nor a CAT step is an error, not a row to pass over."""
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n" + json.dumps({**RESPONSE_ROW, "kind": kind}) + "\n")
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:2: kind must be 'response' or 'cat_step', not {kind!r}\n"
+
+    def test_non_finite_f1_names_log_and_line(self, tmp_path, capsys):
+        """A NaN ``f1`` would make every replayed mean NaN, which no comparison flags."""
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n" + json.dumps({**RESPONSE_ROW, "f1": float("nan")}) + "\n")
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}:2: f1 must be a finite number, not nan\n"
 
     @pytest.mark.parametrize(
         "row, key",
@@ -1041,6 +1066,9 @@ class TestReport:
             ({k: v for k, v in RESPONSE_ROW.items() if k != "transport_status"}, "transport_status"),
             ({"kind": "cat_step", "theta_hat": 0.5, "se": 0.4}, "subset"),
             ({"kind": "cat_step", "subset": "base", "theta_hat": 0.5}, "se"),
+            ({k: v for k, v in RESPONSE_ROW.items() if k != "raw_text"}, "raw_text"),
+            ({k: v for k, v in RESPONSE_ROW.items() if k != "latency_ms"}, "latency_ms"),
+            ({k: v for k, v in RESPONSE_ROW.items() if k != "kind"}, "kind"),
         ],
     )
     def test_row_missing_key_names_log_and_line(self, tmp_path, capsys, row, key):
@@ -1090,8 +1118,8 @@ class TestReport:
             ("raw_text", None, "raw_text must be a string, not None"),
             ("parsed_set", "AB", "parsed_set must be a list of strings, not 'AB'"),
             ("gold_set", ["A", 1], "gold_set must be a list of strings, not ['A', 1]"),
-            ("f1", "1.0", "f1 must be a number, not '1.0'"),
-            ("f1", True, "f1 must be a number, not True"),
+            ("f1", "1.0", "f1 must be a finite number, not '1.0'"),
+            ("f1", True, "f1 must be a finite number, not True"),
             ("latency_ms", 2.5, "latency_ms must be an integer, not 2.5"),
         ],
     )
@@ -1121,7 +1149,7 @@ class TestReport:
             ([1], "a report must be an object whose 'subsets' is an object"),
             ({"subsets": []}, "a report must be an object whose 'subsets' is an object"),
             ({"subsets": {"comb": 5}}, "subset 'comb' must be an object of numbers"),
-            ({"subsets": {"comb": {"n": [1]}}}, "subset 'comb' must be an object of numbers"),
+            ({"subsets": {"comb": {"n": [1]}}}, "comb.n must be a finite number, not [1]"),
         ],
         ids=["list", "subsets-list", "subset-int", "value-list"],
     )
@@ -1134,6 +1162,22 @@ class TestReport:
         captured = capsys.readouterr()
         assert "replay check: ok" not in captured.out
         assert captured.err == f"error: {report}: {message}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=["nan", "infinity", "true"])
+    def test_non_finite_report_value_fails_naming_the_report(self, tmp_path, capsys, value):
+        """``abs(nan - x) > 1e-12`` is false, so a NaN report would otherwise pass the replay check."""
+        _, comb, _, _ = _pipeline(tmp_path, n_questions=8)
+        out_dir = tmp_path / "run"
+        assert main(["evaluate", "--comb-bank", str(comb), "--simulator", "memorization", "--out", str(out_dir)]) == 0
+        report_path = out_dir / "report.json"
+        data = json.loads(report_path.read_text())
+        data["subsets"]["comb"].update(accuracy=value, mean_f1=value, overlap_rate=value)
+        report_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert "replay check: ok" not in captured.out
+        assert captured.err == f"error: {report_path}: comb.accuracy must be a finite number, not {value!r}\n"
 
     def test_per_case_f1_table_for_small_logs(self, tmp_path, capsys):
         rows = []
@@ -1192,8 +1236,7 @@ class TestStartUp:
             "evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir),
         )
         assert result.returncode == 0, result.stderr
-        rows, skipped = read_jsonl(str(out_dir / "run.jsonl"))
-        assert skipped == 0
+        rows = read_jsonl(str(out_dir / "run.jsonl"))
         assert [row["question_id"] for _, row in rows] == [question.id for question in questions]
         assert {(row["raw_text"], row["transport_status"]) for _, row in rows} == {("A", "ok")}
         assert load_json(str(out_dir / "report.json"))["subsets"]["base"]["n"] == len(questions)

@@ -434,9 +434,7 @@ class TestResponders:
 
 def logged_responses(log_path) -> list[ResponseRecord]:
     """The response rows of a run log, read back from the file."""
-    rows, skipped = read_jsonl(str(log_path))
-    assert skipped == 0
-    return [ResponseRecord.from_record(row) for _, row in rows if row["kind"] == "response"]
+    return [ResponseRecord.from_record(row) for _, row in read_jsonl(str(log_path)) if row["kind"] == "response"]
 
 
 def cat_banks(n: int, seed: int) -> EvalBanks:
@@ -625,7 +623,7 @@ class TestCatLoopAgainstReference:
             ScriptedResponder(script), banks, str(log_path), mode="cat",
             settings=RunSettings(max_items=max_items, se_target=se_target),
         )
-        rows = [row for _, row in read_jsonl(str(log_path))[0]]
+        rows = [row for _, row in read_jsonl(str(log_path))]
         for subset, label, estimate, accuracy in (
             ("Base", "base", report.dual.base, report.dual.base_accuracy),
             ("Combinatorial", "comb", report.dual.comb, report.dual.comb_accuracy),

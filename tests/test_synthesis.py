@@ -445,8 +445,9 @@ def _reference_load(path, record):
     return question
 
 
-# Option fields of another JSON type, which only a bank file can hold. Shared
-# option entries are keyed by text, so 1, 1.0 and true must not meet in a key.
+# Option fields of another JSON type, which only a bank file can hold. Each must
+# fail naming its field: shared option entries are keyed by text, and 1, 1.0 and
+# true would otherwise meet in one key.
 ODD_FIELDS = st.tuples(
     st.sampled_from(["letter", "formula", "text"]),
     st.integers(0, 7),
