@@ -223,7 +223,11 @@ def _shared_option(letter: str, formula_text: str, text: str) -> OptionEntry:
 
 def _loaded_option(item: Mapping[str, Any]) -> OptionEntry:
     """A record's option: its ``letter``, ``formula`` and ``text`` must be strings."""
-    return _shared_option(*(typed(key, item[key], str, "a string") for key in ("letter", "formula", "text")))
+    return _shared_option(
+        typed("letter", item["letter"], str, "a string"),
+        typed("formula", item["formula"], str, "a string"),
+        typed("text", item["text"], str, "a string"),
+    )
 
 
 @dataclass(frozen=True)
