@@ -391,7 +391,10 @@ class TestCalibrate:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("42", "a row must be a JSON object, not 42"), ('{"question_id": "q', "invalid JSON (Unterminated string")],
+        [
+            ("42", "a row must be a JSON object, not 42"),
+            ('{"question_id": "q', "invalid JSON (Unterminated string starting at)"),
+        ],
         ids=["number", "torn"],
     )
     def test_corrupt_score_line_rejected_naming_line(self, tmp_path, bank_file, capsys, line, message):
@@ -406,7 +409,7 @@ class TestCalibrate:
         scores.write_text(json.dumps(row) + "\n" + line)
         out = tmp_path / "items.json"
         assert main(["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {scores}:2: {message}")
+        assert capsys.readouterr().err == f"error: {scores}:2: {message}\n"
         assert not out.exists()
 
     def test_repeated_score_question_id_rejected_naming_both_lines(self, tmp_path, bank_file, capsys):

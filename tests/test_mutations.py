@@ -51,6 +51,19 @@ def places(value, prefix=()):
         yield from places(child, prefix + (key,))
 
 
+class Inputs:
+    """The fixture directory, and each reader's result on its unchanged file."""
+
+    def __init__(self, root):
+        self.root = root
+        self.unchanged = {
+            kind: run_reader(root, kind, (root / name).read_text()) for kind, (name, _) in READERS.items()
+        }
+
+    def __repr__(self):
+        return f"Inputs({self.root})"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A small pipeline's traces, scores, stats, CAT log and report."""
@@ -69,7 +82,7 @@ def inputs(tmp_path_factory):
     with redirect_stdout(io.StringIO()):
         for argv in steps:
             assert main([str(root / arg) if arg.endswith((".json", ".jsonl", "run")) else arg for arg in argv]) == 0
-    return root, {kind: run_reader(root, kind, (root / name).read_text()) for kind, (name, _) in READERS.items()}
+    return Inputs(root)
 
 
 def run_reader(root, kind, text):
@@ -90,7 +103,7 @@ def run_reader(root, kind, text):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_changed_or_torn_input_parses_the_same_or_fails_naming_where(inputs, data):
-    root, unchanged = inputs
+    root, unchanged = inputs.root, inputs.unchanged
     kind = data.draw(st.sampled_from(sorted(READERS)), label="input")
     name = READERS[kind][0]
     text = (root / name).read_text(encoding="utf-8")
