@@ -29,9 +29,15 @@ def _records(path: str, key: str) -> list:
         return data
     if not (isinstance(data, dict) and key in data):
         raise BankFormatError(f"{path}: expected a list or an object with {key!r}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise BankFormatError(f"{path}: schema_version {data.get('schema_version')!r} is not {SCHEMA_VERSION}")
-    return list(data[key])
+    _check_version(path, data)
+    return parse_at(path, lambda records: typed(key, records, list, "a list"), data[key])
+
+
+def _check_version(path: str, data: Any) -> None:
+    """Reject a file that is not an object of this ``SCHEMA_VERSION`` (an integer, so ``true`` is not 1)."""
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise BankFormatError(f"{path}: schema_version {version!r} is not {SCHEMA_VERSION}")
 
 
 def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
@@ -43,9 +49,16 @@ def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
         raise BankFormatError(f"{where}: {detail}") from None
 
 
-def load_object(path: str, from_dict: Callable[[Any], T]) -> T:
-    """A file holding one JSON object (an endpoint config, corpus stats), read through ``from_dict``."""
-    return parse_at(path, from_dict, load_json(path))
+def load_object(path: str, from_dict: Callable[[Any], T], versioned: bool = False) -> T:
+    """A file holding one JSON object, read through ``from_dict``.
+
+    A ``versioned`` file (corpus stats, a report), written by ``save_json``,
+    must carry this ``SCHEMA_VERSION``; an endpoint config carries none.
+    """
+    data = load_json(path)
+    if versioned:
+        _check_version(path, data)
+    return parse_at(path, from_dict, data)
 
 
 def _save(path: str, key: str, records: Iterable[Any]) -> None:
@@ -176,8 +189,9 @@ class CalibratedItem:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "CalibratedItem":
-        """An item bank row; each field must already have its type, and none is coerced."""
-        return cls(
+        """An item bank row; each field must already have its type, none is coerced, and the 3PL parameters
+        must pass ``ItemParams``' range checks."""
+        item = cls(
             item_id=typed("item_id", record["item_id"], str, "a string"),
             question_id=typed("question_id", record["question_id"], str, "a string"),
             subset=typed("subset", record["subset"], str, "a string"),
@@ -187,11 +201,21 @@ class CalibratedItem:
             c=finite("c", record["c"]),
             n_options=typed("n_options", record["n_options"], int, "an integer"),
         )
+        item.item_params()
+        return item
 
 
 def load_item_bank(path: str) -> list[CalibratedItem]:
+    """The items of an item bank file; no two share an ``item_id`` or a ``question_id``."""
     records = _records(path, "items")
-    return [parse_at(f"{path}: record {i}", CalibratedItem.from_record, record) for i, record in enumerate(records)]
+    items = [parse_at(f"{path}: record {i}", CalibratedItem.from_record, record) for i, record in enumerate(records)]
+    first: dict[tuple[str, str], int] = {}
+    for i, item in enumerate(items):
+        for key in (("item_id", item.item_id), ("question_id", item.question_id)):
+            if key in first:
+                raise BankFormatError(f"{path}: record {i}: {key[0]} {key[1]!r} repeats record {first[key]}")
+            first[key] = i
+    return items
 
 
 def save_item_bank(path: str, items: Sequence[CalibratedItem]) -> None:

@@ -56,6 +56,7 @@ from .scoring import (
     gold_score,
     load_lexicons,
     normalize_against,
+    stratify,
     z_normalize,
 )
 from .synthesis import (
@@ -146,7 +147,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
         penalties.append(fallacy_penalty(trace, lexicons))
 
     if args.stats:
-        stats = bankio.load_object(args.stats, lambda data: CorpusStats.from_dict(data["stats"]))
+        stats = bankio.load_object(args.stats, _frozen_stats, versioned=True)
         z_rows = [normalize_against(stats, m) for m in metrics]
     else:
         z_rows, stats = z_normalize(metrics)
@@ -157,12 +158,12 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "question_id": trace.question_id,
-                "metrics": metric.as_dict(),
+                "metrics": metric,
                 "z": z,
                 "fallacy": penalty_score,
-                "gold_score": score.value,
+                "gold_score": score,
                 "penalty": penalty_score,
-                "tier": score.tier,
+                "tier": stratify(score),
             }
         )
     bankio.write_jsonl(args.out, rows)
@@ -194,6 +195,14 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
     return 0
 
 
+def _frozen_stats(data: Mapping[str, Any]) -> CorpusStats:
+    """The corpus stats of a stats file, which must have been scored under ``SCORING_MODEL``."""
+    stats = CorpusStats.from_dict(typed("stats", data["stats"], dict, "an object"))
+    if json.dumps(data["scoring"], sort_keys=True) != json.dumps(SCORING_MODEL, sort_keys=True):
+        raise ValueError("scoring is not the scoring model of this version")
+    return stats
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
@@ -212,7 +221,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         keys = (question.id, question.source_id) if combinatorial else (question.id,)
         inline = f"{args.bank}: record {i}", question.extras
         where, row = next((scores[key] for key in keys if key in scores), inline)
-        item = bankio.parse_at(where, functools.partial(_calibrated_item, question, subset), row)
+        # An atomic question takes the row's tier, or failing that its bank record's, read where it is written.
+        tier_at, tier_row = (where, row) if "tier" in row else inline
+        tier = question.tier if combinatorial else bankio.parse_at(tier_at, _tier_of, tier_row)
+        item = bankio.parse_at(where, functools.partial(_calibrated_item, question, subset, tier), row)
         if item is None:
             log.warning("question %s: missing calibration features, skipped", question.id)
         else:
@@ -229,24 +241,28 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 _FEATURES = ("gold_score", "logic_density", "token_count", "segment_count")
 
 
+def _tier_of(record: Mapping[str, Any]) -> str | None:
+    """The tier a score row or bank record names, or ``None`` if it names none; a known tier name, not coerced."""
+    if "tier" not in record:
+        return None
+    tier = typed("tier", record["tier"], str, "a string")
+    discrimination_for_tier(tier)  # an unknown tier fails here, where it was read
+    return tier
+
+
 def _calibrated_item(
-    question: AtomicQuestion | CombinatorialQuestion, subset: str, row: Mapping[str, Any]
+    question: AtomicQuestion | CombinatorialQuestion, subset: str, tier: str | None, row: Mapping[str, Any]
 ) -> CalibratedItem | None:
-    """``question`` calibrated from its score row or inline record, or ``None`` if a feature is missing.
+    """``question`` of ``tier`` calibrated from its score row or inline record, or ``None`` if a feature or the
+    tier is missing.
 
     ``gold_score`` sits in the row, the other features in its ``metrics`` object (an
-    inline record holds them itself). A combinatorial question keeps its own tier; an
-    atomic one takes the row's, or failing that its bank record's. A feature that is
-    present must be a finite number, and the tier a known tier name; none is coerced.
+    inline record holds them itself). A feature that is present must be a finite
+    number; none is coerced.
     """
     metrics = typed("metrics", row.get("metrics", row), dict, "an object")
     features = [finite(key, source[key]) for key, source in zip(_FEATURES, (row, metrics, metrics, metrics))
                 if key in source]
-    if isinstance(question, CombinatorialQuestion):
-        tier = question.tier
-    else:
-        record = row if "tier" in row else question.extras
-        tier = typed("tier", record["tier"], str, "a string") if "tier" in record else None
     if len(features) < len(_FEATURES) or tier is None:
         return None
     n_options = len(question.options)
@@ -416,7 +432,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"delta_theta {delta:+.3f}")
 
     if args.report:
-        stored = bankio.load_object(args.report, _stored_subsets)
+        stored = bankio.load_object(args.report, _stored_subsets, versioned=True)
         mismatches = _replay_mismatches(stored, aggregates)
         if mismatches:
             for line in mismatches:
@@ -442,9 +458,7 @@ def _log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, flo
 
 def _stored_subsets(report: Any) -> dict[str, dict[str, float]]:
     """The ``subsets`` map of a report file: one object of finite numbers per subset."""
-    subsets = report.get("subsets", {}) if isinstance(report, dict) else None
-    if not isinstance(subsets, dict):
-        raise ValueError("a report must be an object whose 'subsets' is an object")
+    subsets = typed("subsets", report.get("subsets", {}), dict, "an object")
     numbers = {}
     for label, stored in subsets.items():
         if not isinstance(stored, dict):

@@ -38,26 +38,6 @@ class ThinkingTrace:
         return cls(question_id=question_id, text=text, token_count=len(text.split()))
 
 
-@dataclass(frozen=True)
-class CognitiveMetrics:
-    """The nine scored dimensions plus the two raw size measurements."""
-
-    oscillation: float
-    logic_density: float
-    abductive_depth: float
-    dialectic_tension: float
-    dimensional_awareness: float
-    chain_steps: float
-    uncertainty_entropy: float
-    pivot_count: float
-    abstraction_level: float
-    token_count: int
-    segment_count: int
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in METRIC_NAMES}
-
-
 SCORED_METRICS: tuple[str, ...] = (
     "oscillation",
     "logic_density",
@@ -69,6 +49,7 @@ SCORED_METRICS: tuple[str, ...] = (
     "pivot_count",
     "abstraction_level",
 )
+# A trace's metrics: the nine scored dimensions and its two raw sizes.
 METRIC_NAMES: tuple[str, ...] = SCORED_METRICS + ("token_count", "segment_count")
 
 
@@ -143,25 +124,6 @@ class Marker:
         return hits
 
 
-@dataclass(frozen=True)
-class MarkerLexicons:
-    """Marker lists per metric, merged over one or more locales."""
-
-    reversal: tuple[Marker, ...]
-    connectives: tuple[Marker, ...]
-    epistemic: Mapping[str, tuple[Marker, ...]]
-    pivot: tuple[Marker, ...]
-    hypothesis: tuple[Marker, ...]
-    elimination: tuple[Marker, ...]
-    thesis: tuple[Marker, ...]
-    antithesis: tuple[Marker, ...]
-    synthesis: tuple[Marker, ...]
-    premise_layer: tuple[Marker, ...]
-    deduction_step: tuple[Marker, ...]
-    abstraction: Mapping[int, tuple[Marker, ...]]
-    contradiction: tuple[Marker, ...]
-
-
 def _add_markers(bucket: list[Marker], markers: Iterable[Any], where: str) -> None:
     """Parse ``markers`` into ``bucket``, rejecting what the scan cannot search for or would count twice."""
     for marker in markers:
@@ -175,51 +137,42 @@ def _add_markers(bucket: list[Marker], markers: Iterable[Any], where: str) -> No
         bucket.append(parsed)
 
 
+def _level(sub: str, where: str) -> int:
+    try:
+        return int(sub)
+    except ValueError:
+        raise ValueError(f"{where}: abstraction level {sub!r} is not an integer") from None
+
+
 def _merge_raw(locales: Sequence[tuple[str, Mapping[str, Any]]]) -> dict[str, Any]:
-    """Markers per key (and per class or level), merged over the named lexicons in order."""
+    """Markers per key (and per class, or per integer abstraction level), merged over the named lexicons in order."""
     merged: dict[str, Any] = {}
     for name, raw in locales:
         for key, value in raw.items():
             if isinstance(value, dict):
                 bucket = merged.setdefault(key, {})
                 for sub, markers in value.items():
-                    _add_markers(bucket.setdefault(sub, []), markers, f"{name}: {key}.{sub}")
+                    where = f"{name}: {key}.{sub}"
+                    sub_key = _level(sub, where) if key == "abstraction" else sub
+                    _add_markers(bucket.setdefault(sub_key, []), markers, where)
             else:
                 _add_markers(merged.setdefault(key, []), value, f"{name}: {key}")
     return merged
 
 
-def _build_lexicons(merged: Mapping[str, Any]) -> MarkerLexicons:
-    def plain(key: str) -> tuple[Marker, ...]:
-        return tuple(merged.get(key, []))
-
-    return MarkerLexicons(
-        reversal=plain("reversal"),
-        connectives=plain("connectives"),
-        epistemic={cls: tuple(markers) for cls, markers in merged.get("epistemic", {}).items()},
-        pivot=plain("pivot"),
-        hypothesis=plain("hypothesis"),
-        elimination=plain("elimination"),
-        thesis=plain("thesis"),
-        antithesis=plain("antithesis"),
-        synthesis=plain("synthesis"),
-        premise_layer=plain("premise_layer"),
-        deduction_step=plain("deduction_step"),
-        abstraction={int(level): tuple(markers) for level, markers in merged.get("abstraction", {}).items()},
-        contradiction=plain("contradiction"),
-    )
-
-
-def load_lexicons(locale: str = "both") -> MarkerLexicons:
+def load_lexicons(locale: str = "both") -> dict[str, Any]:
     """The packaged marker lexicons of one locale ("en", "zh") or of both, merged.
 
-    A marker that is not a string, is empty or blank, or repeats another of
-    the same metric raises ``ValueError`` naming the lexicon file and the key.
+    Each lexicon key maps to its markers; ``epistemic`` maps each class, and
+    ``abstraction`` each integer level, to its markers. A marker that is not a
+    string, is empty or blank, or repeats another of the same metric, and an
+    abstraction level that is not an integer, raise ``ValueError`` naming the
+    lexicon file and the key.
     """
     wanted = ("en", "zh") if locale == "both" else (locale,)
     files = [f"lexicon_{name}.json" for name in wanted]
     raws = [(file, json.loads(resources.files("combicat.data").joinpath(file).read_text("utf-8"))) for file in files]
-    return _build_lexicons(_merge_raw(raws))
+    return _merge_raw(raws)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +216,8 @@ def shannon_entropy(counts: Iterable[int]) -> float:
     return -sum((c / total) * math.log(c / total) for c in positive)
 
 
-def extract_metrics(trace: ThinkingTrace, lexicons: MarkerLexicons) -> CognitiveMetrics:
-    """Score one trace against the lexicons.
+def extract_metrics(trace: ThinkingTrace, lexicons: Mapping[str, Any]) -> dict[str, float]:
+    """Score one trace against the lexicons: a float for each of ``METRIC_NAMES``.
 
     Counts are non-overlapping marker hits (see ``Marker``). Enumerated
     steps also count numbered line heads ("1.", "2)", "Step 3"). Segments are
@@ -272,48 +225,31 @@ def extract_metrics(trace: ThinkingTrace, lexicons: MarkerLexicons) -> Cognitive
     """
     text = trace.text
     if not text.strip():
-        return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0)
+        return {**dict.fromkeys(METRIC_NAMES, 0.0), "token_count": float(trace.token_count)}
     folded = fold(text)
 
-    reversal_hits = _count_hits(lexicons.reversal, text, folded)
-    connective_hits = _count_hits(lexicons.connectives, text, folded)
-    logic_density = 100.0 * connective_hits / max(1, trace.token_count)
+    def hits(key: str) -> int:
+        return _count_hits(lexicons.get(key, ()), text, folded)
 
-    abductive = _ordered_chains(
-        _positions(lexicons.hypothesis, text, folded), _positions(lexicons.elimination, text, folded)
-    )
-    dialectic = _ordered_chains(
-        _positions(lexicons.thesis, text, folded),
-        _positions(lexicons.antithesis, text, folded),
-        _positions(lexicons.synthesis, text, folded),
-    )
-    dimensional = _count_hits(lexicons.premise_layer, text, folded)
-    chain_steps = _count_hits(lexicons.deduction_step, text, folded) + len(_NUMBERED_STEP_RE.findall(text))
+    def positions(key: str) -> list[int]:
+        return _positions(lexicons.get(key, ()), text, folded)
 
-    epistemic_counts = [_count_hits(markers, text, folded) for markers in lexicons.epistemic.values()]
-    entropy = shannon_entropy(epistemic_counts)
-
-    pivots = _count_hits(lexicons.pivot, text, folded)
-    abstraction = 0
-    for level in sorted(lexicons.abstraction):
-        if _count_hits(lexicons.abstraction[level], text, folded) > 0:
-            abstraction = max(abstraction, level)
-
-    segments = [block for block in _SEGMENT_SPLIT_RE.split(text) if block.strip()]
-
-    return CognitiveMetrics(
-        oscillation=reversal_hits,
-        logic_density=logic_density,
-        abductive_depth=abductive,
-        dialectic_tension=dialectic,
-        dimensional_awareness=dimensional,
-        chain_steps=chain_steps,
-        uncertainty_entropy=entropy,
-        pivot_count=pivots,
-        abstraction_level=abstraction,
-        token_count=trace.token_count,
-        segment_count=len(segments),
-    )
+    dialectic = _ordered_chains(positions("thesis"), positions("antithesis"), positions("synthesis"))
+    epistemic = [_count_hits(markers, text, folded) for markers in lexicons.get("epistemic", {}).values()]
+    levels = [level for level, markers in lexicons.get("abstraction", {}).items() if _count_hits(markers, text, folded)]
+    return {
+        "oscillation": float(hits("reversal")),
+        "logic_density": 100.0 * hits("connectives") / max(1, trace.token_count),
+        "abductive_depth": float(_ordered_chains(positions("hypothesis"), positions("elimination"))),
+        "dialectic_tension": float(dialectic),
+        "dimensional_awareness": float(hits("premise_layer")),
+        "chain_steps": float(hits("deduction_step") + len(_NUMBERED_STEP_RE.findall(text))),
+        "uncertainty_entropy": shannon_entropy(epistemic),
+        "pivot_count": float(hits("pivot")),
+        "abstraction_level": float(max([0] + levels)),
+        "token_count": float(trace.token_count),
+        "segment_count": float(sum(1 for block in _SEGMENT_SPLIT_RE.split(text) if block.strip())),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +289,7 @@ class CorpusStats:
         return cls(means=means, stds=stds, corpus_size=typed("corpus_size", data["corpus_size"], int, "an integer"))
 
 
-def z_normalize(corpus: Sequence[CognitiveMetrics]) -> tuple[list[dict[str, float]], CorpusStats]:
+def z_normalize(corpus: Sequence[Mapping[str, float]]) -> tuple[list[dict[str, float]], CorpusStats]:
     """Population z-scores of the nine scored metrics over the corpus.
 
     A floor on the standard deviation keeps constant metrics at z = 0 instead
@@ -364,7 +300,7 @@ def z_normalize(corpus: Sequence[CognitiveMetrics]) -> tuple[list[dict[str, floa
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
     for name in SCORED_METRICS:
-        values = [float(getattr(m, name)) for m in corpus]
+        values = [metrics[name] for metrics in corpus]
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / len(values)
         means[name] = mean
@@ -373,12 +309,9 @@ def z_normalize(corpus: Sequence[CognitiveMetrics]) -> tuple[list[dict[str, floa
     return [normalize_against(stats, m) for m in corpus], stats
 
 
-def normalize_against(stats: CorpusStats, metrics: CognitiveMetrics) -> dict[str, float]:
+def normalize_against(stats: CorpusStats, metrics: Mapping[str, float]) -> dict[str, float]:
     """Score one item against frozen corpus statistics."""
-    return {
-        name: (float(getattr(metrics, name)) - stats.means[name]) / stats.stds[name]
-        for name in SCORED_METRICS
-    }
+    return {name: (metrics[name] - stats.means[name]) / stats.stds[name] for name in SCORED_METRICS}
 
 
 OFFSET = 23.2
@@ -389,12 +322,6 @@ SCORING_MODEL: Mapping[str, Any] = {
     "penalty_rate": 1.0,
     "offset": OFFSET,
 }
-
-
-@dataclass(frozen=True)
-class GoldScore:
-    value: float
-    tier: str
 
 
 def stratify(value: float) -> str:
@@ -408,15 +335,14 @@ def stratify(value: float) -> str:
     return "Expert"
 
 
-def gold_score(z: Mapping[str, float], fallacy_score: float = 0.0) -> GoldScore:
+def gold_score(z: Mapping[str, float], fallacy_score: float = 0.0) -> float:
     """``OFFSET`` plus the sum of the nine z-scores, minus the fallacy score."""
     if fallacy_score < 0:
         raise ValueError("fallacy score must be non-negative")
     missing = [name for name in SCORED_METRICS if name not in z]
     if missing:
         raise ValueError(f"missing z-score(s) for {', '.join(missing)}")
-    value = OFFSET + sum(z[name] for name in SCORED_METRICS) - fallacy_score
-    return GoldScore(value=value, tier=stratify(value))
+    return OFFSET + sum(z[name] for name in SCORED_METRICS) - fallacy_score
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +370,7 @@ def _final_answer_span(text: str) -> tuple[set[str], int]:
     return set(), len(text)
 
 
-def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
+def fallacy_penalty(trace: ThinkingTrace, lexicons: Mapping[str, Any]) -> float:
     """Count internal contradictions in a trace.
 
     The rule totals (a) assertions "the answer is X" whose letter is absent
@@ -458,5 +384,5 @@ def fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
                 continue
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.contradiction, trace.text, fold(trace.text))
+    contradictions = _count_hits(lexicons.get("contradiction", ()), trace.text, fold(trace.text))
     return float(mismatches + contradictions)

@@ -41,7 +41,6 @@ built a fresh entry for every option it loaded.
 import json
 import math
 import re
-from dataclasses import fields
 from importlib import resources
 
 from combicat.irt import (
@@ -59,8 +58,7 @@ from combicat.scoring import (
     _FINAL_LETTERS_RE,
     _NUMBERED_STEP_RE,
     _SEGMENT_SPLIT_RE,
-    CognitiveMetrics,
-    MarkerLexicons,
+    METRIC_NAMES,
     ThinkingTrace,
     _count_hits,
     _ordered_chains,
@@ -188,7 +186,7 @@ def reference_final_answer_span(text: str) -> tuple[set[str], int]:
     return last_letters, last_start
 
 
-def reference_fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) -> float:
+def reference_fallacy_penalty(trace: ThinkingTrace, lexicons: dict) -> float:
     """``fallacy_penalty`` over a fold of its own and the forward line walk."""
     final_letters, final_start = reference_final_answer_span(trace.text)
     mismatches = 0
@@ -198,26 +196,26 @@ def reference_fallacy_penalty(trace: ThinkingTrace, lexicons: MarkerLexicons) ->
                 continue
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.contradiction, trace.text, fold(trace.text))
+    contradictions = _count_hits(lexicons.get("contradiction", ()), trace.text, fold(trace.text))
     return float(mismatches + contradictions)
 
 
 # fallacy_penalty reads only the contradiction markers; with none it counts
 # the assertions that disagree with the final answer line.
-_NO_MARKERS = MarkerLexicons(*(() for _ in fields(MarkerLexicons)))
+_NO_MARKERS: dict = {}
 
 
 def _subgroups(groups: dict[str, list[str]], key: str) -> dict[str, list[str]]:
     return {name.split(".", 1)[1]: markers for name, markers in groups.items() if name.startswith(key + ".")}
 
 
-def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tuple[CognitiveMetrics, float]:
+def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tuple[dict[str, float], float]:
     """``extract_metrics`` and ``fallacy_penalty`` with every marker matched by its reference regex."""
     text = trace.text
     contradictions = reference_count(groups.get("contradiction", []), text)
     penalty = reference_fallacy_penalty(trace, _NO_MARKERS) + contradictions
     if not text.strip():
-        return CognitiveMetrics(0, 0.0, 0, 0, 0, 0, 0.0, 0, 0, trace.token_count, 0), penalty
+        return {**dict.fromkeys(METRIC_NAMES, 0.0), "token_count": float(trace.token_count)}, penalty
 
     def count_of(markers: list[str]) -> int:
         return reference_count(markers, text)
@@ -229,7 +227,7 @@ def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tupl
         return reference_positions(groups.get(key, []), text)
 
     levels = _subgroups(groups, "abstraction")
-    metrics = CognitiveMetrics(
+    metrics = dict(
         oscillation=count("reversal"),
         logic_density=100.0 * count("connectives") / max(1, trace.token_count),
         abductive_depth=_ordered_chains(positions("hypothesis"), positions("elimination")),
@@ -242,7 +240,7 @@ def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tupl
         token_count=trace.token_count,
         segment_count=len([block for block in _SEGMENT_SPLIT_RE.split(text) if block.strip()]),
     )
-    return metrics, penalty
+    return {name: float(metrics[name]) for name in METRIC_NAMES}, penalty
 
 
 def _reference_eligible(session, bank) -> list:

@@ -149,6 +149,24 @@ def test_other_schema_version_rejected(tmp_path):
         load_atomic_bank(str(path))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_schema_version_is_the_integer_one(tmp_path, version):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps({"schema_version": version, "questions": []}))
+    with pytest.raises(BankFormatError) as exc_info:
+        load_atomic_bank(str(path))
+    assert str(exc_info.value) == f"{path}: schema_version {version!r} is not 1"
+
+
+@pytest.mark.parametrize("records", [None, {}, "q1", 3], ids=["null", "object", "string", "number"])
+def test_records_that_are_not_a_list_rejected_naming_file(tmp_path, records):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps({"schema_version": 1, "questions": records}))
+    with pytest.raises(BankFormatError) as exc_info:
+        load_atomic_bank(str(path))
+    assert str(exc_info.value) == f"{path}: questions must be a list, not {records!r}"
+
+
 def test_item_record_without_a_key_names_file_and_key(tmp_path):
     path = tmp_path / "items.json"
     save_item_bank(str(path), [CalibratedItem("Base:q1", "q1", "Base", "Hard", 1.6, -0.5, 0.25, 4)])

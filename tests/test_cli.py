@@ -174,21 +174,27 @@ class TestScoreTraces:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda stats: stats["means"].pop("logic_density"), "missing key 'logic_density'"),
+            (lambda data: data["stats"]["means"].pop("logic_density"), "missing key 'logic_density'"),
             (
-                lambda stats: stats["stds"].update(dict.fromkeys(SCORED_METRICS, 0.0)),
+                lambda data: data["stats"]["stds"].update(dict.fromkeys(SCORED_METRICS, 0.0)),
                 "std of oscillation is below the floor 1e-08",
             ),
             (
-                lambda stats: stats["means"].update(chain_steps="0.5"),
+                lambda data: data["stats"]["means"].update(chain_steps="0.5"),
                 "mean of chain_steps must be a finite number, not '0.5'",
             ),
-            (lambda stats: stats.update(corpus_size="12"), "corpus_size must be an integer, not '12'"),
-            (lambda stats: stats.update(corpus_size=True), "corpus_size must be an integer, not True"),
-            (lambda stats: stats.update(corpus_size=7.9), "corpus_size must be an integer, not 7.9"),
-            (lambda stats: stats.update(stds=[1.0]), "stds must be an object, not [1.0]"),
+            (lambda data: data["stats"].update(corpus_size="12"), "corpus_size must be an integer, not '12'"),
+            (lambda data: data["stats"].update(corpus_size=True), "corpus_size must be an integer, not True"),
+            (lambda data: data["stats"].update(corpus_size=7.9), "corpus_size must be an integer, not 7.9"),
+            (lambda data: data["stats"].update(stds=[1.0]), "stds must be an object, not [1.0]"),
+            (lambda data: data.update(stats=None), "stats must be an object, not None"),
+            (lambda data: data.update(schema_version=99), "schema_version 99 is not 1"),
+            (lambda data: data.pop("schema_version"), "schema_version None is not 1"),
+            (lambda data: data.update(scoring={"model": "other"}), "scoring is not the scoring model of this version"),
+            (lambda data: data["scoring"].update(offset=20.0), "scoring is not the scoring model of this version"),
         ],
-        ids=["missing-mean", "zero-stds", "string-mean", "string-size", "bool-size", "float-size", "list-stds"],
+        ids=["missing-mean", "zero-stds", "string-mean", "string-size", "bool-size", "float-size", "list-stds",
+             "null-stats", "other-version", "no-version", "other-model", "other-offset"],
     )
     def test_malformed_stats_file_rejected(self, tmp_path, capsys, corrupt, message):
         traces = tmp_path / "traces.jsonl"
@@ -197,7 +203,7 @@ class TestScoreTraces:
         first = ["score-traces", "--traces", str(traces), "--out", str(tmp_path / "a.jsonl"), "--stats-out", str(stats)]
         assert main(first) == 0
         data = load_json(str(stats))
-        corrupt(data["stats"])
+        corrupt(data)
         stats.write_text(json.dumps(data))
         capsys.readouterr()
         out = tmp_path / "b.jsonl"
@@ -360,19 +366,30 @@ class TestCalibrate:
             ("scores", "tier", "Hardest", "unknown tier 'Hardest'"),
             ("bank", "tier", "Hardest", "unknown tier 'Hardest'"),
             ("bank", "tier", 3, "tier must be a string, not 3"),
+            ("record-under-scores", "tier", 3, "tier must be a string, not 3"),
         ],
         ids=[
             "bool-score", "string-score", "nan-count", "list-metrics", "int-tier", "bank-string-score", "bank-null",
-            "unknown-tier", "bank-unknown-tier", "bank-int-tier",
+            "unknown-tier", "bank-unknown-tier", "bank-int-tier", "fallback-int-tier",
         ],
     )
     def test_feature_of_another_type_names_the_row(self, tmp_path, bank_file, capsys, source, key, value, message):
-        """A feature that is present is read as written; only a missing one skips its question."""
+        """A feature that is present is read as written; only a missing one skips its question.
+
+        A score row without a tier takes its bank record's, and a bad one there names the record."""
         bank_path, questions = bank_file
         row = {"gold_score": 25.0, "tier": "Hard"}
         metrics = {"logic_density": 2.0, "token_count": 1000, "segment_count": 100}
         out = tmp_path / "items.json"
-        if source == "scores":
+        if source == "record-under-scores":
+            records = [{**q.to_record(), "tier": "Hard"} for q in questions[:3]]
+            records[0][key] = value
+            bank_path.write_text(json.dumps({"schema_version": 1, "questions": records}))
+            scores = tmp_path / "scores.jsonl"
+            write_jsonl(scores, [{"question_id": q.id, "gold_score": 25.0, "metrics": metrics} for q in questions[:3]])
+            argv = ["calibrate", "--bank", str(bank_path), "--scores", str(scores), "--out", str(out)]
+            where = f"{bank_path}: record 0"
+        elif source == "scores":
             rows = [{"question_id": q.id, **row, "metrics": dict(metrics)} for q in questions[:3]]
             (rows[2]["metrics"] if key in metrics else rows[2])[key] = value
             scores = tmp_path / "scores.jsonl"
@@ -714,13 +731,22 @@ class TestEvaluate:
             ("c", 10**400, f"c must be a finite number, not {10**400!r}"),
             ("n_options", 6.9, "n_options must be an integer, not 6.9"),
             ("n_options", "4", "n_options must be an integer, not '4'"),
+            ("a", 0.0, "item {item}: discrimination must be positive"),
+            ("a", -1.6, "item {item}: discrimination must be positive"),
+            ("c", 1.0, "item {item}: guessing parameter must lie in [0, 1)"),
+            ("c", -0.25, "item {item}: guessing parameter must lie in [0, 1)"),
+            ("item_id", "Base:q0000", "item_id 'Base:q0000' repeats record 0"),
+            ("question_id", "q0000", "question_id 'q0000' repeats record 0"),
         ],
         ids=[
             "int-item-id", "null-question-id", "list-subset", "int-tier", "string-a", "bool-a", "nan-b", "inf-b",
-            "huge-c", "float-n-options", "string-n-options",
+            "huge-c", "float-n-options", "string-n-options", "zero-a", "negative-a", "certain-c", "negative-c",
+            "repeated-item-id", "repeated-question-id",
         ],
     )
     def test_bad_item_row_rejected_without_coercion(self, tmp_path, bank_file, capsys, key, value, message):
+        """A row is read without coercion, must hold 3PL parameters in range, and may not repeat an earlier row's
+        item or question."""
         bank_path, questions = bank_file
         path = tmp_path / "items.json"
         items = [CalibratedItem(f"Base:{q.id}", q.id, "Base", "Easy", 0.8, 0.0, 0.25, 4) for q in questions]
@@ -733,7 +759,7 @@ class TestEvaluate:
         code = main(["evaluate", "--base-bank", str(bank_path), "--base-items", str(path), "--simulator", "3pl:0.5",
                      "--out", str(out_dir)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {path}: record 1: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: record 1: {message.format(item=repr(items[1].item_id))}\n"
         assert not out_dir.exists()
 
     def test_item_row_with_int_parameters_loads_as_floats(self, tmp_path):
@@ -935,6 +961,8 @@ RESPONSE_ROW = {
     "parsed_set": ["A"], "gold_set": ["A"], "exact": True, "f1": 1.0,
     "latency_ms": 0, "transport_status": "ok",
 }
+# The version every report and stats file carries.
+V1 = {"schema_version": 1}
 
 
 class TestReport:
@@ -1024,7 +1052,7 @@ class TestReport:
         log = tmp_path / "empty.jsonl"
         log.write_text("")
         report = tmp_path / "report.json"
-        report.write_text(json.dumps({"subsets": {"base": {"n": 30}, "comb": {"n": 30}}}))
+        report.write_text(json.dumps({**V1, "subsets": {"base": {"n": 30}, "comb": {"n": 30}}}))
         assert main(["report", "--log", str(log), "--report", str(report)]) == 1
         captured = capsys.readouterr()
         assert "no records" in captured.out
@@ -1137,15 +1165,18 @@ class TestReport:
     @pytest.mark.parametrize(
         "stored, message",
         [
-            ([1], "a report must be an object whose 'subsets' is an object"),
-            ({"subsets": []}, "a report must be an object whose 'subsets' is an object"),
-            ({"subsets": {"comb": 5}}, "subset 'comb' must be an object of numbers"),
-            ({"subsets": {"comb": {"n": [1]}}}, "comb.n must be a finite number, not [1]"),
-            ({"subsets": {"comb": {"accuracy": float("nan")}}}, "comb.accuracy must be a finite number, not nan"),
-            ({"subsets": {"comb": {"mean_f1": float("inf")}}}, "comb.mean_f1 must be a finite number, not inf"),
-            ({"subsets": {"comb": {"n": True}}}, "comb.n must be a finite number, not True"),
+            ([1], "schema_version None is not 1"),
+            ({"schema_version": 99, "subsets": {}}, "schema_version 99 is not 1"),
+            ({"schema_version": True, "subsets": {}}, "schema_version True is not 1"),
+            ({**V1, "subsets": []}, "subsets must be an object, not []"),
+            ({**V1, "subsets": {"comb": 5}}, "subset 'comb' must be an object of numbers"),
+            ({**V1, "subsets": {"comb": {"n": [1]}}}, "comb.n must be a finite number, not [1]"),
+            ({**V1, "subsets": {"comb": {"accuracy": float("nan")}}}, "comb.accuracy must be a finite number, not nan"),
+            ({**V1, "subsets": {"comb": {"mean_f1": float("inf")}}}, "comb.mean_f1 must be a finite number, not inf"),
+            ({**V1, "subsets": {"comb": {"n": True}}}, "comb.n must be a finite number, not True"),
         ],
-        ids=["list", "subsets-list", "subset-int", "value-list", "nan-value", "infinite-value", "true-value"],
+        ids=["list", "other-version", "true-version", "subsets-list", "subset-int", "value-list", "nan-value",
+             "infinite-value", "true-value"],
     )
     def test_malformed_report_rejected(self, tmp_path, capsys, stored, message):
         log = tmp_path / "log.jsonl"

@@ -1,4 +1,5 @@
-"""Mutation oracle for the files the pipeline reads back: traces, scores, corpus stats, run logs and reports.
+"""Mutation oracle for the files the pipeline reads back: traces, scores, corpus stats, item banks, run logs
+and reports.
 
 A valid file gets one change: a field (at any depth) takes a value of another
 JSON type, or a line is torn as a crash leaves it. The command that reads the
@@ -30,6 +31,8 @@ READERS = {
                                 "--out", "{out}/items.json"]),
     "stats": ("stats.json", ["score-traces", "--traces", "{dir}/traces.jsonl", "--stats", "{input}",
                              "--out", "{out}/s.jsonl", "--stats-out", "{out}/stats-out.json"]),
+    "items": ("base_items.json", ["evaluate", "--base-bank", "{dir}/atomic.json", "--base-items", "{input}",
+                                  "--mode", "cat", "--simulator", "3pl:0.5", "--out", "{out}"]),
     "log": ("run/run.jsonl", ["report", "--log", "{input}", "--report", "{dir}/run/report.json"]),
     "report": ("run/report.json", ["report", "--log", "{dir}/run/run.jsonl", "--report", "{input}"]),
 }
@@ -66,7 +69,7 @@ class Inputs:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A small pipeline's traces, scores, stats, CAT log and report."""
+    """A small pipeline's traces, scores, stats, item banks, CAT log and report."""
     root = tmp_path_factory.mktemp("inputs")
     questions = make_atomic_bank(6, seed=21)
     save_atomic_bank(str(root / "atomic.json"), questions)

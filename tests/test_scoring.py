@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from combicat import scoring
 from combicat.scoring import (
     OFFSET,
+    METRIC_NAMES,
     SCORED_METRICS,
-    CognitiveMetrics,
     CorpusError,
     CorpusStats,
     Marker,
@@ -53,64 +53,47 @@ def trace(text: str, question_id: str = "t") -> ThinkingTrace:
     return ThinkingTrace.from_text(question_id, text)
 
 
-def constant_metrics(value: float = 1.0, tokens: int = 100, segments: int = 2) -> CognitiveMetrics:
-    return CognitiveMetrics(
-        oscillation=value,
-        logic_density=value,
-        abductive_depth=value,
-        dialectic_tension=value,
-        dimensional_awareness=value,
-        chain_steps=value,
-        uncertainty_entropy=value,
-        pivot_count=value,
-        abstraction_level=value,
-        token_count=tokens,
-        segment_count=segments,
-    )
+def constant_metrics(value: float = 1.0, tokens: int = 100, segments: int = 2) -> dict[str, float]:
+    return {**dict.fromkeys(SCORED_METRICS, value), "token_count": float(tokens), "segment_count": float(segments)}
 
 
 class TestExtraction:
     def test_reversal_marker_count(self, lexicons):
         m = extract_metrics(trace("However the claim fails. However, wait."), lexicons)
-        assert m.oscillation == 3
+        assert m["oscillation"] == 3
 
     def test_logic_density_per_hundred_tokens(self, lexicons):
         # 200 filler tokens, of which 4 are connectives
         words = ["noun"] * 196 + ["and", "or", "therefore", "because"]
         m = extract_metrics(trace(" ".join(words)), lexicons)
-        assert m.token_count == 200
-        assert m.logic_density == pytest.approx(2.0)
+        assert m["token_count"] == 200
+        assert m["logic_density"] == pytest.approx(2.0)
 
     def test_empty_trace_all_zero(self, lexicons):
-        m = extract_metrics(trace(""), lexicons)
-        assert m.oscillation == 0
-        assert m.logic_density == 0.0
-        assert m.uncertainty_entropy == 0.0
-        assert m.token_count == 0
-        assert m.segment_count == 0
+        assert extract_metrics(trace(""), lexicons) == dict.fromkeys(METRIC_NAMES, 0.0)
 
     def test_abductive_pairs_in_order(self, lexicons):
         text = "Suppose A holds. We can rule out B. Suppose C. That is impossible."
         m = extract_metrics(trace(text), lexicons)
-        assert m.abductive_depth == 2
+        assert m["abductive_depth"] == 2
 
     def test_elimination_before_hypothesis_does_not_pair(self, lexicons):
         m = extract_metrics(trace("Rule out B. Done."), lexicons)
-        assert m.abductive_depth == 0
+        assert m["abductive_depth"] == 0
 
     def test_dialectic_triples(self, lexicons):
         text = "On one hand X. On the other hand Y. On balance, Z."
         m = extract_metrics(trace(text), lexicons)
-        assert m.dialectic_tension == 1
+        assert m["dialectic_tension"] == 1
 
     def test_chain_steps_count_numbered_lines(self, lexicons):
         text = "1. observe\n2. deduce\n3. conclude"
         m = extract_metrics(trace(text), lexicons)
-        assert m.chain_steps >= 3
+        assert m["chain_steps"] >= 3
 
     def test_segments_split_on_blank_lines(self, lexicons):
         m = extract_metrics(trace("one block\n\nsecond block\n\n\nthird"), lexicons)
-        assert m.segment_count == 3
+        assert m["segment_count"] == 3
 
     def test_trailing_whitespace_invariance(self, lexicons):
         base = "However the answer is clear.\n\nSuppose not; rule out the rest."
@@ -119,8 +102,8 @@ class TestExtraction:
         for name in SCORED_METRICS:
             if name == "logic_density":
                 continue  # density is per token and the token count is unchanged
-            assert getattr(a, name) == getattr(b, name)
-        assert a.segment_count == b.segment_count
+            assert a[name] == b[name]
+        assert a["segment_count"] == b["segment_count"]
 
     def test_deterministic(self, lexicons):
         text = "However, maybe A. Clearly B. Perhaps C."
@@ -128,12 +111,12 @@ class TestExtraction:
 
     def test_abstraction_level_takes_highest_class(self, lexicons):
         m = extract_metrics(trace("Specifically, this case. As a principle, all cases."), lexicons)
-        assert m.abstraction_level == 3
+        assert m["abstraction_level"] == 3
 
     def test_zh_markers_counted(self, lexicons):
         m = extract_metrics(trace("但是这个结论不对。因此排除选项B。"), lexicons)
-        assert m.oscillation >= 1
-        assert m.logic_density > 0
+        assert m["oscillation"] >= 1
+        assert m["logic_density"] > 0
 
 
 PACKAGED_GROUPS = reference_lexicon_groups()
@@ -175,7 +158,9 @@ class TestMarkerScan:
     @settings(max_examples=300, deadline=None)
     def test_scores_match_the_regex_scorer(self, lexicons, text):
         t = trace(text)
-        assert (extract_metrics(t, lexicons), fallacy_penalty(t, lexicons)) == reference_scores(t, PACKAGED_GROUPS)
+        metrics = extract_metrics(t, lexicons)
+        assert list(metrics) == list(METRIC_NAMES) and all(type(value) is float for value in metrics.values())
+        assert (metrics, fallacy_penalty(t, lexicons)) == reference_scores(t, PACKAGED_GROUPS)
 
     def test_folding_edge_cases(self):
         marker = Marker.parse("if")
@@ -226,6 +211,7 @@ class TestLexiconRules:
             ({"abstraction": {"2": [["in general"]]}}, "lexicon_en.json: abstraction.2", "is not a string"),
             ({"reversal": ["However", "however"]}, "lexicon_en.json: reversal", "'however' repeats"),
             ({"reversal": ["wait", "ſtop", "STOP"]}, "lexicon_en.json: reversal", "'STOP' repeats"),
+            ({"abstraction": {"two": ["in general"]}}, "lexicon_en.json: abstraction.two", "level 'two' is not an integer"),
         ],
     )
     def test_bad_marker_rejected_naming_lexicon_and_key(self, packaged_as, raw, where, problem):
@@ -244,7 +230,7 @@ class TestLexiconRules:
     def test_same_marker_in_two_metrics_allowed(self, packaged_as):
         packaged_as("en", {"hypothesis": ["suppose"], "thesis": ["suppose"]})
         lexicons = scoring.load_lexicons("en")
-        assert lexicons.hypothesis == lexicons.thesis == (Marker("suppose", True),)
+        assert lexicons["hypothesis"] == lexicons["thesis"] == [Marker("suppose", True)]
 
 
 # Positions drawn from a narrow range, so hits of different stages often tie.
@@ -271,21 +257,21 @@ class TestOrderedChains:
 class TestEntropy:
     def test_single_class_zero(self, lexicons):
         m = extract_metrics(trace("clearly clearly clearly certain? clearly"), lexicons)
-        assert m.uncertainty_entropy == 0.0
+        assert m["uncertainty_entropy"] == 0.0
 
     def test_uniform_two_classes(self, lexicons):
         m = extract_metrics(trace("clearly yes. maybe no."), lexicons)
-        assert m.uncertainty_entropy == pytest.approx(math.log(2))
+        assert m["uncertainty_entropy"] == pytest.approx(math.log(2))
 
     def test_uniform_four_classes_hits_maximum(self, lexicons):
         text = "clearly one. probably two. maybe three. unlikely four."
         m = extract_metrics(trace(text), lexicons)
-        assert m.uncertainty_entropy == pytest.approx(math.log(4))
+        assert m["uncertainty_entropy"] == pytest.approx(math.log(4))
 
     def test_bounded_by_class_count(self, lexicons):
         text = "clearly, probably, maybe, unlikely, definitely, likely, perhaps, doubtful."
         m = extract_metrics(trace(text), lexicons)
-        assert 0.0 <= m.uncertainty_entropy <= math.log(len(lexicons.epistemic)) + 1e-12
+        assert 0.0 <= m["uncertainty_entropy"] <= math.log(len(lexicons["epistemic"])) + 1e-12
 
     def test_helper_on_raw_counts(self):
         assert shannon_entropy([5, 0, 0]) == 0.0
@@ -330,27 +316,27 @@ class TestGoldScore:
     def test_all_zero_z_lands_on_offset(self):
         z = {name: 0.0 for name in SCORED_METRICS}
         score = gold_score(z)
-        assert score.value == pytest.approx(23.2)
-        assert score.tier == "Medium"
+        assert score == pytest.approx(23.2)
+        assert stratify(score) == "Medium"
 
     def test_uniform_ones_shift_by_nine(self):
         z = {name: 1.0 for name in SCORED_METRICS}
         score = gold_score(z)
-        assert score.value == pytest.approx(32.2)
-        assert score.tier == "Expert"
+        assert score == pytest.approx(32.2)
+        assert stratify(score) == "Expert"
 
     def test_penalty_subtracts_linearly(self):
         z = {name: 0.5 for name in SCORED_METRICS}
         clean = gold_score(z, fallacy_score=0.0)
         hit = gold_score(z, fallacy_score=5.0)
-        assert clean.value - hit.value == pytest.approx(5.0)
+        assert clean - hit == pytest.approx(5.0)
 
     def test_linearity_around_offset(self):
         za = {name: 0.3 * i for i, name in enumerate(SCORED_METRICS)}
         zb = {name: -0.1 * i for i, name in enumerate(SCORED_METRICS)}
         zsum = {name: za[name] + zb[name] for name in SCORED_METRICS}
-        lhs = gold_score(zsum).value - OFFSET
-        rhs = (gold_score(za).value - OFFSET) + (gold_score(zb).value - OFFSET)
+        lhs = gold_score(zsum) - OFFSET
+        rhs = (gold_score(za) - OFFSET) + (gold_score(zb) - OFFSET)
         assert lhs == pytest.approx(rhs)
 
     def test_missing_z_entry_rejected(self):
