@@ -124,8 +124,19 @@ def _verified(record: Any) -> CombinatorialQuestion:
     return question
 
 
+def _unique(path: str, records: Sequence[Any], keys: Sequence[str]) -> None:
+    """Reject the first record that repeats an earlier one's value of any of ``keys``."""
+    first: dict[tuple[str, Any], int] = {}
+    for i, record in enumerate(records):
+        for key in keys:
+            value = getattr(record, key)
+            if (key, value) in first:
+                raise BankFormatError(f"{path}: record {i}: {key} {value!r} repeats record {first[key, value]}")
+            first[key, value] = i
+
+
 def load_bank(path: str) -> list[AtomicQuestion] | list[CombinatorialQuestion]:
-    """Every question of a bank file, parsed once.
+    """Every question of a bank file, parsed once; no two share an ``id``.
 
     The first record decides the kind: one with an ``answer_set`` makes the
     bank combinatorial, and then every question must pass ``verify``.
@@ -133,7 +144,9 @@ def load_bank(path: str) -> list[AtomicQuestion] | list[CombinatorialQuestion]:
     records = _records(path, "questions")
     combinatorial = bool(records) and isinstance(records[0], dict) and "answer_set" in records[0]
     from_record = _verified if combinatorial else AtomicQuestion.from_record
-    return [parse_at(f"{path}: record {i}", from_record, record) for i, record in enumerate(records)]
+    questions = [parse_at(f"{path}: record {i}", from_record, record) for i, record in enumerate(records)]
+    _unique(path, questions, ("id",))
+    return questions
 
 
 def _load_kind(path: str, cls: type, kind: str) -> list:
@@ -209,12 +222,7 @@ def load_item_bank(path: str) -> list[CalibratedItem]:
     """The items of an item bank file; no two share an ``item_id`` or a ``question_id``."""
     records = _records(path, "items")
     items = [parse_at(f"{path}: record {i}", CalibratedItem.from_record, record) for i, record in enumerate(records)]
-    first: dict[tuple[str, str], int] = {}
-    for i, item in enumerate(items):
-        for key in (("item_id", item.item_id), ("question_id", item.question_id)):
-            if key in first:
-                raise BankFormatError(f"{path}: record {i}: {key[0]} {key[1]!r} repeats record {first[key]}")
-            first[key] = i
+    _unique(path, items, ("item_id", "question_id"))
     return items
 
 

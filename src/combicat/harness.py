@@ -241,7 +241,6 @@ class ResponderReply:
     transport_status: str = "ok"  # ok | timeout | http_error
     latency_ms: int = 0
     retries: int = 0
-    http_status: int | None = None
 
 
 def _request_headers(endpoint: EndpointConfig) -> dict[str, str]:
@@ -373,11 +372,11 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
                     content = json.loads(text)["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError):
                     log.warning("malformed response body: %.200s", text)
-                    return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt, http_status=status)
-                return ResponderReply(str(content), "ok", elapsed_ms(), retries=attempt, http_status=status)
+                    return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt)
+                return ResponderReply(str(content), "ok", elapsed_ms(), retries=attempt)
             log.warning("HTTP %s from %s: %.500s", status, endpoint.base_url, text)
             if status not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
-                return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt, http_status=status)
+                return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt)
         time.sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
         attempt += 1
 

@@ -5,13 +5,14 @@ immutable trees built from Var/Not/And/Or nodes. A formula's meaning is its
 16-bit truth mask: bit ``r`` holds its value in row ``r`` of the truth table,
 where statement I is bit 3 of ``r`` and statement IV is bit 0. A question's
 valuation, with exactly the answered statement true, is the single row
-``truth_row(answer)``. Evaluation is a bit test on the mask, two formulas are
-duplicates exactly when their masks are equal, and a small family of option
-shapes (exactness, disjunction, negation, compound negation, plus the
-universal distractor) is recognized by a lookup from mask to shape: the 21
-shapes have pairwise distinct masks. Each node derives its mask and its
-prefix text (the on-disk form) from its children when it is built, so a tree
-shared through the pools or the parse cache is walked once, not per use.
+``truth_row(answer)``. Evaluation is a bit test on the mask, and two formulas
+are duplicates exactly when their masks are equal. The 21 option shapes
+(exactness, disjunction, negation, compound negation, plus the universal
+distractor) are one table, ``SHAPE_LIST``, built at import, and a formula's
+shape is found by a lookup from mask to row: the shapes have pairwise
+distinct masks. Each node derives its mask and its prefix text (the on-disk
+form) from its children when it is built, so a tree shared through the pools
+or the parse cache is walked once, not per use.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 
 class Statement(enum.IntEnum):
@@ -114,7 +115,7 @@ def truth_row(answer: Statement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Option patterns
+# Option shapes
 # ---------------------------------------------------------------------------
 
 
@@ -123,83 +124,57 @@ class PatternKind(enum.Enum):
     DISJUNCTION = "disjunction"
     NEGATION = "negation"
     COMPOUND_NEGATION = "compound_negation"
+    UNIVERSAL_NONE = "universal_none"
 
 
 @dataclass(frozen=True, slots=True)
-class Pattern:
-    """One member of the option-pattern family, prior to formula expansion.
-
-    Two-index kinds store their indices in ascending order so that structurally
-    equal patterns compare equal.
-    """
+class Shape:
+    """One option shape: its kind, the statements its template names in
+    ascending order, its canonical formula, and the kinds a tier may require
+    that it presents (a compound negation is a negation too; the universal
+    distractor presents none)."""
 
     kind: PatternKind
-    first: Statement
-    second: Statement | None = None
-
-    def __post_init__(self) -> None:
-        two_index = self.kind in (PatternKind.DISJUNCTION, PatternKind.COMPOUND_NEGATION)
-        if two_index:
-            if self.second is None:
-                raise ValueError(f"{self.kind.value} pattern needs two indices")
-            if self.second == self.first:
-                raise ValueError("pattern indices must differ")
-            if self.second < self.first:
-                low, high = self.second, self.first
-                object.__setattr__(self, "first", low)
-                object.__setattr__(self, "second", high)
-        elif self.second is not None:
-            raise ValueError(f"{self.kind.value} pattern takes one index")
-
-    def expand(self) -> Formula:
-        """Canonical formula for this pattern."""
-        if self.kind is PatternKind.EXACTNESS:
-            node: Formula = Var(self.first)
-            for other in STATEMENTS:
-                if other != self.first:
-                    node = And(node, Not(Var(other)))
-            return node
-        if self.kind is PatternKind.DISJUNCTION:
-            assert self.second is not None
-            return Or(Var(self.first), Var(self.second))
-        if self.kind is PatternKind.NEGATION:
-            return Not(Var(self.first))
-        assert self.second is not None
-        return And(Not(Var(self.first)), Not(Var(self.second)))
+    statements: tuple[Statement, ...]
+    formula: Formula
+    presents: tuple[PatternKind, ...]
 
 
-def all_patterns() -> list[Pattern]:
-    """Every pattern instance over the four statements."""
-    patterns: list[Pattern] = [Pattern(PatternKind.EXACTNESS, s) for s in STATEMENTS]
-    patterns += [Pattern(PatternKind.DISJUNCTION, a, b) for a, b in combinations(STATEMENTS, 2)]
-    patterns += [Pattern(PatternKind.NEGATION, s) for s in STATEMENTS]
-    patterns += [Pattern(PatternKind.COMPOUND_NEGATION, a, b) for a, b in combinations(STATEMENTS, 2)]
-    return patterns
-
-
-def universal_none() -> Formula:
-    """The always-wrong distractor: every statement negated."""
-    node: Formula = Not(Var(Statement.I))
-    for s in STATEMENTS[1:]:
+def _and_not(node: Formula, statements: Iterable[Statement]) -> Formula:
+    """``node`` conjoined with the negation of each statement in turn."""
+    for s in statements:
         node = And(node, Not(Var(s)))
     return node
 
 
-Shape = Union[Pattern, str]
-"""An option shape: a Pattern, or the string "universal_none"."""
+def _shape_list() -> tuple[Shape, ...]:
+    k = PatternKind
+    pairs = list(combinations(STATEMENTS, 2))
+    return (
+        *(Shape(k.EXACTNESS, (s,), _and_not(Var(s), (o for o in STATEMENTS if o != s)), (k.EXACTNESS,))
+          for s in STATEMENTS),
+        *(Shape(k.DISJUNCTION, (a, b), Or(Var(a), Var(b)), (k.DISJUNCTION,)) for a, b in pairs),
+        *(Shape(k.NEGATION, (s,), Not(Var(s)), (k.NEGATION,)) for s in STATEMENTS),
+        *(Shape(k.COMPOUND_NEGATION, (a, b), And(Not(Var(a)), Not(Var(b))), (k.COMPOUND_NEGATION, k.NEGATION))
+          for a, b in pairs),
+        Shape(k.UNIVERSAL_NONE, (), _and_not(Not(Var(Statement.I)), STATEMENTS[1:]), ()),
+    )
 
-SHAPES: dict[int, Shape] = {p.expand().mask: p for p in all_patterns()}
-SHAPES[universal_none().mask] = "universal_none"
+
+SHAPE_LIST: tuple[Shape, ...] = _shape_list()
+"""Every shape in canonical order: exactness, disjunction, negation and compound
+negation, each over its statements in ascending order, then the universal distractor."""
+
+SHAPES: dict[int, Shape] = {shape.formula.mask: shape for shape in SHAPE_LIST}
 
 
 def classify(formula: Formula) -> Shape | None:
-    """Recognize a formula as a pattern expansion, the universal distractor, or neither.
+    """The shape of a formula, or None for a free-form formula.
 
-    Returns the Pattern, the string "universal_none", or None for free-form
-    formulas. Recognition is up to logical equivalence: any formula with the
-    truth table of a shape classifies as that shape, so reordered conjuncts
-    and De Morgan forms such as ``NOT(OR(VAR(I),VAR(II)))`` (the compound
-    negation of I and II) are recognized too.
+    Recognition is up to logical equivalence: any formula with the truth
+    table of a shape classifies as that shape, so reordered conjuncts and De
+    Morgan forms such as ``NOT(OR(VAR(I),VAR(II)))`` (the compound negation of
+    I and II) are recognized too.
     """
     return SHAPES.get(formula.mask)
 
@@ -296,14 +271,11 @@ def _shape_texts(locale: str) -> dict[int, str]:
         raise ValueError(f"unknown locale {locale!r}")
     table = tables[locale]
     texts = {}
-    for shape_mask, shape in SHAPES.items():
-        if isinstance(shape, str):
-            texts[shape_mask] = table[shape]
-            continue
-        text = table[shape.kind.value].replace("{i}", shape.first.name)
-        if shape.second is not None:
-            text = text.replace("{j}", shape.second.name)
-        texts[shape_mask] = text
+    for shape in SHAPE_LIST:
+        text = table[shape.kind.value]
+        for placeholder, statement in zip(("{i}", "{j}"), shape.statements):
+            text = text.replace(placeholder, statement.name)
+        texts[shape.formula.mask] = text
     return texts
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .logic import (
+    SHAPE_LIST,
     SHAPES,
     STATEMENTS,
     Formula,
-    Pattern,
     PatternKind,
     Shape,
     Statement,
@@ -29,7 +28,6 @@ from .logic import (
     statement_from_label,
     templates,
     truth_row,
-    universal_none,
 )
 from .rng import PortableRng, derive_seed
 
@@ -195,7 +193,7 @@ def tier_config(tier: str, n_options: int = 6) -> TierConfig:
         ),
         "Expert": TierConfig(
             "Expert",
-            frozenset(kinds),
+            frozenset({kinds.EXACTNESS, kinds.DISJUNCTION, kinds.NEGATION, kinds.COMPOUND_NEGATION}),
             frozenset({kinds.DISJUNCTION, kinds.NEGATION}),
             2,
             4,
@@ -332,55 +330,31 @@ def atomize(question: AtomicQuestion) -> tuple[str, str, str, str]:
     return tuple(question.option_list())
 
 
-PoolEntry = tuple[Shape, Formula]
-
-
-def _entries(shapes: list[Shape]) -> tuple[PoolEntry, ...]:
-    return tuple((shape, shape.expand() if isinstance(shape, Pattern) else universal_none()) for shape in shapes)
+# Exactness and the universal distractor are in every pool, whatever the tier allows.
+_EVERY_POOL = (PatternKind.EXACTNESS, PatternKind.UNIVERSAL_NONE)
 
 
 @lru_cache(maxsize=None)
-def pools(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tuple[PoolEntry, ...], tuple[PoolEntry, ...]]:
-    """Enumerate (valid, distractor) pools of (shape, formula) pairs in a fixed, documented order.
+def pools(allowed: frozenset[PatternKind], answer: Statement) -> tuple[tuple[Shape, ...], tuple[Shape, ...]]:
+    """Enumerate (valid, distractor) pools of shapes in a fixed, documented order.
 
     Valid formulas are true in ``truth_row(answer)``, distractors false there.
-    Valid pool: exactness of the answer; disjunctions pairing the answer with
-    each other statement; negations of each other statement; compound
-    negations over pairs excluding the answer.
+    Both pools list the allowed shapes in ``SHAPE_LIST`` order. Valid pool:
+    exactness of the answer; disjunctions pairing the answer with each other
+    statement; negations of each other statement; compound negations over
+    pairs excluding the answer.
 
     Distractor pool: exactness of each other statement; disjunctions over
     pairs excluding the answer; negation of the answer; one canonical false
     compound negation (the answer paired with the smallest other statement);
     and always the universal distractor, listed last.
     """
-    others = [s for s in STATEMENTS if s != answer]
-    valid: list[Shape] = [Pattern(PatternKind.EXACTNESS, answer)]
-    if PatternKind.DISJUNCTION in allowed:
-        valid += [Pattern(PatternKind.DISJUNCTION, answer, j) for j in others]
-    if PatternKind.NEGATION in allowed:
-        valid += [Pattern(PatternKind.NEGATION, j) for j in others]
-    if PatternKind.COMPOUND_NEGATION in allowed:
-        valid += [Pattern(PatternKind.COMPOUND_NEGATION, j, k) for j, k in combinations(others, 2)]
-
-    distractor: list[Shape] = [Pattern(PatternKind.EXACTNESS, j) for j in others]
-    if PatternKind.DISJUNCTION in allowed:
-        distractor += [Pattern(PatternKind.DISJUNCTION, j, k) for j, k in combinations(others, 2)]
-    if PatternKind.NEGATION in allowed:
-        distractor.append(Pattern(PatternKind.NEGATION, answer))
-    if PatternKind.COMPOUND_NEGATION in allowed:
-        distractor.append(Pattern(PatternKind.COMPOUND_NEGATION, answer, others[0]))
-    distractor.append("universal_none")
-    return _entries(valid), _entries(distractor)
-
-
-def _satisfies(shape: Shape | None, requirement: PatternKind) -> bool:
-    # Compound negations are negations for requirement purposes; the universal
-    # distractor and free-form formulas satisfy nothing.
-    if not isinstance(shape, Pattern):
-        return False
-    if requirement is PatternKind.NEGATION:
-        return shape.kind in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION)
-    return shape.kind == requirement
+    row = truth_row(answer)
+    shapes = [shape for shape in SHAPE_LIST if shape.kind in allowed or shape.kind in _EVERY_POOL]
+    valid = tuple(shape for shape in shapes if shape.formula.mask >> row & 1)
+    false = [shape for shape in shapes if not shape.formula.mask >> row & 1]
+    extra_compounds = [shape for shape in false if shape.kind is PatternKind.COMPOUND_NEGATION][1:]
+    return valid, tuple(shape for shape in false if shape not in extra_compounds)
 
 
 _REQUIREMENT_ORDER = (PatternKind.DISJUNCTION, PatternKind.NEGATION)
@@ -388,9 +362,16 @@ _REQUIREMENT_ORDER = (PatternKind.DISJUNCTION, PatternKind.NEGATION)
 
 @lru_cache(maxsize=64)
 def _flagged_pools(allowed: frozenset[PatternKind], answer: str, language: str) -> tuple[tuple[tuple, ...], ...]:
-    """``pools`` as (formula text, option text, flags), flag ``k`` set if the shape satisfies ``_REQUIREMENT_ORDER[k]``."""
+    """``pools`` as (formula text, option text, flags), flag ``k`` set if the shape presents ``_REQUIREMENT_ORDER[k]``."""
     return tuple(
-        tuple((f.serialized, render(f, language), tuple(_satisfies(shape, r) for r in _REQUIREMENT_ORDER)) for shape, f in pool)
+        tuple(
+            (
+                shape.formula.serialized,
+                render(shape.formula, language),
+                tuple(r in shape.presents for r in _REQUIREMENT_ORDER),
+            )
+            for shape in pool
+        )
         for pool in pools(allowed, statement_from_label(answer))
     )
 
@@ -513,11 +494,13 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     if letters != tuple(OPTION_LETTERS[: len(letters)]):
         flag("", "letter-order", f"option letters {','.join(letters)} do not run A, B, C... in order")
 
-    shapes: list[Shape | None] = []
+    presented: list[PatternKind] = []  # a list: hashing an enum runs Python
     seen: dict[int, str] = {}
     for entry in question.options:
         truth_mask = entry.formula.mask
-        shapes.append(SHAPES.get(truth_mask))
+        shape = SHAPES.get(truth_mask)
+        if shape is not None:
+            presented += shape.presents
         value = bool(truth_mask >> row & 1)
         if value is not (entry.letter in question.answer_set):
             labelled = "incorrect" if value else "correct"
@@ -537,11 +520,9 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     for letter in sorted(question.answer_set - set(letters)):
         flag(letter, "unknown-letter", f"answer letter {letter!r} names no option")
 
-    kinds = [shape.kind for shape in shapes if isinstance(shape, Pattern)]  # a list: hashing an enum runs Python
     for requirement in sorted(cfg.required_patterns, key=lambda k: k.value):
-        if requirement in kinds or requirement is PatternKind.NEGATION and PatternKind.COMPOUND_NEGATION in kinds:
-            continue  # a compound negation is a negation for requirements
-        flag("", "missing-required-pattern", f"no option presents {requirement.value}")
+        if requirement not in presented:
+            flag("", "missing-required-pattern", f"no option presents {requirement.value}")
 
     n_answers = len(question.answer_set)
     if not 1 <= n_answers < len(question.options):

@@ -29,19 +29,26 @@ evaluator. ``combicat.bankio`` lays out a bank file by hand around the C
 string encoder; the ``json.dump(..., indent=2)`` writer it replaced is kept
 here too.
 
+``combicat.synthesis.pools`` filters the one table of option shapes,
+``logic.SHAPE_LIST``, by their truth in the answer's row, and a shape lists
+the requirement kinds it presents. The hand enumeration of each pool that the
+filter replaced is kept here as ``reference_pools``, with formulas built node
+by node, and so is the requirement test ``reference_satisfies``.
+
 ``combicat.synthesis.assemble`` reads each pool entry's requirement flags,
 computed once per pool, draws a correct option's index directly and shares
 one option entry per (letter, formula, language). ``assemble`` as it stood
-before, scanning the pools with ``_satisfies``, drawing through
-``weighted_index`` over equal weights and building and rendering every
-option, is kept here, as is the ``CombinatorialQuestion.from_record`` that
-built a fresh entry for every option it loaded.
+before, scanning the reference pools with ``reference_satisfies``, drawing
+through ``weighted_index`` over equal weights and building and rendering
+every option, is kept here, as is the ``CombinatorialQuestion.from_record``
+that built a fresh entry for every option it loaded.
 """
 
 import json
 import math
 import re
 from importlib import resources
+from itertools import combinations
 
 from combicat.irt import (
     BASE_SUBSET,
@@ -51,7 +58,19 @@ from combicat.irt import (
     eap_update,
     fisher_information,
 )
-from combicat.logic import SHAPES, STATEMENTS, And, Not, Or, Var, parse_formula, render, render_symbolic, templates
+from combicat.logic import (
+    SHAPES,
+    STATEMENTS,
+    And,
+    Not,
+    Or,
+    PatternKind,
+    Var,
+    parse_formula,
+    render,
+    render_symbolic,
+    templates,
+)
 from combicat.rng import PortableRng
 from combicat.scoring import (
     _ASSERTION_RE,
@@ -74,9 +93,7 @@ from combicat.synthesis import (
     VerificationReport,
     Violation,
     _known_keys,
-    _satisfies,
     atomize,
-    pools,
     string_list,
     tier_config,
     typed,
@@ -312,12 +329,67 @@ def reference_render(formula, locale: str = "en") -> str:
     shape = SHAPES.get(reference_mask(formula))
     if shape is None:
         return render_symbolic(formula)
-    if isinstance(shape, str):
-        return table[shape]
-    text = table[shape.kind.value].replace("{i}", shape.first.name)
-    if shape.second is not None:
-        text = text.replace("{j}", shape.second.name)
+    text = table[shape.kind.value]
+    for placeholder, statement in zip(("{i}", "{j}"), shape.statements):
+        text = text.replace(placeholder, statement.name)
     return text
+
+
+def reference_shape(kind, *statements):
+    """``(kind, statements, formula)`` of one option shape, its statements put in ascending order."""
+    statements = tuple(sorted(statements))
+    if kind is PatternKind.EXACTNESS:
+        (first,) = statements
+        node = Var(first)
+        for other in STATEMENTS:
+            if other != first:
+                node = And(node, Not(Var(other)))
+    elif kind is PatternKind.DISJUNCTION:
+        node = Or(Var(statements[0]), Var(statements[1]))
+    elif kind is PatternKind.NEGATION:
+        node = Not(Var(statements[0]))
+    elif kind is PatternKind.COMPOUND_NEGATION:
+        node = And(Not(Var(statements[0])), Not(Var(statements[1])))
+    else:
+        assert kind is PatternKind.UNIVERSAL_NONE and not statements
+        node = Not(Var(STATEMENTS[0]))
+        for other in STATEMENTS[1:]:
+            node = And(node, Not(Var(other)))
+    return kind, statements, node
+
+
+def reference_pools(allowed, answer):
+    """The (valid, distractor) pools of ``reference_shape`` entries, enumerated by hand in the documented order."""
+    kinds = PatternKind
+    others = [s for s in STATEMENTS if s != answer]
+    valid = [reference_shape(kinds.EXACTNESS, answer)]
+    if kinds.DISJUNCTION in allowed:
+        valid += [reference_shape(kinds.DISJUNCTION, answer, j) for j in others]
+    if kinds.NEGATION in allowed:
+        valid += [reference_shape(kinds.NEGATION, j) for j in others]
+    if kinds.COMPOUND_NEGATION in allowed:
+        valid += [reference_shape(kinds.COMPOUND_NEGATION, j, k) for j, k in combinations(others, 2)]
+
+    distractor = [reference_shape(kinds.EXACTNESS, j) for j in others]
+    if kinds.DISJUNCTION in allowed:
+        distractor += [reference_shape(kinds.DISJUNCTION, j, k) for j, k in combinations(others, 2)]
+    if kinds.NEGATION in allowed:
+        distractor.append(reference_shape(kinds.NEGATION, answer))
+    if kinds.COMPOUND_NEGATION in allowed:
+        distractor.append(reference_shape(kinds.COMPOUND_NEGATION, answer, others[0]))
+    distractor.append(reference_shape(kinds.UNIVERSAL_NONE))
+    return valid, distractor
+
+
+def reference_satisfies(kind, requirement) -> bool:
+    """Whether an option of shape ``kind`` (None for a free-form formula) meets a tier's ``requirement``."""
+    # Compound negations are negations for requirement purposes; the universal
+    # distractor and free-form formulas satisfy nothing.
+    if kind is None or kind is PatternKind.UNIVERSAL_NONE:
+        return False
+    if requirement is PatternKind.NEGATION:
+        return kind in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION)
+    return kind == requirement
 
 
 def reference_verify(question, cfg=None) -> VerificationReport:
@@ -337,12 +409,12 @@ def reference_verify(question, cfg=None) -> VerificationReport:
     if letters != tuple(OPTION_LETTERS[: len(letters)]):
         flag("", "letter-order", f"option letters {','.join(letters)} do not run A, B, C... in order")
 
-    shapes = []
+    kinds = []
     seen: dict[int, str] = {}
     for entry in question.options:
         truth_mask = reference_mask(entry.formula)
         shape = SHAPES.get(truth_mask)
-        shapes.append(shape)
+        kinds.append(None if shape is None else shape.kind)
         value = bool(truth_mask >> row & 1)
         labelled = "correct" if entry.letter in question.answer_set else "incorrect"
         if value != (labelled == "correct"):
@@ -363,7 +435,7 @@ def reference_verify(question, cfg=None) -> VerificationReport:
         flag(letter, "unknown-letter", f"answer letter {letter!r} names no option")
 
     for requirement in sorted(cfg.required_patterns, key=lambda k: k.value):
-        if not any(_satisfies(shape, requirement) for shape in shapes):
+        if not any(reference_satisfies(kind, requirement) for kind in kinds):
             flag("", "missing-required-pattern", f"no option presents {requirement.value}")
 
     n_answers = len(question.answer_set)
@@ -388,7 +460,7 @@ def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:
     answer = question.answer_index()
     rng = PortableRng(seed)
 
-    valid_pool, distractor_pool = (list(pool) for pool in pools(cfg.allowed_patterns, answer))
+    valid_pool, distractor_pool = reference_pools(cfg.allowed_patterns, answer)
 
     n_correct = rng.randint(cfg.n_correct_min, cfg.n_correct_max)
     n_distract = cfg.n_options - n_correct
@@ -413,14 +485,14 @@ def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:
     for requirement in _REQUIREMENT_ORDER:
         if requirement not in cfg.required_patterns:
             continue
-        if any(_satisfies(shape, requirement) for shape, _ in correct_picks + distract_picks):
+        if any(reference_satisfies(kind, requirement) for kind, _, _ in correct_picks + distract_picks):
             continue
-        valid_candidates = [i for i, (shape, _) in enumerate(valid_pool) if _satisfies(shape, requirement)]
+        valid_candidates = [i for i, (kind, _, _) in enumerate(valid_pool) if reference_satisfies(kind, requirement)]
         if len(correct_picks) < n_correct and valid_candidates:
             correct_picks.append(take_correct(valid_pool, valid_candidates))
             continue
         distractor_candidates = [
-            i for i, (shape, _) in enumerate(distractor_pool) if _satisfies(shape, requirement)
+            i for i, (kind, _, _) in enumerate(distractor_pool) if reference_satisfies(kind, requirement)
         ]
         if len(distract_picks) < n_distract and distractor_candidates:
             distract_picks.append(take_distractor(distractor_pool, distractor_candidates))
@@ -441,7 +513,7 @@ def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:
 
     entries = []
     answer_letters = set()
-    for position, ((_, formula), is_correct) in enumerate(labelled):
+    for position, ((_, _, formula), is_correct) in enumerate(labelled):
         letter = OPTION_LETTERS[position]
         entries.append(OptionEntry(letter, formula, render(formula, question.language)))
         if is_correct:

@@ -24,7 +24,7 @@ from combicat.irt import (
     probability_3pl,
     select_next,
 )
-from combicat.logic import Pattern, PatternKind, classify
+from combicat.logic import PatternKind, classify
 from combicat.rng import PortableRng, derive_seed
 from combicat.scoring import stratify
 from combicat.synthesis import (
@@ -94,7 +94,7 @@ def test_criterion_02_tier_operator_constraints(synthesized_ten_thousand):
         kinds = set()
         for entry in question.options:
             found = classify(entry.formula)
-            if isinstance(found, Pattern):
+            if found is not None:
                 kinds.add(found.kind)
         has_negation = kinds & {PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION}
         if question.tier == "Hard" and not has_negation:

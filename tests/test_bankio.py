@@ -104,10 +104,12 @@ def test_comb_bank_is_verified_on_read(tmp_path):
         ("atomic", "context", None, "context must be a string, not None"),
         ("atomic", "options", [["I", "a"]], "options must be an object, not [['I', 'a']]"),
         ("atomic", "options", {"I": 1, "II": "b", "III": "c", "IV": "d"}, "option I must be a string, not 1"),
+        ("atomic", "id", "q0000", "id 'q0000' repeats record 0"),
+        ("comb", "id", f"q0000::Hard::{4:016x}", f"id 'q0000::Hard::{4:016x}' repeats record 0"),
     ],
     ids=[
         "letter-string-answer-set", "bool-seed", "null-context", "three-statements", "int-tier",
-        "int-id", "null-atomic-context", "pair-list-options", "int-option-text",
+        "int-id", "null-atomic-context", "pair-list-options", "int-option-text", "repeated-id", "repeated-comb-id",
     ],
 )
 def test_bank_field_of_another_type_names_the_record(tmp_path, kind, key, value, message):

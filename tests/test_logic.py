@@ -1,4 +1,6 @@
-"""Formula semantics, pattern expansion, rendering, and serialization."""
+"""Formula semantics, option shapes, rendering, and serialization."""
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,21 +12,26 @@ from combicat.logic import (
     FormulaSyntaxError,
     Not,
     Or,
-    Pattern,
     PatternKind,
-    Statement,
+    SHAPE_LIST,
     SHAPES,
+    Statement,
     Var,
-    all_patterns,
     classify,
     parse_formula,
     render,
     render_symbolic,
     truth_row,
-    universal_none,
 )
 from combicat.rng import PortableRng
-from oracle import reference_evaluate, reference_render, reference_table, row_statements
+from oracle import (
+    reference_evaluate,
+    reference_render,
+    reference_satisfies,
+    reference_shape,
+    reference_table,
+    row_statements,
+)
 
 
 FORMULA_TEXTS = st.recursive(
@@ -38,6 +45,14 @@ FORMULA_TEXTS = st.recursive(
 def holds(formula, row: int) -> bool:
     """A formula's value in one truth-table row: a bit test on its mask."""
     return bool(formula.mask >> row & 1)
+
+
+def shape_formula(kind, *statements):
+    """The formula of the table row with this kind and these statements."""
+    return next(s.formula for s in SHAPE_LIST if (s.kind, s.statements) == (kind, statements))
+
+
+UNIVERSAL_NONE = shape_formula(PatternKind.UNIVERSAL_NONE)
 
 
 def random_formula(rng: PortableRng, max_depth: int) -> object:
@@ -54,14 +69,14 @@ def random_formula(rng: PortableRng, max_depth: int) -> object:
 
 class TestEvaluate:
     def test_exactness_true_under_its_own_answer(self):
-        formula = Pattern(PatternKind.EXACTNESS, Statement.I).expand()
+        formula = shape_formula(PatternKind.EXACTNESS, Statement.I)
         assert holds(formula, truth_row(Statement.I)) is True
 
     def test_negated_answer_is_false(self):
         assert holds(Not(Var(Statement.I)), truth_row(Statement.I)) is False
 
     def test_compound_negation_of_two_wrong_statements_is_true(self):
-        formula = Pattern(PatternKind.COMPOUND_NEGATION, Statement.II, Statement.III).expand()
+        formula = shape_formula(PatternKind.COMPOUND_NEGATION, Statement.II, Statement.III)
         assert holds(formula, truth_row(Statement.I)) is True
 
     def test_total_over_all_assignments(self):
@@ -83,7 +98,7 @@ class TestTruthTable:
         assert Var(Statement.I).mask.bit_count() == 8
 
     def test_exactness_true_in_exactly_one_row(self):
-        formula = Pattern(PatternKind.EXACTNESS, Statement.I).expand()
+        formula = shape_formula(PatternKind.EXACTNESS, Statement.I)
         assert formula.mask.bit_count() == 1
 
     def test_two_way_disjunction_true_in_twelve_rows(self):
@@ -94,28 +109,29 @@ class TestTruthTable:
 class TestPatternOracles:
     def test_every_pattern_agrees_with_its_truth_table_row(self):
         """Mask evaluation must match the reference evaluator at each ground truth."""
-        for pattern in all_patterns():
-            formula = pattern.expand()
+        for shape in SHAPE_LIST:
             for answer in STATEMENTS:
-                assert holds(formula, truth_row(answer)) == reference_evaluate(formula, {answer})
+                assert holds(shape.formula, truth_row(answer)) == reference_evaluate(shape.formula, {answer})
 
     def test_universal_none_false_under_every_ground_truth(self):
         for answer in STATEMENTS:
-            assert holds(universal_none(), truth_row(answer)) is False
+            assert holds(UNIVERSAL_NONE, truth_row(answer)) is False
 
-    def test_pattern_index_order_normalized(self):
-        a = Pattern(PatternKind.DISJUNCTION, Statement.III, Statement.I)
-        b = Pattern(PatternKind.DISJUNCTION, Statement.I, Statement.III)
-        assert a == b
-        assert a.first is Statement.I and a.second is Statement.III
+    def test_shape_table_is_the_reference_shapes_in_canonical_order(self):
+        kinds = PatternKind
+        pairs = list(combinations(STATEMENTS, 2))
+        expected = [reference_shape(kinds.EXACTNESS, s) for s in STATEMENTS]
+        expected += [reference_shape(kinds.DISJUNCTION, *pair) for pair in pairs]
+        expected += [reference_shape(kinds.NEGATION, s) for s in STATEMENTS]
+        expected += [reference_shape(kinds.COMPOUND_NEGATION, *pair) for pair in pairs]
+        expected.append(reference_shape(kinds.UNIVERSAL_NONE))
+        table = [(shape.kind, shape.statements, shape.formula.serialized) for shape in SHAPE_LIST]
+        assert table == [(kind, statements, formula.serialized) for kind, statements, formula in expected]
 
-    def test_pattern_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            Pattern(PatternKind.COMPOUND_NEGATION, Statement.II, Statement.II)
-
-    def test_single_index_pattern_rejects_second(self):
-        with pytest.raises(ValueError):
-            Pattern(PatternKind.NEGATION, Statement.I, Statement.II)
+    def test_presents_the_kinds_the_reference_satisfies(self):
+        for shape in SHAPE_LIST:
+            for requirement in PatternKind:
+                assert (requirement in shape.presents) == reference_satisfies(shape.kind, requirement)
 
 
 class TestDeMorgan:
@@ -132,11 +148,11 @@ class TestDeMorgan:
 
 class TestClassify:
     def test_recognizes_each_pattern_expansion(self):
-        for pattern in all_patterns():
-            assert classify(pattern.expand()) == pattern
+        for shape in SHAPE_LIST:
+            assert classify(shape.formula) is shape
 
     def test_recognizes_universal_none(self):
-        assert classify(universal_none()) == "universal_none"
+        assert classify(UNIVERSAL_NONE).kind is PatternKind.UNIVERSAL_NONE
 
     def test_free_form_returns_none(self):
         assert classify(And(Var(Statement.I), Var(Statement.II))) is None
@@ -146,36 +162,36 @@ class TestClassify:
             Not(Var(Statement.IV)),
             And(And(Not(Var(Statement.II)), Var(Statement.I)), Not(Var(Statement.III))),
         )
-        assert classify(scrambled) == Pattern(PatternKind.EXACTNESS, Statement.I)
+        found = classify(scrambled)
+        assert (found.kind, found.statements) == (PatternKind.EXACTNESS, (Statement.I,))
 
     def test_recognition_is_up_to_logical_equivalence(self):
         de_morgan = Not(Or(Var(Statement.I), Var(Statement.II)))
-        compound = Pattern(PatternKind.COMPOUND_NEGATION, Statement.I, Statement.II)
-        assert classify(de_morgan) == compound
-        assert render(de_morgan) == render(compound.expand())
+        compound = shape_formula(PatternKind.COMPOUND_NEGATION, Statement.I, Statement.II)
+        assert classify(de_morgan) is classify(compound)
+        assert render(de_morgan) == render(compound)
 
     def test_all_twenty_one_shapes_have_distinct_masks(self):
-        assert len(SHAPES) == len(all_patterns()) + 1 == 21
+        assert len(SHAPES) == len(SHAPE_LIST) == 21
 
 
 class TestRender:
     def test_exactness_template(self):
-        assert render(Pattern(PatternKind.EXACTNESS, Statement.I).expand()) == "Only statement I is correct"
+        assert render(shape_formula(PatternKind.EXACTNESS, Statement.I)) == "Only statement I is correct"
 
     def test_negation_template(self):
-        assert render(Pattern(PatternKind.NEGATION, Statement.IV).expand()) == "Statement IV is not correct"
+        assert render(shape_formula(PatternKind.NEGATION, Statement.IV)) == "Statement IV is not correct"
 
     def test_symbolic_fallback_for_free_form(self):
         assert render(And(Var(Statement.I), Var(Statement.II))) == "(I ∧ II)"
 
     def test_injective_over_patterns_and_none(self):
         for locale in ("en", "zh"):
-            texts = [render(p.expand(), locale) for p in all_patterns()]
-            texts.append(render(universal_none(), locale))
+            texts = [render(shape.formula, locale) for shape in SHAPE_LIST]
             assert len(set(texts)) == len(texts)
 
     def test_zh_locale_renders_without_latin_templates(self):
-        text = render(Pattern(PatternKind.EXACTNESS, Statement.II).expand(), "zh")
+        text = render(shape_formula(PatternKind.EXACTNESS, Statement.II), "zh")
         assert "II" in text and "correct" not in text
 
     def test_unknown_locale_rejected(self):
@@ -183,7 +199,7 @@ class TestRender:
             render(Var(Statement.I), "fr")
 
     def test_every_shape_renders_as_the_reference(self):
-        formulas = [p.expand() for p in all_patterns()] + [universal_none(), Not(Or(Var(Statement.I), Var(Statement.II)))]
+        formulas = [shape.formula for shape in SHAPE_LIST] + [Not(Or(Var(Statement.I), Var(Statement.II)))]
         for locale in ("en", "zh"):
             assert [render(f, locale) for f in formulas] == [reference_render(f, locale) for f in formulas]
 
@@ -200,9 +216,8 @@ class TestSerialization:
         assert formula.serialized == "AND(VAR(I),NOT(VAR(II)))"
 
     def test_round_trip_fixed_cases(self):
-        for pattern in all_patterns():
-            formula = pattern.expand()
-            assert parse_formula(formula.serialized) == formula
+        for shape in SHAPE_LIST:
+            assert parse_formula(shape.formula.serialized) == shape.formula
 
     def test_round_trip_random_formulas(self):
         rng = PortableRng(7)

@@ -1,5 +1,5 @@
-"""Mutation oracle for the files the pipeline reads back: traces, scores, corpus stats, item banks, run logs
-and reports.
+"""Mutation oracle for the files the pipeline reads back: question banks, traces, scores, corpus stats, item
+banks, run logs and reports.
 
 A valid file gets one change: a field (at any depth) takes a value of another
 JSON type, or a line is torn as a crash leaves it. The command that reads the
@@ -25,6 +25,10 @@ from conftest import make_atomic_bank, make_trace_corpus, write_jsonl
 # Each input under test: its file in the fixture directory, and the command that reads it. In
 # the command, {input} is the changed copy, {dir} the fixture directory and {out} a scratch one.
 READERS = {
+    "atomic": ("atomic.json", ["calibrate", "--bank", "{input}", "--scores", "{dir}/scores.jsonl",
+                               "--out", "{out}/items.json"]),
+    "comb": ("comb.json", ["calibrate", "--bank", "{input}", "--scores", "{dir}/scores.jsonl",
+                           "--out", "{out}/items.json"]),
     "traces": ("traces.jsonl", ["score-traces", "--traces", "{input}", "--out", "{out}/s.jsonl",
                                 "--stats-out", "{out}/stats.json"]),
     "scores": ("scores.jsonl", ["calibrate", "--bank", "{dir}/atomic.json", "--scores", "{input}",

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from combicat.logic import (
     And,
     Not,
     Or,
-    Pattern,
     PatternKind,
     Statement,
     Var,
@@ -44,7 +44,14 @@ from combicat.synthesis import (
 )
 from conftest import make_atomic_question
 from combicat.rng import PortableRng
-from oracle import reference_assemble, reference_comb_from_record, reference_evaluate, reference_verify, row_statements
+from oracle import (
+    reference_assemble,
+    reference_comb_from_record,
+    reference_evaluate,
+    reference_pools,
+    reference_verify,
+    row_statements,
+)
 
 TIERS = ("Easy", "Medium", "Hard", "Expert")
 
@@ -106,20 +113,30 @@ class TestPools:
     def test_truth_labels_by_truth_table(self, tier, answer):
         """Every pool member's label checks out against full enumeration."""
         valid, distractor = pools(tier_config(tier).allowed_patterns, answer)
-        for _, formula in valid:
-            assert reference_evaluate(formula, {answer}) is True
-        for _, formula in distractor:
-            assert reference_evaluate(formula, {answer}) is False
+        for shape in valid:
+            assert reference_evaluate(shape.formula, {answer}) is True
+        for shape in distractor:
+            assert reference_evaluate(shape.formula, {answer}) is False
 
     def test_easy_valid_pool_is_the_answer_exactness(self):
         valid, _ = pools(tier_config("Easy").allowed_patterns, Statement.I)
-        exactness = Pattern(PatternKind.EXACTNESS, Statement.I)
-        assert valid == ((exactness, exactness.expand()),)
+        assert [(shape.kind, shape.statements) for shape in valid] == [(PatternKind.EXACTNESS, (Statement.I,))]
 
     def test_distractor_pool_always_ends_with_universal_none(self):
         for tier in TIERS:
             _, distractor = pools(tier_config(tier).allowed_patterns, Statement.II)
-            assert classify(distractor[-1][1]) == "universal_none"
+            assert classify(distractor[-1].formula).kind is PatternKind.UNIVERSAL_NONE
+
+    @pytest.mark.parametrize("answer", STATEMENTS)
+    def test_pools_match_the_hand_enumeration(self, answer):
+        """Every subset of the four requirement-bearing kinds, against ``reference_pools``."""
+        kinds = [PatternKind.EXACTNESS, PatternKind.DISJUNCTION, PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION]
+        for size in range(len(kinds) + 1):
+            for allowed in map(frozenset, combinations(kinds, size)):
+                for pool, reference in zip(pools(allowed, answer), reference_pools(allowed, answer)):
+                    assert [(shape.kind, shape.statements, shape.formula.serialized) for shape in pool] == [
+                        (kind, statements, formula.serialized) for kind, statements, formula in reference
+                    ]
 
 
 class TestAssemble:
@@ -142,10 +159,7 @@ class TestAssemble:
         cfg = tier_config("Expert")
         for seed in range(25):
             combinatorial = assemble(question, cfg, seed)
-            kinds = [
-                found.kind if isinstance(found := classify(e.formula), Pattern) else None
-                for e in combinatorial.options
-            ]
+            kinds = [found.kind if (found := classify(e.formula)) else None for e in combinatorial.options]
             assert PatternKind.DISJUNCTION in kinds
             assert any(k in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION) for k in kinds)
 
@@ -154,12 +168,8 @@ class TestAssemble:
         cfg = tier_config("Hard")
         for seed in range(25):
             combinatorial = assemble(question, cfg, seed)
-            kinds = [classify(e.formula) for e in combinatorial.options]
-            assert any(
-                isinstance(k, Pattern)
-                and k.kind in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION)
-                for k in kinds
-            )
+            shapes = [classify(e.formula) for e in combinatorial.options]
+            assert any(shape and shape.kind in (PatternKind.NEGATION, PatternKind.COMPOUND_NEGATION) for shape in shapes)
 
     def test_answer_set_bounds(self):
         for tier in TIERS:
