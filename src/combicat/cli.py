@@ -435,9 +435,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         stored = bankio.load_object(args.report, _stored_subsets, versioned=True)
         mismatches = _replay_mismatches(stored, aggregates)
         if mismatches:
-            for line in mismatches:
-                print(f"replay mismatch: {line}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{args.report}: replay mismatch: {'; '.join(mismatches)}")
         print("replay check: ok")
     return 0
 

@@ -2,13 +2,16 @@
 
 A responder maps a rendered prompt task to raw answer text; implementations
 cover a live chat-completions endpoint, an ability-parameterized simulator and
-a memorization-only guesser. Static runs administer a whole bank in order.
+a memorization-only guesser. Each names how many lanes it is run on: two for
+the endpoint, one for a simulator, whose random stream fixes the order it
+answers in. Static runs administer a whole bank in order.
 Adaptive runs step one CAT session per subset: ``run_benchmark`` asks
 ``irt.select_next`` for each item, administers it and folds the response in
 with ``irt.eap_update``, or skips it on a transport failure. It appends every
 administration and every CAT step to a JSONL log, and a report's per-subset
 aggregates are ``aggregate_log_records`` of the rows it logged, so
-``combicat report`` gets the same numbers back from the log alone.
+``combicat report`` gets the same numbers back from the log alone. On any
+number of lanes, the log holds the rows a run on one lane writes, in its order.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from functools import lru_cache, partial
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 from urllib.parse import quote, urlsplit
 
 from . import __version__
@@ -62,6 +65,8 @@ _SUBSET_LABELS = {BASE_SUBSET: "base", COMBINATORIAL_SUBSET: "comb"}
 
 # Reply statuses that mean the responder was never heard, not that it was wrong.
 _TRANSPORT_FAILURES = ("timeout", "http_error")
+# Every status a response row may log.
+_STATUSES = ("ok", "parse_failure", *_TRANSPORT_FAILURES)
 
 
 class MissingApiKeyError(RuntimeError):
@@ -315,14 +320,40 @@ def _opener() -> Any:
     return urllib.request.build_opener(KeyGuardingRedirectHandler)
 
 
-def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> ResponderReply:
+class Backoff:
+    """How many requests to one endpoint are backing off after a retryable failure.
+
+    A new question starts only while none is, as a client of a rate-limited
+    API should behave. So between a failure and its retry, only a request
+    that was already in flight can reach the endpoint.
+    """
+
+    def __init__(self) -> None:
+        self._count = 0
+        self._changed = threading.Condition()
+
+    def add(self, change: int) -> None:
+        with self._changed:
+            self._count += change
+            self._changed.notify_all()
+
+    def wait_clear(self) -> None:
+        """Block until no request is backing off."""
+        with self._changed:
+            self._changed.wait_for(lambda: self._count == 0)
+
+
+def query_model(
+    endpoint: EndpointConfig, system_text: str, user_text: str, backoff: Backoff | None = None
+) -> ResponderReply:
     """Single chat request with bounded retries on transient failures.
 
     Timeouts are terminal (the per-query deadline is the whole budget); 5xx
     and 429 responses and dropped connections retry with exponential backoff
-    up to ``max_retries``. Each attempt opens and closes its own connection,
-    through ``_opener``, and ``timeout_seconds`` bounds the connect and each
-    read. The API key is read from the configured environment variable and
+    up to ``max_retries``. From its first backoff sleep until it returns, the
+    request counts in ``backoff``. Each attempt opens and closes its own
+    connection, through ``_opener``, and ``timeout_seconds`` bounds the connect
+    and each read. The API key is read from the configured environment variable and
     never logged. Only live runs reach the network, so the transport modules
     are imported here rather than with this module.
     """
@@ -348,37 +379,43 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
         return int((time.monotonic() - started) * 1000)
 
     attempt = 0
-    while True:
-        try:
-            # A fresh request each attempt: opening one rewrites it for the proxy it goes through.
-            request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        while True:
             try:
-                reply = _opener().open(request, timeout=endpoint.timeout_seconds)
-            except urllib.error.HTTPError as error:  # a reply outside 2xx that was not followed
-                reply = error
-            with reply:
-                status, text = reply.status, reply.read().decode("utf-8", errors="replace")
-        except (OSError, http.client.HTTPException) as exc:
-            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-            if isinstance(reason, TimeoutError):
-                log.warning("request to %s timed out after %ss", endpoint.base_url, endpoint.timeout_seconds)
-                return ResponderReply("", "timeout", elapsed_ms(), retries=attempt)
-            log.warning("request to %s failed: %s", endpoint.base_url, exc)
-            if attempt >= endpoint.max_retries:
-                return ResponderReply(str(exc), "http_error", elapsed_ms(), retries=attempt)
-        else:
-            if status < 400:
+                # A fresh request each attempt: opening one rewrites it for the proxy it goes through.
+                request = urllib.request.Request(url, data=body, headers=headers, method="POST")
                 try:
-                    content = json.loads(text)["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError):
-                    log.warning("malformed response body: %.200s", text)
+                    reply = _opener().open(request, timeout=endpoint.timeout_seconds)
+                except urllib.error.HTTPError as error:  # a reply outside 2xx that was not followed
+                    reply = error
+                with reply:
+                    status, text = reply.status, reply.read().decode("utf-8", errors="replace")
+            except (OSError, http.client.HTTPException) as exc:
+                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+                if isinstance(reason, TimeoutError):
+                    log.warning("request to %s timed out after %ss", endpoint.base_url, endpoint.timeout_seconds)
+                    return ResponderReply("", "timeout", elapsed_ms(), retries=attempt)
+                log.warning("request to %s failed: %s", endpoint.base_url, exc)
+                if attempt >= endpoint.max_retries:
+                    return ResponderReply(str(exc), "http_error", elapsed_ms(), retries=attempt)
+            else:
+                if status < 400:
+                    try:
+                        content = json.loads(text)["choices"][0]["message"]["content"]
+                    except (ValueError, KeyError, IndexError, TypeError):
+                        log.warning("malformed response body: %.200s", text)
+                        return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt)
+                    return ResponderReply(str(content), "ok", elapsed_ms(), retries=attempt)
+                log.warning("HTTP %s from %s: %.500s", status, endpoint.base_url, text)
+                if status not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
                     return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt)
-                return ResponderReply(str(content), "ok", elapsed_ms(), retries=attempt)
-            log.warning("HTTP %s from %s: %.500s", status, endpoint.base_url, text)
-            if status not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
-                return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt)
-        time.sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
-        attempt += 1
+            attempt += 1
+            if backoff is not None and attempt == 1:
+                backoff.add(1)
+            time.sleep(_BACKOFF_BASE_SECONDS * (2 ** (attempt - 1)))
+    finally:
+        if backoff is not None and attempt:
+            backoff.add(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +424,28 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str) -> R
 
 
 class Responder(Protocol):
+    lanes: int  # how many questions ``run_benchmark`` may have it answer at once
+
     def respond(self, task: PromptTask) -> ResponderReply: ...
 
 
 class EndpointResponder:
-    """Live responder backed by a chat-completions endpoint."""
+    """Live responder backed by a chat-completions endpoint.
+
+    It answers on two lanes, which share one ``Backoff``: a question waits
+    to start until no request is backing off, while a request's own retries
+    do not wait.
+    """
+
+    lanes = 2
 
     def __init__(self, endpoint: EndpointConfig) -> None:
         self.endpoint = endpoint
+        self.backoff = Backoff()
 
     def respond(self, task: PromptTask) -> ResponderReply:
-        return query_model(self.endpoint, task.system_text, task.user_text)
+        self.backoff.wait_clear()
+        return query_model(self.endpoint, task.system_text, task.user_text, self.backoff)
 
 
 class SimulatedRespondent:
@@ -408,6 +456,8 @@ class SimulatedRespondent:
     emits the gold letters; an incorrect draw emits a uniformly chosen
     non-gold, non-empty letter set.
     """
+
+    lanes = 1
 
     def __init__(self, theta: float | Mapping[str, float], seed: int = 0) -> None:
         self._theta = theta
@@ -444,6 +494,8 @@ class MemorizationRespondent:
     Models the contamination ceiling: with the atomic answer memorized but the
     formulas unread, each of the m options is equally attractive.
     """
+
+    lanes = 1
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = PortableRng(seed)
@@ -485,8 +537,12 @@ class ResponseRecord:
 
     @classmethod
     def from_record(cls, row: Mapping[str, Any]) -> "ResponseRecord":
-        """A logged response row; each field must already have its type, and none is coerced."""
-        return cls(
+        """A logged response row; each field must already have its type, and none is coerced.
+
+        The row must agree with itself: only an ``ok`` row parsed any letter,
+        and ``exact`` and ``f1`` are ``score_response(parsed_set, gold_set)``.
+        """
+        record = cls(
             question_id=question_id_of(row),
             subset=typed("subset", row["subset"], str, "a string"),
             raw_text=typed("raw_text", row["raw_text"], str, "a string"),
@@ -497,6 +553,19 @@ class ResponseRecord:
             latency_ms=typed("latency_ms", row["latency_ms"], int, "an integer"),
             transport_status=typed("transport_status", row["transport_status"], str, "a string"),
         )
+        status = record.transport_status
+        if status not in _STATUSES:
+            raise ValueError(f"transport_status must be one of {', '.join(map(repr, _STATUSES))}, not {status!r}")
+        if bool(record.parsed_set) != (status == "ok"):
+            wanted = "a non-empty" if status == "ok" else "an empty"
+            raise ValueError(f"transport_status {status!r} needs {wanted} parsed_set, not {sorted(record.parsed_set)}")
+        scored = score_response(record.parsed_set, record.gold_set)
+        if (record.exact, record.f1) != scored:
+            raise ValueError(
+                f"parsed_set {sorted(record.parsed_set)} against gold_set {sorted(record.gold_set)} scores "
+                f"exact={scored[0]} and f1={scored[1]!r}, not exact={record.exact} and f1={record.f1!r}"
+            )
+        return record
 
 
 class JsonlWriter:
@@ -663,6 +732,69 @@ def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
         _request_headers(responder.endpoint)
 
 
+class _LaneStopped(Exception):
+    """Another lane raised, so this one ends at its next row."""
+
+
+def _run_on_lanes(
+    jobs: Sequence[Callable[[Callable[[Any], None]], None]], lanes: int, write: Callable[[Any], None]
+) -> None:
+    """Run ``jobs`` on ``lanes`` lanes, and ``write`` their rows in the order one lane would.
+
+    The calling thread is one lane and each other lane a helper thread. A free
+    lane takes the next job in order and calls it with an ``emit`` for its
+    rows. The rows of the earliest unfinished job are written as they come. A
+    later job's rows are held until every earlier job has finished. An
+    exception on a lane stops the others at their next row or job, and is
+    raised here once every helper has ended.
+    """
+    lock = threading.Lock()
+    held: list[list[Any]] = [[] for _ in jobs]
+    finished = [False] * len(jobs)
+    head = 0  # the earliest unfinished job
+    pending = iter(range(len(jobs)))
+    errors: list[BaseException] = []
+
+    def emit(i: int, row: Any) -> None:
+        with lock:
+            if errors:
+                raise _LaneStopped
+            if i == head:
+                write(row)
+            else:
+                held[i].append(row)
+
+    def lane() -> None:
+        nonlocal head
+        try:
+            while True:
+                with lock:
+                    i = next(pending, None)
+                    if i is None or errors:
+                        return
+                jobs[i](partial(emit, i))
+                with lock:
+                    finished[i] = True
+                    while head < len(jobs) and finished[head]:
+                        head += 1
+                        for row in held[head] if head < len(jobs) else ():
+                            write(row)
+        except _LaneStopped:
+            pass
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=lane, daemon=True) for _ in range(lanes - 1)]
+    for helper in helpers:
+        helper.start()
+    lane()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
 def run_benchmark(
     responder: Responder,
     banks: EvalBanks,
@@ -680,46 +812,59 @@ def run_benchmark(
     ``check_run`` before the log's directory is made and the log is opened,
     so a rejected run leaves an earlier run's files intact. The report's
     subsets are ``aggregate_log_records`` of the logged responses.
+
+    The run uses the responder's ``lanes``: static questions go to them in
+    order, and the two CAT sessions run on their own lanes. Rows are logged
+    in the order of a run on one lane, all base rows before all
+    combinatorial ones.
     """
     check_run(responder, banks, mode)
     settings = settings or RunSettings()
     records: list[ResponseRecord] = []
-    dual: DualReport | None = None
+    sessions: dict[str, CatSession] = {}
     os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
     with JsonlWriter(log_path) as writer:
 
-        def administer_logged(task: PromptTask, subset: str) -> ResponseRecord:
-            record = administer(responder, task, subset)
-            writer.write(record.to_record())
-            records.append(record)
-            return record
+        def write(row: ResponseRecord | dict[str, Any]) -> None:
+            if isinstance(row, ResponseRecord):
+                records.append(row)
+                row = row.to_record()
+            writer.write(row)
+
+        def administer_one(task: PromptTask, subset: str, emit: Callable[[Any], None]) -> None:
+            emit(administer(responder, task, subset))
+
+        def run_session(subset: str, tasks: list[PromptTask], emit: Callable[[Any], None]) -> None:
+            label = _SUBSET_LABELS[subset]
+            session = CatSession.start(subset, settings.max_items, settings.se_target)
+            bank = [task.params for task in tasks]
+            tasks_by_id = {task.params.item_id: task for task in tasks}
+            while (item := select_next(session, bank)) is not None:
+                step = len(session.administered) + len(session.skipped)
+                row = {"kind": "cat_step", "subset": label, "step": step, "item_id": item.item_id}
+                record = administer(responder, tasks_by_id[item.item_id], label)
+                emit(record)
+                if record.transport_status in _TRANSPORT_FAILURES:
+                    session.skipped.add(item.item_id)
+                    row["skipped"] = True
+                else:
+                    eap_update(session, item, record.exact)
+                    row.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=record.exact)
+                emit(row)
+            sessions[subset] = session
 
         if mode == "static":
-            for subset, tasks in [("base", banks.base), *sorted(banks.baselines.items()), ("comb", banks.comb)]:
-                for task in tasks:
-                    administer_logged(task, subset)
+            subsets = [("base", banks.base), *sorted(banks.baselines.items()), ("comb", banks.comb)]
+            jobs = [partial(administer_one, task, subset) for subset, tasks in subsets for task in tasks]
         else:
-            sessions = []
-            for subset, tasks in ((BASE_SUBSET, banks.base), (COMBINATORIAL_SUBSET, banks.comb)):
-                label = _SUBSET_LABELS[subset]
-                session = CatSession.start(subset, settings.max_items, settings.se_target)
-                bank = [task.params for task in tasks]
-                tasks_by_id = {task.params.item_id: task for task in tasks}
-                while (item := select_next(session, bank)) is not None:
-                    step = len(session.administered) + len(session.skipped)
-                    row = {"kind": "cat_step", "subset": label, "step": step, "item_id": item.item_id}
-                    record = administer_logged(tasks_by_id[item.item_id], label)
-                    if record.transport_status in _TRANSPORT_FAILURES:
-                        session.skipped.add(item.item_id)
-                        row["skipped"] = True
-                    else:
-                        eap_update(session, item, record.exact)
-                        row.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=record.exact)
-                    writer.write(row)
-                sessions.append(session)
-            base, comb = sessions
-            dual = DualReport(base.estimate, comb.estimate, base.accuracy(), comb.accuracy())
+            jobs = [partial(run_session, subset, tasks)
+                    for subset, tasks in ((BASE_SUBSET, banks.base), (COMBINATORIAL_SUBSET, banks.comb))]
+        _run_on_lanes(jobs, responder.lanes, write)
 
+    dual = None
+    if mode == "cat":
+        base, comb = sessions[BASE_SUBSET], sessions[COMBINATORIAL_SUBSET]
+        dual = DualReport(base.estimate, comb.estimate, base.accuracy(), comb.accuracy())
     return ScoreReport(
         mode=mode,
         seed=settings.seed,

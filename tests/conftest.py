@@ -98,6 +98,8 @@ def make_trace_corpus(questions: list[AtomicQuestion], seed: int = 321) -> list[
 class ScriptedResponder:
     """Replays canned raw texts, or whole replies such as transport failures, keyed by question id."""
 
+    lanes = 1
+
     def __init__(self, responses: dict[str, str | ResponderReply]) -> None:
         self._responses = dict(responses)
 
@@ -122,18 +124,27 @@ class MockChatHandler(BaseHTTPRequestHandler):
 
     ``/echo`` and any path below it answers "A". ``/flaky`` fails
     ``flaky_failures_left`` times with ``flaky_status``, or hangs up without
-    a reply when that is ``None``, and then answers. A request through a proxy
-    names an absolute URL, whose path picks alike. ``/redirect`` answers
+    a reply when that is ``None``, and then answers; it fails only a request
+    whose body holds ``flaky_match``. A request through a proxy names an
+    absolute URL, whose path picks alike. ``/redirect`` answers
     ``redirect_status`` with ``redirect_location``. A GET, which is what a
-    301, 302 or 303 turns a POST into, gets a 405. ``last_request`` holds the
-    method, the path as sent and the headers of the latest request.
+    301, 302 or 303 turns a POST into, gets a 405. Every POST reply waits
+    ``latency_s`` first. ``last_request`` holds the method, the path as sent
+    and the headers of the latest request, and ``posts`` gets one
+    ``(arrived, replied, status, body)`` entry for each POST: the
+    ``time.monotonic`` times at which it was read and its reply began. Two requests may be served at once: the class
+    counters change under ``lock``.
     """
 
+    lock = threading.Lock()
     flaky_failures_left = 1
     flaky_status: int | None = 500
+    flaky_match = ""
     redirect_status = 307
     redirect_location = "/echo"
+    latency_s = 0.0
     last_request: tuple[str, str, dict[str, str]] = ("", "", {})
+    posts: list[tuple[float, float, int | None, str]] = []
 
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
@@ -144,39 +155,58 @@ class MockChatHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        MockChatHandler.last_request = ("GET", self.path, dict(self.headers))
+        with MockChatHandler.lock:
+            MockChatHandler.last_request = ("GET", self.path, dict(self.headers))
         self._send(405, {"error": "method not allowed"})
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        MockChatHandler.last_request = ("POST", self.path, dict(self.headers))
+        arrived = time.monotonic()
+        with MockChatHandler.lock:
+            MockChatHandler.last_request = ("POST", self.path, dict(self.headers))
         length = int(self.headers.get("Content-Length", "0"))
-        self.rfile.read(length)
-        path = urlsplit(self.path).path
+        body = self.rfile.read(length).decode("utf-8")
+        time.sleep(MockChatHandler.latency_s)
+        replied = time.monotonic()  # before the client can have the reply
+        status = self._reply(urlsplit(self.path).path, body)
+        with MockChatHandler.lock:
+            MockChatHandler.posts.append((arrived, replied, status, body))
+
+    def _reply(self, path: str, body: str) -> int | None:
+        """Answer a POST to ``path``; the status sent, or ``None`` for a hang-up."""
         if path == "/echo" or path.startswith("/echo/"):
             self._send(200, {"choices": [{"message": {"content": "A"}}]})
-        elif path == "/flaky":
-            if MockChatHandler.flaky_failures_left > 0:
-                MockChatHandler.flaky_failures_left -= 1
-                if MockChatHandler.flaky_status is None:
-                    self.close_connection = True
-                else:
-                    self._send(MockChatHandler.flaky_status, {"error": "transient"})
-            else:
+            return 200
+        if path == "/flaky":
+            with MockChatHandler.lock:
+                fail = MockChatHandler.flaky_failures_left > 0 and MockChatHandler.flaky_match in body
+                if fail:
+                    MockChatHandler.flaky_failures_left -= 1
+            if not fail:
                 self._send(200, {"choices": [{"message": {"content": "B, C"}}]})
-        elif path == "/redirect":
+                return 200
+            if MockChatHandler.flaky_status is None:
+                self.close_connection = True
+            else:
+                self._send(MockChatHandler.flaky_status, {"error": "transient"})
+            return MockChatHandler.flaky_status
+        if path == "/redirect":
             self.send_response(MockChatHandler.redirect_status)
             self.send_header("Location", MockChatHandler.redirect_location)
             self.send_header("Content-Length", "0")
             self.end_headers()
-        elif path == "/slow":
+            return MockChatHandler.redirect_status
+        if path == "/slow":
             time.sleep(3)
             self._send(200, {"choices": [{"message": {"content": "A"}}]})
-        elif path == "/badbody":
+            return 200
+        if path == "/badbody":
             self._send(200, {"unexpected": "shape"})
-        elif path == "/denied":
+            return 200
+        if path == "/denied":
             self._send(403, {"error": "forbidden"})
-        else:
-            self._send(404, {"error": "not found"})
+            return 403
+        self._send(404, {"error": "not found"})
+        return 404
 
     def log_message(self, *args) -> None:  # silence test output
         pass

@@ -1057,8 +1057,8 @@ class TestReport:
         captured = capsys.readouterr()
         assert "no records" in captured.out
         assert "replay check: ok" not in captured.out
-        assert "replay mismatch: subset 'base' missing from log" in captured.err
-        assert "replay mismatch: subset 'comb' missing from log" in captured.err
+        mismatches = "subset 'base' missing from log; subset 'comb' missing from log"
+        assert captured.err == f"error: {report}: replay mismatch: {mismatches}\n"
 
     def test_torn_line_names_log_and_line(self, tmp_path, capsys):
         """A torn last line, as a crash leaves it, is an error: report reads whole logs only."""
@@ -1140,6 +1140,21 @@ class TestReport:
             ("f1", float("nan"), "f1 must be a finite number, not nan"),
             ("kind", 7, "kind must be 'response' or 'cat_step', not 7"),
             ("kind", "reply", "kind must be 'response' or 'cat_step', not 'reply'"),
+            # The fields have their types but contradict each other.
+            ("parsed_set", ["A", "C"], "parsed_set ['A', 'C'] against gold_set ['A'] scores exact=False and "
+             "f1=0.6666666666666666, not exact=True and f1=1.0"),
+            ("parsed_set", ["B"], "parsed_set ['B'] against gold_set ['A'] scores exact=False and f1=0.0, "
+             "not exact=True and f1=1.0"),
+            ("f1", 0.5, "parsed_set ['A'] against gold_set ['A'] scores exact=True and f1=1.0, "
+             "not exact=True and f1=0.5"),
+            ("gold_set", [], "gold set must be non-empty"),
+            ("parsed_set", [], "transport_status 'ok' needs a non-empty parsed_set, not []"),
+            ("transport_status", "parse_failure",
+             "transport_status 'parse_failure' needs an empty parsed_set, not ['A']"),
+            ("transport_status", "timeout", "transport_status 'timeout' needs an empty parsed_set, not ['A']"),
+            ("transport_status", "http_error", "transport_status 'http_error' needs an empty parsed_set, not ['A']"),
+            ("transport_status", "done", "transport_status must be one of 'ok', 'parse_failure', 'timeout', "
+             "'http_error', not 'done'"),
         ],
     )
     def test_row_field_of_the_wrong_type_names_log_and_line(self, tmp_path, capsys, field, value, message):
@@ -1160,7 +1175,8 @@ class TestReport:
         assert main(["report", "--log", str(log), "--report", str(out_dir / "report.json")]) == 1
         captured = capsys.readouterr()
         assert "replay check: ok" not in captured.out
-        assert captured.err == "replay mismatch: subset 'forged' missing from report\n"
+        report = out_dir / "report.json"
+        assert captured.err == f"error: {report}: replay mismatch: subset 'forged' missing from report\n"
 
     @pytest.mark.parametrize(
         "stored, message",
@@ -1190,11 +1206,13 @@ class TestReport:
 
     def test_per_case_f1_table_for_small_logs(self, tmp_path, capsys):
         rows = []
-        for i, (f1, exact) in enumerate([(1.0, True), (0.857, False), (0.5, False), (1.0, True)]):
+        cases = [(["A"], ["A"], 1.0, True), (["A", "B", "C"], ["A", "B", "C", "D"], 6 / 7, False),
+                 (["A"], ["A", "B", "C"], 0.5, False), (["B"], ["B"], 1.0, True)]
+        for i, (parsed, gold, f1, exact) in enumerate(cases):
             rows.append(
                 {
                     "kind": "response", "question_id": f"case-{i + 1}", "subset": "comb",
-                    "raw_text": "", "parsed_set": ["A"], "gold_set": ["A"], "exact": exact,
+                    "raw_text": "", "parsed_set": parsed, "gold_set": gold, "exact": exact,
                     "f1": f1, "latency_ms": 0, "transport_status": "ok",
                 }
             )

@@ -2,7 +2,9 @@
 
 import json
 import socket
+import sys
 import threading
+import time
 import urllib.error
 from statistics import fmean
 from urllib.parse import urlsplit
@@ -37,7 +39,7 @@ from combicat.harness import (
 )
 from combicat.irt import ItemParams, probability_3pl
 from combicat.logic import SHAPE_LIST
-from combicat.synthesis import CombinatorialQuestion, OptionEntry, assemble, tier_config
+from combicat.synthesis import CombinatorialQuestion, OptionEntry, apply_nota, assemble, shuffle_options, tier_config
 from combicat.rng import PortableRng
 from conftest import MockChatHandler, ScriptedResponder, make_atomic_question
 from oracle import reference_cat_session
@@ -579,6 +581,123 @@ class TestRunsAndLogs:
         assert len(lines) == 200
         for line in lines:
             json.loads(line)
+
+
+def most_in_flight(posts) -> int:
+    """The largest number of the mock server's logged POSTs that it was serving at once."""
+    events = sorted([(arrived, 1) for arrived, *_ in posts] + [(replied, -1) for _, replied, *_ in posts])
+    most = current = 0
+    for _, change in events:
+        current += change
+        most = max(most, current)
+    return most
+
+
+def lane_banks(mode: str) -> EvalBanks:
+    """Static base, nota, shuffle and combinatorial tasks, or the two calibrated banks of a CAT run."""
+    if mode == "cat":
+        return cat_banks(10, seed=31)
+    atomic = [make_atomic_question(i) for i in range(6)]
+    return EvalBanks(
+        base=[build_task(q) for q in atomic],
+        comb=[build_task(fixture_comb_question(f"c{i}", 6, {"A", "C"})) for i in range(4)],
+        baselines={
+            "nota": [build_task(apply_nota(q)) for q in atomic],
+            "shuffle": [build_task(shuffle_options(q, i)) for i, q in enumerate(atomic)],
+        },
+    )
+
+
+class PacedResponder(ScriptedResponder):
+    """A scripted responder on two lanes that takes 0 to 8 ms per question, so its lanes finish out of order."""
+
+    lanes = 2
+
+    def respond(self, task: PromptTask) -> ResponderReply:
+        time.sleep(0.002 * (sum(map(ord, task.question_id)) % 5))
+        return super().respond(task)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("lanes", [2, 4])
+    @pytest.mark.parametrize("mode", ["static", "cat"])
+    def test_more_lanes_log_the_bytes_of_one_lane(self, tmp_path, mode, lanes):
+        """Rows are held until every earlier question or session has finished, then logged in its order.
+
+        Four lanes, more than the cores of a small host, and a short thread switch interval give a lost
+        or misplaced row every chance to show.
+        """
+        banks = lane_banks(mode)
+        tasks = banks.base + banks.comb + [task for bank in banks.baselines.values() for task in bank]
+        script: dict[str, str | ResponderReply] = {}
+        for i, task in enumerate(tasks):
+            script[task.question_id] = ResponderReply("", "timeout") if i % 7 == 3 else "ABC"[i % 3]
+        logs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in (1, lanes):
+                responder = PacedResponder(script)
+                responder.lanes = n
+                log_path = tmp_path / f"lanes{n}.jsonl"
+                report = run_benchmark(responder, banks, str(log_path), mode=mode)
+                logs.append((log_path.read_bytes(), report))
+        finally:
+            sys.setswitchinterval(interval)
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("mode", ["static", "cat"])
+    def test_endpoint_on_two_lanes_logs_the_rows_of_one_lane(self, mock_server, tmp_path, monkeypatch, mode):
+        """Apart from ``latency_ms``, a live run on two lanes logs what a run on one lane logs."""
+        monkeypatch.setattr(MockChatHandler, "latency_s", 0.01)
+        banks = lane_banks(mode)
+        endpoint = EndpointConfig(base_url=f"{mock_server}/echo", model_name="m")
+        rows, in_flight = [], []
+        for lanes in (2, 1):
+            monkeypatch.setattr(MockChatHandler, "posts", [])
+            responder = EndpointResponder(endpoint)
+            responder.lanes = lanes
+            log_path = tmp_path / f"lanes{lanes}.jsonl"
+            report = run_benchmark(responder, banks, str(log_path), mode=mode)
+            rows.append(([{k: v for k, v in row.items() if k != "latency_ms"} for _, row in read_jsonl(str(log_path))],
+                         report))
+            in_flight.append(most_in_flight(MockChatHandler.posts))
+        assert rows[0] == rows[1]
+        assert in_flight == [2, 1]
+
+    def test_no_question_starts_while_a_request_backs_off(self, mock_server, tmp_path, monkeypatch):
+        """Between a 429 and its retry, the only other request the server may see is one already in flight."""
+        backoff_s = 0.25
+        monkeypatch.setattr(harness, "_BACKOFF_BASE_SECONDS", backoff_s)
+        monkeypatch.setattr(MockChatHandler, "latency_s", 0.02)
+        monkeypatch.setattr(MockChatHandler, "posts", [])
+        monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 1)
+        monkeypatch.setattr(MockChatHandler, "flaky_status", 429)
+        monkeypatch.setattr(MockChatHandler, "flaky_match", "Scenario 3:")
+        responder = EndpointResponder(EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m"))
+        banks = EvalBanks(base=[build_task(make_atomic_question(i)) for i in range(16)])
+        report = run_benchmark(responder, banks, str(tmp_path / "run.jsonl"), mode="static")
+        assert report.subsets["base"].transport_failures == 0
+        posts = MockChatHandler.posts
+        assert len(posts) == 17 and most_in_flight(posts) == 2
+        (fault,) = [post for post in posts if post[2] == 429]
+        retry = next(post for post in posts if "Scenario 3:" in post[3] and post[0] > fault[1])
+        assert retry[0] - fault[1] >= backoff_s
+        # A request already in flight may arrive just after the fault; none starts later than that.
+        arrived_meanwhile = [post for post in posts if fault[1] + 0.1 < post[0] < retry[0]]
+        assert arrived_meanwhile == []
+
+    @pytest.mark.parametrize("failing", ["q0000", "q0001", "q0006"])
+    def test_an_error_on_either_lane_ends_the_run(self, tmp_path, failing):
+        class Failing(PacedResponder):
+            def respond(self, task: PromptTask) -> ResponderReply:
+                if task.question_id == failing:
+                    raise RuntimeError("lane failed")
+                return super().respond(task)
+
+        banks = EvalBanks(base=[build_task(make_atomic_question(i)) for i in range(8)])
+        with pytest.raises(RuntimeError, match="lane failed"):
+            run_benchmark(Failing({}), banks, str(tmp_path / "run.jsonl"), mode="static")
 
 
 # One scripted bank item: 3PL parameters, often extreme or repeated, a

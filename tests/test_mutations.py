@@ -1,16 +1,20 @@
 """Mutation oracle for the files the pipeline reads back: question banks, traces, scores, corpus stats, item
-banks, run logs and reports.
+banks, run logs, reports and endpoint configs.
 
 A valid file gets one change: a field (at any depth) takes a value of another
-JSON type, or a line is torn as a crash leaves it. The command that reads the
-file must then do one of two things: parse it exactly as before (a field it
-does not read), or end with exit status 1 and one ``error:`` line that names
-the file and, in a JSONL file, the changed line.
+JSON type or another value of its own (a number 0, negative or huge, an id
+another record's id), a list of records becomes null or an object, or a line
+is torn as a crash leaves it. The command that reads the file must then do
+one of two things: parse it exactly as before (a field it does not read), or
+end with exit status 1 and one ``error:`` line that names the file and, in a
+JSONL file, the changed line. An endpoint config that fails does so before a
+request is sent.
 """
 
 import io
 import json
 import os
+import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from combicat.bankio import save_atomic_bank
 from combicat.cli import main
-from conftest import make_atomic_bank, make_trace_corpus, write_jsonl
+from conftest import MockChatHandler, make_atomic_bank, make_trace_corpus, write_jsonl
 
 # Each input under test: its file in the fixture directory, and the command that reads it. In
 # the command, {input} is the changed copy, {dir} the fixture directory and {out} a scratch one.
@@ -39,11 +43,15 @@ READERS = {
                                   "--mode", "cat", "--simulator", "3pl:0.5", "--out", "{out}"]),
     "log": ("run/run.jsonl", ["report", "--log", "{input}", "--report", "{dir}/run/report.json"]),
     "report": ("run/report.json", ["report", "--log", "{dir}/run/run.jsonl", "--report", "{input}"]),
+    "endpoint": ("endpoint.json", ["evaluate", "--base-bank", "{dir}/atomic.json", "--endpoint", "{input}",
+                                   "--out", "{out}"]),
 }
 
 # One value of each JSON type; a field is changed to one of another type.
 JSON_TYPES = (type(None), bool, (int, float), str, list, dict)
 VALUES = [None, True, 0, 2.5, "", "x", [], ["A"], {}, {"k": 1}]
+# What a list of records becomes.
+NOT_A_LIST = [None, {}]
 
 
 def json_type(value):
@@ -72,9 +80,12 @@ class Inputs:
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """A small pipeline's traces, scores, stats, item banks, CAT log and report."""
+def inputs(tmp_path_factory, mock_server):
+    """A small pipeline's traces, scores, stats, item banks, CAT log and report, and an endpoint config."""
     root = tmp_path_factory.mktemp("inputs")
+    endpoint = {"base_url": f"{mock_server}/echo", "model_name": "m", "api_key_env": "", "temperature": 0.0,
+                "max_tokens": 64, "timeout_seconds": 10, "max_retries": 2}
+    (root / "endpoint.json").write_text(json.dumps(endpoint, indent=2))
     questions = make_atomic_bank(6, seed=21)
     save_atomic_bank(str(root / "atomic.json"), questions)
     write_jsonl(root / "traces.jsonl", make_trace_corpus(questions, seed=22))
@@ -103,11 +114,13 @@ def run_reader(root, kind, text):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([arg.format(input=path, dir=root, out=work) for arg in argv])
-    written = {f.name: f.read_bytes() for f in sorted(work.iterdir()) if f != path}
+    # A live log's latencies are the one thing that differs between two runs.
+    written = {f.name: re.sub(rb'"latency_ms": \d+', b'"latency_ms": 0', f.read_bytes())
+               for f in sorted(work.iterdir()) if f != path}
     return code, out.getvalue(), err.getvalue(), written
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_changed_or_torn_input_parses_the_same_or_fails_naming_where(inputs, data):
     root, unchanged = inputs.root, inputs.unchanged
@@ -116,37 +129,71 @@ def test_changed_or_torn_input_parses_the_same_or_fails_naming_where(inputs, dat
     text = (root / name).read_text(encoding="utf-8")
     path = root / "work" / os.path.basename(name)
     tear = data.draw(st.booleans(), label="tear")
+    in_type = False
     if name.endswith(".jsonl"):
         lines = text.splitlines()
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         if tear:
             lines[i] = lines[i][: data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]
         else:
-            row = json.loads(lines[i])
-            lines[i] = json.dumps(changed(data, row), ensure_ascii=False)
+            row, in_type = changed(data, json.loads(lines[i]), [json.loads(line) for line in lines])
+            lines[i] = json.dumps(row, ensure_ascii=False)
         # A torn last line has no newline, as a crash mid-write leaves it.
         text = "\n".join(lines) + ("" if tear and i == len(lines) - 1 else "\n")
         where = f"{path}:{i + 1}:"
+        # A repeated id is found on the later of its two lines, and the message names the earlier one.
+        repeat = re.compile(rf"error: {re.escape(str(path))}:\d+: .*\bline {i + 1}\b")
     else:
         if tear:
             text = text[: data.draw(st.integers(1, len(text.rstrip()) - 1), label="cut")]
         else:
-            text = json.dumps(changed(data, json.loads(text)), indent=2)
+            value, in_type = changed(data, json.loads(text), json.loads(text))
+            text = json.dumps(value, indent=2)
         where = f"{path}:"
+        repeat = None
+    requests = len(MockChatHandler.posts)
     result = run_reader(root, kind, text)
+    code, _, err, _ = result
     same = result == unchanged[kind]
-    event(f"{kind}: {'same parse' if same else 'error'}")
-    if not same:
-        code, _, err, _ = result
-        assert code == 1 and err.startswith(f"error: {where}") and err.count("\n") == 1, (kind, result)
+    # A value of the field's own type may be one the reader accepts, and then it may read it differently.
+    accepted = same or (in_type and code == 0)
+    event(f"{kind}: {'same parse' if same else 'accepted' if accepted else 'error'}")
+    if not accepted:
+        assert code == 1 and err.count("\n") == 1, (kind, result)
+        assert err.startswith(f"error: {where}") or (in_type and repeat and repeat.match(err)), (kind, result)
+        assert len(MockChatHandler.posts) == requests, (kind, result)
 
 
-def changed(data, value):
-    """``value`` with one nested field set to a value of another JSON type."""
-    place = data.draw(st.sampled_from(list(places(value))), label="field")
-    parent = value
-    for key in place[:-1]:
-        parent = parent[key]
-    others = [other for other in VALUES if json_type(other) != json_type(parent[place[-1]])]
-    parent[place[-1]] = data.draw(st.sampled_from(others), label="to")
+def changed(data, value, whole):
+    """``value`` with one nested field set to a value of another JSON type or to another value of its own
+    type, or with one list of records set to null or an object; and whether the new value has the old
+    one's type. An id may become the id of another record in ``whole``, the file's content."""
+    all_places = list(places(value))
+    record_lists = [place for place in all_places if _is_record_list(_at(value, place))]
+    fields = st.tuples(st.sampled_from(all_places), st.just(False))
+    if record_lists:
+        fields = fields | fields | fields | st.tuples(st.sampled_from(record_lists), st.just(True))
+    place, whole_list = data.draw(fields, label="field")
+    old = _at(value, place)
+    if whole_list:
+        others = NOT_A_LIST
+    else:
+        others = [other for other in VALUES if json_type(other) != json_type(old)]
+        if isinstance(old, (int, float)) and not isinstance(old, bool):
+            others += [0, -1 - abs(old), 1e308]
+        elif isinstance(old, str) and str(place[-1]).endswith("id"):
+            ids = {_at(whole, p) for p in places(whole) if p[-1] == place[-1]}
+            others += sorted({i for i in ids if isinstance(i, str)} - {old})
+    new = data.draw(st.sampled_from(others), label="to")
+    _at(value, place[:-1])[place[-1]] = new
+    return value, json_type(new) == json_type(old)
+
+
+def _at(value, place):
+    for key in place:
+        value = value[key]
     return value
+
+
+def _is_record_list(value):
+    return isinstance(value, list) and bool(value) and all(isinstance(item, dict) for item in value)
