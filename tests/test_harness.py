@@ -667,7 +667,7 @@ class TestLanes:
 
     def test_no_question_starts_while_a_request_backs_off(self, mock_server, tmp_path, monkeypatch):
         """Between a 429 and its retry, the only other request the server may see is one already in flight."""
-        backoff_s = 0.25
+        backoff_s = 0.4
         monkeypatch.setattr(harness, "_BACKOFF_BASE_SECONDS", backoff_s)
         monkeypatch.setattr(MockChatHandler, "latency_s", 0.02)
         monkeypatch.setattr(MockChatHandler, "posts", [])
@@ -684,7 +684,7 @@ class TestLanes:
         retry = next(post for post in posts if "Scenario 3:" in post[3] and post[0] > fault[1])
         assert retry[0] - fault[1] >= backoff_s
         # A request already in flight may arrive just after the fault; none starts later than that.
-        arrived_meanwhile = [post for post in posts if fault[1] + 0.1 < post[0] < retry[0]]
+        arrived_meanwhile = [post for post in posts if fault[1] + 0.15 < post[0] < retry[0]]
         assert arrived_meanwhile == []
 
     @pytest.mark.parametrize("failing", ["q0000", "q0001", "q0006"])

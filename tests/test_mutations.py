@@ -7,8 +7,10 @@ another record's id), a list of records becomes null or an object, or a line
 is torn as a crash leaves it. The command that reads the file must then do
 one of two things: parse it exactly as before (a field it does not read), or
 end with exit status 1 and one ``error:`` line that names the file and, in a
-JSONL file, the changed line. An endpoint config that fails does so before a
-request is sent.
+JSONL file, the changed line. A value of the field's own type may also be one
+the command accepts and reads differently. A repeated id may be found on the
+later of its two lines, whose message then names the changed one. An endpoint
+config that fails does so before a request is sent.
 """
 
 import io
