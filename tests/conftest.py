@@ -130,10 +130,11 @@ class MockChatHandler(BaseHTTPRequestHandler):
     ``redirect_status`` with ``redirect_location``. A GET, which is what a
     301, 302 or 303 turns a POST into, gets a 405. Every POST reply waits
     ``latency_s`` first. ``last_request`` holds the method, the path as sent
-    and the headers of the latest request, and ``posts`` gets one
-    ``(arrived, replied, status, body)`` entry for each POST: the
-    ``time.monotonic`` times at which it was read and its reply began. Two requests may be served at once: the class
-    counters change under ``lock``.
+    and the headers of the latest request. Each POST appends an
+    ``[arrived, replied, status, body]`` entry to ``posts`` before its reply
+    goes out: the ``time.monotonic`` times at which it was read and its reply
+    began, and the status sent, ``None`` until then and for a hang-up. Two
+    requests may be served at once: the class counters change under ``lock``.
     """
 
     lock = threading.Lock()
@@ -144,7 +145,7 @@ class MockChatHandler(BaseHTTPRequestHandler):
     redirect_location = "/echo"
     latency_s = 0.0
     last_request: tuple[str, str, dict[str, str]] = ("", "", {})
-    posts: list[tuple[float, float, int | None, str]] = []
+    posts: list[list] = []
 
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
@@ -166,10 +167,11 @@ class MockChatHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         body = self.rfile.read(length).decode("utf-8")
         time.sleep(MockChatHandler.latency_s)
-        replied = time.monotonic()  # before the client can have the reply
-        status = self._reply(urlsplit(self.path).path, body)
+        # Logged before the reply goes out, so a client that has its reply finds the entry.
+        entry = [arrived, time.monotonic(), None, body]
         with MockChatHandler.lock:
-            MockChatHandler.posts.append((arrived, replied, status, body))
+            MockChatHandler.posts.append(entry)
+        entry[2] = self._reply(urlsplit(self.path).path, body)
 
     def _reply(self, path: str, body: str) -> int | None:
         """Answer a POST to ``path``; the status sent, or ``None`` for a hang-up."""
