@@ -43,6 +43,9 @@ from .irt import (
     COMBINATORIAL_SUBSET,
     DEFAULT_MAX_ITEMS,
     DEFAULT_SE_TARGET,
+    AbilityEstimate,
+    CatSession,
+    DualReport,
     calibrate_difficulty,
     discrimination_for_tier,
     guessing_for_options,
@@ -138,11 +141,16 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_score_traces(args: argparse.Namespace) -> int:
+    """Score each trace: its metrics, z-scores, fallacy penalty, gold score and tier.
+
+    A trace's markers are found through one index of it, which
+    ``extract_metrics`` builds and ``fallacy_penalty`` reads.
+    """
     lexicons = load_lexicons(locale=args.locale)
 
     traces = bankio.load_traces(args.traces)
     metrics, penalties = [], []
-    for trace in traces:  # back to back, so the penalty reads the fold extract_metrics made
+    for trace in traces:  # back to back, so the penalty reads the index extract_metrics built
         metrics.append(extract_metrics(trace, lexicons))
         penalties.append(fallacy_penalty(trace, lexicons))
 
@@ -372,7 +380,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     log_path = os.path.join(args.out, "run.jsonl")
     report_path = os.path.join(args.out, "report.json")
-    report = run_benchmark(responder, banks, log_path, mode=args.mode, settings=settings)
+    try:
+        report = run_benchmark(responder, banks, log_path, mode=args.mode, settings=settings)
+    except MissingApiKeyError as exc:
+        raise MissingApiKeyError(f"{args.endpoint}: {exc}") from None
     bankio.save_json(report_path, report.to_record())
     _print_report(report)
     print(f"log: {log_path}")
@@ -424,7 +435,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(_subset_line(label, aggregates[label]))
 
     steps = [entry for entry in entries if isinstance(entry, tuple)]
-    estimates = {subset: (theta, se) for subset, theta, se in steps}
+    estimates = {subset: (theta, se) for subset, theta, se, _ in steps}
     for subset, (theta, se) in sorted(estimates.items()):
         print(f"{subset:<8} theta={theta:+.3f} se={se:.3f}")
     if {"base", "comb"} <= set(estimates):
@@ -432,17 +443,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"delta_theta {delta:+.3f}")
 
     if args.report:
-        stored = bankio.load_object(args.report, _stored_subsets, versioned=True)
+        stored, stored_dual = bankio.load_object(args.report, _stored_report, versioned=True)
         mismatches = _replay_mismatches(stored, aggregates)
+        if stored_dual is not None:
+            mismatches += _number_mismatches("dual", stored_dual, _flat_numbers("dual", _log_dual(steps).to_record()))
+        elif steps:
+            mismatches.append("dual missing from report")
         if mismatches:
             raise ValueError(f"{args.report}: replay mismatch: {'; '.join(mismatches)}")
         print("replay check: ok")
     return 0
 
 
-def _log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, float] | None:
-    """A log row: a response's record, or a ``cat_step``'s subset, ability estimate and
-    standard error (``None`` for a step whose item was skipped)."""
+def _log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, float, bool] | None:
+    """A log row: a response's record, or a ``cat_step``'s subset, ability estimate, standard
+    error and response (``None`` for a step whose item was skipped)."""
     kind = row["kind"]
     if kind == "response":
         return ResponseRecord.from_record(row)
@@ -451,18 +466,59 @@ def _log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, flo
     if "theta_hat" not in row:
         return None
     subset = typed("subset", row["subset"], str, "a string")
-    return subset, finite("theta_hat", row["theta_hat"]), finite("se", row["se"])
+    theta_hat, se = finite("theta_hat", row["theta_hat"]), finite("se", row["se"])
+    return subset, theta_hat, se, typed("response", row["response"], bool, "a boolean")
 
 
-def _stored_subsets(report: Any) -> dict[str, dict[str, float]]:
-    """The ``subsets`` map of a report file: one object of finite numbers per subset."""
+def _log_dual(steps: Sequence[tuple[str, float, float, bool]]) -> DualReport:
+    """The ``dual`` record of a CAT log: per subset, the last scored step's estimate, the number
+    of scored steps and the share answered correctly; a subset with none has the prior and 0."""
+    estimates, accuracies = [], []
+    for subset, label in ((BASE_SUBSET, "base"), (COMBINATORIAL_SUBSET, "comb")):
+        scored = [step for step in steps if step[0] == label]
+        if scored:
+            _, theta, se, _ = scored[-1]
+            estimates.append(AbilityEstimate(theta, se, len(scored)))
+            accuracies.append(sum(response for *_, response in scored) / len(scored))
+        else:
+            estimates.append(CatSession.start(subset).estimate)
+            accuracies.append(0.0)
+    return DualReport(*estimates, *accuracies)
+
+
+def _flat_numbers(where: str, record: Any) -> dict[str, float]:
+    """An object of finite numbers, or of such objects, with nested keys joined by dots."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object of numbers")
+    numbers = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            numbers.update({f"{key}.{sub}": v for sub, v in _flat_numbers(f"{where}.{key}", value).items()})
+        else:
+            numbers[key] = finite(f"{where}.{key}", value)
+    return numbers
+
+
+def _stored_report(report: Any) -> tuple[dict[str, dict[str, float]], dict[str, float] | None]:
+    """The ``subsets`` map of a report file, one object of finite numbers per subset, and its
+    ``dual`` record flattened to keys such as ``base.theta_hat`` (``None`` if it has none)."""
     subsets = typed("subsets", report.get("subsets", {}), dict, "an object")
     numbers = {}
     for label, stored in subsets.items():
         if not isinstance(stored, dict):
             raise ValueError(f"subset {label!r} must be an object of numbers")
         numbers[label] = {key: finite(f"{label}.{key}", value) for key, value in stored.items()}
-    return numbers
+    return numbers, None if "dual" not in report else _flat_numbers("dual", report["dual"])
+
+
+def _number_mismatches(where: str, stored: Mapping[str, float], recomputed: Mapping[str, float]) -> list[str]:
+    """Each number recomputed from the log that the report lacks or holds otherwise."""
+    problems = []
+    for key, have in recomputed.items():
+        want = stored.get(key)
+        if want is None or abs(want - have) > 1e-12:
+            problems.append(f"{where}.{key}: report {want} vs log {have}")
+    return problems
 
 
 def _replay_mismatches(stored_subsets: Mapping[str, Any], aggregates: Mapping[str, Any]) -> list[str]:
@@ -472,10 +528,7 @@ def _replay_mismatches(stored_subsets: Mapping[str, Any], aggregates: Mapping[st
         if recomputed is None:
             problems.append(f"subset {label!r} missing from log")
             continue
-        for key, have in recomputed.to_record().items():
-            want = stored.get(key)
-            if want is None or abs(want - have) > 1e-12:
-                problems.append(f"{label}.{key}: report {want} vs log {have}")
+        problems += _number_mismatches(label, stored, recomputed.to_record())
     return problems
 
 

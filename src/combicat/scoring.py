@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -61,7 +62,6 @@ METRIC_NAMES: tuple[str, ...] = SCORED_METRICS + ("token_count", "segment_count"
 _BOUNDED_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789' ,-")
 
 
-@lru_cache(maxsize=1)
 def fold(text: str) -> str:
     """Case-fold one character to one character, keeping each character's ``\\w`` class.
 
@@ -71,9 +71,7 @@ def fold(text: str) -> str:
     (``"İ".lower()`` is even two characters long). ``str.casefold`` would
     not do: it grows ``ß`` to ``ss`` and leaves ``İ`` and ``ı`` apart from ``i``.
 
-    The last fold is kept, so ``fallacy_penalty`` called right after
-    ``extract_metrics`` on the same trace reads the fold it made; no more
-    than one folded text is held.
+    A trace is folded once, by ``trace_index``, which keeps the fold.
     """
     # Three replace calls scan much faster than one translate over non-ASCII text.
     return text.replace("\u0130", "i").replace("\u0131", "i").replace("\u017f", "s").lower()
@@ -124,6 +122,93 @@ class Marker:
         return hits
 
 
+# Every ASCII character that is not a word character, to a space.
+_ASCII_NON_WORD = str.maketrans({chr(code): " " for code in range(128) if not _is_word(chr(code))})
+
+
+@dataclass(frozen=True)
+class MarkerSet:
+    """The markers of one lexicon entry, split once by how a ``TraceIndex`` finds them.
+
+    ``words`` are the bounded markers that are one word, ``phrases`` the other
+    bounded markers with their word runs, and ``substrings`` the unbounded
+    markers with their characters.
+    """
+
+    markers: tuple[Marker, ...]
+    words: tuple[Marker, ...]
+    phrases: tuple[tuple[Marker, frozenset[str]], ...]
+    substrings: tuple[tuple[Marker, frozenset[str]], ...]
+
+    @classmethod
+    def of(cls, markers: Iterable[Marker]) -> "MarkerSet":
+        markers = tuple(markers)
+        runs = {m: m.literal.translate(_ASCII_NON_WORD).split() for m in markers if m.bounded}
+        return cls(
+            markers,
+            tuple(m for m, words in runs.items() if words == [m.literal]),
+            tuple((m, frozenset(words)) for m, words in runs.items() if words != [m.literal]),
+            tuple((m, frozenset(m.literal)) for m in markers if not m.bounded),
+        )
+
+
+_NO_MARKERS = MarkerSet.of(())
+_ASCII_CHARS = frozenset(map(chr, range(128)))
+
+
+class TraceIndex:
+    """One trace's text and fold, with what rules a marker out without a scan.
+
+    The index counts the maximal word runs of the fold, each non-ASCII
+    character first read as a non-word character. At a hit of a bounded
+    marker each word run of the marker is a whole run of the fold, since
+    ``Marker.starts`` wants a non-word character or an end on both sides, so a
+    bounded marker is scanned only if all its word runs are in the index. Where
+    the fold is ASCII its runs are exactly those of the index, and a one-word
+    marker is counted by a lookup. An unbounded marker is counted on the raw
+    text, and only if each of its characters occurs there; ``str.count`` finds
+    the hits ``Marker.starts`` finds.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.folded = folded = fold(text)
+        # A superset of the text's characters: a set of an ASCII text costs more than the counts it saves.
+        self.chars = _ASCII_CHARS if text.isascii() else set(text)
+        # Keyed on the fold: "İf" is not ASCII, but its fold "if" is.
+        self.exact = folded.isascii()
+        self.runs = Counter(folded.encode("ascii", "replace").decode("ascii").translate(_ASCII_NON_WORD).split())
+
+    def _scanned(self, entry: MarkerSet, words: bool) -> list[Marker]:
+        """The bounded markers of ``entry`` that the index does not rule out, one-word ones only if ``words``."""
+        runs = self.runs
+        scanned = [m for m in entry.words if m.literal in runs] if words else []
+        return scanned + [m for m, needed in entry.phrases if runs.keys() >= needed]
+
+    def count(self, entry: MarkerSet) -> int:
+        """Non-overlapping hits of the markers of ``entry``."""
+        text, folded, runs = self.text, self.folded, self.runs
+        total = sum([runs.get(m.literal, 0) for m in entry.words]) if self.exact else 0
+        total += sum([len(m.starts(text, folded)) for m in self._scanned(entry, words=not self.exact)])
+        return total + sum([text.count(m.literal) for m, chars in entry.substrings if chars <= self.chars])
+
+    def positions(self, entry: MarkerSet) -> list[int]:
+        """Sorted start positions of the hits of the markers of ``entry``."""
+        scanned = self._scanned(entry, words=True) + [m for m, chars in entry.substrings if chars <= self.chars]
+        return sorted(at for m in scanned for at in m.starts(self.text, self.folded))
+
+
+@lru_cache(maxsize=1)
+def trace_index(text: str) -> TraceIndex:
+    """The index of ``text``.
+
+    The last one is kept, so ``fallacy_penalty`` called right after
+    ``extract_metrics`` on the same trace reads the index it built; no more
+    than one index is held.
+    """
+    return TraceIndex(text)
+
+
 def _add_markers(bucket: list[Marker], markers: Iterable[Any], where: str) -> None:
     """Parse ``markers`` into ``bucket``, rejecting what the scan cannot search for or would count twice."""
     for marker in markers:
@@ -157,7 +242,10 @@ def _merge_raw(locales: Sequence[tuple[str, Mapping[str, Any]]]) -> dict[str, An
                     _add_markers(bucket.setdefault(sub_key, []), markers, where)
             else:
                 _add_markers(merged.setdefault(key, []), value, f"{name}: {key}")
-    return merged
+    return {
+        key: {sub: MarkerSet.of(m) for sub, m in value.items()} if isinstance(value, dict) else MarkerSet.of(value)
+        for key, value in merged.items()
+    }
 
 
 def load_lexicons(locale: str = "both") -> dict[str, Any]:
@@ -178,14 +266,6 @@ def load_lexicons(locale: str = "both") -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Metric extraction
 # ---------------------------------------------------------------------------
-
-
-def _count_hits(markers: Iterable[Marker], text: str, folded: str) -> int:
-    return sum(len(m.starts(text, folded)) for m in markers)
-
-
-def _positions(markers: Iterable[Marker], text: str, folded: str) -> list[int]:
-    return sorted(at for m in markers for at in m.starts(text, folded))
 
 
 def _ordered_chains(*stages: list[int]) -> int:
@@ -226,17 +306,17 @@ def extract_metrics(trace: ThinkingTrace, lexicons: Mapping[str, Any]) -> dict[s
     text = trace.text
     if not text.strip():
         return {**dict.fromkeys(METRIC_NAMES, 0.0), "token_count": float(trace.token_count)}
-    folded = fold(text)
+    index = trace_index(text)
 
     def hits(key: str) -> int:
-        return _count_hits(lexicons.get(key, ()), text, folded)
+        return index.count(lexicons.get(key, _NO_MARKERS))
 
     def positions(key: str) -> list[int]:
-        return _positions(lexicons.get(key, ()), text, folded)
+        return index.positions(lexicons.get(key, _NO_MARKERS))
 
     dialectic = _ordered_chains(positions("thesis"), positions("antithesis"), positions("synthesis"))
-    epistemic = [_count_hits(markers, text, folded) for markers in lexicons.get("epistemic", {}).values()]
-    levels = [level for level, markers in lexicons.get("abstraction", {}).items() if _count_hits(markers, text, folded)]
+    epistemic = [index.count(markers) for markers in lexicons.get("epistemic", {}).values()]
+    levels = [level for level, markers in lexicons.get("abstraction", {}).items() if index.count(markers)]
     return {
         "oscillation": float(hits("reversal")),
         "logic_density": 100.0 * hits("connectives") / max(1, trace.token_count),
@@ -349,10 +429,9 @@ def gold_score(z: Mapping[str, float], fallacy_score: float = 0.0) -> float:
 # Fallacy detection
 # ---------------------------------------------------------------------------
 
-_ASSERTION_RE = re.compile(
-    r"(?:final answer|the answer|answer)\s*(?:is|:|should be|must be)\s*\(?([A-Ha-h])\)?(?![A-Za-z])",
-    re.IGNORECASE,
-)
+# Searched over the fold, so lowercase and case-sensitive: it matches where the
+# same pattern in either case matches the raw text under re.IGNORECASE.
+_ASSERTION_RE = re.compile(r"(?:final answer|the answer|answer)\s*(?:is|:|should be|must be)\s*\(?([a-h])\)?(?![a-z])")
 _FINAL_LETTERS_RE = re.compile(r"(?<![A-Za-z])([A-H])(?![A-Za-z])")
 
 
@@ -376,13 +455,13 @@ def fallacy_penalty(trace: ThinkingTrace, lexicons: Mapping[str, Any]) -> float:
     The rule totals (a) assertions "the answer is X" whose letter is absent
     from the final-line answer, and (b) explicit self-contradiction markers.
     """
+    index = trace_index(trace.text)
     final_letters, final_start = _final_answer_span(trace.text)
     mismatches = 0
     if final_letters:
-        for match in _ASSERTION_RE.finditer(trace.text):
+        for match in _ASSERTION_RE.finditer(index.folded):
             if match.start() >= final_start:
-                continue
+                break
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.get("contradiction", ()), trace.text, fold(trace.text))
-    return float(mismatches + contradictions)
+    return float(mismatches + index.count(lexicons.get("contradiction", _NO_MARKERS)))

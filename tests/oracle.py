@@ -8,18 +8,22 @@ the fast path against standard propositional semantics.
 
 ``combicat.scoring`` counts in-order marker chains of any length with one
 stage matcher; the two-stage and three-stage matchers it replaced are kept
-here. It finds lexicon markers with a literal scan over a once-folded text;
-the per-marker regexes that scan replaced are kept here too, with a scorer
-that matches every marker through them.
+here. It finds lexicon markers through one index of each trace's word runs,
+and scans a marker only where the index cannot rule it out. The scan of every
+marker over the whole text that the index replaced is kept here, and so are
+the per-marker regexes that scan replaced, with a scorer that matches every
+marker through them.
 
 ``combicat.irt`` steps a CAT session through ``select_next``, which its
 caller loops on. The self-contained loop that drove a session before is kept
 here: a linear scan for the most informative item, the stop rule checked
 before each pick, and the skip of an item whose response failed.
 
-``combicat.scoring.fallacy_penalty`` reads the fold that ``extract_metrics``
-made and finds the final answer line from the end; the version that folded
-each trace again and walked every line from the start is kept here.
+``combicat.scoring.fallacy_penalty`` reads the index that ``extract_metrics``
+built, searches its fold with a lowercase assertion pattern and finds the
+final answer line from the end. The version that searched the raw text under
+``re.IGNORECASE``, matched the contradiction markers by their regexes and
+walked every line from the start is kept here.
 
 A formula node carries its mask and prefix text, derived from its children
 when it is built, and option texts come from a per-locale table filled once.
@@ -73,15 +77,12 @@ from combicat.logic import (
 )
 from combicat.rng import PortableRng
 from combicat.scoring import (
-    _ASSERTION_RE,
     _FINAL_LETTERS_RE,
     _NUMBERED_STEP_RE,
     _SEGMENT_SPLIT_RE,
     METRIC_NAMES,
     ThinkingTrace,
-    _count_hits,
     _ordered_chains,
-    fold,
     shannon_entropy,
 )
 from combicat.synthesis import (
@@ -177,6 +178,16 @@ def reference_positions(markers, text: str) -> list[int]:
     return sorted(hit.start() for m in markers for hit in reference_marker_pattern(m).finditer(text))
 
 
+def reference_scan_count(markers, text: str, folded: str) -> int:
+    """Non-overlapping hits of all ``markers``, each scanned over the whole text."""
+    return sum(len(m.starts(text, folded)) for m in markers)
+
+
+def reference_scan_positions(markers, text: str, folded: str) -> list[int]:
+    """Sorted start positions of the hits of all ``markers``, each scanned over the whole text."""
+    return sorted(at for m in markers for at in m.starts(text, folded))
+
+
 def reference_lexicon_groups(locale: str = "both") -> dict[str, list[str]]:
     """The packaged markers per metric group ("reversal", "epistemic.certain",
     "abstraction.2"), merged over the locales in order."""
@@ -203,23 +214,24 @@ def reference_final_answer_span(text: str) -> tuple[set[str], int]:
     return last_letters, last_start
 
 
-def reference_fallacy_penalty(trace: ThinkingTrace, lexicons: dict) -> float:
-    """``fallacy_penalty`` over a fold of its own and the forward line walk."""
+_REFERENCE_ASSERTION_RE = re.compile(
+    r"(?:final answer|the answer|answer)\s*(?:is|:|should be|must be)\s*\(?([A-Ha-h])\)?(?![A-Za-z])",
+    re.IGNORECASE,
+)
+
+
+def reference_fallacy_penalty(trace: ThinkingTrace, groups: dict[str, list[str]]) -> float:
+    """``fallacy_penalty`` over the raw text: a caseless assertion pattern, the contradiction
+    markers' regexes and the forward line walk."""
     final_letters, final_start = reference_final_answer_span(trace.text)
     mismatches = 0
     if final_letters:
-        for match in _ASSERTION_RE.finditer(trace.text):
+        for match in _REFERENCE_ASSERTION_RE.finditer(trace.text):
             if match.start() >= final_start:
                 continue
             if match.group(1).upper() not in final_letters:
                 mismatches += 1
-    contradictions = _count_hits(lexicons.get("contradiction", ()), trace.text, fold(trace.text))
-    return float(mismatches + contradictions)
-
-
-# fallacy_penalty reads only the contradiction markers; with none it counts
-# the assertions that disagree with the final answer line.
-_NO_MARKERS: dict = {}
+    return float(mismatches + reference_count(groups.get("contradiction", []), trace.text))
 
 
 def _subgroups(groups: dict[str, list[str]], key: str) -> dict[str, list[str]]:
@@ -229,8 +241,7 @@ def _subgroups(groups: dict[str, list[str]], key: str) -> dict[str, list[str]]:
 def reference_scores(trace: ThinkingTrace, groups: dict[str, list[str]]) -> tuple[dict[str, float], float]:
     """``extract_metrics`` and ``fallacy_penalty`` with every marker matched by its reference regex."""
     text = trace.text
-    contradictions = reference_count(groups.get("contradiction", []), text)
-    penalty = reference_fallacy_penalty(trace, _NO_MARKERS) + contradictions
+    penalty = reference_fallacy_penalty(trace, groups)
     if not text.strip():
         return {**dict.fromkeys(METRIC_NAMES, 0.0), "token_count": float(trace.token_count)}, penalty
 

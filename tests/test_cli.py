@@ -668,7 +668,7 @@ class TestEvaluate:
             ["evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir)]
         )
         assert code == 1
-        assert "error: environment variable 'COMBICAT_TEST_KEY' is not set" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {endpoint}: environment variable 'COMBICAT_TEST_KEY' is not set\n"
         assert not out_dir.exists()
 
     def test_tampered_comb_bank_rejected_before_the_log_opens(self, tmp_path, capsys):
@@ -788,15 +788,19 @@ class TestEvaluate:
             ("max_retries", -1, "max_retries must be at least 0, not -1"),
             ("temprature", 0.0, "unknown key 'temprature'"),
             ("max_token", 5, "unknown key 'max_token'"),
+            ("api_key_env", "COMBICAT_NO_SUCH_KEY", "environment variable 'COMBICAT_NO_SUCH_KEY' is not set"),
         ],
         ids=[
             "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
             "ftp-url", "int-url", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
-            "negative-retries", "misspelt-temperature", "misspelt-max-tokens",
+            "negative-retries", "misspelt-temperature", "misspelt-max-tokens", "unset-api-key-env",
         ],
     )
-    def test_bad_endpoint_file_rejected_before_any_request(self, tmp_path, bank_file, capsys, key, value, message):
+    def test_bad_endpoint_file_rejected_before_any_request(
+        self, tmp_path, bank_file, capsys, monkeypatch, key, value, message
+    ):
         bank_path, _ = bank_file
+        monkeypatch.delenv("COMBICAT_NO_SUCH_KEY", raising=False)
         path = tmp_path / "endpoint.json"
         # json.dumps spells NaN and inf as NaN and Infinity, which json.load reads back
         path.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m", key: value}))
@@ -1007,6 +1011,60 @@ class TestReport:
         assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
         assert "replay check: ok" in capsys.readouterr().out
 
+    @staticmethod
+    def _cat_run(tmp_path):
+        """The log and report of a small CAT run."""
+        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=12)
+        out_dir = tmp_path / "run"
+        assert main(
+            [
+                "evaluate", "--base-bank", str(atomic), "--comb-bank", str(comb),
+                "--base-items", str(base_items), "--comb-items", str(comb_items),
+                "--mode", "cat", "--simulator", "3pl:0.5,-1.5", "--out", str(out_dir),
+            ]
+        ) == 0
+        return out_dir / "run.jsonl", out_dir / "report.json"
+
+    def test_changed_log_estimate_fails_the_dual_replay(self, tmp_path, capsys):
+        """The last scored base step's theta_hat set to 2.5 in the log disagrees with the report's dual block."""
+        log, report = self._cat_run(tmp_path)
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        last = max(i for i, row in enumerate(rows) if row["kind"] == "cat_step" and row["subset"] == "base")
+        assert "theta_hat" in rows[last]
+        rows[last]["theta_hat"] = 2.5
+        log.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        dual = load_json(str(report))["dual"]
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {report}: replay mismatch: dual.base.theta_hat: report {dual['base']['theta_hat']} vs log 2.5; "
+            f"dual.delta_theta: report {dual['delta_theta']} vs log {2.5 - dual['comb']['theta_hat']}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "place", [("base", "se"), ("comb", "n_administered"), ("base_accuracy",), ("delta_theta",)]
+    )
+    def test_changed_dual_number_fails_replay(self, tmp_path, capsys, place):
+        log, report = self._cat_run(tmp_path)
+        data = load_json(str(report))
+        parent = data["dual"][place[0]] if len(place) == 2 else data["dual"]
+        logged = parent[place[-1]]
+        parent[place[-1]] = logged + 0.5
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        mismatch = f"dual.{'.'.join(place)}: report {logged + 0.5} vs log {float(logged)}"
+        assert capsys.readouterr().err == f"error: {report}: replay mismatch: {mismatch}\n"
+
+    def test_report_without_its_dual_fails_replay(self, tmp_path, capsys):
+        log, report = self._cat_run(tmp_path)
+        data = load_json(str(report))
+        del data["dual"]
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {report}: replay mismatch: dual missing from report\n"
+
     def test_tampered_report_fails_replay(self, tmp_path, capsys):
         atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=20)
         out_dir = tmp_path / "run"
@@ -1085,6 +1143,7 @@ class TestReport:
             ({k: v for k, v in RESPONSE_ROW.items() if k != "raw_text"}, "raw_text"),
             ({k: v for k, v in RESPONSE_ROW.items() if k != "latency_ms"}, "latency_ms"),
             ({k: v for k, v in RESPONSE_ROW.items() if k != "kind"}, "kind"),
+            ({"kind": "cat_step", "subset": "base", "theta_hat": 0.5, "se": 0.4}, "response"),
         ],
     )
     def test_row_missing_key_names_log_and_line(self, tmp_path, capsys, row, key):
@@ -1114,13 +1173,14 @@ class TestReport:
             ("theta_hat", True, "theta_hat must be a finite number, not True"),
             ("se", "0.5", "se must be a finite number, not '0.5'"),
             ("theta_hat", float("inf"), "theta_hat must be a finite number, not inf"),
+            ("response", 1, "response must be a boolean, not 1"),
         ],
-        ids=["bool-theta", "string-se", "inf-theta"],
+        ids=["bool-theta", "string-se", "inf-theta", "int-response"],
     )
     def test_cat_step_estimate_of_another_type_names_log_and_line(self, tmp_path, capsys, key, value, message):
         """``"theta_hat": true`` is an error, not an ability of +1."""
         log = tmp_path / "log.jsonl"
-        step = {"kind": "cat_step", "subset": "base", "theta_hat": 0.5, "se": 0.4}
+        step = {"kind": "cat_step", "subset": "base", "theta_hat": 0.5, "se": 0.4, "response": True}
         log.write_text(json.dumps(RESPONSE_ROW) + "\n" + json.dumps({**step, key: value}) + "\n")
         assert main(["report", "--log", str(log)]) == 1
         assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
@@ -1190,9 +1250,13 @@ class TestReport:
             ({**V1, "subsets": {"comb": {"accuracy": float("nan")}}}, "comb.accuracy must be a finite number, not nan"),
             ({**V1, "subsets": {"comb": {"mean_f1": float("inf")}}}, "comb.mean_f1 must be a finite number, not inf"),
             ({**V1, "subsets": {"comb": {"n": True}}}, "comb.n must be a finite number, not True"),
+            ({**V1, "subsets": {}, "dual": []}, "dual must be an object of numbers"),
+            ({**V1, "subsets": {}, "dual": {"base": {"se": "0.3"}}}, "dual.base.se must be a finite number, not '0.3'"),
+            ({**V1, "subsets": {}, "dual": {"delta_theta": float("nan")}},
+             "dual.delta_theta must be a finite number, not nan"),
         ],
         ids=["list", "other-version", "true-version", "subsets-list", "subset-int", "value-list", "nan-value",
-             "infinite-value", "true-value"],
+             "infinite-value", "true-value", "dual-list", "dual-string-value", "dual-nan-value"],
     )
     def test_malformed_report_rejected(self, tmp_path, capsys, stored, message):
         log = tmp_path / "log.jsonl"
@@ -1282,7 +1346,7 @@ class TestStartUp:
         (out_dir / "run.jsonl").write_text("earlier run\n")
         code = main(["evaluate", "--base-bank", str(bank_path), "--endpoint", str(endpoint), "--out", str(out_dir)])
         assert code == 1
-        assert capsys.readouterr().err == "error: environment variable 'COMBICAT_TEST_KEY' is not set\n"
+        assert capsys.readouterr().err == f"error: {endpoint}: environment variable 'COMBICAT_TEST_KEY' is not set\n"
         assert (out_dir / "run.jsonl").read_text() == "earlier run\n"
         assert sorted(path.name for path in out_dir.iterdir()) == ["run.jsonl"]
 

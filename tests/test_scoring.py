@@ -18,7 +18,9 @@ from combicat.scoring import (
     CorpusError,
     CorpusStats,
     Marker,
+    MarkerSet,
     ThinkingTrace,
+    TraceIndex,
     _final_answer_span,
     _ordered_chains,
     _is_word,
@@ -30,8 +32,10 @@ from combicat.scoring import (
     normalize_against,
     shannon_entropy,
     stratify,
+    trace_index,
     z_normalize,
 )
+from conftest import make_atomic_bank, make_trace_corpus
 from oracle import (
     reference_fallacy_penalty,
     reference_final_answer_span,
@@ -40,6 +44,8 @@ from oracle import (
     reference_ordered_pairs,
     reference_ordered_triples,
     reference_positions,
+    reference_scan_count,
+    reference_scan_positions,
     reference_scores,
 )
 
@@ -173,10 +179,15 @@ class TestMarkerScan:
         assert Marker.parse("Ἀ") == Marker("Ἀ", False)
 
     def test_fold_over_every_code_point(self):
-        """fold keeps positions, word classes and re.IGNORECASE's matches of marker characters."""
+        """fold keeps positions, word classes and re.IGNORECASE's matches of marker characters,
+        and the classes the assertion pattern reads: a raw character falls in the same one
+        of them under re.IGNORECASE as its fold does without it."""
         word = re.compile(r"\w")
         marker_char = re.compile(r"[a-z0-9' ,-]", re.IGNORECASE)
         marker_chars = set("abcdefghijklmnopqrstuvwxyz0123456789' ,-")
+        assertion_classes = r"([a-h])|([i-z])|(\s)|([():])"
+        caseless_class = re.compile(assertion_classes, re.IGNORECASE)
+        folded_class = re.compile(assertion_classes)
         for code in range(sys.maxunicode + 1):
             c = chr(code)
             f = fold(c)
@@ -185,6 +196,66 @@ class TestMarkerScan:
             assert _is_word(c) == is_word, hex(code)
             assert (word.fullmatch(f) is not None) == is_word, hex(code)
             assert (marker_char.fullmatch(c) is not None) == (f in marker_chars), hex(code)
+            raw_match, folded_match = caseless_class.fullmatch(c), folded_class.fullmatch(f)
+            assert (raw_match and raw_match.lastindex) == (folded_match and folded_match.lastindex), hex(code)
+
+
+def lexicon_entries(lexicons):
+    """Every ``MarkerSet`` of the lexicons, those of each epistemic class and abstraction level included."""
+    for value in lexicons.values():
+        yield from value.values() if isinstance(value, dict) else [value]
+
+
+class TestTraceIndex:
+    @given(TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_index_matches_the_scan_of_every_marker(self, lexicons, text):
+        index, folded = TraceIndex(text), fold(text)
+        for entry in lexicon_entries(lexicons):
+            assert index.count(entry) == reference_scan_count(entry.markers, text, folded), entry
+            assert index.positions(entry) == reference_scan_positions(entry.markers, text, folded), entry
+
+    @pytest.mark.parametrize(
+        "text, ascii_fold, connectives",
+        [
+            ("If it rains, so be it; if not, then go.", True, 5),
+            ("İf it rains, ſo be it.", True, 2),  # the raw text is not ASCII, its fold is
+            ("\u212aNOW if", True, 1),  # "know" is one run: no "no" or "not" inside it
+            ("if_ _if if7 7if 7 if", True, 1),  # "_" and digits are word characters
+            ("如果if 但是 if。So", False, 3),  # "如果" and two of the three "if"/"so" hit
+            ("if_ 如果 7if If", False, 2),
+        ],
+    )
+    def test_each_path_counts_as_the_scan(self, lexicons, text, ascii_fold, connectives):
+        index, folded = TraceIndex(text), fold(text)
+        assert index.exact == ascii_fold
+        assert index.count(lexicons["connectives"]) == connectives
+        for entry in lexicon_entries(lexicons):
+            assert index.count(entry) == reference_scan_count(entry.markers, text, folded), entry
+            assert index.positions(entry) == reference_scan_positions(entry.markers, text, folded), entry
+        assert (extract_metrics(trace(text), lexicons), fallacy_penalty(trace(text), lexicons)) == reference_scores(
+            trace(text), PACKAGED_GROUPS
+        )
+
+    @pytest.mark.parametrize(
+        "text, hits",
+        [
+            ("\u212anow?! I know, re-examine; Re-Examine_ re-examined", 4),
+            ("Huh?! I KNOW: re-examine?!", 4),  # an ASCII text: "?!" is counted without a set of its characters
+            ("?!知道 know", 2),
+        ],
+    )
+    def test_markers_outside_the_packaged_lexicons(self, text, hits):
+        entry = MarkerSet.of([Marker.parse("KNOW"), Marker.parse("?!"), Marker.parse("re-examine")])
+        index = TraceIndex(text)
+        assert index.count(entry) == reference_scan_count(entry.markers, text, fold(text)) == hits
+        assert index.positions(entry) == reference_scan_positions(entry.markers, text, fold(text))
+
+    def test_long_traces_match_the_regex_scorer(self, lexicons):
+        """Every 16th trace of a corpus log-spaced from 30 to 30,000 tokens, the longest among them."""
+        for row in make_trace_corpus(make_atomic_bank(240))[15::16]:
+            t = trace(row["text"], row["question_id"])
+            assert (extract_metrics(t, lexicons), fallacy_penalty(t, lexicons)) == reference_scores(t, PACKAGED_GROUPS)
 
 
 class TestLexiconRules:
@@ -230,7 +301,7 @@ class TestLexiconRules:
     def test_same_marker_in_two_metrics_allowed(self, packaged_as):
         packaged_as("en", {"hypothesis": ["suppose"], "thesis": ["suppose"]})
         lexicons = scoring.load_lexicons("en")
-        assert lexicons["hypothesis"] == lexicons["thesis"] == [Marker("suppose", True)]
+        assert lexicons["hypothesis"] == lexicons["thesis"] == MarkerSet.of([Marker("suppose", True)])
 
 
 # Positions drawn from a narrow range, so hits of different stages often tie.
@@ -384,19 +455,21 @@ class TestFallacyPenalty:
         # the final line contains prose, still parses the letter B, consistent
         assert fallacy_penalty(t, lexicons) == 0.0
 
-    def test_penalty_reads_the_fold_of_the_metrics(self, lexicons):
+    def test_penalty_reads_the_index_of_the_metrics(self, lexicons):
         t = trace("The answer is B.\nMaybe C. However, I contradict myself.\nC")
-        fold.cache_clear()
+        trace_index.cache_clear()
         extract_metrics(t, lexicons)
         fallacy_penalty(t, lexicons)
-        assert (fold.cache_info().misses, fold.cache_info().hits) == (1, 1)
+        assert (trace_index.cache_info().misses, trace_index.cache_info().hits) == (1, 1)
 
 
 # Every line break str.splitlines honours, CRLF, blank and decorated lines,
-# answer assertions and bare letters.
+# answer assertions (in either case, with a long s, across a line break) and
+# bare letters.
 LINE_PIECES = st.sampled_from(
     ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f", " ", "\t",
-     "**", "`", "'", "_", "the answer is B", "Final answer: (c)", "answer: D", "A", "C, D", "B", "x", "等", "I contradict myself"]
+     "**", "`", "'", "_", "the answer is B", "Final answer: (c)", "answer: D", "A", "C, D", "B", "x", "等",
+     "I contradict myself", "ANSWER IS b", "the anſwer is c", "answer is\nc", "İs", "ſhould be (E)"]
 )
 LINE_TEXTS = st.lists(LINE_PIECES, max_size=16).map("".join)
 
@@ -409,5 +482,24 @@ class TestFallacyPenaltyOracle:
 
     @given(st.one_of(LINE_TEXTS, TEXTS))
     @settings(max_examples=300, deadline=None)
-    def test_penalty_matches_the_refolding_version(self, lexicons, text):
-        assert fallacy_penalty(trace(text), lexicons) == reference_fallacy_penalty(trace(text), lexicons)
+    def test_penalty_matches_the_raw_text_version(self, lexicons, text):
+        assert fallacy_penalty(trace(text), lexicons) == reference_fallacy_penalty(trace(text), PACKAGED_GROUPS)
+
+    @pytest.mark.parametrize(
+        "text, penalty",
+        [
+            ("ANSWER IS b\nC", 1.0),
+            ("the anſwer is c\nC", 0.0),
+            ("the anſwer is d\nC", 1.0),
+            ("answer is\nc", 0.0),  # a lowercase final line holds no answer letter
+            ("the answer is\nc, not D", 1.0),
+            ("answer is\nd is wrong\nanswer: (A)\nC", 2.0),
+            ("the answer is Bx\nC", 0.0),  # a letter right after the answer letter: no assertion
+            ("the answer is bſ\nC", 0.0),
+            ("the answer is B\u212a\nC", 0.0),
+            ("the answer is B7\nC", 1.0),
+        ],
+    )
+    def test_folded_assertions(self, lexicons, text, penalty):
+        assert fallacy_penalty(trace(text), lexicons) == penalty
+        assert reference_fallacy_penalty(trace(text), PACKAGED_GROUPS) == penalty
