@@ -131,8 +131,8 @@ class MarkerSet:
     """The markers of one lexicon entry, split once by how a ``TraceIndex`` finds them.
 
     ``words`` are the bounded markers that are one word, ``phrases`` the other
-    bounded markers with their word runs, and ``substrings`` the unbounded
-    markers with their characters.
+    bounded markers with the set of their word runs, and ``substrings`` the
+    unbounded markers with the set of their characters.
     """
 
     markers: tuple[Marker, ...]
@@ -143,13 +143,17 @@ class MarkerSet:
     @classmethod
     def of(cls, markers: Iterable[Marker]) -> "MarkerSet":
         markers = tuple(markers)
-        runs = {m: m.literal.translate(_ASCII_NON_WORD).split() for m in markers if m.bounded}
-        return cls(
-            markers,
-            tuple(m for m, words in runs.items() if words == [m.literal]),
-            tuple((m, frozenset(words)) for m, words in runs.items() if words != [m.literal]),
-            tuple((m, frozenset(m.literal)) for m in markers if not m.bounded),
-        )
+        words, phrases, substrings = [], [], []
+        for m in markers:
+            if not m.bounded:
+                substrings.append((m, frozenset(m.literal)))
+                continue
+            runs = m.literal.translate(_ASCII_NON_WORD).split()
+            if runs == [m.literal]:
+                words.append(m)
+            else:
+                phrases.append((m, frozenset(runs)))
+        return cls(markers, tuple(words), tuple(phrases), tuple(substrings))
 
 
 _NO_MARKERS = MarkerSet.of(())
@@ -230,7 +234,7 @@ def _level(sub: str, where: str) -> int:
 
 
 def _merge_raw(locales: Sequence[tuple[str, Mapping[str, Any]]]) -> dict[str, Any]:
-    """Markers per key (and per class, or per integer abstraction level), merged over the named lexicons in order."""
+    """A ``MarkerSet`` per key (and per class, or per integer abstraction level), merged over the lexicons in order."""
     merged: dict[str, Any] = {}
     for name, raw in locales:
         for key, value in raw.items():
@@ -251,8 +255,8 @@ def _merge_raw(locales: Sequence[tuple[str, Mapping[str, Any]]]) -> dict[str, An
 def load_lexicons(locale: str = "both") -> dict[str, Any]:
     """The packaged marker lexicons of one locale ("en", "zh") or of both, merged.
 
-    Each lexicon key maps to its markers; ``epistemic`` maps each class, and
-    ``abstraction`` each integer level, to its markers. A marker that is not a
+    Each lexicon key maps to the ``MarkerSet`` of its markers; ``epistemic``
+    maps each class, and ``abstraction`` each integer level, to its own. A marker that is not a
     string, is empty or blank, or repeats another of the same metric, and an
     abstraction level that is not an integer, raise ``ValueError`` naming the
     lexicon file and the key.
