@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from typing import Any, Mapping, Sequence
@@ -31,11 +32,12 @@ from .harness import (
     Responder,
     ResponseRecord,
     RunSettings,
-    ScoreReport,
     SimulatedRespondent,
     SubsetResult,
     aggregate_log_records,
     build_task,
+    log_dual,
+    log_entry,
     run_benchmark,
 )
 from .irt import (
@@ -43,8 +45,6 @@ from .irt import (
     COMBINATORIAL_SUBSET,
     DEFAULT_MAX_ITEMS,
     DEFAULT_SE_TARGET,
-    AbilityEstimate,
-    CatSession,
     DualReport,
     calibrate_difficulty,
     discrimination_for_tier,
@@ -87,16 +87,32 @@ def _config_hash(resolved: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _finite_flag(flag: str, what: str, text: str) -> float:
+    """``text`` as a float, which must be finite; otherwise an error that names ``flag``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} {what} must be a finite number, not {text!r}")
+    return value
+
+
 def _parse_tier_split(text: str) -> dict[str, float]:
+    """The weight of each tier ``--tier-split`` names: each finite and at least 0, with a finite, positive sum."""
     split: dict[str, float] = {}
     for part in text.split(","):
         tier, _, weight = part.partition(":")
         tier = tier.strip()
         if tier not in TIER_NAMES:
             raise ValueError(f"unknown tier {tier!r} in split")
-        split[tier] = float(weight)
-    if not split or sum(split.values()) <= 0:
-        raise ValueError("tier split must carry positive weights")
+        if tier in split:
+            raise ValueError(f"--tier-split names {tier} twice")
+        split[tier] = _finite_flag("--tier-split", f"weight of {tier}", weight)
+        if split[tier] < 0:
+            raise ValueError(f"--tier-split weight of {tier} must be at least 0, not {weight!r}")
+    if not 0 < sum(split.values()) < math.inf:
+        raise ValueError("--tier-split weights must have a finite, positive sum")
     return split
 
 
@@ -292,16 +308,15 @@ def _calibrated_item(
 
 
 def _parse_simulator(spec: str) -> dict[str, float] | str:
+    """``--simulator``'s responder: ``memorization``, or a finite ability per subset (one for both)."""
     if spec == "memorization":
         return "memorization"
     if spec.startswith("3pl:"):
         parts = [p for p in spec[len("3pl:") :].split(",") if p]
-        if len(parts) == 1:
-            theta = float(parts[0])
-            return {BASE_SUBSET: theta, COMBINATORIAL_SUBSET: theta}
-        if len(parts) == 2:
-            return {BASE_SUBSET: float(parts[0]), COMBINATORIAL_SUBSET: float(parts[1])}
-    raise ValueError(f"cannot parse simulator spec {spec!r} (use '3pl:<base>,<comb>' or 'memorization')")
+        if len(parts) in (1, 2):
+            thetas = [_finite_flag("--simulator", "ability", part) for part in parts]
+            return {BASE_SUBSET: thetas[0], COMBINATORIAL_SUBSET: thetas[-1]}
+    raise ValueError(f"cannot parse --simulator spec {spec!r} (use '3pl:<base>,<comb>' or 'memorization')")
 
 
 def _join_params(
@@ -385,32 +400,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except MissingApiKeyError as exc:
         raise MissingApiKeyError(f"{args.endpoint}: {exc}") from None
     bankio.save_json(report_path, report.to_record())
-    _print_report(report)
+    print(f"mode {report.mode}  seed {report.seed}  config {report.config_hash}")
+    _print_run(report.subsets, report.dual)
     print(f"log: {log_path}")
     print(f"report: {report_path}")
     return 0
 
 
-def _print_report(report: ScoreReport) -> None:
-    print(f"mode {report.mode}  seed {report.seed}  config {report.config_hash}")
-    for label, result in report.subsets.items():
-        print(_subset_line(label, result, indent="  "))
-    if report.dual is not None:
-        dual = report.dual
+def _print_run(subsets: Mapping[str, SubsetResult], dual: DualReport | None) -> None:
+    """The numbers of a run that ``evaluate`` and ``report`` print: each subset in log order, then a CAT
+    run's estimates and their gap."""
+    for label, result in subsets.items():
         print(
-            f"  theta base {dual.base.theta_hat:+.3f} (se {dual.base.se:.3f}, "
-            f"n {dual.base.n_administered})  comb {dual.comb.theta_hat:+.3f} "
-            f"(se {dual.comb.se:.3f}, n {dual.comb.n_administered})"
+            f"{label:<8} n={result.n:<5} accuracy={result.accuracy:.4f} f1={result.mean_f1:.4f} "
+            f"parse_failures={result.parse_failures} transport_failures={result.transport_failures}"
         )
-        print(f"  delta_theta {dual.delta_theta:+.3f}")
-
-
-def _subset_line(label: str, result: SubsetResult, indent: str = "") -> str:
-    """The one-line summary of a subset that ``evaluate`` and ``report`` print."""
-    return (
-        f"{indent}{label:<8} n={result.n:<5} accuracy={result.accuracy:.4f} f1={result.mean_f1:.4f} "
-        f"parse_failures={result.parse_failures} transport_failures={result.transport_failures}"
-    )
+    if dual is not None:
+        for label, estimate in (("base", dual.base), ("comb", dual.comb)):
+            print(f"{label:<8} theta={estimate.theta_hat:+.3f} se={estimate.se:.3f} n={estimate.n_administered}")
+        print(f"delta_theta {dual.delta_theta:+.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +427,12 @@ def _subset_line(label: str, result: SubsetResult, indent: str = "") -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    entries = [bankio.parse_at(f"{args.log}:{line}", _log_entry, row) for line, row in bankio.read_jsonl(args.log)]
+    entries = [bankio.parse_at(f"{args.log}:{line}", log_entry, row) for line, row in bankio.read_jsonl(args.log)]
     if not entries:
         print("no records")
     responses = [entry for entry in entries if isinstance(entry, ResponseRecord)]
-    aggregates = aggregate_log_records(responses)
+    steps = [entry for entry in entries if isinstance(entry, tuple)]
+    aggregates, dual = aggregate_log_records(responses), log_dual(steps)
     if responses and len(responses) <= 32:
         print("per-item results:")
         for record in responses:
@@ -431,59 +440,20 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"  {record.question_id:<40} subset={record.subset:<8} "
                 f"exact={str(record.exact):<5} f1={record.f1:.3f}"
             )
-    for label in sorted(aggregates):
-        print(_subset_line(label, aggregates[label]))
-
-    steps = [entry for entry in entries if isinstance(entry, tuple)]
-    estimates = {subset: (theta, se) for subset, theta, se, _ in steps}
-    for subset, (theta, se) in sorted(estimates.items()):
-        print(f"{subset:<8} theta={theta:+.3f} se={se:.3f}")
-    if {"base", "comb"} <= set(estimates):
-        delta = estimates["base"][0] - estimates["comb"][0]
-        print(f"delta_theta {delta:+.3f}")
+    cat = len(responses) < len(entries)  # a cat_step row, scored or skipped
+    _print_run(aggregates, dual if cat else None)
 
     if args.report:
         stored, stored_dual = bankio.load_object(args.report, _stored_report, versioned=True)
         mismatches = _replay_mismatches(stored, aggregates)
         if stored_dual is not None:
-            mismatches += _number_mismatches("dual", stored_dual, _flat_numbers("dual", _log_dual(steps).to_record()))
-        elif steps:
+            mismatches += _number_mismatches("dual", stored_dual, _flat_numbers("dual", dual.to_record()))
+        elif cat:
             mismatches.append("dual missing from report")
         if mismatches:
             raise ValueError(f"{args.report}: replay mismatch: {'; '.join(mismatches)}")
         print("replay check: ok")
     return 0
-
-
-def _log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, float, bool] | None:
-    """A log row: a response's record, or a ``cat_step``'s subset, ability estimate, standard
-    error and response (``None`` for a step whose item was skipped)."""
-    kind = row["kind"]
-    if kind == "response":
-        return ResponseRecord.from_record(row)
-    if kind != "cat_step":
-        raise ValueError(f"kind must be 'response' or 'cat_step', not {kind!r}")
-    if "theta_hat" not in row:
-        return None
-    subset = typed("subset", row["subset"], str, "a string")
-    theta_hat, se = finite("theta_hat", row["theta_hat"]), finite("se", row["se"])
-    return subset, theta_hat, se, typed("response", row["response"], bool, "a boolean")
-
-
-def _log_dual(steps: Sequence[tuple[str, float, float, bool]]) -> DualReport:
-    """The ``dual`` record of a CAT log: per subset, the last scored step's estimate, the number
-    of scored steps and the share answered correctly; a subset with none has the prior and 0."""
-    estimates, accuracies = [], []
-    for subset, label in ((BASE_SUBSET, "base"), (COMBINATORIAL_SUBSET, "comb")):
-        scored = [step for step in steps if step[0] == label]
-        if scored:
-            _, theta, se, _ = scored[-1]
-            estimates.append(AbilityEstimate(theta, se, len(scored)))
-            accuracies.append(sum(response for *_, response in scored) / len(scored))
-        else:
-            estimates.append(CatSession.start(subset).estimate)
-            accuracies.append(0.0)
-    return DualReport(*estimates, *accuracies)
 
 
 def _flat_numbers(where: str, record: Any) -> dict[str, float]:

@@ -8,10 +8,10 @@ answers in. Static runs administer a whole bank in order.
 Adaptive runs step one CAT session per subset: ``run_benchmark`` asks
 ``irt.select_next`` for each item, administers it and folds the response in
 with ``irt.eap_update``, or skips it on a transport failure. It appends every
-administration and every CAT step to a JSONL log, and a report's per-subset
-aggregates are ``aggregate_log_records`` of the rows it logged, so
-``combicat report`` gets the same numbers back from the log alone. On any
-number of lanes, the log holds the rows a run on one lane writes, in its order.
+administration and every CAT step to a JSONL log. A report's per-subset
+aggregates and ``dual`` block are ``aggregate_log_records`` and ``log_dual``
+of the rows it logged, so ``combicat report`` gets the same numbers back from
+the log alone. On any number of lanes, the log holds a one-lane run's rows.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .irt import (
     COMBINATORIAL_SUBSET,
     DEFAULT_MAX_ITEMS,
     DEFAULT_SE_TARGET,
+    AbilityEstimate,
     CatSession,
     DualReport,
     ItemParams,
@@ -664,6 +665,38 @@ def aggregate_log_records(records: Iterable[ResponseRecord]) -> dict[str, Subset
     return {subset: _summarize(records) for subset, records in grouped.items()}
 
 
+def log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, float, bool] | None:
+    """A log row: a response's record, or a ``cat_step``'s subset label, ability estimate, standard
+    error and response (``None`` for a step whose item was skipped)."""
+    kind = row["kind"]
+    if kind == "response":
+        return ResponseRecord.from_record(row)
+    if kind != "cat_step":
+        raise ValueError(f"kind must be 'response' or 'cat_step', not {kind!r}")
+    if "theta_hat" not in row:
+        return None
+    subset = typed("subset", row["subset"], str, "a string")
+    theta_hat, se = finite("theta_hat", row["theta_hat"]), finite("se", row["se"])
+    return subset, theta_hat, se, typed("response", row["response"], bool, "a boolean")
+
+
+def log_dual(steps: Sequence[tuple[str, float, float, bool]]) -> DualReport:
+    """The ``dual`` record of a CAT log's scored steps as ``log_entry`` reads them, for both
+    ``run_benchmark`` and ``combicat report``: per subset, the last step's estimate, the number of
+    steps and the share answered correctly; a subset with none has the prior and 0."""
+    estimates, accuracies = [], []
+    for subset, label in _SUBSET_LABELS.items():
+        scored = [step for step in steps if step[0] == label]
+        if scored:
+            _, theta, se, _ = scored[-1]
+            estimates.append(AbilityEstimate(theta, se, len(scored)))
+            accuracies.append(sum(response for *_, response in scored) / len(scored))
+        else:
+            estimates.append(CatSession.start(subset).estimate)
+            accuracies.append(0.0)
+    return DualReport(*estimates, *accuracies)
+
+
 # ---------------------------------------------------------------------------
 # Benchmark runs
 # ---------------------------------------------------------------------------
@@ -688,7 +721,7 @@ class RunSettings:
 
 @dataclass
 class ScoreReport:
-    """Aggregates for one run: its subsets are ``aggregate_log_records`` of the run's log."""
+    """Aggregates for one run: its subsets and ``dual`` are derived from the run's log."""
 
     mode: str
     seed: int
@@ -814,7 +847,7 @@ def run_benchmark(
     a transport failure skips the item rather than scoring it. Inputs pass
     ``check_run`` before the log's directory is made and the log is opened,
     so a rejected run leaves an earlier run's files intact. The report's
-    subsets are ``aggregate_log_records`` of the logged responses.
+    subsets and ``dual`` are ``aggregate_log_records`` and ``log_dual`` of its rows.
 
     The run uses the responder's ``lanes``: static questions go to them in
     order, and the two CAT sessions run on their own lanes. Rows are logged
@@ -824,7 +857,7 @@ def run_benchmark(
     check_run(responder, banks, mode)
     settings = settings or RunSettings()
     records: list[ResponseRecord] = []
-    sessions: dict[str, CatSession] = {}
+    steps: list[tuple[str, float, float, bool]] = []
     os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
     with JsonlWriter(log_path) as writer:
 
@@ -832,6 +865,8 @@ def run_benchmark(
             if isinstance(row, ResponseRecord):
                 records.append(row)
                 row = row.to_record()
+            elif (step := log_entry(row)) is not None:
+                steps.append(step)
             writer.write(row)
 
         def administer_one(task: PromptTask, subset: str, emit: Callable[[Any], None]) -> None:
@@ -854,7 +889,6 @@ def run_benchmark(
                     eap_update(session, item, record.exact)
                     row.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=record.exact)
                 emit(row)
-            sessions[subset] = session
 
         if mode == "static":
             subsets = [("base", banks.base), *sorted(banks.baselines.items()), ("comb", banks.comb)]
@@ -864,14 +898,10 @@ def run_benchmark(
                     for subset, tasks in ((BASE_SUBSET, banks.base), (COMBINATORIAL_SUBSET, banks.comb))]
         _run_on_lanes(jobs, responder.lanes, write)
 
-    dual = None
-    if mode == "cat":
-        base, comb = sessions[BASE_SUBSET], sessions[COMBINATORIAL_SUBSET]
-        dual = DualReport(base.estimate, comb.estimate, base.accuracy(), comb.accuracy())
     return ScoreReport(
         mode=mode,
         seed=settings.seed,
         config_hash=settings.config_hash,
         subsets=aggregate_log_records(records),
-        dual=dual,
+        dual=log_dual(steps) if mode == "cat" else None,
     )

@@ -120,11 +120,6 @@ class CatSession:
     def administered_ids(self) -> set[str]:
         return {item_id for item_id, _ in self.administered}
 
-    def accuracy(self) -> float:
-        if not self.administered:
-            return 0.0
-        return sum(1 for _, correct in self.administered if correct) / len(self.administered)
-
 
 def eap_update(session: CatSession, item: ItemParams, correct: bool) -> CatSession:
     """Fold one response into the posterior and refresh the estimate."""

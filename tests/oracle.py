@@ -17,7 +17,10 @@ marker through them.
 ``combicat.irt`` steps a CAT session through ``select_next``, which its
 caller loops on. The self-contained loop that drove a session before is kept
 here: a linear scan for the most informative item, the stop rule checked
-before each pick, and the skip of an item whose response failed.
+before each pick, and the skip of an item whose response failed. A run's
+``dual`` block is derived from its logged steps by ``harness.log_dual``; the
+accuracy a live session gave of its own responses is kept here as
+``reference_accuracy``.
 
 ``combicat.scoring.fallacy_penalty`` reads the index that ``extract_metrics``
 built, searches its fold with a lowercase assertion pattern and finds the
@@ -324,6 +327,13 @@ def reference_cat_session(
             step.update(theta_hat=session.estimate.theta_hat, se=session.estimate.se, response=bool(outcome))
         steps.append(step)
     return session, steps
+
+
+def reference_accuracy(session) -> float:
+    """The share of a session's scored responses that were correct; 0 for a session that scored none."""
+    if not session.administered:
+        return 0.0
+    return sum(1 for _, correct in session.administered if correct) / len(session.administered)
 
 
 def reference_mask(formula) -> int:

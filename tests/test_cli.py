@@ -19,11 +19,14 @@ from combicat.bankio import (
     read_jsonl,
     save_atomic_bank,
     save_item_bank,
+    save_json,
 )
 from combicat.cli import build_parser, main
+from combicat.harness import EvalBanks, PromptTask, ResponderReply, run_benchmark
+from combicat.irt import CatSession, ItemParams
 from combicat.scoring import SCORED_METRICS
 from combicat.synthesis import NOTA_TEXT, tier_config, verify
-from conftest import make_atomic_bank, make_trace_corpus, write_jsonl
+from conftest import ScriptedResponder, make_atomic_bank, make_trace_corpus, write_jsonl
 
 
 @pytest.fixture
@@ -83,12 +86,24 @@ class TestSynthesize:
         assert code == 1
 
     def test_bad_tier_split_fails(self, tmp_path, bank_file, capsys):
+        """Each weight must be a finite number at least 0, and their sum finite and positive."""
         bank_path, _ = bank_file
         out = tmp_path / "comb.json"
-        code = main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-split", "Foo:1"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: unknown tier 'Foo' in split\n"
-        assert not out.exists()
+        for split, message in [
+            ("Foo:1", "unknown tier 'Foo' in split"),
+            ("Easy:inf,Hard:1", "--tier-split weight of Easy must be a finite number, not 'inf'"),
+            ("Easy:nan,Hard:1", "--tier-split weight of Easy must be a finite number, not 'nan'"),
+            ("Easy:1e308,Hard:1e308", "--tier-split weights must have a finite, positive sum"),
+            ("Easy:0,Hard:0", "--tier-split weights must have a finite, positive sum"),
+            ("Easy:-1,Hard:2", "--tier-split weight of Easy must be at least 0, not '-1'"),
+            ("Easy:abc", "--tier-split weight of Easy must be a finite number, not 'abc'"),
+            ("Easy", "--tier-split weight of Easy must be a finite number, not ''"),
+            ("Hard:1,Hard:0,Easy:1", "--tier-split names Hard twice"),
+        ]:
+            code = main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-split", split])
+            assert code == 1, split
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_inline_source_tier_does_not_overwrite_synthesized_tier(self, tmp_path):
         source = make_atomic_bank(4, seed=9)
@@ -946,18 +961,25 @@ class TestEvaluate:
         )
         assert code == 1
 
-    def test_bad_simulator_spec_rejected(self, tmp_path, bank_file):
+    def test_bad_simulator_spec_rejected(self, tmp_path, bank_file, capsys):
+        """An ability must be finite: at NaN the simulator would answer every question wrong."""
         bank_path, _ = bank_file
-        code = main(
-            [
-                "evaluate",
-                "--base-bank", str(bank_path),
-                "--mode", "static",
-                "--simulator", "magic",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 1
+        usage = "(use '3pl:<base>,<comb>' or 'memorization')"
+        for spec, message in [
+            ("magic", f"cannot parse --simulator spec 'magic' {usage}"),
+            ("3pl:1,2,3", f"cannot parse --simulator spec '3pl:1,2,3' {usage}"),
+            ("3pl:nan", "--simulator ability must be a finite number, not 'nan'"),
+            ("3pl:0.5,inf", "--simulator ability must be a finite number, not 'inf'"),
+            ("3pl:-inf,0", "--simulator ability must be a finite number, not '-inf'"),
+            ("3pl:abc", "--simulator ability must be a finite number, not 'abc'"),
+        ]:
+            code = main(
+                ["evaluate", "--base-bank", str(bank_path), "--mode", "static", "--simulator", spec,
+                 "--out", str(tmp_path / "x")]
+            )
+            assert code == 1, spec
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "x").exists()
 
 
 RESPONSE_ROW = {
@@ -1011,6 +1033,28 @@ class TestReport:
         assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
         assert "replay check: ok" in capsys.readouterr().out
 
+    def test_cat_run_whose_comb_items_all_fail_transport(self, tmp_path, capsys):
+        """A subset with no scored step has the prior and accuracy 0 in the report, and report prints its estimate."""
+        banks, script = EvalBanks(), {}
+        for subset, label in (("Base", "base"), ("Combinatorial", "comb")):
+            for i in range(6):
+                params = ItemParams(f"{label}{i}", 1.2, i - 2.5, 0.25, subset=subset)
+                getattr(banks, label).append(PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params))
+                script[params.item_id] = ResponderReply("", "timeout") if label == "comb" else "AB"[i % 2]
+        out_dir = tmp_path / "run"
+        report = run_benchmark(ScriptedResponder(script), banks, str(out_dir / "run.jsonl"), mode="cat")
+        save_json(str(out_dir / "report.json"), report.to_record())
+        dual = load_json(str(out_dir / "report.json"))["dual"]
+        prior = CatSession.start("Combinatorial").estimate
+        assert dual["comb"] == prior.to_record()
+        assert dual["comb_accuracy"] == 0
+        assert report.subsets["comb"].transport_failures == 6
+        capsys.readouterr()
+        assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"comb     theta={prior.theta_hat:+.3f} se={prior.se:.3f} n=0" in lines
+        assert lines[-1] == "replay check: ok"
+
     @staticmethod
     def _cat_run(tmp_path):
         """The log and report of a small CAT run."""
@@ -1061,6 +1105,21 @@ class TestReport:
         data = load_json(str(report))
         del data["dual"]
         report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {report}: replay mismatch: dual missing from report\n"
+
+    def test_cat_log_of_skipped_steps_needs_its_dual(self, tmp_path, capsys):
+        """A CAT log whose every step was skipped has a dual block too: the priors."""
+        banks, script = EvalBanks(), {}
+        for subset, label in (("Base", "base"), ("Combinatorial", "comb")):
+            params = ItemParams(f"{label}0", 1.2, 0.0, 0.25, subset=subset)
+            getattr(banks, label).append(PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params))
+            script[params.item_id] = ResponderReply("", "http_error")
+        log, report = tmp_path / "run" / "run.jsonl", tmp_path / "run" / "report.json"
+        record = run_benchmark(ScriptedResponder(script), banks, str(log), mode="cat").to_record()
+        del record["dual"]
+        save_json(str(report), record)
         capsys.readouterr()
         assert main(["report", "--log", str(log), "--report", str(report)]) == 1
         assert capsys.readouterr().err == f"error: {report}: replay mismatch: dual missing from report\n"

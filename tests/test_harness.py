@@ -43,7 +43,7 @@ from combicat.logic import SHAPE_LIST
 from combicat.synthesis import CombinatorialQuestion, OptionEntry, apply_nota, assemble, shuffle_options, tier_config
 from combicat.rng import PortableRng
 from conftest import MockChatHandler, ScriptedResponder, make_atomic_question
-from oracle import reference_cat_session
+from oracle import reference_accuracy, reference_cat_session
 
 LETTERS = "ABCDEFGH"
 
@@ -796,7 +796,7 @@ class TestCatLoopAgainstReference:
             assert steps == expected_steps
             assert responses == [step["item_id"] for step in expected_steps]
             assert estimate == expected.estimate
-            assert accuracy == expected.accuracy()
+            assert accuracy == reference_accuracy(expected)
 
 
 class TestMemorizationBound:

@@ -25,6 +25,7 @@ from combicat.irt import (
     select_next,
 )
 from combicat.rng import PortableRng
+from oracle import reference_accuracy
 
 
 def dense_eap_oracle(items, responses, n_nodes=4001, span=6.0):
@@ -361,7 +362,7 @@ def run_dual(respond, base_bank, comb_bank) -> DualReport:
     check_dual_banks(base_bank, comb_bank)
     base = run_session(base_bank, respond, "Base")
     comb = run_session(comb_bank, respond, "Combinatorial")
-    return DualReport(base.estimate, comb.estimate, base.accuracy(), comb.accuracy())
+    return DualReport(base.estimate, comb.estimate, reference_accuracy(base), reference_accuracy(comb))
 
 
 class TestSessions:
