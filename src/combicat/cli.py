@@ -45,6 +45,7 @@ from .irt import (
     COMBINATORIAL_SUBSET,
     DEFAULT_MAX_ITEMS,
     DEFAULT_SE_TARGET,
+    CatSession,
     DualReport,
     calibrate_difficulty,
     discrimination_for_tier,
@@ -117,24 +118,15 @@ def _parse_tier_split(text: str) -> dict[str, float]:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    if args.tier not in TIER_NAMES:
-        raise ValueError(f"unknown tier {args.tier!r}")
-
     questions = bankio.load_atomic_bank(args.bank)
 
-    if args.tier_split is not None:
-        split = _parse_tier_split(args.tier_split)
-        names = sorted(split)
-        weights = [split[name] for name in names]
+    split = _parse_tier_split(args.tier_split)
+    names = sorted(split)
+    weights = [split[name] for name in names]
 
-        def tier_for(question: AtomicQuestion) -> str:
-            rng = PortableRng(derive_seed(args.seed, question.id, "tier-assignment"))
-            return names[rng.weighted_index(weights)]
-
-    else:
-
-        def tier_for(question: AtomicQuestion) -> str:
-            return args.tier
+    def tier_for(question: AtomicQuestion) -> str:
+        rng = PortableRng(derive_seed(args.seed, question.id, "tier-assignment"))
+        return names[rng.weighted_index(weights)]
 
     combinatorial, summary = synthesize_bank(questions, args.seed, tier_for, n_options=args.n_options)
     bankio.save_comb_bank(args.out, combinatorial)
@@ -162,7 +154,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
     A trace's markers are found through one index of it, which
     ``extract_metrics`` builds and ``fallacy_penalty`` reads.
     """
-    lexicons = load_lexicons(locale=args.locale)
+    lexicons = load_lexicons()
 
     traces = bankio.load_traces(args.traces)
     metrics, penalties = [], []
@@ -194,7 +186,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 
     resolved = {
         "command": "score-traces",
-        "locale": args.locale,
+        "locale": "both",  # every trace is scored against both lexicons; the key stays in the hashed config
         "scoring": SCORING_MODEL,
         "frozen_stats": bool(args.stats),
         "traces": os.path.basename(args.traces),
@@ -237,7 +229,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.bank}: bank holds no questions")
     scores = bankio.question_rows(args.scores) if args.scores else {}
     combinatorial = isinstance(questions[0], CombinatorialQuestion)
-    subset = args.subset or (COMBINATORIAL_SUBSET if combinatorial else BASE_SUBSET)
+    subset = COMBINATORIAL_SUBSET if combinatorial else BASE_SUBSET
 
     items: list[CalibratedItem] = []
     for i, question in enumerate(questions):
@@ -312,7 +304,7 @@ def _parse_simulator(spec: str) -> dict[str, float] | str:
     if spec == "memorization":
         return "memorization"
     if spec.startswith("3pl:"):
-        parts = [p for p in spec[len("3pl:") :].split(",") if p]
+        parts = spec[len("3pl:") :].split(",")
         if len(parts) in (1, 2):
             thetas = [_finite_flag("--simulator", "ability", part) for part in parts]
             return {BASE_SUBSET: thetas[0], COMBINATORIAL_SUBSET: thetas[-1]}
@@ -337,6 +329,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("--baseline needs --base-bank: a baseline is a variant of the base bank")
     if args.max_items < 1:
         raise ValueError(f"--max-items must be at least 1, not {args.max_items}")
+    prior_se = CatSession.start().estimate.se  # a target at or above it ends each session before its first item
+    if not 0 <= args.se_target < prior_se:
+        raise ValueError(f"--se-target must be at least 0 and below the prior's SE {prior_se}, not {args.se_target}")
 
     base_questions = bankio.load_atomic_bank(args.base_bank) if args.base_bank else []
     comb_questions = bankio.load_comb_bank(args.comb_bank) if args.comb_bank else []
@@ -511,34 +506,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combicat",
         description="Combinatorial hardening of multiple-choice banks with adaptive evaluation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag is accepted only as spelled: by default argparse takes any unique prefix of one.
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synthesize", help="transform an atomic bank into combinatorial questions")
+    p = command("synthesize", help="transform an atomic bank into combinatorial questions")
     p.add_argument("--bank", required=True, help="atomic question bank (JSON)")
     p.add_argument("--out", required=True, help="output combinatorial bank (JSON)")
-    p.add_argument("--tier", default="Hard", help="single tier for every question, unless --tier-split is given")
-    p.add_argument("--tier-split", dest="tier_split", help="e.g. Easy:20,Medium:40,Hard:30,Expert:10")
+    p.add_argument("--tier-split", dest="tier_split", default="Hard:1", help="e.g. Easy:20,Medium:40,Hard:30,Expert:10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", dest="n_options", type=int, default=6, help="options per combinatorial question (5-8)")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("score-traces", help="extract metrics and difficulty scores from traces")
+    p = command("score-traces", help="extract metrics and difficulty scores from traces")
     p.add_argument("--traces", required=True, help="JSONL of {question_id, text}")
     p.add_argument("--out", required=True, help="output scores (JSONL)")
     p.add_argument("--stats-out", dest="stats_out", help="output corpus stats (JSON)")
     p.add_argument("--stats", help="frozen corpus stats to score against (JSON)")
-    p.add_argument("--locale", choices=["en", "zh", "both"], default="both")
     p.set_defaults(func=cmd_score_traces)
 
-    p = sub.add_parser("calibrate", help="derive 3PL item parameters from scored questions")
+    p = command("calibrate", help="derive 3PL item parameters from scored questions")
     p.add_argument("--bank", required=True, help="question bank (atomic or combinatorial)")
     p.add_argument("--scores", help="score rows from score-traces (JSONL)")
     p.add_argument("--out", required=True, help="output item bank (JSON)")
-    p.add_argument("--subset", choices=[BASE_SUBSET, COMBINATORIAL_SUBSET])
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("evaluate", help="run a responder over the banks")
+    p = command("evaluate", help="run a responder over the banks")
     p.add_argument("--base-bank", dest="base_bank", help="atomic bank (JSON)")
     p.add_argument("--comb-bank", dest="comb_bank", help="combinatorial bank (JSON)")
     p.add_argument("--base-items", dest="base_items", help="calibrated items for the base bank")
@@ -553,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for run.jsonl and report.json")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("report", help="summarize a run log and verify its report")
+    p = command("report", help="summarize a run log and verify its report")
     p.add_argument("--log", required=True, help="run log (JSONL)")
     p.add_argument("--report", help="report.json to cross-check against the log")
     p.set_defaults(func=cmd_report)

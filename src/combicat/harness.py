@@ -450,27 +450,25 @@ class EndpointResponder:
 
 
 class SimulatedRespondent:
-    """Answers correctly with the 3PL probability at a fixed true ability.
+    """Answers correctly with the 3PL probability at a fixed true ability per subset.
 
-    ``theta`` may be a single float or a mapping from subset label to float so
-    a dual run can simulate different abilities per subset. A correct draw
-    emits the gold letters; an incorrect draw emits a uniformly chosen
-    non-gold, non-empty letter set.
+    ``theta`` maps each subset label to its ability, so a dual run can
+    simulate a different ability per subset. A correct draw emits the gold
+    letters; an incorrect draw emits a uniformly chosen non-gold, non-empty
+    letter set.
     """
 
     lanes = 1
 
-    def __init__(self, theta: float | Mapping[str, float], seed: int = 0) -> None:
+    def __init__(self, theta: Mapping[str, float], seed: int = 0) -> None:
         self._theta = theta
         self._rng = PortableRng(seed)
 
     def theta_for(self, params: ItemParams) -> float:
-        if isinstance(self._theta, Mapping):
-            try:
-                return float(self._theta[params.subset])
-            except KeyError:
-                raise ValueError(f"no simulated ability for subset {params.subset!r}") from None
-        return float(self._theta)
+        try:
+            return self._theta[params.subset]
+        except KeyError:
+            raise ValueError(f"no simulated ability for subset {params.subset!r}") from None
 
     def respond(self, task: PromptTask) -> ResponderReply:
         if task.params is None:
@@ -667,15 +665,19 @@ def aggregate_log_records(records: Iterable[ResponseRecord]) -> dict[str, Subset
 
 def log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, float, bool] | None:
     """A log row: a response's record, or a ``cat_step``'s subset label, ability estimate, standard
-    error and response (``None`` for a step whose item was skipped)."""
+    error and response; ``None`` for a step that carries ``"skipped": true``, which holds none of the three."""
     kind = row["kind"]
     if kind == "response":
         return ResponseRecord.from_record(row)
     if kind != "cat_step":
         raise ValueError(f"kind must be 'response' or 'cat_step', not {kind!r}")
-    if "theta_hat" not in row:
-        return None
     subset = typed("subset", row["subset"], str, "a string")
+    if subset not in _SUBSET_LABELS.values():
+        raise ValueError(f"subset must be {' or '.join(map(repr, _SUBSET_LABELS.values()))}, not {subset!r}")
+    if typed("skipped", row.get("skipped", False), bool, "a boolean"):
+        if held := [key for key in ("theta_hat", "se", "response") if key in row]:
+            raise ValueError(f"a skipped step must not hold {', '.join(held)}")
+        return None
     theta_hat, se = finite("theta_hat", row["theta_hat"]), finite("se", row["se"])
     return subset, theta_hat, se, typed("response", row["response"], bool, "a boolean")
 

@@ -252,8 +252,8 @@ def _merge_raw(locales: Sequence[tuple[str, Mapping[str, Any]]]) -> dict[str, An
     }
 
 
-def load_lexicons(locale: str = "both") -> dict[str, Any]:
-    """The packaged marker lexicons of one locale ("en", "zh") or of both, merged.
+def load_lexicons() -> dict[str, Any]:
+    """The packaged marker lexicons, English and Chinese, merged.
 
     Each lexicon key maps to the ``MarkerSet`` of its markers; ``epistemic``
     maps each class, and ``abstraction`` each integer level, to its own. A marker that is not a
@@ -261,8 +261,7 @@ def load_lexicons(locale: str = "both") -> dict[str, Any]:
     abstraction level that is not an integer, raise ``ValueError`` naming the
     lexicon file and the key.
     """
-    wanted = ("en", "zh") if locale == "both" else (locale,)
-    files = [f"lexicon_{name}.json" for name in wanted]
+    files = ("lexicon_en.json", "lexicon_zh.json")
     raws = [(file, json.loads(resources.files("combicat.data").joinpath(file).read_text("utf-8"))) for file in files]
     return _merge_raw(raws)
 

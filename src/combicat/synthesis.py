@@ -460,7 +460,7 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     )
 
 
-def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> VerificationReport:
+def verify(question: CombinatorialQuestion) -> VerificationReport:
     """Exhaustive semantic check of a combinatorial question.
 
     Each option's formula is reduced once to its 16-bit truth mask. With a
@@ -479,8 +479,7 @@ def verify(question: CombinatorialQuestion, cfg: TierConfig | None = None) -> Ve
     - ``degenerate-answer-set``: the answer set is neither empty nor every option;
     - ``answer-count``: the answer count lies in the tier's range.
     """
-    if cfg is None:
-        cfg = tier_config(question.tier)
+    cfg = tier_config(question.tier)  # the option count sets none of the fields read here
     row = question.truth_row()
     letters = question.letters()
     violations: list[Violation] = []
@@ -546,7 +545,7 @@ def synthesize_question(
     """
     for attempt in range(MAX_REGENERATION_ATTEMPTS):
         candidate = assemble(question, cfg, seed + attempt)
-        if verify(candidate, cfg).valid:
+        if verify(candidate).valid:
             return candidate, attempt
     raise InfeasibleTierError(
         f"question {question.id!r}: no valid assembly after {MAX_REGENERATION_ATTEMPTS} attempts"

@@ -413,10 +413,9 @@ def reference_satisfies(kind, requirement) -> bool:
     return kind == requirement
 
 
-def reference_verify(question, cfg=None) -> VerificationReport:
+def reference_verify(question) -> VerificationReport:
     """``synthesis.verify`` with each option's mask and text derived per call."""
-    if cfg is None:
-        cfg = tier_config(question.tier)
+    cfg = tier_config(question.tier)
     row = question.truth_row()
     letters = question.letters()
     violations = []

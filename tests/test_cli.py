@@ -4,9 +4,12 @@ import argparse
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +25,10 @@ from combicat.bankio import (
     save_json,
 )
 from combicat.cli import build_parser, main
-from combicat.harness import EvalBanks, PromptTask, ResponderReply, run_benchmark
+from combicat.harness import EvalBanks, PromptTask, ResponderReply, RunSettings, run_benchmark
 from combicat.irt import CatSession, ItemParams
 from combicat.scoring import SCORED_METRICS
-from combicat.synthesis import NOTA_TEXT, tier_config, verify
+from combicat.synthesis import NOTA_TEXT, verify
 from conftest import ScriptedResponder, make_atomic_bank, make_trace_corpus, write_jsonl
 
 
@@ -48,7 +51,7 @@ class TestSynthesize:
                     "synthesize",
                     "--bank", str(bank_path),
                     "--out", str(out),
-                    "--tier", "Expert",
+                    "--tier-split", "Expert:1",
                     "--seed", "11",
                 ]
             )
@@ -56,8 +59,7 @@ class TestSynthesize:
         assert out_a.read_text() == out_b.read_text()
         questions = load_comb_bank(str(out_a))
         assert len(questions) == 16
-        cfg = tier_config("Expert")
-        assert all(verify(q, cfg).valid for q in questions)
+        assert all(q.tier == "Expert" and verify(q).valid for q in questions)
         assert "regenerations" in capsys.readouterr().out
 
     def test_tier_split_reports_distribution(self, tmp_path, bank_file, capsys):
@@ -78,12 +80,26 @@ class TestSynthesize:
         tiers = {q.tier for q in load_comb_bank(str(out))}
         assert tiers <= {"Easy", "Medium", "Hard", "Expert"}
 
-    def test_unknown_tier_fails(self, tmp_path, bank_file):
+    def test_unknown_tier_fails(self, tmp_path, bank_file, capsys):
+        """``--tier`` is gone, and is not read as an abbreviation of ``--tier-split``; a tier comes from the split."""
         bank_path, _ = bank_file
-        code = main(
-            ["synthesize", "--bank", str(bank_path), "--out", str(tmp_path / "x.json"), "--tier", "Impossible"]
-        )
-        assert code == 1
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier", "Expert"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --tier Expert" in capsys.readouterr().err
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-split", "Impossible:1"]) == 1
+        assert capsys.readouterr().err == "error: unknown tier 'Impossible' in split\n"
+        assert not out.exists()
+
+    def test_default_split_puts_every_question_in_hard(self, tmp_path, bank_file):
+        bank_path, _ = bank_file
+        default, hard = tmp_path / "default.json", tmp_path / "hard.json"
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(default), "--seed", "4"]) == 0
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(hard), "--seed", "4",
+                     "--tier-split", "Hard:1"]) == 0
+        assert default.read_bytes() == hard.read_bytes()
+        assert {q.tier for q in load_comb_bank(str(default))} == {"Hard"}
 
     def test_bad_tier_split_fails(self, tmp_path, bank_file, capsys):
         """Each weight must be a finite number at least 0, and their sum finite and positive."""
@@ -111,7 +127,7 @@ class TestSynthesize:
         bank_path = tmp_path / "atomic.json"
         save_atomic_bank(str(bank_path), source)
         out = tmp_path / "comb.json"
-        code = main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier", "Expert"])
+        code = main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-split", "Expert:1"])
         assert code == 0
         record = load_json(str(out))["questions"][0]
         assert record["tier"] == "Expert"
@@ -271,7 +287,7 @@ class TestCalibrate:
         bank_path, questions = bank_file
         comb_path = tmp_path / "comb.json"
         assert main(
-            ["synthesize", "--bank", str(bank_path), "--out", str(comb_path), "--tier", "Hard", "--seed", "2"]
+            ["synthesize", "--bank", str(bank_path), "--out", str(comb_path), "--tier-split", "Hard:1", "--seed", "2"]
         ) == 0
         score_rows = [
             {
@@ -299,7 +315,7 @@ class TestCalibrate:
     def test_tampered_comb_bank_rejected(self, tmp_path, bank_file, capsys):
         bank_path, _ = bank_file
         comb_path = tmp_path / "comb.json"
-        assert main(["synthesize", "--bank", str(bank_path), "--out", str(comb_path), "--tier", "Hard"]) == 0
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(comb_path)]) == 0
         question_id, letter = _add_distractor_to_answer_set(comb_path)
         out = tmp_path / "items.json"
         assert main(["calibrate", "--bank", str(comb_path), "--out", str(out)]) == 1
@@ -507,8 +523,9 @@ class TestCalibrate:
             None: ["report", "--log", str(log)],
         }
         removed = {
-            "score-traces": [["--weights-config", "x.json"], ["--lexicon", "x.json"]],
-            "calibrate": [["--m", "6"]],
+            "synthesize": [["--tier", "Hard"]],
+            "score-traces": [["--weights-config", "x.json"], ["--lexicon", "x.json"], ["--locale", "en"]],
+            "calibrate": [["--m", "6"], ["--subset", "Base"]],
             "evaluate": [["--strict-incorrect"]],
         }
         for output, argv in commands.items():
@@ -520,6 +537,20 @@ class TestCalibrate:
                 if output:
                     assert not (tmp_path / output).exists(), flag
 
+    def test_flags_are_accepted_only_as_spelled(self, tmp_path, bank_file, capsys):
+        """argparse would read a unique prefix as the flag it begins; here it is an unrecognized argument."""
+        bank_path, _ = bank_file
+        out = tmp_path / "comb.json"
+        for argv in (
+            ["report", "--log", str(tmp_path / "run.jsonl"), "--rep", "report.json"],
+            ["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-s", "Hard:1"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_each_subcommand_takes_only_its_pinned_flags(self):
         """Adding a setting means adding it here."""
         parser = build_parser()
@@ -529,16 +560,36 @@ class TestCalibrate:
             for name, sub in subparsers.choices.items()
         }
         assert flags == {
-            "synthesize": ["--bank", "--out", "--tier", "--tier-split", "--seed", "--m"],
-            "score-traces": ["--traces", "--out", "--stats-out", "--stats", "--locale"],
-            "calibrate": ["--bank", "--scores", "--out", "--subset"],
+            "synthesize": ["--bank", "--out", "--tier-split", "--seed", "--m"],
+            "score-traces": ["--traces", "--out", "--stats-out", "--stats"],
+            "calibrate": ["--bank", "--scores", "--out"],
             "evaluate": [
                 "--base-bank", "--comb-bank", "--base-items", "--comb-items", "--mode", "--simulator",
                 "--endpoint", "--baseline", "--seed", "--max-items", "--se-target", "--out",
             ],
             "report": ["--log", "--report"],
         }
-        assert sum(map(len, flags.values())) == 29
+        assert sum(map(len, flags.values())) == 26
+
+    def test_every_readme_command_parses(self):
+        """The README shows no removed or misspelt flag: each ``combicat`` line of its bash blocks parses."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        blocks = re.findall(r"^ *```bash\n(.*?)^ *```", readme, re.MULTILINE | re.DOTALL)
+        commands = [
+            argv[1:]
+            for block in blocks
+            for line in re.sub(r"\\\n", " ", block).splitlines()
+            if (argv := shlex.split(line, comments=True))[:1] == ["combicat"]
+        ]
+        assert [argv[0] for argv in commands] == [
+            "synthesize", "score-traces", "calibrate", "calibrate", "evaluate", "evaluate", "report"
+        ]
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: combicat {shlex.join(argv)}")
 
 
 def _add_distractor_to_answer_set(comb_path):
@@ -549,6 +600,15 @@ def _add_distractor_to_answer_set(comb_path):
     question["answer_set"].append(letter)
     comb_path.write_text(json.dumps(data))
     return question["id"], letter
+
+
+def _relabel_items(items_path, out_path, subset):
+    """Copy an item bank with every item calibrated for ``subset``, as a hand edit would."""
+    data = load_json(str(items_path))
+    for item in data["items"]:
+        item["subset"] = subset
+        item["item_id"] = f"{subset}:{item['question_id']}"
+    out_path.write_text(json.dumps(data))
 
 
 def _pipeline(tmp_path, n_questions=40, seed=13):
@@ -621,15 +681,9 @@ class TestEvaluate:
         assert "delta_theta" in report["dual"]
 
     def test_cat_mode_rejects_mislabeled_subset(self, tmp_path, capsys):
-        atomic, comb, _, comb_items = _pipeline(tmp_path, n_questions=12)
-        scores = tmp_path / "scores.jsonl"
+        atomic, comb, calibrated, comb_items = _pipeline(tmp_path, n_questions=12)
         base_items = tmp_path / "mislabeled_items.json"
-        assert main(
-            [
-                "calibrate", "--bank", str(atomic), "--scores", str(scores),
-                "--subset", "Combinatorial", "--out", str(base_items),
-            ]
-        ) == 0
+        _relabel_items(calibrated, base_items, "Combinatorial")
         code = main(
             [
                 "evaluate",
@@ -658,12 +712,7 @@ class TestEvaluate:
         log, report = (out_dir / "run.jsonl").read_bytes(), (out_dir / "report.json").read_bytes()
         assert log
         mislabeled = tmp_path / "mislabeled_items.json"
-        assert main(
-            [
-                "calibrate", "--bank", str(atomic), "--scores", str(tmp_path / "scores.jsonl"),
-                "--subset", "Combinatorial", "--out", str(mislabeled),
-            ]
-        ) == 0
+        _relabel_items(base_items, mislabeled, "Combinatorial")
         assert main(args + ["--base-items", str(mislabeled)]) == 1
         assert (out_dir / "run.jsonl").read_bytes() == log
         assert (out_dir / "report.json").read_bytes() == report
@@ -949,6 +998,31 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("target", ["inf", "nan", "-1", "1", "0.99999999"])
+    def test_se_target_outside_its_range_rejected_before_the_log_opens(self, tmp_path, bank_file, capsys, target):
+        """A target at or above the prior's standard error would administer nothing; below 0 it would act as 0."""
+        bank_path, _ = bank_file
+        out_dir = tmp_path / "run"
+        argv = ["evaluate", "--base-bank", str(bank_path), "--simulator", "memorization", "--out", str(out_dir)]
+        assert main(argv + ["--se-target", target]) == 1
+        prior_se = CatSession.start().estimate.se
+        message = f"--se-target must be at least 0 and below the prior's SE {prior_se}, not {float(target)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_se_target_zero_runs_to_the_item_budget(self, tmp_path):
+        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=12)
+        out_dir = tmp_path / "run"
+        assert main(
+            [
+                "evaluate", "--base-bank", str(atomic), "--comb-bank", str(comb),
+                "--base-items", str(base_items), "--comb-items", str(comb_items), "--mode", "cat",
+                "--simulator", "3pl:0.5,-1.5", "--se-target", "0", "--max-items", "5", "--out", str(out_dir),
+            ]
+        ) == 0
+        dual = load_json(str(out_dir / "report.json"))["dual"]
+        assert dual["base"]["n_administered"] == dual["comb"]["n_administered"] == 5
+
     def test_rejects_simulator_and_endpoint_together(self, tmp_path):
         code = main(
             [
@@ -972,6 +1046,8 @@ class TestEvaluate:
             ("3pl:0.5,inf", "--simulator ability must be a finite number, not 'inf'"),
             ("3pl:-inf,0", "--simulator ability must be a finite number, not '-inf'"),
             ("3pl:abc", "--simulator ability must be a finite number, not 'abc'"),
+            ("3pl:1,", "--simulator ability must be a finite number, not ''"),
+            ("3pl:,1", "--simulator ability must be a finite number, not ''"),
         ]:
             code = main(
                 ["evaluate", "--base-bank", str(bank_path), "--mode", "static", "--simulator", spec,
@@ -980,6 +1056,15 @@ class TestEvaluate:
             assert code == 1, spec
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "x").exists()
+
+
+def _one_item_cat_banks():
+    """A Base and a Combinatorial bank of one calibrated two-option item each, ``base0`` and ``comb0``."""
+    banks = EvalBanks()
+    for subset, label in (("Base", "base"), ("Combinatorial", "comb")):
+        params = ItemParams(f"{label}0", 1.2, 0.0, 0.25, subset=subset)
+        getattr(banks, label).append(PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params))
+    return banks
 
 
 RESPONSE_ROW = {
@@ -1018,19 +1103,16 @@ class TestReport:
         assert "delta_theta" in output
 
     def test_cat_run_that_administers_nothing_replays(self, tmp_path, capsys):
-        """A standard error target the prior already meets stops both sessions before any item."""
-        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=8)
-        out_dir = tmp_path / "run"
-        assert main(
-            [
-                "evaluate", "--base-bank", str(atomic), "--comb-bank", str(comb),
-                "--base-items", str(base_items), "--comb-items", str(comb_items),
-                "--mode", "cat", "--simulator", "3pl:0.5,-1.5", "--se-target", "2", "--out", str(out_dir),
-            ]
-        ) == 0
-        assert load_json(str(out_dir / "report.json"))["subsets"] == {}
+        """A standard error target the prior already meets stops both sessions before any item. ``evaluate``
+        rejects such a target, so the run is made through ``run_benchmark``."""
+        banks = _one_item_cat_banks()
+        log, report = tmp_path / "run" / "run.jsonl", tmp_path / "run" / "report.json"
+        settings = RunSettings(se_target=2.0)
+        record = run_benchmark(ScriptedResponder({}), banks, str(log), mode="cat", settings=settings).to_record()
+        assert record["subsets"] == {} and log.read_text() == ""
+        save_json(str(report), record)
         capsys.readouterr()
-        assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 0
         assert "replay check: ok" in capsys.readouterr().out
 
     def test_cat_run_whose_comb_items_all_fail_transport(self, tmp_path, capsys):
@@ -1111,11 +1193,8 @@ class TestReport:
 
     def test_cat_log_of_skipped_steps_needs_its_dual(self, tmp_path, capsys):
         """A CAT log whose every step was skipped has a dual block too: the priors."""
-        banks, script = EvalBanks(), {}
-        for subset, label in (("Base", "base"), ("Combinatorial", "comb")):
-            params = ItemParams(f"{label}0", 1.2, 0.0, 0.25, subset=subset)
-            getattr(banks, label).append(PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params))
-            script[params.item_id] = ResponderReply("", "http_error")
+        banks = _one_item_cat_banks()
+        script = {item_id: ResponderReply("", "http_error") for item_id in ("base0", "comb0")}
         log, report = tmp_path / "run" / "run.jsonl", tmp_path / "run" / "report.json"
         record = run_benchmark(ScriptedResponder(script), banks, str(log), mode="cat").to_record()
         del record["dual"]
@@ -1203,6 +1282,9 @@ class TestReport:
             ({k: v for k, v in RESPONSE_ROW.items() if k != "latency_ms"}, "latency_ms"),
             ({k: v for k, v in RESPONSE_ROW.items() if k != "kind"}, "kind"),
             ({"kind": "cat_step", "subset": "base", "theta_hat": 0.5, "se": 0.4}, "response"),
+            # Only "skipped": true makes a step skipped; one without it is scored and needs its estimate.
+            ({"kind": "cat_step", "subset": "base", "se": 0.4, "response": True}, "theta_hat"),
+            ({"kind": "cat_step", "subset": "comb", "skipped": False}, "theta_hat"),
         ],
     )
     def test_row_missing_key_names_log_and_line(self, tmp_path, capsys, row, key):
@@ -1217,8 +1299,15 @@ class TestReport:
             ({**RESPONSE_ROW, "question_id": None, "subset": 7}, "question_id must be a non-empty string, not None"),
             ({**RESPONSE_ROW, "subset": 7}, "subset must be a string, not 7"),
             ({"kind": "cat_step", "subset": 7, "theta_hat": 0.5, "se": 0.4}, "subset must be a string, not 7"),
+            ({"kind": "cat_step", "subset": 7, "skipped": True}, "subset must be a string, not 7"),
+            (
+                {"kind": "cat_step", "subset": "zzz", "theta_hat": 0.5, "se": 0.4, "response": True},
+                "subset must be 'base' or 'comb', not 'zzz'",
+            ),
+            ({"kind": "cat_step", "subset": "Base", "skipped": True}, "subset must be 'base' or 'comb', not 'Base'"),
         ],
-        ids=["null-id", "number-subset", "cat-step-subset"],
+        ids=["null-id", "number-subset", "cat-step-subset", "skipped-step-subset", "unknown-step-subset",
+             "skipped-step-unknown-subset"],
     )
     def test_row_with_an_uncoerced_label_names_log_and_line(self, tmp_path, capsys, row, message):
         log = tmp_path / "log.jsonl"
@@ -1233,8 +1322,11 @@ class TestReport:
             ("se", "0.5", "se must be a finite number, not '0.5'"),
             ("theta_hat", float("inf"), "theta_hat must be a finite number, not inf"),
             ("response", 1, "response must be a boolean, not 1"),
+            ("skipped", 1, "skipped must be a boolean, not 1"),
+            # The fields have their types but contradict each other.
+            ("skipped", True, "a skipped step must not hold theta_hat, se, response"),
         ],
-        ids=["bool-theta", "string-se", "inf-theta", "int-response"],
+        ids=["bool-theta", "string-se", "inf-theta", "int-response", "int-skipped", "skipped-and-scored"],
     )
     def test_cat_step_estimate_of_another_type_names_log_and_line(self, tmp_path, capsys, key, value, message):
         """``"theta_hat": true`` is an error, not an ability of +1."""

@@ -402,13 +402,13 @@ class TestResponders:
             assert reply.raw_text in task.valid_letters
 
     def test_simulator_requires_params(self):
-        responder = SimulatedRespondent(0.0, seed=1)
+        responder = SimulatedRespondent({"Base": 0.0}, seed=1)
         with pytest.raises(ValueError):
             responder.respond(build_task(fixture_comb_question("s", 5, {"A"})))
 
     def test_simulator_wrong_answers_never_equal_gold(self):
         params = ItemParams("s", a=1.0, b=5.0, c=0.0)  # nearly always wrong at theta 0
-        responder = SimulatedRespondent(0.0, seed=2)
+        responder = SimulatedRespondent({"Base": 0.0}, seed=2)
         task = build_task(fixture_comb_question("s", 6, {"A", "C"}), params)
         wrong_seen = 0
         for _ in range(50):
@@ -516,7 +516,7 @@ class TestRunsAndLogs:
         for i in range(10000):
             params = ItemParams(f"p{i}", a=1.2, b=-2.0 + 4.0 * rng.random(), c=1.0 / 6.0)
             tasks.append(build_task(fixture_comb_question(f"p{i}", 6, {"A", "B"}), params))
-        responder = SimulatedRespondent(0.3, seed=12)
+        responder = SimulatedRespondent({"Base": 0.3}, seed=12)
         report = run_benchmark(responder, EvalBanks(comb=tasks), str(tmp_path / "run.jsonl"), mode="static")
         expected = fmean(probability_3pl(0.3, task.params) for task in tasks)
         assert report.subsets["comb"].accuracy == pytest.approx(expected, abs=0.02)

@@ -261,17 +261,19 @@ class TestTraceIndex:
 class TestLexiconRules:
     @pytest.fixture
     def packaged_as(self, monkeypatch, tmp_path):
-        """Load lexicons from ``tmp_path`` instead of the package."""
+        """Load lexicons from ``tmp_path`` instead of the package, both files empty until written."""
         monkeypatch.setattr(scoring, "resources", SimpleNamespace(files=lambda package: tmp_path))
 
         def write(name: str, raw: dict) -> None:
             (tmp_path / f"lexicon_{name}.json").write_text(json.dumps(raw, ensure_ascii=False), "utf-8")
 
+        write("en", {})
+        write("zh", {})
         return write
 
     def test_packaged_lexicons_load(self):
-        for locale in ("en", "zh", "both"):
-            scoring.load_lexicons(locale)
+        literals = [marker.literal for marker in scoring.load_lexicons()["reversal"].markers]
+        assert "however" in literals and "但是" in literals  # English and Chinese, merged
 
     @pytest.mark.parametrize(
         "raw, where, problem",
@@ -288,19 +290,18 @@ class TestLexiconRules:
     def test_bad_marker_rejected_naming_lexicon_and_key(self, packaged_as, raw, where, problem):
         packaged_as("en", raw)
         with pytest.raises(ValueError, match=re.escape(where) + ": .*" + re.escape(problem)):
-            scoring.load_lexicons("en")
+            scoring.load_lexicons()
 
     def test_repeat_across_locales_rejected_after_merging(self, packaged_as):
         packaged_as("en", {"reversal": ["but"], "connectives": ["。"]})
+        scoring.load_lexicons()
         packaged_as("zh", {"reversal": ["但是"], "connectives": ["。"]})
-        scoring.load_lexicons("en")
-        scoring.load_lexicons("zh")
         with pytest.raises(ValueError, match=r"lexicon_zh\.json: connectives: marker '。' repeats"):
-            scoring.load_lexicons("both")
+            scoring.load_lexicons()
 
     def test_same_marker_in_two_metrics_allowed(self, packaged_as):
         packaged_as("en", {"hypothesis": ["suppose"], "thesis": ["suppose"]})
-        lexicons = scoring.load_lexicons("en")
+        lexicons = scoring.load_lexicons()
         assert lexicons["hypothesis"] == lexicons["thesis"] == MarkerSet.of([Marker("suppose", True)])
 
 

@@ -374,7 +374,7 @@ def test_property_assembled_questions_always_verify(answer, tier, seed):
     question = make_atomic_question(0, answer)
     cfg = tier_config(tier)
     combinatorial = assemble(question, cfg, seed)
-    report = verify(combinatorial, cfg)
+    report = verify(combinatorial)
     assert report.valid, report.violations
 
 
@@ -438,8 +438,9 @@ def mutated_questions(draw):
 @given(question=mutated_questions(), tier=st.sampled_from((None,) + TIERS))
 def test_property_verify_matches_the_reference(question, tier):
     """Cached masks and texts report exactly what the per-call walk reports, rule for rule."""
-    cfg = None if tier is None else tier_config(tier, n_options=max(5, len(question.options)))
-    assert verify(question, cfg) == reference_verify(question, cfg)
+    if tier is not None:
+        question = replace(question, tier=tier)
+    assert verify(question) == reference_verify(question)
 
 
 def _reference_load(path, record):
