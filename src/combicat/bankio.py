@@ -267,20 +267,30 @@ def question_rows(path: str) -> dict[str, tuple[str, dict[str, Any]]]:
 def read_jsonl(path: str) -> list[tuple[int, dict[str, Any]]]:
     """Each row of a JSONL file with its line number; blank lines are not rows.
 
-    Every other line must hold one JSON object. A torn line, or one holding any
-    other JSON value, fails as ``<path>:<line>: ...``.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file read as text (not at
+    a raw U+2028 in a string, as ``str.splitlines`` would). Every other line
+    must be UTF-8 holding one JSON object; one that is not, or is torn, fails
+    as ``<path>:<line>: ...``.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if line.strip():
-                rows.append((number, parse_at(f"{path}:{number}", _json_object, line)))
+    number = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:  # a binary file yields chunks that end at b"\n" only
+            for line in chunk.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
+                number += 1
+                row = parse_at(f"{path}:{number}", _json_object, line)
+                if row is not None:
+                    rows.append((number, row))
     return rows
 
 
-def _json_object(line: str) -> dict[str, Any]:
+def _json_object(line: bytes) -> dict[str, Any] | None:
+    """The JSON object a line holds, or ``None`` for a blank line."""
+    text = _utf8(line)
+    if not text.strip():
+        return None
     try:
-        row = json.loads(line)
+        row = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(row, dict):
@@ -301,8 +311,18 @@ def save_json(path: str, payload: Mapping[str, Any]) -> None:
 
 
 def load_json(path: str) -> Any:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BankFormatError(f"{path}: invalid JSON ({exc})") from None
+    with open(path, "rb") as fh:
+        text = parse_at(path, _utf8, fh.read())
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BankFormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _utf8(data: bytes) -> str:
+    """``data`` decoded as UTF-8, or an error that gives the first bad byte and its offset (``json.loads``
+    of the bytes would also read UTF-16 and UTF-32)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 (byte {data[exc.start]:#04x} at offset {exc.start}: {exc.reason})") from None

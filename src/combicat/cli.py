@@ -64,6 +64,7 @@ from .scoring import (
     z_normalize,
 )
 from .synthesis import (
+    OPTION_COUNTS,
     TIER_NAMES,
     AtomicQuestion,
     CombinatorialQuestion,
@@ -106,7 +107,7 @@ def _parse_tier_split(text: str) -> dict[str, float]:
         tier, _, weight = part.partition(":")
         tier = tier.strip()
         if tier not in TIER_NAMES:
-            raise ValueError(f"unknown tier {tier!r} in split")
+            raise ValueError(f"--tier-split names an unknown tier {tier!r}")
         if tier in split:
             raise ValueError(f"--tier-split names {tier} twice")
         split[tier] = _finite_flag("--tier-split", f"weight of {tier}", weight)
@@ -118,9 +119,10 @@ def _parse_tier_split(text: str) -> dict[str, float]:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    questions = bankio.load_atomic_bank(args.bank)
-
+    if args.n_options not in OPTION_COUNTS:
+        raise ValueError(f"--m must be from {OPTION_COUNTS[0]} to {OPTION_COUNTS[-1]}, not {args.n_options}")
     split = _parse_tier_split(args.tier_split)
+    questions = bankio.load_atomic_bank(args.bank)
     names = sorted(split)
     weights = [split[name] for name in names]
 
@@ -311,6 +313,14 @@ def _parse_simulator(spec: str) -> dict[str, float] | str:
     raise ValueError(f"cannot parse --simulator spec {spec!r} (use '3pl:<base>,<comb>' or 'memorization')")
 
 
+def _parse_baseline(text: str) -> list[str]:
+    """The baselines ``--baseline`` names: ``nota``, ``shuffle`` or both, each once, spaces around a name ignored."""
+    names = [name.strip() for name in text.split(",")] if text else []
+    if not set(names) <= {"nota", "shuffle"} or len(set(names)) < len(names):
+        raise ValueError(f"--baseline must name nota, shuffle or both, each once, not {text!r}")
+    return names
+
+
 def _join_params(
     questions: Sequence[Any], item_bank: list[CalibratedItem] | None
 ) -> list[PromptTask]:
@@ -329,6 +339,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("--baseline needs --base-bank: a baseline is a variant of the base bank")
     if args.max_items < 1:
         raise ValueError(f"--max-items must be at least 1, not {args.max_items}")
+    baselines = _parse_baseline(args.baseline)
     prior_se = CatSession.start().estimate.se  # a target at or above it ends each session before its first item
     if not 0 <= args.se_target < prior_se:
         raise ValueError(f"--se-target must be at least 0 and below the prior's SE {prior_se}, not {args.se_target}")
@@ -345,18 +356,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         base=_join_params(base_questions, base_items),
         comb=_join_params(comb_questions, comb_items),
     )
-    if args.baseline:
-        for name in args.baseline.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name == "nota":
-                variants = [apply_nota(q) for q in base_questions]
-            elif name == "shuffle":
-                variants = [shuffle_options(q, derive_seed(args.seed, q.id, "shuffle")) for q in base_questions]
-            else:
-                raise ValueError(f"unknown baseline {name!r}")
-            banks.baselines[name] = _join_params(variants, base_items)
+    for name in baselines:
+        if name == "nota":
+            variants = [apply_nota(q) for q in base_questions]
+        else:
+            variants = [shuffle_options(q, derive_seed(args.seed, q.id, "shuffle")) for q in base_questions]
+        banks.baselines[name] = _join_params(variants, base_items)
 
     responder: Responder
     if args.simulator is not None:
@@ -377,7 +382,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "se_target": args.se_target,
         "simulator": args.simulator,
         "endpoint": args.endpoint,
-        "baseline": args.baseline,
+        "baseline": ",".join(baselines),
         "base_bank": os.path.basename(args.base_bank or ""),
         "comb_bank": os.path.basename(args.comb_bank or ""),
     }
@@ -439,61 +444,34 @@ def cmd_report(args: argparse.Namespace) -> int:
     _print_run(aggregates, dual if cat else None)
 
     if args.report:
-        stored, stored_dual = bankio.load_object(args.report, _stored_report, versioned=True)
-        mismatches = _replay_mismatches(stored, aggregates)
-        if stored_dual is not None:
-            mismatches += _number_mismatches("dual", stored_dual, _flat_numbers("dual", dual.to_record()))
-        elif cat:
-            mismatches.append("dual missing from report")
+        # The report holds exactly what its log gives; mode, seed and config_hash are not in the log.
+        stored = bankio.load_object(args.report, dict, versioned=True)
+        logged = {"subsets": {label: result.to_record() for label, result in aggregates.items()}}
+        if cat or "dual" in stored:
+            logged["dual"] = dual.to_record()
+        mismatches = _mismatches("", {key: stored[key] for key in logged if key in stored}, logged)
         if mismatches:
             raise ValueError(f"{args.report}: replay mismatch: {'; '.join(mismatches)}")
         print("replay check: ok")
     return 0
 
 
-def _flat_numbers(where: str, record: Any) -> dict[str, float]:
-    """An object of finite numbers, or of such objects, with nested keys joined by dots."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} must be an object of numbers")
-    numbers = {}
-    for key, value in record.items():
-        if isinstance(value, dict):
-            numbers.update({f"{key}.{sub}": v for sub, v in _flat_numbers(f"{where}.{key}", value).items()})
-        else:
-            numbers[key] = finite(f"{where}.{key}", value)
-    return numbers
-
-
-def _stored_report(report: Any) -> tuple[dict[str, dict[str, float]], dict[str, float] | None]:
-    """The ``subsets`` map of a report file, one object of finite numbers per subset, and its
-    ``dual`` record flattened to keys such as ``base.theta_hat`` (``None`` if it has none)."""
-    subsets = typed("subsets", report.get("subsets", {}), dict, "an object")
-    numbers = {}
-    for label, stored in subsets.items():
-        if not isinstance(stored, dict):
-            raise ValueError(f"subset {label!r} must be an object of numbers")
-        numbers[label] = {key: finite(f"{label}.{key}", value) for key, value in stored.items()}
-    return numbers, None if "dual" not in report else _flat_numbers("dual", report["dual"])
-
-
-def _number_mismatches(where: str, stored: Mapping[str, float], recomputed: Mapping[str, float]) -> list[str]:
-    """Each number recomputed from the log that the report lacks or holds otherwise."""
+def _mismatches(path: str, report: Any, log: Any) -> list[str]:
+    """Each place where ``report`` differs from ``log``, the record its log gives, named by dotted path
+    below ``path``: a key that only one side holds, or two values that are not equal. A number equals a
+    number of the same value (30 and 30.0), never a boolean. A subset's numbers are named by its label
+    alone, as ``evaluate`` prints them: ``base.accuracy``, but ``dual.base.theta_hat``."""
+    if not (isinstance(report, dict) and isinstance(log, dict)):
+        if report == log and isinstance(report, bool) == isinstance(log, bool):
+            return []
+        return [f"{path}: report {report!r} vs log {log!r}"]
     problems = []
-    for key, have in recomputed.items():
-        want = stored.get(key)
-        if want is None or abs(want - have) > 1e-12:
-            problems.append(f"{where}.{key}: report {want} vs log {have}")
-    return problems
-
-
-def _replay_mismatches(stored_subsets: Mapping[str, Any], aggregates: Mapping[str, Any]) -> list[str]:
-    problems = [f"subset {label!r} missing from report" for label in sorted(set(aggregates) - set(stored_subsets))]
-    for label, stored in stored_subsets.items():
-        recomputed = aggregates.get(label)
-        if recomputed is None:
-            problems.append(f"subset {label!r} missing from log")
-            continue
-        problems += _number_mismatches(label, stored, recomputed.to_record())
+    for key in [*log, *(key for key in report if key not in log)]:
+        where = f"{path}.{key}" if path not in ("", "subsets") else key
+        if key in report and key in log:
+            problems += _mismatches(where, report[key], log[key])
+        else:
+            problems.append(f"{where} missing from {'report' if key in log else 'log'}")
     return problems
 
 

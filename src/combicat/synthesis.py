@@ -34,6 +34,7 @@ from .rng import PortableRng, derive_seed
 OPTION_LETTERS = "ABCDEFGH"
 
 TIER_NAMES = ("Easy", "Medium", "Hard", "Expert")
+OPTION_COUNTS = range(5, 9)  # options per combinatorial question
 
 LABELS = tuple(s.name for s in STATEMENTS)  # "I".."IV", read without the enum's name property
 
@@ -175,8 +176,8 @@ def tier_config(tier: str, n_options: int = 6) -> TierConfig:
     what is configured; the other tiers honor the requested count. A config is
     frozen, so each (tier, option count) is built once and shared.
     """
-    if not 5 <= n_options <= 8:
-        raise ValueError(f"option count {n_options} outside the supported range 5..8")
+    if n_options not in OPTION_COUNTS:
+        raise ValueError(f"option count {n_options} is not in {OPTION_COUNTS}")
     kinds = PatternKind
     table = {
         "Easy": TierConfig("Easy", frozenset({kinds.EXACTNESS}), frozenset(), 1, 1, min(n_options, 5)),

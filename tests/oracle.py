@@ -49,6 +49,10 @@ before, scanning the reference pools with ``reference_satisfies``, drawing
 through ``weighted_index`` over equal weights and building and rendering
 every option, is kept here, as is the ``CombinatorialQuestion.from_record``
 that built a fresh entry for every option it loaded.
+
+``combicat.bankio.read_jsonl`` reads a file's bytes and decodes each line, so
+that a line that is not UTF-8 names its line. The text-mode reader it
+replaced, whose line ends it keeps, is kept here as ``reference_read_jsonl``.
 """
 
 import json
@@ -578,3 +582,13 @@ def reference_comb_from_record(record) -> CombinatorialQuestion:
         reasoning_type=typed("reasoning_type", record.get("reasoning_type", ""), str, "a string"),
         extras={k: v for k, v in record.items() if k not in known},
     )
+
+
+def reference_read_jsonl(path: str) -> list[tuple[int, dict]]:
+    """Each row of a JSONL file read as text, with its line number; blank lines are not rows."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                rows.append((number, json.loads(line)))
+    return rows

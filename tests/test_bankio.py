@@ -16,6 +16,7 @@ from combicat.bankio import (
     load_bank,
     load_comb_bank,
     load_item_bank,
+    load_json,
     load_traces,
     read_jsonl,
     save_atomic_bank,
@@ -25,7 +26,7 @@ from combicat.bankio import (
 )
 from combicat.synthesis import assemble, tier_config
 from conftest import make_atomic_bank, make_atomic_question
-from oracle import reference_save
+from oracle import reference_read_jsonl, reference_save
 
 
 def test_atomic_bank_round_trip(tmp_path):
@@ -217,6 +218,57 @@ def test_read_jsonl_names_each_corrupt_line(tmp_path, line, message):
     with pytest.raises(BankFormatError) as caught:
         read_jsonl(str(path))
     assert str(caught.value) == f"{path}:3: {message}"
+
+
+# Rows whose strings hold, raw, breaks that str.splitlines ends a line at and text mode does not.
+LINES = [json.dumps(row, ensure_ascii=False) for row in ({"a": 1}, {"t": "x\u2028y"}, {"t": "\u0085\u2029中文"})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["", " ", *LINES]), st.sampled_from(["\n", "\r\n", "\r"]))),
+    st.booleans(),
+)
+def test_read_jsonl_ends_lines_as_text_mode_does(lines, last_ended):
+    """Lines end at ``\\n``, ``\\r\\n`` and ``\\r`` only, with the text-mode reader's line numbers."""
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_ended:
+        text = text[: -len(lines[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        assert read_jsonl(path) == reference_read_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "data, where, detail",
+    [
+        (b'{"a": 1}\r\n\n{"t": "\xff"}\n', ":3", "byte 0xff at offset 7: invalid start byte"),
+        (b'{"a": 1}\r{"t": "\xe4\xb8"}', ":2", "byte 0xe4 at offset 7: invalid continuation byte"),
+        (b'{"a": 1}\n{"t": "\xe4\xb8', ":2", "byte 0xe4 at offset 7: unexpected end of data"),
+    ],
+    ids=["bad-byte", "cut-character", "cut-at-end"],
+)
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, data, where, detail):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(BankFormatError) as caught:
+        read_jsonl(str(path))
+    assert str(caught.value) == f"{path}{where}: not UTF-8 ({detail})"
+    path.write_bytes(data)  # a JSON file is decoded whole, before it is parsed
+    with pytest.raises(BankFormatError) as caught:
+        load_json(str(path))
+    assert str(caught.value).startswith(f"{path}: not UTF-8 (byte ")
+
+
+def test_json_file_in_another_encoding_rejected(tmp_path):
+    """``json.loads`` would read these bytes as UTF-16; a bank is UTF-8."""
+    path = tmp_path / "bank.json"
+    path.write_bytes('{"questions": []}'.encode("utf-16"))
+    with pytest.raises(BankFormatError) as caught:
+        load_json(str(path))
+    assert str(caught.value) == f"{path}: not UTF-8 (byte 0xff at offset 0: invalid start byte)"
 
 
 def test_write_jsonl_round_trip(tmp_path):

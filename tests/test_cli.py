@@ -3,6 +3,7 @@
 import argparse
 import ast
 import json
+import math
 import os
 import re
 import shlex
@@ -25,7 +26,7 @@ from combicat.bankio import (
     save_json,
 )
 from combicat.cli import build_parser, main
-from combicat.harness import EvalBanks, PromptTask, ResponderReply, RunSettings, run_benchmark
+from combicat.harness import EvalBanks, PromptTask, ResponderReply, RunSettings, log_dual, run_benchmark
 from combicat.irt import CatSession, ItemParams
 from combicat.scoring import SCORED_METRICS
 from combicat.synthesis import NOTA_TEXT, verify
@@ -89,7 +90,7 @@ class TestSynthesize:
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --tier Expert" in capsys.readouterr().err
         assert main(["synthesize", "--bank", str(bank_path), "--out", str(out), "--tier-split", "Impossible:1"]) == 1
-        assert capsys.readouterr().err == "error: unknown tier 'Impossible' in split\n"
+        assert capsys.readouterr().err == "error: --tier-split names an unknown tier 'Impossible'\n"
         assert not out.exists()
 
     def test_default_split_puts_every_question_in_hard(self, tmp_path, bank_file):
@@ -106,7 +107,7 @@ class TestSynthesize:
         bank_path, _ = bank_file
         out = tmp_path / "comb.json"
         for split, message in [
-            ("Foo:1", "unknown tier 'Foo' in split"),
+            ("Foo:1", "--tier-split names an unknown tier 'Foo'"),
             ("Easy:inf,Hard:1", "--tier-split weight of Easy must be a finite number, not 'inf'"),
             ("Easy:nan,Hard:1", "--tier-split weight of Easy must be a finite number, not 'nan'"),
             ("Easy:1e308,Hard:1e308", "--tier-split weights must have a finite, positive sum"),
@@ -120,6 +121,14 @@ class TestSynthesize:
             assert code == 1, split
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["4", "9", "0"])
+    def test_option_count_outside_its_range_fails_before_the_bank_is_read(self, tmp_path, count, capsys):
+        """The flag is checked first: the bank named here does not exist."""
+        out = tmp_path / "comb.json"
+        assert main(["synthesize", "--bank", str(tmp_path / "missing.json"), "--out", str(out), "--m", count]) == 1
+        assert capsys.readouterr().err == f"error: --m must be from 5 to 8, not {count}\n"
+        assert not out.exists()
 
     def test_inline_source_tier_does_not_overwrite_synthesized_tier(self, tmp_path):
         source = make_atomic_bank(4, seed=9)
@@ -658,6 +667,31 @@ class TestEvaluate:
         assert "dual" not in report  # static mode has no adaptive fields
         assert report["config_hash"]
 
+    def test_baseline_names_are_hashed_as_parsed(self, tmp_path):
+        """Spaces around a name change neither the log nor the config hash; the golden chain's hash holds."""
+        atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=8)
+        runs = {}
+        for spec in ("nota,shuffle", " nota , shuffle", ""):
+            out_dir = tmp_path / f"run{len(runs)}"
+            assert main(
+                ["evaluate", "--base-bank", str(atomic), "--base-items", str(base_items), "--simulator",
+                 "3pl:0.5", "--baseline", spec, "--out", str(out_dir)]
+            ) == 0
+            runs[spec] = (out_dir / "run.jsonl").read_bytes(), (out_dir / "report.json").read_bytes()
+        assert runs["nota,shuffle"] == runs[" nota , shuffle"]
+        assert runs["nota,shuffle"] != runs[""]
+
+    @pytest.mark.parametrize("spec", [",", "nota,,shuffle", " ", "nota,", "bogus", "nota,nota", "shuffle, nota ,shuffle"])
+    def test_bad_baseline_rejected_before_the_log_opens(self, tmp_path, bank_file, capsys, spec):
+        """An empty, unknown or repeated name fails; before, only an unknown one did."""
+        bank_path, _ = bank_file
+        out_dir = tmp_path / "run"
+        argv = ["evaluate", "--base-bank", str(bank_path), "--simulator", "memorization", "--out", str(out_dir)]
+        assert main(argv + ["--baseline", spec]) == 1
+        message = f"--baseline must name nota, shuffle or both, each once, not {spec!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_cat_mode_emits_dual_fields(self, tmp_path):
         atomic, comb, base_items, comb_items = _pipeline(tmp_path)
         out_dir = tmp_path / "run"
@@ -1074,6 +1108,15 @@ RESPONSE_ROW = {
 }
 # The version every report and stats file carries.
 V1 = {"schema_version": 1}
+# The subset record a log of RESPONSE_ROW alone gives, and the dual block of a log with no cat_step row.
+COMB_RECORD = {"n": 1, "accuracy": 1.0, "mean_f1": 1.0, "overlap_rate": 1.0, "parse_failures": 0,
+               "transport_failures": 0}
+PRIOR_DUAL = log_dual([]).to_record()
+
+
+def _stored(**changes):
+    """The report of a log of RESPONSE_ROW alone, with ``changes`` to its one subset."""
+    return {**V1, "subsets": {"comb": {**COMB_RECORD, **changes}}}
 
 
 class TestReport:
@@ -1179,8 +1222,46 @@ class TestReport:
         report.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["report", "--log", str(log), "--report", str(report)]) == 1
-        mismatch = f"dual.{'.'.join(place)}: report {logged + 0.5} vs log {float(logged)}"
+        mismatch = f"dual.{'.'.join(place)}: report {logged + 0.5!r} vs log {logged!r}"
         assert capsys.readouterr().err == f"error: {report}: replay mismatch: {mismatch}\n"
+
+    @pytest.mark.parametrize(
+        "place, change, mismatch",
+        [
+            (("subsets", "base", "accuracy"), lambda x: math.nextafter(x, 2.0), "base.accuracy: {numbers}"),
+            (("subsets", "base", "accuracy"), lambda x: x + 5e-13, "base.accuracy: {numbers}"),
+            (("dual", "base", "theta_hat"), lambda x: math.nextafter(x, -9.0), "dual.base.theta_hat: {numbers}"),
+            (("subsets", "base", "forged_metric"), lambda x: 0.5, "base.forged_metric missing from log"),
+            (("dual", "forged"), lambda x: 0.5, "dual.forged missing from log"),
+        ],
+        ids=["accuracy-ulp", "accuracy-5e-13", "theta-ulp", "extra-subset-key", "extra-dual-key"],
+    )
+    def test_least_change_to_a_report_fails_replay(self, tmp_path, capsys, place, change, mismatch):
+        """Each of these passed a check with a tolerance of 1e-12 that ignored keys the log does not give."""
+        log, report = self._cat_run(tmp_path)
+        data = load_json(str(report))
+        parent = data
+        for key in place[:-1]:
+            parent = parent[key]
+        old = parent.get(place[-1])
+        parent[place[-1]] = new = change(old)
+        assert new != old
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 1
+        message = mismatch.format(numbers=f"report {new!r} vs log {old!r}")
+        assert capsys.readouterr().err == f"error: {report}: replay mismatch: {message}\n"
+
+    def test_numbers_of_the_same_value_replay(self, tmp_path, capsys):
+        """A count written as 30.0 is the count 30, as every other number of the report is read."""
+        log, report = self._cat_run(tmp_path)
+        data = load_json(str(report))
+        data["subsets"]["base"]["n"] = float(data["subsets"]["base"]["n"])
+        data["dual"]["comb"]["n_administered"] = float(data["dual"]["comb"]["n_administered"])
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 0
+        assert capsys.readouterr().out.endswith("replay check: ok\n")
 
     def test_report_without_its_dual_fails_replay(self, tmp_path, capsys):
         log, report = self._cat_run(tmp_path)
@@ -1253,7 +1334,7 @@ class TestReport:
         captured = capsys.readouterr()
         assert "no records" in captured.out
         assert "replay check: ok" not in captured.out
-        mismatches = "subset 'base' missing from log; subset 'comb' missing from log"
+        mismatches = "base missing from log; comb missing from log"
         assert captured.err == f"error: {report}: replay mismatch: {mismatches}\n"
 
     def test_torn_line_names_log_and_line(self, tmp_path, capsys):
@@ -1387,7 +1468,7 @@ class TestReport:
         captured = capsys.readouterr()
         assert "replay check: ok" not in captured.out
         report = out_dir / "report.json"
-        assert captured.err == f"error: {report}: replay mismatch: subset 'forged' missing from report\n"
+        assert captured.err == f"error: {report}: replay mismatch: forged missing from report\n"
 
     @pytest.mark.parametrize(
         "stored, message",
@@ -1395,19 +1476,33 @@ class TestReport:
             ([1], "schema_version None is not 1"),
             ({"schema_version": 99, "subsets": {}}, "schema_version 99 is not 1"),
             ({"schema_version": True, "subsets": {}}, "schema_version True is not 1"),
-            ({**V1, "subsets": []}, "subsets must be an object, not []"),
-            ({**V1, "subsets": {"comb": 5}}, "subset 'comb' must be an object of numbers"),
-            ({**V1, "subsets": {"comb": {"n": [1]}}}, "comb.n must be a finite number, not [1]"),
-            ({**V1, "subsets": {"comb": {"accuracy": float("nan")}}}, "comb.accuracy must be a finite number, not nan"),
-            ({**V1, "subsets": {"comb": {"mean_f1": float("inf")}}}, "comb.mean_f1 must be a finite number, not inf"),
-            ({**V1, "subsets": {"comb": {"n": True}}}, "comb.n must be a finite number, not True"),
-            ({**V1, "subsets": {}, "dual": []}, "dual must be an object of numbers"),
-            ({**V1, "subsets": {}, "dual": {"base": {"se": "0.3"}}}, "dual.base.se must be a finite number, not '0.3'"),
-            ({**V1, "subsets": {}, "dual": {"delta_theta": float("nan")}},
-             "dual.delta_theta must be a finite number, not nan"),
+            ({**V1, "subsets": []}, f"replay mismatch: subsets: report [] vs log {{'comb': {COMB_RECORD!r}}}"),
+            (V1, "replay mismatch: subsets missing from report"),
+            ({**V1, "subsets": {"comb": 5}}, f"replay mismatch: comb: report 5 vs log {COMB_RECORD!r}"),
+            (_stored(n=[1]), "replay mismatch: comb.n: report [1] vs log 1"),
+            (_stored(accuracy=float("nan")), "replay mismatch: comb.accuracy: report nan vs log 1.0"),
+            (_stored(mean_f1=float("inf")), "replay mismatch: comb.mean_f1: report inf vs log 1.0"),
+            # A boolean is not a number, though True == 1 in Python.
+            (_stored(n=True), "replay mismatch: comb.n: report True vs log 1"),
+            ({**_stored(), "dual": []}, f"replay mismatch: dual: report [] vs log {PRIOR_DUAL!r}"),
+            ({**_stored(), "dual": {**PRIOR_DUAL, "base": {**PRIOR_DUAL["base"], "se": "0.3"}}},
+             f"replay mismatch: dual.base.se: report '0.3' vs log {PRIOR_DUAL['base']['se']!r}"),
+            ({**_stored(), "dual": {**PRIOR_DUAL, "delta_theta": float("nan")}},
+             "replay mismatch: dual.delta_theta: report nan vs log 0.0"),
+            # Each of these passed a check with a tolerance of 1e-12 that ignored keys the log does not give.
+            (_stored(accuracy=math.nextafter(1.0, 0.0)),
+             f"replay mismatch: comb.accuracy: report {math.nextafter(1.0, 0.0)!r} vs log 1.0"),
+            (_stored(mean_f1=1.0 - 5e-13), f"replay mismatch: comb.mean_f1: report {1.0 - 5e-13!r} vs log 1.0"),
+            (_stored(forged_metric=0.5), "replay mismatch: comb.forged_metric missing from log"),
+            ({**_stored(), "dual": {**PRIOR_DUAL, "forged": 1}}, "replay mismatch: dual.forged missing from log"),
+            ({**_stored(), "dual": {**PRIOR_DUAL, "base": {**PRIOR_DUAL["base"], "forged": 1}}},
+             "replay mismatch: dual.base.forged missing from log"),
+            ({**V1, "subsets": {"comb": {k: v for k, v in COMB_RECORD.items() if k != "n"}}},
+             "replay mismatch: comb.n missing from report"),
         ],
-        ids=["list", "other-version", "true-version", "subsets-list", "subset-int", "value-list", "nan-value",
-             "infinite-value", "true-value", "dual-list", "dual-string-value", "dual-nan-value"],
+        ids=["list", "other-version", "true-version", "subsets-list", "no-subsets", "subset-int", "value-list", "nan-value",
+             "infinite-value", "true-value", "dual-list", "dual-string-value", "dual-nan-value", "ulp-value",
+             "5e-13-value", "extra-subset-key", "extra-dual-key", "extra-dual-estimate-key", "missing-subset-key"],
     )
     def test_malformed_report_rejected(self, tmp_path, capsys, stored, message):
         log = tmp_path / "log.jsonl"
@@ -1437,6 +1532,15 @@ class TestReport:
         output = capsys.readouterr().out
         for expected in ("f1=1.000", "f1=0.857", "f1=0.500"):
             assert expected in output
+
+
+def _opens_to_read(node):
+    """Whether ``node`` calls the builtin ``open`` with a mode that holds none of ``w``, ``a``, ``x`` and ``+``;
+    a mode that is not a literal counts as reading."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+"))
 
 
 def _run_python(code, *args):
@@ -1502,18 +1606,26 @@ class TestStartUp:
         assert sorted(path.name for path in out_dir.iterdir()) == ["run.jsonl"]
 
     def test_runtime_imports_only_the_standard_library(self):
+        """Also: only the two readers that decode UTF-8 and name a bad file open one for reading."""
         package = os.path.dirname(combicat.__file__)
-        imported = set()
+        imported, readers = set(), set()
         for filename in sorted(os.listdir(package)):
             if filename.endswith(".py"):
                 with open(os.path.join(package, filename), encoding="utf-8") as fh:
                     tree = ast.parse(fh.read(), filename=filename)
-                for node in ast.walk(tree):  # imports inside functions too
+                opens, owner = [], {}  # each reading open() call, and the innermost function around each node
+                for node in ast.walk(tree):  # imports inside functions too; outer functions before inner ones
                     if isinstance(node, ast.Import):
                         imported.update((filename, alias.name.partition(".")[0]) for alias in node.names)
                     elif isinstance(node, ast.ImportFrom) and node.level == 0:
                         imported.add((filename, node.module.partition(".")[0]))
+                    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owner.update((id(inner), node.name) for inner in ast.walk(node))
+                    elif _opens_to_read(node):
+                        opens.append(node)
+                readers.update((filename, owner.get(id(call))) for call in opens)
         assert ("harness.py", "urllib") in imported
         assert [
             pair for pair in sorted(imported) if pair[1] != "combicat" and pair[1] not in sys.stdlib_module_names
         ] == []
+        assert readers == {("bankio.py", "load_json"), ("bankio.py", "read_jsonl")}, readers

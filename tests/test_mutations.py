@@ -12,7 +12,8 @@ the command accepts and reads differently. A repeated id may be found on the
 later of its two lines, whose message then names the changed one. A number
 changed in a CAT log may instead fail the replay check against the report's
 ``dual`` block, whose message names the report. An endpoint config that fails
-does so before a request is sent.
+does so before a request is sent. A byte replaced by one that UTF-8 never holds
+fails naming the file and, in a JSONL file, the line.
 """
 
 import io
@@ -76,7 +77,7 @@ class Inputs:
     def __init__(self, root):
         self.root = root
         self.unchanged = {
-            kind: run_reader(root, kind, (root / name).read_text()) for kind, (name, _) in READERS.items()
+            kind: run_reader(root, kind, (root / name).read_bytes()) for kind, (name, _) in READERS.items()
         }
 
     def __repr__(self):
@@ -107,14 +108,14 @@ def inputs(tmp_path_factory, mock_server):
     return Inputs(root)
 
 
-def run_reader(root, kind, text):
-    """The exit status, output, error output and written files of ``kind``'s command on ``text``."""
+def run_reader(root, kind, data):
+    """The exit status, output, error output and written files of ``kind``'s command on the bytes ``data``."""
     name, argv = READERS[kind]
     work = root / "work"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     path = work / os.path.basename(name)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([arg.format(input=path, dir=root, out=work) for arg in argv])
@@ -156,7 +157,7 @@ def test_changed_or_torn_input_parses_the_same_or_fails_naming_where(inputs, dat
         where = f"{path}:"
         repeat = None
     requests = len(MockChatHandler.posts)
-    result = run_reader(root, kind, text)
+    result = run_reader(root, kind, text.encode("utf-8"))
     code, _, err, _ = result
     same = result == unchanged[kind]
     # A value of the field's own type may be one the reader accepts, and then it may read it differently.
@@ -169,6 +170,34 @@ def test_changed_or_torn_input_parses_the_same_or_fails_naming_where(inputs, dat
         named = err.startswith(f"error: {where}") or (in_type and repeat and repeat.match(err))
         assert named or replayed, (kind, result)
         assert len(MockChatHandler.posts) == requests, (kind, result)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_byte_that_is_not_utf8_fails_naming_the_file_and_line(inputs, data):
+    """One byte of a valid input replaced by 0xff, which UTF-8 never holds: the reader fails naming the
+    file, and in a JSONL file the line and the offset in it (the fixture's lines end at ``\\n``)."""
+    root = inputs.root
+    kind = data.draw(st.sampled_from(sorted(READERS)), label="input")
+    name = READERS[kind][0]
+    raw = (root / name).read_bytes()
+    i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+    event(f"{kind}: {'an ASCII' if raw[i] < 0x80 else 'a multi-byte'} character's byte")
+    path = root / "work" / os.path.basename(name)
+    if name.endswith(".jsonl"):
+        line = raw.count(b"\n", 0, i) + 1
+        where, offset = f"{path}:{line}:", i - (raw.rfind(b"\n", 0, i) + 1)
+    else:
+        where, offset = f"{path}:", i
+    requests = len(MockChatHandler.posts)
+    code, _, err, _ = run_reader(root, kind, raw[:i] + b"\xff" + raw[i + 1 :])
+    assert code == 1 and err.count("\n") == 1, (kind, err)
+    assert err.startswith(f"error: {where} not UTF-8 (byte "), (kind, err)
+    # A changed ASCII byte is the first bad one; a changed byte inside a multi-byte character makes the
+    # decoder stop at that character's first byte.
+    if raw[i] < 0x80:
+        assert err == f"error: {where} not UTF-8 (byte 0xff at offset {offset}: invalid start byte)\n"
+    assert len(MockChatHandler.posts) == requests, (kind, err)
 
 
 def changed(data, value, whole):
