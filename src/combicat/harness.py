@@ -184,11 +184,7 @@ def score_response(pred: set[str] | frozenset[str], gold: set[str] | frozenset[s
     """Exact-set match and set-overlap F1; an empty prediction scores zero."""
     if not gold:
         raise ValueError("gold set must be non-empty")
-    pred = set(pred)
-    gold = set(gold)
-    exact = pred == gold
-    f1 = 0.0 if not pred else 2.0 * len(pred & gold) / (len(pred) + len(gold))
-    return exact, f1
+    return pred == gold, (2.0 * len(pred & gold) / (len(pred) + len(gold)) if pred else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +258,7 @@ def _request_headers(endpoint: EndpointConfig) -> dict[str, str]:
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _BACKOFF_BASE_SECONDS = 0.5
+_START_SPACING_SECONDS = 0.005  # between two questions, so lanes a backoff releases together do not send in step
 
 
 # The characters that stand for themselves in a request line; every other one is percent-encoded, as requests does.
@@ -331,6 +328,7 @@ class Backoff:
 
     def __init__(self) -> None:
         self._count = 0
+        self._next_start = 0.0
         self._changed = threading.Condition()
 
     def add(self, change: int) -> None:
@@ -339,9 +337,11 @@ class Backoff:
             self._changed.notify_all()
 
     def wait_clear(self) -> None:
-        """Block until no request is backing off."""
+        """Block until no request is backing off and ``_START_SPACING_SECONDS`` after the last question started."""
         with self._changed:
-            self._changed.wait_for(lambda: self._count == 0)
+            while self._count or (delay := self._next_start - time.monotonic()) > 0:
+                self._changed.wait(None if self._count else delay)
+            self._next_start = time.monotonic() + _START_SPACING_SECONDS
 
 
 def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, backoff: Backoff) -> ResponderReply:
@@ -349,12 +349,12 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, back
 
     Timeouts are terminal (the per-query deadline is the whole budget); 5xx
     and 429 responses and dropped connections retry with exponential backoff
-    up to ``max_retries``. From its first backoff sleep until it returns, the
-    request counts in ``backoff``. Each attempt opens and closes its own
-    connection, through ``_opener``, and ``timeout_seconds`` bounds the connect
-    and each read. The API key is read from the configured environment variable and
-    never logged. Only live runs reach the network, so the transport modules
-    are imported here rather than with this module.
+    up to ``max_retries``. The request starts once ``backoff.wait_clear`` lets
+    it, and counts in ``backoff`` from its first backoff sleep until it returns.
+    Each attempt opens and closes its own connection, through ``_opener``, and
+    ``timeout_seconds`` bounds the connect and each read. The API key is read
+    from the configured environment variable and never logged. Only live runs
+    reach the network, so the transport modules are imported here rather than with this module.
     """
     import http.client
     import urllib.error
@@ -372,6 +372,7 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, back
         "max_tokens": endpoint.max_tokens,
     }
     body = json.dumps(payload).encode("utf-8")
+    backoff.wait_clear()
     started = time.monotonic()
 
     def elapsed_ms() -> int:
@@ -445,7 +446,6 @@ class EndpointResponder:
         self.backoff = Backoff()
 
     def respond(self, task: PromptTask) -> ResponderReply:
-        self.backoff.wait_clear()
         return query_model(self.endpoint, task.system_text, task.user_text, self.backoff)
 
 

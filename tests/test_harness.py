@@ -703,6 +703,29 @@ class TestLanes:
         retry = next(post for post in posts if "Scenario 3:" in post[3] and post[0] > fault[1])
         assert retry[0] - fault[1] >= backoff_s
         assert len([post for post in posts if fault[1] < post[0] < retry[0]]) <= 1
+
+    def test_lanes_released_together_start_apart(self):
+        """Two questions waiting out one backoff start ``_START_SPACING_SECONDS`` apart, not in step.
+
+        Lanes in step would send two requests at once, and thread timing would decide which one the
+        endpoint reads first: on a rate-limited endpoint, which one meets the next fault.
+        """
+        backoff = Backoff()
+        backoff.add(1)
+        started: list[float] = []
+        lanes = [threading.Thread(target=lambda: (backoff.wait_clear(), started.append(time.monotonic())))
+                 for _ in range(2)]
+        for lane in lanes:
+            lane.start()
+        time.sleep(0.05)
+        assert started == []
+        released = time.monotonic()
+        backoff.add(-1)
+        for lane in lanes:
+            lane.join(10)
+        assert len(started) == 2
+        assert max(started) - released >= harness._START_SPACING_SECONDS
+
     def test_an_interrupt_ends_the_run_without_waiting_for_the_other_lane(self, tmp_path):
         """A ``KeyboardInterrupt`` on the calling thread is raised while the helper lane still sleeps."""
         helper_asked, release = threading.Event(), threading.Event()
