@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
-from urllib.parse import quote, urlsplit
+from urllib.parse import urlsplit
 
 from . import __version__
 from .bankio import question_id_of
@@ -209,6 +209,11 @@ class EndpointConfig:
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL with a host, not {self.base_url!r}")
+        if re.search(r"[\x00-\x20\x7f]", self.base_url) or not (url.path + url.query).isascii():
+            raise ValueError(
+                "base_url must hold no space or control character, and no non-ASCII character in its path or"
+                f" query (percent-encode them), not {self.base_url!r}"
+            )
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and at least 0, not {self.temperature!r}")
         if self.max_tokens < 1:
@@ -261,61 +266,23 @@ _BACKOFF_BASE_SECONDS = 0.5
 _START_SPACING_SECONDS = 0.005  # between two questions, so lanes a backoff releases together do not send in step
 
 
-# The characters that stand for themselves in a request line; every other one is percent-encoded, as requests does.
-_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
-
-
-def _quoted(url: str) -> str:
-    """``url`` with its path and query percent-encoded where they hold a space, a control or a non-ASCII character.
-
-    ``urllib`` sends a URL as it is written, and ``http.client`` refuses such a
-    character on every request. The host is left to ``http.client``, which
-    encodes a non-ASCII one with IDNA.
-    """
-    parts = urlsplit(url)
-    return parts._replace(path=quote(parts.path, _URL_SAFE), query=quote(parts.query, _URL_SAFE)).geturl()
-
-
-def _keeps_key(old_url: str, new_url: str) -> bool:
-    """Whether a redirect from ``old_url`` to ``new_url`` may carry the API key.
-
-    Only to the same scheme, host and port, or from http to https on the
-    default ports: the rule of ``requests``.
-    """
-    def origin(url: str) -> tuple[str, str | None, int | None]:
-        parts = urlsplit(url)
-        return parts.scheme, parts.hostname, parts.port or {"http": 80, "https": 443}.get(parts.scheme)
-
-    try:
-        old, new = origin(old_url), origin(new_url)
-    except ValueError:  # a port that is not a number
-        return False
-    return old == new or (old, new) == (("http", old[1], 80), ("https", old[1], 443))
-
-
 @lru_cache(maxsize=None)
 def _opener() -> Any:
     """The live transport's ``urllib`` opener, built once, on first use.
 
     It sends each chat request through the proxy that ``http_proxy`` or
     ``https_proxy`` names at that moment, except to the hosts in ``no_proxy``.
-    A 307 or 308 reply to a POST is followed with the same body, as other
-    HTTP clients do (``urllib`` alone gives up on it). On every redirect the
-    API key is dropped unless ``_keeps_key`` allows it.
+    It follows no redirect: a chat endpoint answers at ``base_url`` itself,
+    so a 3xx reply raises ``HTTPError`` like any other reply outside 2xx, and
+    the request and its API key go nowhere else.
     """
     import urllib.request
 
-    class KeyGuardingRedirectHandler(urllib.request.HTTPRedirectHandler):
+    class NoRedirectHandler(urllib.request.HTTPRedirectHandler):
         def redirect_request(self, req, fp, code, msg, headers, newurl):
-            if code in (307, 308) and req.get_method() == "POST":
-                new = urllib.request.Request(newurl, data=req.data, headers=req.headers, method="POST")
-            else:
-                new = super().redirect_request(req, fp, code, msg, headers, newurl)
-            if new is not None and not _keeps_key(req.full_url, newurl):
-                new.remove_header("Authorization")
-            return new
+            return None
 
-    return urllib.request.build_opener(KeyGuardingRedirectHandler)
+    return urllib.request.build_opener(NoRedirectHandler)
 
 
 class Backoff:
@@ -347,10 +314,11 @@ class Backoff:
 def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, backoff: Backoff) -> ResponderReply:
     """Single chat request with bounded retries on transient failures.
 
-    Timeouts are terminal (the per-query deadline is the whole budget); 5xx
-    and 429 responses and dropped connections retry with exponential backoff
-    up to ``max_retries``. The request starts once ``backoff.wait_clear`` lets
-    it, and counts in ``backoff`` from its first backoff sleep until it returns.
+    Timeouts are terminal (the per-query deadline is the whole budget), and so
+    is a redirect, which is never followed; 5xx and 429 responses and dropped
+    connections retry with exponential backoff up to ``max_retries``. The
+    request starts once ``backoff.wait_clear`` lets it, and counts in
+    ``backoff`` from its first backoff sleep until it returns.
     Each attempt opens and closes its own connection, through ``_opener``, and
     ``timeout_seconds`` bounds the connect and each read. The API key is read
     from the configured environment variable and never logged. Only live runs
@@ -361,7 +329,6 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, back
     import urllib.request
 
     headers = _request_headers(endpoint)
-    url = _quoted(endpoint.base_url)
     payload = {
         "model": endpoint.model_name,
         "messages": [
@@ -383,13 +350,15 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, back
         while True:
             try:
                 # A fresh request each attempt: opening one rewrites it for the proxy it goes through.
-                request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+                request = urllib.request.Request(endpoint.base_url, data=body, headers=headers, method="POST")
                 try:
                     reply = _opener().open(request, timeout=endpoint.timeout_seconds)
-                except urllib.error.HTTPError as error:  # a reply outside 2xx that was not followed
+                except urllib.error.HTTPError as error:  # a reply outside 2xx, a redirect included
                     reply = error
                 with reply:
                     status, text = reply.status, reply.read().decode("utf-8", errors="replace")
+                if 300 <= status < 400:
+                    text = f"HTTP {status} redirect to {reply.headers.get('Location')}, not followed"
             except (OSError, http.client.HTTPException) as exc:
                 reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
                 if isinstance(reason, TimeoutError):
@@ -399,7 +368,7 @@ def query_model(endpoint: EndpointConfig, system_text: str, user_text: str, back
                 if attempt >= endpoint.max_retries:
                     return ResponderReply(str(exc), "http_error", elapsed_ms(), retries=attempt)
             else:
-                if status < 400:
+                if 200 <= status < 300:
                     try:
                         content = json.loads(text)["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError):

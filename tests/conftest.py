@@ -122,13 +122,12 @@ def small_bank() -> list[AtomicQuestion]:
 class MockChatHandler(BaseHTTPRequestHandler):
     """A chat-completions endpoint whose path picks the reply.
 
-    ``/echo`` and any path below it answers "A". ``/flaky`` fails
-    ``flaky_failures_left`` times with ``flaky_status``, or hangs up without
-    a reply when that is ``None``, and then answers; it fails only a request
-    whose body holds ``flaky_match``. A request through a proxy names an
-    absolute URL, whose path picks alike. ``/redirect`` answers
-    ``redirect_status`` with ``redirect_location``. A GET, which is what a
-    301, 302 or 303 turns a POST into, gets a 405. Every POST reply waits
+    ``/echo`` answers "A". ``/flaky`` fails ``flaky_failures_left`` times
+    with ``flaky_status``, or hangs up without a reply when that is ``None``,
+    and then answers; it fails only a request whose body holds
+    ``flaky_match``. A request through a proxy names an absolute URL, whose
+    path picks alike. ``/redirect`` answers ``redirect_status`` with
+    ``redirect_location``. A GET gets a 405. Every POST reply waits
     ``latency_s`` first. ``last_request`` holds the method, the path as sent
     and the headers of the latest request. Each POST appends an
     ``[arrived, replied, status, body]`` entry to ``posts`` before its reply
@@ -175,7 +174,7 @@ class MockChatHandler(BaseHTTPRequestHandler):
 
     def _reply(self, path: str, body: str) -> int | None:
         """Answer a POST to ``path``; the status sent, or ``None`` for a hang-up."""
-        if path == "/echo" or path.startswith("/echo/"):
+        if path == "/echo":
             self._send(200, {"choices": [{"message": {"content": "A"}}]})
             return 200
         if path == "/flaky":
@@ -219,22 +218,12 @@ class _QuietServer(ThreadingHTTPServer):
         pass
 
 
-def _serve_mock_chat():
+@pytest.fixture(scope="module")
+def mock_server():
+    """The base URL of a ``MockChatHandler`` served on localhost."""
     server = _QuietServer(("127.0.0.1", 0), MockChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
-
-
-@pytest.fixture(scope="module")
-def mock_server():
-    """The base URL of a ``MockChatHandler`` served on localhost."""
-    yield from _serve_mock_chat()
-
-
-@pytest.fixture(scope="module")
-def other_mock_server():
-    """A second ``MockChatHandler`` on localhost, on another port."""
-    yield from _serve_mock_chat()

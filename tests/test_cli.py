@@ -560,6 +560,41 @@ class TestCalibrate:
             assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["synthesize", "--seed", "abc"], 2, "argument --seed: invalid int value: 'abc'"),
+            (["synthesize", "--m", "abc"], 2, "argument --m: invalid int value: 'abc'"),
+            (["evaluate", "--mode", "foo"], 2, "argument --mode: invalid choice: 'foo' (choose from 'static', 'cat')"),
+            (["evaluate", "--max-items", "abc"], 2, "argument --max-items: invalid int value: 'abc'"),
+            (["evaluate", "--se-target", "abc"], 2, "argument --se-target: invalid float value: 'abc'"),
+            (["evaluate", "--no-such-flag"], 2, "unrecognized arguments: --no-such-flag"),
+            (["synthesize", "--m", "9"], 1, "--m must be from 5 to 8, not 9"),
+            (["evaluate", "--max-items", "0"], 1, "--max-items must be at least 1, not 0"),
+        ],
+        ids=["seed-abc", "m-abc", "mode-foo", "max-items-abc", "se-target-abc", "unknown-flag", "m-9", "max-items-0"],
+    )
+    def test_exit_status_of_a_bad_flag(self, tmp_path, bank_file, capsys, argv, code, message):
+        """An unknown flag or a value argparse cannot convert exits with 2 after its usage; one out of range with 1."""
+        bank_path, _ = bank_file
+        out = tmp_path / "out"
+        command, *flag = argv
+        required = {
+            "synthesize": ["--bank", str(bank_path), "--out", str(out)],
+            "evaluate": ["--base-bank", str(bank_path), "--simulator", "memorization", "--out", str(out)],
+        }
+        argv = [command, *required[command], *flag]
+        if code == 2:
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: combicat ") and err.endswith(f": error: {message}\n")
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_each_subcommand_takes_only_its_pinned_flags(self):
         """Adding a setting means adding it here."""
         parser = build_parser()
@@ -879,6 +914,11 @@ class TestEvaluate:
             ("base_url", "http:///v1", "base_url must be an http(s) URL with a host, not 'http:///v1'"),
             ("base_url", "ftp://127.0.0.1/v1", "base_url must be an http(s) URL with a host, not 'ftp://127.0.0.1/v1'"),
             ("base_url", 5, "base_url must be a string, not 5"),
+            *(
+                ("base_url", url, "base_url must hold no space or control character, and no non-ASCII character in"
+                 f" its path or query (percent-encode them), not {url!r}")
+                for url in ("http://127.0.0.1:9/v1 chat", "http://127.0.0.1:9/v1\tchat", "http://127.0.0.1:9/x?q=ü")
+            ),
             ("model_name", None, "model_name must be a string, not None"),
             ("timeout_seconds", 2.7, "timeout_seconds must be an integer, not 2.7"),
             ("timeout_seconds", True, "timeout_seconds must be an integer, not True"),
@@ -890,8 +930,9 @@ class TestEvaluate:
         ],
         ids=[
             "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
-            "ftp-url", "int-url", "null-model", "float-timeout", "bool-timeout", "zero-max-tokens",
-            "negative-retries", "misspelt-temperature", "misspelt-max-tokens", "unset-api-key-env",
+            "ftp-url", "int-url", "space-in-url", "tab-in-url", "non-ascii-url", "null-model", "float-timeout",
+            "bool-timeout", "zero-max-tokens", "negative-retries", "misspelt-temperature", "misspelt-max-tokens",
+            "unset-api-key-env",
         ],
     )
     def test_bad_endpoint_file_rejected_before_any_request(

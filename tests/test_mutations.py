@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from combicat.bankio import save_atomic_bank
 from combicat.cli import main
+from combicat.synthesis import AtomicQuestion
 from conftest import MockChatHandler, make_atomic_bank, make_trace_corpus, write_jsonl
 
 # Each input under test: its file in the fixture directory, and the command that reads it. In
@@ -91,9 +92,19 @@ def inputs(tmp_path_factory, mock_server):
     endpoint = {"base_url": f"{mock_server}/echo", "model_name": "m", "api_key_env": "", "temperature": 0.0,
                 "max_tokens": 64, "timeout_seconds": 10, "max_retries": 2}
     (root / "endpoint.json").write_text(json.dumps(endpoint, indent=2))
+    # One Chinese question, whose trace is Chinese too, so that both oracles change and tear multi-byte text.
     questions = make_atomic_bank(6, seed=21)
+    questions[2] = AtomicQuestion(
+        id="zh1",
+        context="以下哪项陈述成立？",
+        options={"I": "甲队获胜", "II": "乙队获胜", "III": "丙队获胜", "IV": "丁队获胜"},
+        answer=questions[2].answer,
+        language="zh",
+    )
+    traces = make_trace_corpus(questions, seed=22)
+    traces[2]["text"] = "甲队没有获胜，因此乙队获胜。\n" + traces[2]["text"]
     save_atomic_bank(str(root / "atomic.json"), questions)
-    write_jsonl(root / "traces.jsonl", make_trace_corpus(questions, seed=22))
+    write_jsonl(root / "traces.jsonl", traces)
     steps = [
         ["score-traces", "--traces", "traces.jsonl", "--out", "scores.jsonl", "--stats-out", "stats.json"],
         ["synthesize", "--bank", "atomic.json", "--out", "comb.json", "--tier-split", "Easy:1,Hard:1,Expert:1"],
@@ -181,7 +192,10 @@ def test_a_byte_that_is_not_utf8_fails_naming_the_file_and_line(inputs, data):
     kind = data.draw(st.sampled_from(sorted(READERS)), label="input")
     name = READERS[kind][0]
     raw = (root / name).read_bytes()
-    i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+    # Any byte, or as often a byte of a multi-byte character where the file has one.
+    multi_byte = [j for j, byte in enumerate(raw) if byte >= 0x80]
+    any_byte = st.integers(0, len(raw) - 1)
+    i = data.draw(any_byte | st.sampled_from(multi_byte) if multi_byte else any_byte, label="byte")
     event(f"{kind}: {'an ASCII' if raw[i] < 0x80 else 'a multi-byte'} character's byte")
     path = root / "work" / os.path.basename(name)
     if name.endswith(".jsonl"):
@@ -191,12 +205,14 @@ def test_a_byte_that_is_not_utf8_fails_naming_the_file_and_line(inputs, data):
         where, offset = f"{path}:", i
     requests = len(MockChatHandler.posts)
     code, _, err, _ = run_reader(root, kind, raw[:i] + b"\xff" + raw[i + 1 :])
-    assert code == 1 and err.count("\n") == 1, (kind, err)
-    assert err.startswith(f"error: {where} not UTF-8 (byte "), (kind, err)
-    # A changed ASCII byte is the first bad one; a changed byte inside a multi-byte character makes the
-    # decoder stop at that character's first byte.
-    if raw[i] < 0x80:
-        assert err == f"error: {where} not UTF-8 (byte 0xff at offset {offset}: invalid start byte)\n"
+    # A changed ASCII byte or first byte is the first bad one; a changed later byte of a multi-byte
+    # character makes the decoder stop at that character's first byte.
+    start = i
+    while raw[start] & 0xC0 == 0x80:
+        start -= 1
+    bad, reason = (0xFF, "invalid start byte") if start == i else (raw[start], "invalid continuation byte")
+    assert code == 1, (kind, err)
+    assert err == f"error: {where} not UTF-8 (byte {bad:#04x} at offset {offset - (i - start)}: {reason})\n"
     assert len(MockChatHandler.posts) == requests, (kind, err)
 
 
