@@ -118,7 +118,7 @@ _LEAF_TEXT: dict[type, Callable[[Any], str]] = {str: encode_basestring, int: int
 
 def _verified(record: Any) -> CombinatorialQuestion:
     question = CombinatorialQuestion.from_record(record)
-    violations = verify(question).violations
+    violations = verify(question)
     if violations:
         raise BankFormatError(f"question {question.id!r}: " + "; ".join(f"{v.rule}: {v.message}" for v in violations))
     return question

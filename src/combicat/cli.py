@@ -48,7 +48,6 @@ from .irt import (
     CatSession,
     DualReport,
     calibrate_difficulty,
-    discrimination_for_tier,
     guessing_for_options,
 )
 from .rng import PortableRng, derive_seed
@@ -65,7 +64,7 @@ from .scoring import (
 )
 from .synthesis import (
     OPTION_COUNTS,
-    TIER_NAMES,
+    TIERS,
     AtomicQuestion,
     CombinatorialQuestion,
     InfeasibleTierError,
@@ -73,6 +72,7 @@ from .synthesis import (
     finite,
     shuffle_options,
     synthesize_bank,
+    tier_row,
     typed,
 )
 
@@ -106,7 +106,7 @@ def _parse_tier_split(text: str) -> dict[str, float]:
     for part in text.split(","):
         tier, _, weight = part.partition(":")
         tier = tier.strip()
-        if tier not in TIER_NAMES:
+        if tier not in TIERS:
             raise ValueError(f"--tier-split names an unknown tier {tier!r}")
         if tier in split:
             raise ValueError(f"--tier-split names {tier} twice")
@@ -134,7 +134,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     bankio.save_comb_bank(args.out, combinatorial)
 
     print(f"synthesized {summary.total} questions -> {args.out}")
-    for name in TIER_NAMES:
+    for name in TIERS:
         count = summary.tier_counts.get(name, 0)
         if count:
             print(f"  {name:<7} {count:>6}  ({100.0 * count / summary.total:.1f}%)")
@@ -206,7 +206,7 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 
     tiers = [row["tier"] for row in rows]
     print(f"scored {len(rows)} traces -> {args.out}")
-    for name in TIER_NAMES:
+    for name in TIERS:
         count = tiers.count(name)
         if count:
             print(f"  {name:<7} {count:>6}")
@@ -260,12 +260,13 @@ _FEATURES = ("gold_score", "logic_density", "token_count", "segment_count")
 
 
 def _tier_of(record: Mapping[str, Any]) -> str | None:
-    """The tier a score row or bank record names, or ``None`` if it names none; a known tier name, not coerced."""
+    """The tier a score row or bank record names, or ``None`` if it names none; a ladder tier's name, not coerced.
+
+    An unknown tier fails here, where it was read.
+    """
     if "tier" not in record:
         return None
-    tier = typed("tier", record["tier"], str, "a string")
-    discrimination_for_tier(tier)  # an unknown tier fails here, where it was read
-    return tier
+    return tier_row(typed("tier", record["tier"], str, "a string")).name
 
 
 def _calibrated_item(
@@ -289,7 +290,7 @@ def _calibrated_item(
         question_id=question.id,
         subset=subset,
         tier=tier,
-        a=discrimination_for_tier(tier),
+        a=tier_row(tier).discrimination,
         b=calibrate_difficulty(*features),
         c=guessing_for_options(n_options),
         n_options=n_options,

@@ -214,6 +214,10 @@ class EndpointConfig:
                 "base_url must hold no space or control character, and no non-ASCII character in its path or"
                 f" query (percent-encode them), not {self.base_url!r}"
             )
+        try:
+            url.hostname.encode("idna")
+        except UnicodeError:
+            raise ValueError(f"base_url must have a host that IDNA can encode, not {self.base_url!r}") from None
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and at least 0, not {self.temperature!r}")
         if self.max_tokens < 1:

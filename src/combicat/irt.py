@@ -168,17 +168,6 @@ def select_next(session: CatSession, bank: Sequence[ItemParams]) -> ItemParams |
 # Parameter assignment
 # ---------------------------------------------------------------------------
 
-_TIER_DISCRIMINATION = {"Easy": 0.8, "Medium": 1.2, "Hard": 1.6, "Expert": 2.0}
-
-
-def discrimination_for_tier(tier: str) -> float:
-    """Discrimination grows with the tier's operator complexity."""
-    try:
-        return _TIER_DISCRIMINATION[tier]
-    except KeyError:
-        raise ValueError(f"unknown tier {tier!r}") from None
-
-
 def guessing_for_options(n_options: int) -> float:
     """Pseudo-guessing as the inverse of the option count."""
     if n_options < 2:

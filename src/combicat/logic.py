@@ -169,7 +169,7 @@ SHAPES: dict[int, Shape] = {shape.formula.mask: shape for shape in SHAPE_LIST}
 
 
 def classify(formula: Formula) -> Shape | None:
-    """The shape of a formula, or None for a free-form formula.
+    """The shape of a formula, or None for a formula of no shape.
 
     Recognition is up to logical equivalence: any formula with the truth
     table of a shape classifies as that shape, so reordered conjuncts and De
@@ -240,27 +240,10 @@ def parse_formula(text: str) -> Formula:
 # Rendering
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = {"not": "¬", "and": "∧", "or": "∨"}
-_templates_cache: dict[str, dict[str, str]] | None = None
-
-
+@lru_cache(maxsize=None)
 def templates() -> dict[str, dict[str, str]]:
     """Option wording per locale, loaded once from ``data/render_templates.json``."""
-    global _templates_cache
-    if _templates_cache is None:
-        raw = resources.files("combicat.data").joinpath("render_templates.json").read_text("utf-8")
-        _templates_cache = json.loads(raw)
-    return _templates_cache
-
-
-def render_symbolic(formula: Formula) -> str:
-    """Symbolic notation fallback for free-form formulas, e.g. ``(I ∧ II)``."""
-    if isinstance(formula, Var):
-        return formula.index.name
-    if isinstance(formula, Not):
-        return _SYMBOLS["not"] + render_symbolic(formula.child)
-    op = _SYMBOLS["and"] if isinstance(formula, And) else _SYMBOLS["or"]
-    return f"({render_symbolic(formula.left)} {op} {render_symbolic(formula.right)})"
+    return json.loads(resources.files("combicat.data").joinpath("render_templates.json").read_text("utf-8"))
 
 
 @lru_cache(maxsize=None)
@@ -280,11 +263,10 @@ def _shape_texts(locale: str) -> dict[int, str]:
 
 
 def render(formula: Formula, locale: str = "en") -> str:
-    """Option text: the template of the formula's shape, or symbolic notation for a free-form formula.
+    """Option text: the template of the formula's shape; a formula of no shape has none (``KeyError``).
 
     Template wording per locale lives in ``data/render_templates.json`` so the
     phrasing can be edited without touching code. The text of a shape depends
     only on (shape, locale), so each is filled in once.
     """
-    text = _shape_texts(locale).get(formula.mask)
-    return render_symbolic(formula) if text is None else text
+    return _shape_texts(locale)[formula.mask]

@@ -1,4 +1,4 @@
-"""Trace-derived difficulty metrics, the fixed difficulty score, and tier cutoffs.
+"""Trace-derived difficulty metrics, the fixed difficulty score, and the tier a score falls in.
 
 A thinking trace is scored along nine dimensions (reversals, connective
 density, hypothesis-elimination cycles, dialectic structure, premise layering,
@@ -21,7 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
 
-from .synthesis import finite, typed
+from .synthesis import TIERS, finite, typed
 
 
 class CorpusError(ValueError):
@@ -408,14 +408,8 @@ SCORING_MODEL: Mapping[str, Any] = {
 
 
 def stratify(value: float) -> str:
-    """Tier cutoffs: below 20 Easy, then 25 and 30 split Medium/Hard/Expert."""
-    if value < 20:
-        return "Easy"
-    if value < 25:
-        return "Medium"
-    if value < 30:
-        return "Hard"
-    return "Expert"
+    """The highest tier whose lowest score ``value`` is not below (so NaN is the top tier)."""
+    return next(tier.name for tier in reversed(TIERS.values()) if not value < tier.lowest_score)
 
 
 def gold_score(z: Mapping[str, float], fallacy_score: float = 0.0) -> float:

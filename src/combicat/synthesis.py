@@ -10,6 +10,7 @@ against the truth-table semantics. Every step is a pure function of
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -33,7 +34,6 @@ from .rng import PortableRng, derive_seed
 
 OPTION_LETTERS = "ABCDEFGH"
 
-TIER_NAMES = ("Easy", "Medium", "Hard", "Expert")
 OPTION_COUNTS = range(5, 9)  # options per combinatorial question
 
 LABELS = tuple(s.name for s in STATEMENTS)  # "I".."IV", read without the enum's name property
@@ -167,43 +167,55 @@ class TierConfig:
             raise ValueError(f"tier {self.tier!r}: required patterns must be allowed")
 
 
+@dataclass(frozen=True)
+class Tier:
+    """One row of the tier ladder: the operator families its options may use and must present, its
+    answer-count range, its 3PL discrimination, and the lowest difficulty score ``stratify`` puts in it."""
+
+    name: str
+    allowed: frozenset[PatternKind]
+    required: frozenset[PatternKind]
+    answer_range: tuple[int, int]
+    discrimination: float
+    lowest_score: float
+
+
+def _tier_list() -> tuple[Tier, ...]:
+    k = PatternKind
+    return (
+        Tier("Easy", frozenset({k.EXACTNESS}), frozenset(), (1, 1), 0.8, -math.inf),
+        Tier("Medium", frozenset({k.EXACTNESS, k.DISJUNCTION}), frozenset(), (1, 2), 1.2, 20.0),
+        Tier("Hard", frozenset({k.EXACTNESS, k.DISJUNCTION, k.NEGATION}), frozenset({k.NEGATION}), (1, 3), 1.6, 25.0),
+        Tier("Expert", frozenset({k.EXACTNESS, k.DISJUNCTION, k.NEGATION, k.COMPOUND_NEGATION}),
+             frozenset({k.DISJUNCTION, k.NEGATION}), (2, 4), 2.0, 30.0),
+    )
+
+
+TIERS: dict[str, Tier] = {tier.name: tier for tier in _tier_list()}
+"""The tier ladder by name, lowest tier first: each tier widens the allowed operator family."""
+
+
+def tier_row(name: str) -> Tier:
+    """The ladder's row for tier ``name``."""
+    if name not in TIERS:
+        raise ValueError(f"unknown tier {name!r}")
+    return TIERS[name]
+
+
 @lru_cache(maxsize=None)
 def tier_config(tier: str, n_options: int = 6) -> TierConfig:
-    """Built-in tier ladder: each tier widens the allowed operator family.
+    """The assembly config of a ladder tier at ``n_options`` options.
 
     The Easy pools hold five formulas in total (one always-true exactness plus
     four distractors), so Easy questions carry at most five options no matter
-    what is configured; the other tiers honor the requested count. A config is
+    what is configured; the other tiers' pools hold more than eight. A config is
     frozen, so each (tier, option count) is built once and shared.
     """
     if n_options not in OPTION_COUNTS:
         raise ValueError(f"option count {n_options} is not in {OPTION_COUNTS}")
-    kinds = PatternKind
-    table = {
-        "Easy": TierConfig("Easy", frozenset({kinds.EXACTNESS}), frozenset(), 1, 1, min(n_options, 5)),
-        "Medium": TierConfig(
-            "Medium", frozenset({kinds.EXACTNESS, kinds.DISJUNCTION}), frozenset(), 1, 2, n_options
-        ),
-        "Hard": TierConfig(
-            "Hard",
-            frozenset({kinds.EXACTNESS, kinds.DISJUNCTION, kinds.NEGATION}),
-            frozenset({kinds.NEGATION}),
-            1,
-            3,
-            n_options,
-        ),
-        "Expert": TierConfig(
-            "Expert",
-            frozenset({kinds.EXACTNESS, kinds.DISJUNCTION, kinds.NEGATION, kinds.COMPOUND_NEGATION}),
-            frozenset({kinds.DISJUNCTION, kinds.NEGATION}),
-            2,
-            4,
-            n_options,
-        ),
-    }
-    if tier not in table:
-        raise ValueError(f"unknown tier {tier!r}")
-    return table[tier]
+    row = tier_row(tier)
+    pool_size = sum(len(pool) for pool in pools(row.allowed, Statement.I))  # the same for every answer
+    return TierConfig(row.name, row.allowed, row.required, *row.answer_range, min(n_options, pool_size))
 
 
 @dataclass(frozen=True)
@@ -306,29 +318,9 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    violations: tuple[Violation, ...]
-
-    @classmethod
-    def from_violations(cls, violations: Iterable[Violation]) -> "VerificationReport":
-        items = tuple(violations)
-        return cls(valid=not items, violations=items)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def atomize(question: AtomicQuestion) -> tuple[str, str, str, str]:
-    """Statements I..IV for the four options.
-
-    Option texts already read as declarative claims, so the restatement is the
-    identity.
-    """
-    return tuple(question.option_list())
 
 
 # Exactness and the universal distractor are in every pool, whatever the tier allows.
@@ -445,7 +437,7 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
         id=f"{question.id}::{cfg.tier}::{seed:016x}",
         source_id=question.id,
         context=question.context,
-        statements=atomize(question),
+        statements=tuple(question.option_list()),
         options=tuple(
             _shared_option(OPTION_LETTERS[position], formula_text, text)
             for position, ((formula_text, text, _), _) in enumerate(labelled)
@@ -461,8 +453,8 @@ def assemble(question: AtomicQuestion, cfg: TierConfig, seed: int) -> Combinator
     )
 
 
-def verify(question: CombinatorialQuestion) -> VerificationReport:
-    """Exhaustive semantic check of a combinatorial question.
+def verify(question: CombinatorialQuestion) -> tuple[Violation, ...]:
+    """Exhaustive semantic check of a combinatorial question: its violations, none if it is valid.
 
     Each option's formula is reduced once to its 16-bit truth mask. With a
     fixed four-variable valuation, the mask bit at the ground-truth row
@@ -471,16 +463,18 @@ def verify(question: CombinatorialQuestion) -> VerificationReport:
 
     - ``unknown-language``: the question's language has option templates;
     - ``letter-order``: option letters run A, B, C... in order;
+    - ``unknown-shape``: each option's formula is one of the 21 shapes (up to
+      logical equivalence);
     - ``truth-mismatch``: each option's truth value matches its answer label;
     - ``text-mismatch``: each option's text is its shape's template in the
-      question's language, or the symbolic rendering of a free-form formula;
+      question's language;
     - ``duplicate-formula``: no two options share a truth table;
     - ``unknown-letter``: every answer letter names an option;
     - ``missing-required-pattern``: the tier's required patterns appear;
     - ``degenerate-answer-set``: the answer set is neither empty nor every option;
     - ``answer-count``: the answer count lies in the tier's range.
     """
-    cfg = tier_config(question.tier)  # the option count sets none of the fields read here
+    tier = tier_row(question.tier)
     row = question.truth_row()
     letters = question.letters()
     violations: list[Violation] = []
@@ -499,13 +493,15 @@ def verify(question: CombinatorialQuestion) -> VerificationReport:
     for entry in question.options:
         truth_mask = entry.formula.mask
         shape = SHAPES.get(truth_mask)
-        if shape is not None:
+        if shape is None:
+            flag(entry.letter, "unknown-shape", f"option {entry.letter} formula {entry.formula.serialized} is none of the {len(SHAPES)} option shapes")
+        else:
             presented += shape.presents
         value = bool(truth_mask >> row & 1)
         if value is not (entry.letter in question.answer_set):
             labelled = "incorrect" if value else "correct"
             flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
-        if templated:
+        if templated and shape is not None:
             expected_text = render(entry.formula, question.language)
             if entry.text != expected_text:
                 flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
@@ -520,17 +516,18 @@ def verify(question: CombinatorialQuestion) -> VerificationReport:
     for letter in sorted(question.answer_set - set(letters)):
         flag(letter, "unknown-letter", f"answer letter {letter!r} names no option")
 
-    for requirement in sorted(cfg.required_patterns, key=lambda k: k.value):
+    for requirement in sorted(tier.required, key=lambda k: k.value):
         if requirement not in presented:
             flag("", "missing-required-pattern", f"no option presents {requirement.value}")
 
     n_answers = len(question.answer_set)
     if not 1 <= n_answers < len(question.options):
         flag("", "degenerate-answer-set", f"answer set size {n_answers} of {len(question.options)} options")
-    if not cfg.n_correct_min <= n_answers <= cfg.n_correct_max:
-        flag("", "answer-count", f"{n_answers} answers outside the {cfg.tier} range {cfg.n_correct_min}-{cfg.n_correct_max}")
+    low, high = tier.answer_range
+    if not low <= n_answers <= high:
+        flag("", "answer-count", f"{n_answers} answers outside the {tier.name} range {low}-{high}")
 
-    return VerificationReport.from_violations(violations)
+    return tuple(violations)
 
 
 MAX_REGENERATION_ATTEMPTS = 16
@@ -546,7 +543,7 @@ def synthesize_question(
     """
     for attempt in range(MAX_REGENERATION_ATTEMPTS):
         candidate = assemble(question, cfg, seed + attempt)
-        if verify(candidate).valid:
+        if not verify(candidate):
             return candidate, attempt
     raise InfeasibleTierError(
         f"question {question.id!r}: no valid assembly after {MAX_REGENERATION_ATTEMPTS} attempts"

@@ -79,7 +79,6 @@ from combicat.logic import (
     Var,
     parse_formula,
     render,
-    render_symbolic,
     templates,
 )
 from combicat.rng import PortableRng
@@ -98,10 +97,8 @@ from combicat.synthesis import (
     CombinatorialQuestion,
     InfeasibleTierError,
     OptionEntry,
-    VerificationReport,
     Violation,
     _known_keys,
-    atomize,
     string_list,
     tier_config,
     typed,
@@ -346,14 +343,12 @@ def reference_mask(formula) -> int:
 
 
 def reference_render(formula, locale: str = "en") -> str:
-    """The template of the formula's shape, filled in per call, or its symbolic notation."""
+    """The template of the formula's shape, filled in per call; a formula of no shape has none (``KeyError``)."""
     tables = templates()
     if locale not in tables:
         raise ValueError(f"unknown locale {locale!r}")
     table = tables[locale]
-    shape = SHAPES.get(reference_mask(formula))
-    if shape is None:
-        return render_symbolic(formula)
+    shape = SHAPES[reference_mask(formula)]
     text = table[shape.kind.value]
     for placeholder, statement in zip(("{i}", "{j}"), shape.statements):
         text = text.replace(placeholder, statement.name)
@@ -407,9 +402,9 @@ def reference_pools(allowed, answer):
 
 
 def reference_satisfies(kind, requirement) -> bool:
-    """Whether an option of shape ``kind`` (None for a free-form formula) meets a tier's ``requirement``."""
+    """Whether an option of shape ``kind`` (None for a formula of no shape) meets a tier's ``requirement``."""
     # Compound negations are negations for requirement purposes; the universal
-    # distractor and free-form formulas satisfy nothing.
+    # distractor and a formula of no shape satisfy nothing.
     if kind is None or kind is PatternKind.UNIVERSAL_NONE:
         return False
     if requirement is PatternKind.NEGATION:
@@ -417,7 +412,7 @@ def reference_satisfies(kind, requirement) -> bool:
     return kind == requirement
 
 
-def reference_verify(question) -> VerificationReport:
+def reference_verify(question) -> tuple:
     """``synthesis.verify`` with each option's mask and text derived per call."""
     cfg = tier_config(question.tier)
     row = question.truth_row()
@@ -439,11 +434,14 @@ def reference_verify(question) -> VerificationReport:
         truth_mask = reference_mask(entry.formula)
         shape = SHAPES.get(truth_mask)
         kinds.append(None if shape is None else shape.kind)
+        if shape is None:
+            formula = entry.formula.serialized
+            flag(entry.letter, "unknown-shape", f"option {entry.letter} formula {formula} is none of the 21 option shapes")
         value = bool(truth_mask >> row & 1)
         labelled = "correct" if entry.letter in question.answer_set else "incorrect"
         if value != (labelled == "correct"):
             flag(entry.letter, "truth-mismatch", f"option {entry.letter} evaluates {value} but is labelled {labelled}")
-        if templated:
+        if templated and shape is not None:
             expected_text = reference_render(entry.formula, question.language)
             if entry.text != expected_text:
                 flag(entry.letter, "text-mismatch", f"option {entry.letter} reads {entry.text!r}, not {expected_text!r}")
@@ -468,7 +466,7 @@ def reference_verify(question) -> VerificationReport:
     if not cfg.n_correct_min <= n_answers <= cfg.n_correct_max:
         flag("", "answer-count", f"{n_answers} answers outside the {cfg.tier} range {cfg.n_correct_min}-{cfg.n_correct_max}")
 
-    return VerificationReport.from_violations(violations)
+    return tuple(violations)
 
 
 def reference_save(path: str, key: str, records: list) -> None:
@@ -480,7 +478,7 @@ def reference_save(path: str, key: str, records: list) -> None:
 
 def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:
     """``synthesis.assemble`` with per-question pool scans, ``weighted_index`` draws and fresh option entries."""
-    statements = atomize(question)
+    statements = tuple(question.option_list())
     answer = question.answer_index()
     rng = PortableRng(seed)
 

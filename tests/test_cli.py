@@ -60,7 +60,7 @@ class TestSynthesize:
         assert out_a.read_text() == out_b.read_text()
         questions = load_comb_bank(str(out_a))
         assert len(questions) == 16
-        assert all(q.tier == "Expert" and verify(q).valid for q in questions)
+        assert all(q.tier == "Expert" and not verify(q) for q in questions)
         assert "regenerations" in capsys.readouterr().out
 
     def test_tier_split_reports_distribution(self, tmp_path, bank_file, capsys):
@@ -331,6 +331,23 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {comb_path}: record 0: question {question_id!r}: ")
         assert f"truth-mismatch: option {letter} evaluates False but is labelled correct" in err
+        assert not out.exists()
+
+    def test_option_of_no_shape_rejected(self, tmp_path, bank_file, capsys):
+        bank_path, _ = bank_file
+        comb_path = tmp_path / "comb.json"
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(comb_path)]) == 0
+        data = load_json(str(comb_path))
+        question = data["questions"][0]
+        option = next(o for o in question["options"] if o["letter"] not in question["answer_set"])
+        option["formula"] = "AND(VAR(I),VAR(II))"  # false in every question's row, and of no option shape
+        comb_path.write_text(json.dumps(data))
+        out = tmp_path / "items.json"
+        assert main(["calibrate", "--bank", str(comb_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {comb_path}: record 0: question {question['id']!r}: unknown-shape: option {option['letter']}"
+            " formula AND(VAR(I),VAR(II)) is none of the 21 option shapes"
+        )
         assert not out.exists()
 
     def test_atomic_bank_gets_quarter_guessing(self, tmp_path, bank_file):
@@ -919,6 +936,7 @@ class TestEvaluate:
                  f" its path or query (percent-encode them), not {url!r}")
                 for url in ("http://127.0.0.1:9/v1 chat", "http://127.0.0.1:9/v1\tchat", "http://127.0.0.1:9/x?q=ü")
             ),
+            ("base_url", "http://a..ü/x", "base_url must have a host that IDNA can encode, not 'http://a..ü/x'"),
             ("model_name", None, "model_name must be a string, not None"),
             ("timeout_seconds", 2.7, "timeout_seconds must be an integer, not 2.7"),
             ("timeout_seconds", True, "timeout_seconds must be an integer, not True"),
@@ -930,7 +948,7 @@ class TestEvaluate:
         ],
         ids=[
             "nan-temperature", "inf-temperature", "string-temperature", "url-without-scheme", "url-without-host",
-            "ftp-url", "int-url", "space-in-url", "tab-in-url", "non-ascii-url", "null-model", "float-timeout",
+            "ftp-url", "int-url", "space-in-url", "tab-in-url", "non-ascii-url", "idna-host", "null-model", "float-timeout",
             "bool-timeout", "zero-max-tokens", "negative-retries", "misspelt-temperature", "misspelt-max-tokens",
             "unset-api-key-env",
         ],

@@ -16,7 +16,6 @@ from combicat.irt import (
     PRIOR_WEIGHTS,
     ItemParams,
     calibrate_difficulty,
-    discrimination_for_tier,
     eap_update,
     fisher_information,
     guessing_for_options,
@@ -275,16 +274,6 @@ class TestTermination:
 
 
 class TestParameterMaps:
-    def test_discrimination_ladder(self):
-        assert discrimination_for_tier("Easy") == 0.8
-        assert discrimination_for_tier("Medium") == 1.2
-        assert discrimination_for_tier("Hard") == 1.6
-        assert discrimination_for_tier("Expert") == 2.0
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError):
-            discrimination_for_tier("Impossible")
-
     def test_guessing_inverse_of_option_count(self):
         assert guessing_for_options(6) == pytest.approx(1.0 / 6.0)
         assert guessing_for_options(4) == pytest.approx(0.25)

@@ -1,5 +1,6 @@
-"""Pool enumeration, assembly, verification, and the baseline transforms."""
+"""The tier table, pool enumeration, assembly, verification, and the baseline transforms."""
 
+import importlib.util
 import json
 import os
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combicat import synthesis
 from combicat.bankio import BankFormatError, load_bank, load_json, save_comb_bank
 from combicat.logic import (
     STATEMENTS,
@@ -17,10 +19,11 @@ from combicat.logic import (
     Not,
     Or,
     PatternKind,
+    SHAPES,
     Statement,
     Var,
     classify,
-    render_symbolic,
+    render,
     truth_row,
 )
 from combicat.synthesis import (
@@ -34,12 +37,12 @@ from combicat.synthesis import (
     TierConfig,
     apply_nota,
     assemble,
-    atomize,
     pools,
     shuffle_options,
     synthesize_bank,
     synthesize_question,
     tier_config,
+    tier_row,
     verify,
 )
 from conftest import make_atomic_question
@@ -68,7 +71,7 @@ EXPECTED_POOL_SIZES = {
 class TestAtomize:
     def test_answer_one_marks_only_first_variable(self):
         question = make_atomic_question(0, "I")
-        assert len(atomize(question)) == 4
+        assert len(assemble(question, tier_config("Hard"), 5).statements) == 4
         assert row_statements(truth_row(question.answer_index())) == {Statement.I}
 
     def test_answer_four_marks_only_last_variable(self):
@@ -77,7 +80,7 @@ class TestAtomize:
 
     def test_statements_restate_option_texts(self):
         question = make_atomic_question(3, "II")
-        assert list(atomize(question)) == question.option_list()
+        assert assemble(question, tier_config("Medium"), 3).statements == tuple(question.option_list())
 
     def test_five_options_rejected(self):
         with pytest.raises(QuestionFormatError, match="not four atomic options"):
@@ -98,6 +101,42 @@ class TestAtomize:
             AtomicQuestion(**record)
         with pytest.raises(QuestionFormatError, match="repeat one text"):
             AtomicQuestion.from_record(record)
+
+
+class TestTierTable:
+    def test_rows_in_ladder_order(self):
+        assert tuple(synthesis.TIERS) == TIERS
+        assert all(tier_row(name) is synthesis.TIERS[name] for name in TIERS)
+
+    def test_each_tier_widens_the_allowed_family(self):
+        allowed = [tier_row(name).allowed for name in TIERS]
+        assert all(lower < higher for lower, higher in zip(allowed, allowed[1:]))
+
+    def test_discrimination_ladder(self):
+        assert [tier_row(name).discrimination for name in TIERS] == [0.8, 1.2, 1.6, 2.0]
+
+    def test_unknown_tier_rejected(self):
+        for lookup in (tier_row, tier_config):
+            with pytest.raises(ValueError, match="^unknown tier 'Impossible'$"):
+                lookup("Impossible")
+
+    def test_config_reads_its_row(self):
+        for name in TIERS:
+            row, cfg = tier_row(name), tier_config(name, 8)
+            assert (cfg.allowed_patterns, cfg.required_patterns) == (row.allowed, row.required)
+            assert (cfg.n_correct_min, cfg.n_correct_max) == row.answer_range
+            assert cfg.n_options == (5 if name == "Easy" else 8)
+
+    def test_benchmark_ladder_agrees(self):
+        """The benchmark's own checks hold the same ladder, so an edit to one fails here first."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
+        spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        rows = synthesis.TIERS.items()
+        assert {name: row.answer_range for name, row in rows} == checks.TIER_ANSWER_RANGE
+        assert {name: row.discrimination for name, row in rows} == checks.TIER_DISCRIMINATION
+        assert {name: tuple(sorted(k.value for k in row.required)) for name, row in rows} == checks.TIER_REQUIRED
 
 
 class TestPools:
@@ -229,7 +268,7 @@ class TestAssemble:
             language="zh",
         )
         combinatorial = assemble(question, tier_config("Expert"), 6)
-        assert verify(combinatorial).valid
+        assert not verify(combinatorial)
         for entry in combinatorial.options:
             assert "statement" not in entry.text
             assert "陈述" in entry.text
@@ -238,9 +277,7 @@ class TestAssemble:
 class TestVerify:
     def test_fresh_assembly_is_valid(self):
         combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Expert"), 13)
-        report = verify(combinatorial)
-        assert report.valid
-        assert report.violations == ()
+        assert verify(combinatorial) == ()
 
     def test_mislabeled_option_flags_truth_mismatch(self):
         combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Hard"), 13)
@@ -255,9 +292,8 @@ class TestVerify:
                 "answer_set": combinatorial.answer_set | {wrong_letter},
             }
         )
-        report = verify(tampered)
-        assert not report.valid
-        assert any(v.rule == "truth-mismatch" for v in report.violations)
+        violations = verify(tampered)
+        assert any(v.rule == "truth-mismatch" for v in violations)
 
     def test_full_answer_set_flags_degenerate(self):
         combinatorial = assemble(make_atomic_question(9, "II"), tier_config("Medium"), 13)
@@ -267,8 +303,8 @@ class TestVerify:
                 "answer_set": frozenset(e.letter for e in combinatorial.options),
             }
         )
-        report = verify(tampered)
-        assert any(v.rule == "degenerate-answer-set" for v in report.violations)
+        violations = verify(tampered)
+        assert any(v.rule == "degenerate-answer-set" for v in violations)
 
     def test_duplicate_formula_detected(self):
         combinatorial = assemble(make_atomic_question(9, "III"), tier_config("Medium"), 13)
@@ -278,33 +314,33 @@ class TestVerify:
         tampered = CombinatorialQuestion(
             **{**combinatorial.__dict__, "options": tuple(options)}
         )
-        report = verify(tampered)
-        assert any(v.rule == "duplicate-formula" for v in report.violations)
+        violations = verify(tampered)
+        assert any(v.rule == "duplicate-formula" for v in violations)
 
     def test_missing_required_pattern_detected(self):
         combinatorial = assemble(make_atomic_question(9, "IV"), tier_config("Medium"), 13)
         relabeled = CombinatorialQuestion(
             **{**combinatorial.__dict__, "tier": "Expert"}
         )
-        report = verify(relabeled)
-        assert any(v.rule == "missing-required-pattern" for v in report.violations)
+        violations = verify(relabeled)
+        assert any(v.rule == "missing-required-pattern" for v in violations)
 
     def test_unknown_answer_letter_detected(self):
         combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Expert"), 13)
         tampered = CombinatorialQuestion(
             **{**combinatorial.__dict__, "answer_set": combinatorial.answer_set | {"Z"}}
         )
-        report = verify(tampered)
-        assert [v.rule for v in report.violations] == ["unknown-letter"]
-        assert report.violations[0].letter == "Z"
+        violations = verify(tampered)
+        assert [v.rule for v in violations] == ["unknown-letter"]
+        assert violations[0].letter == "Z"
 
     def test_out_of_order_letters_detected(self):
         combinatorial = assemble(make_atomic_question(9, "II"), tier_config("Hard"), 13)
         options = list(combinatorial.options)
         options[0], options[1] = options[1], options[0]
         tampered = CombinatorialQuestion(**{**combinatorial.__dict__, "options": tuple(options)})
-        report = verify(tampered)
-        assert [v.rule for v in report.violations] == ["letter-order"]
+        violations = verify(tampered)
+        assert [v.rule for v in violations] == ["letter-order"]
 
     def test_text_that_misstates_its_formula_detected(self):
         # The responder sees only the text, so "Only statement IV is correct"
@@ -323,21 +359,47 @@ class TestVerify:
             for e in combinatorial.options
         )
         tampered = CombinatorialQuestion(**{**combinatorial.__dict__, "options": options})
-        report = verify(tampered)
-        assert [v.rule for v in report.violations] == ["text-mismatch"]
+        violations = verify(tampered)
+        assert [v.rule for v in violations] == ["text-mismatch"]
 
     def test_answer_count_outside_tier_range_detected(self):
         combinatorial = assemble(make_atomic_question(9, "III"), tier_config("Expert"), 13)
         assert len(combinatorial.answer_set) >= 2
         relabeled = CombinatorialQuestion(**{**combinatorial.__dict__, "tier": "Easy"})
-        report = verify(relabeled)
-        assert [v.rule for v in report.violations] == ["answer-count"]
+        violations = verify(relabeled)
+        assert [v.rule for v in violations] == ["answer-count"]
 
     def test_unknown_language_detected(self):
         combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Expert"), 13)
         tampered = CombinatorialQuestion(**{**combinatorial.__dict__, "language": "fr"})
-        report = verify(tampered)
-        assert [v.rule for v in report.violations] == ["unknown-language"]
+        violations = verify(tampered)
+        assert [v.rule for v in violations] == ["unknown-language"]
+
+
+    def test_option_of_no_shape_detected(self):
+        combinatorial = assemble(make_atomic_question(9, "I"), tier_config("Medium"), 13)
+        letter = next(e.letter for e in combinatorial.options if e.letter not in combinatorial.answer_set)
+        free = And(Var(Statement.I), Var(Statement.II))  # false in every question's row
+        options = tuple(replace(e, formula=free) if e.letter == letter else e for e in combinatorial.options)
+        violations = verify(replace(combinatorial, options=options))
+        assert [(v.letter, v.rule, v.message) for v in violations] == [
+            (letter, "unknown-shape", f"option {letter} formula AND(VAR(I),VAR(II)) is none of the 21 option shapes")
+        ]
+
+    def test_de_morgan_form_of_a_shape_loads(self, tmp_path):
+        compound = And(Not(Var(Statement.I)), Not(Var(Statement.II)))
+        combinatorial = next(
+            q
+            for q in (assemble(make_atomic_question(9, "III"), tier_config("Expert"), seed) for seed in range(64))
+            if any(e.formula == compound for e in q.options)
+        )
+        de_morgan = Not(Or(Var(Statement.I), Var(Statement.II)))
+        options = tuple(replace(e, formula=de_morgan) if e.formula == compound else e for e in combinatorial.options)
+        path = tmp_path / "comb.json"
+        save_comb_bank(str(path), [replace(combinatorial, options=options)])
+        (loaded,) = load_bank(str(path))
+        assert "NOT(OR(VAR(I),VAR(II)))" in [e.formula.serialized for e in loaded.options]
+        assert verify(loaded) == ()
 
 
 class TestSynthesizeLoop:
@@ -346,7 +408,7 @@ class TestSynthesizeLoop:
             make_atomic_question(10, "I"), tier_config("Expert"), 21
         )
         assert retries == 0
-        assert verify(combinatorial).valid
+        assert not verify(combinatorial)
 
     def test_bank_summary_counts(self):
         questions = [make_atomic_question(i) for i in range(8)]
@@ -374,8 +436,8 @@ def test_property_assembled_questions_always_verify(answer, tier, seed):
     question = make_atomic_question(0, answer)
     cfg = tier_config(tier)
     combinatorial = assemble(question, cfg, seed)
-    report = verify(combinatorial)
-    assert report.valid, report.violations
+    violations = verify(combinatorial)
+    assert not violations, violations
 
 
 @settings(max_examples=60, deadline=None)
@@ -426,7 +488,8 @@ def mutated_questions(draw):
             changes["language"] = draw(st.sampled_from(["en", "zh", "fr", ""]))
         elif mutation == "free-form":
             formula = draw(FORMULAS)
-            options[i] = replace(entry, formula=formula, text=draw(st.sampled_from([render_symbolic(formula), entry.text])))
+            texts = [entry.text] + ([render(formula, language)] if formula.mask in SHAPES else [])
+            options[i] = replace(entry, formula=formula, text=draw(st.sampled_from(texts)))
         else:
             letters = [option.letter for option in options]
             answer_set = set(draw(st.lists(st.sampled_from(letters), max_size=len(letters))))
@@ -447,7 +510,7 @@ def _reference_load(path, record):
     """The question ``load_bank`` should read from a one-record bank, or the error text it should report."""
     try:
         question = reference_comb_from_record(record)
-        violations = reference_verify(question).violations
+        violations = reference_verify(question)
     except (KeyError, TypeError, ValueError) as exc:
         return f"{path}: record 0: " + (f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
     if violations:
