@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from json.encoder import encode_basestring
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
 
 from .irt import ItemParams
 from .scoring import ThinkingTrace
 from .synthesis import AtomicQuestion, CombinatorialQuestion, finite, typed, verify
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 T = TypeVar("T")
 
@@ -23,21 +20,18 @@ class BankFormatError(ValueError):
 
 
 def _records(path: str, key: str) -> list:
-    """The records of a versioned wrapper object or of a bare record array."""
+    """The records of a versioned wrapper object."""
     data = load_json(path)
-    if isinstance(data, list):
-        return data
-    if not (isinstance(data, dict) and key in data):
-        raise BankFormatError(f"{path}: expected a list or an object with {key!r}")
     _check_version(path, data)
-    return parse_at(path, lambda records: typed(key, records, list, "a list"), data[key])
+    return parse_at(path, lambda wrapper: typed(key, wrapper[key], list, "a list"), data)
 
 
 def _check_version(path: str, data: Any) -> None:
-    """Reject a file that is not an object of this ``SCHEMA_VERSION`` (an integer, so ``true`` is not 1)."""
+    """Reject a file that is not an object of a version up to this ``SCHEMA_VERSION``, the integer 1 or 2
+    (so ``true`` is not 1). Version 1 differs only in layout and in keys that no reader reads."""
     version = data.get("schema_version") if isinstance(data, dict) else None
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise BankFormatError(f"{path}: schema_version {version!r} is not {SCHEMA_VERSION}")
+    if type(version) is not int or version not in (1, 2):
+        raise BankFormatError(f"{path}: schema_version {version!r} is not 1 or 2")
 
 
 def parse_at(where: str, from_record: Callable[[Any], T], record: Any) -> T:
@@ -53,7 +47,7 @@ def load_object(path: str, from_dict: Callable[[Any], T], versioned: bool = Fals
     """A file holding one JSON object, read through ``from_dict``.
 
     A ``versioned`` file (corpus stats, a report), written by ``save_json``,
-    must carry this ``SCHEMA_VERSION``; an endpoint config carries none.
+    must carry a version this reader reads; an endpoint config carries none.
     """
     data = load_json(path)
     if versioned:
@@ -62,58 +56,15 @@ def load_object(path: str, from_dict: Callable[[Any], T], versioned: bool = Fals
 
 
 def _save(path: str, key: str, records: Iterable[Any]) -> None:
-    """Write ``{"schema_version": 1, key: [records]}`` with the bytes of ``json.dump(...,
-    ensure_ascii=False, indent=2)`` and a final newline, one record at a time."""
+    """Write ``{"schema_version": 2, key: [records]}``: the wrapper on the first line, then each record on
+    its own line as ``json.dumps(record, ensure_ascii=False)``, encoded and written one at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  {encode_basestring(key)}: [')
-        separator = "\n    "
+        fh.write(f'{{"schema_version": {SCHEMA_VERSION}, {json.dumps(key)}: [')
+        separator = "\n"
         for record in records:
-            fh.write(separator + _json_text(record, "    "))
-            separator = ",\n    "
-        fh.write("]\n}\n" if separator == "\n    " else "\n  ]\n}\n")
-
-
-def _json_text(value: Any, indent: str) -> str:
-    """``value`` as ``json.dump(..., ensure_ascii=False, indent=2)`` writes it ``indent`` deep.
-
-    Python's json runs its C encoder only without ``indent``, so the layout is
-    built here. Strings go through ``encode_basestring``, the C function json
-    uses for them; ints and finite floats take json's spelling. Any other
-    value (booleans, null, NaN and infinities, empty containers, mappings
-    whose keys are not all exactly ``str``) goes through ``json.dumps`` itself,
-    re-indented, so it reads or fails exactly as json would have it.
-    """
-    leaf = _LEAF_TEXT.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = indent + "  "
-    if type(value) is list and value:
-        parts = [encode_basestring(item) if type(item) is str else _json_text(item, inner) for item in value]
-        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
-    if type(value) is dict and value and set(map(type, value)) == {str}:
-        if set(map(type, value.values())) == {str}:
-            return _flat_text(tuple(value.items()), indent)
-        parts = [
-            encode_basestring(key) + ": " + (encode_basestring(item) if type(item) is str else _json_text(item, inner))
-            for key, item in value.items()
-        ]
-        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
-    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n" + indent)
-
-
-@lru_cache(maxsize=1024)
-def _flat_text(items: tuple[tuple[str, str], ...], indent: str) -> str:
-    """A mapping of strings to strings, such as a bank option, laid out once per text."""
-    inner = indent + "  "
-    parts = [encode_basestring(key) + ": " + encode_basestring(item) for key, item in items]
-    return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
-
-
-def _float_text(value: float) -> str:
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
-_LEAF_TEXT: dict[type, Callable[[Any], str]] = {str: encode_basestring, int: int.__repr__, float: _float_text}
+            fh.write(separator + json.dumps(record, ensure_ascii=False))
+            separator = ",\n"
+        fh.write("\n]}\n")
 
 
 def _verified(record: Any) -> CombinatorialQuestion:
@@ -290,7 +241,7 @@ def _json_object(line: bytes) -> dict[str, Any] | None:
     if not text.strip():
         return None
     try:
-        row = json.loads(text)
+        row = json.loads(text, parse_constant=_not_json)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(row, dict):
@@ -313,10 +264,19 @@ def save_json(path: str, payload: Mapping[str, Any]) -> None:
 def load_json(path: str) -> Any:
     with open(path, "rb") as fh:
         text = parse_at(path, _utf8, fh.read())
+    return parse_at(path, _json_document, text)
+
+
+def _json_document(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_not_json)
     except json.JSONDecodeError as exc:
-        raise BankFormatError(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"invalid JSON ({exc})") from None
+
+
+def _not_json(token: str) -> NoReturn:
+    """``parse_constant`` for ``json.loads``, which would read ``NaN``, ``Infinity`` and ``-Infinity``."""
+    raise ValueError(f"invalid JSON ({token} is not a JSON number)")
 
 
 def _utf8(data: bytes) -> str:

@@ -180,7 +180,6 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
                 "z": z,
                 "fallacy": penalty_score,
                 "gold_score": score,
-                "penalty": penalty_score,
                 "tier": stratify(score),
             }
         )
@@ -188,7 +187,6 @@ def cmd_score_traces(args: argparse.Namespace) -> int:
 
     resolved = {
         "command": "score-traces",
-        "locale": "both",  # every trace is scored against both lexicons; the key stays in the hashed config
         "scoring": SCORING_MODEL,
         "frozen_stats": bool(args.stats),
         "traces": os.path.basename(args.traces),

@@ -32,9 +32,7 @@ A formula node carries its mask and prefix text, derived from its children
 when it is built, and option texts come from a per-locale table filled once.
 ``verify`` as it stood before, walking each option's tree and filling its
 template per call, is kept here over a mask derived from the reference
-evaluator. ``combicat.bankio`` lays out a bank file by hand around the C
-string encoder; the ``json.dump(..., indent=2)`` writer it replaced is kept
-here too.
+evaluator.
 
 ``combicat.synthesis.pools`` filters the one table of option shapes,
 ``logic.SHAPE_LIST``, by their truth in the answer's row, and a shape lists
@@ -467,13 +465,6 @@ def reference_verify(question) -> tuple:
         flag("", "answer-count", f"{n_answers} answers outside the {cfg.tier} range {cfg.n_correct_min}-{cfg.n_correct_max}")
 
     return tuple(violations)
-
-
-def reference_save(path: str, key: str, records: list) -> None:
-    """A versioned bank file through ``json.dump(..., ensure_ascii=False, indent=2)``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": 1, key: records}, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
 
 
 def reference_assemble(question, cfg, seed) -> CombinatorialQuestion:

@@ -26,7 +26,7 @@ from combicat.bankio import (
 )
 from combicat.synthesis import assemble, tier_config
 from conftest import make_atomic_bank, make_atomic_question
-from oracle import reference_read_jsonl, reference_save
+from oracle import reference_read_jsonl
 
 
 def test_atomic_bank_round_trip(tmp_path):
@@ -35,14 +35,17 @@ def test_atomic_bank_round_trip(tmp_path):
     save_atomic_bank(str(path), questions)
     assert load_atomic_bank(str(path)) == questions
     data = json.loads(path.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
 
 
-def test_bare_array_accepted(tmp_path):
+def test_bare_array_rejected(tmp_path):
+    """A bank is a versioned wrapper object; no writer gives a bare record array."""
     questions = make_atomic_bank(3, seed=2)
     path = tmp_path / "bare.json"
     path.write_text(json.dumps([q.to_record() for q in questions]))
-    assert load_atomic_bank(str(path)) == questions
+    with pytest.raises(BankFormatError) as exc_info:
+        load_atomic_bank(str(path))
+    assert str(exc_info.value) == f"{path}: schema_version None is not 1 or 2"
 
 
 def test_comb_bank_round_trip(tmp_path):
@@ -64,7 +67,7 @@ def test_load_bank_takes_kind_from_first_record(tmp_path):
     save_comb_bank(str(comb_path), combinatorial)
     assert load_bank(str(comb_path)) == combinatorial
     empty = tmp_path / "e.json"
-    empty.write_text("[]")
+    empty.write_text('{"schema_version": 2, "questions": []}')
     assert load_bank(str(empty)) == []
 
 
@@ -147,18 +150,60 @@ def test_option_field_of_another_type_names_the_record(tmp_path, key, value, mes
 
 def test_other_schema_version_rejected(tmp_path):
     path = tmp_path / "bank.json"
-    path.write_text(json.dumps({"schema_version": 2, "questions": []}))
-    with pytest.raises(BankFormatError, match="schema_version 2 is not 1"):
+    path.write_text(json.dumps({"schema_version": 3, "questions": []}))
+    with pytest.raises(BankFormatError, match="schema_version 3 is not 1 or 2"):
         load_atomic_bank(str(path))
 
 
-@pytest.mark.parametrize("version", [True, 1.0, "1"])
+@pytest.mark.parametrize("version", [True, 1.0, "1", 0, 2.0, False, None])
 def test_schema_version_is_the_integer_one(tmp_path, version):
     path = tmp_path / "bank.json"
     path.write_text(json.dumps({"schema_version": version, "questions": []}))
     with pytest.raises(BankFormatError) as exc_info:
         load_atomic_bank(str(path))
-    assert str(exc_info.value) == f"{path}: schema_version {version!r} is not 1"
+    assert str(exc_info.value) == f"{path}: schema_version {version!r} is not 1 or 2"
+
+
+@pytest.mark.parametrize("kind", ["atomic", "comb", "items"])
+def test_version_1_file_loads_equal_to_its_version_2_twin(tmp_path, kind):
+    """A version 1 bank, laid out by ``json.dump(..., indent=2)``, reads as the same records."""
+    save, load, key, rows = {
+        "atomic": (save_atomic_bank, load_atomic_bank, "questions", make_atomic_bank(3, seed=4)),
+        "comb": (save_comb_bank, load_comb_bank, "questions", COMB_BASES),
+        "items": (save_item_bank, load_item_bank, "items",
+                  [CalibratedItem("Base:q1", "q1", "Base", "Hard", 1.6, -0.5, 0.25, 4),
+                   CalibratedItem("Combinatorial:陈", "陈", "Combinatorial", "Expert", 2.0, 0.3, 1 / 6, 6)]),
+    }[kind]
+    v2, v1 = tmp_path / "v2.json", tmp_path / "v1.json"
+    save(str(v2), rows)
+    records = json.loads(v2.read_text(encoding="utf-8"))[key]
+    v1.write_text(json.dumps({"schema_version": 1, key: records}, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    assert load(str(v1)) == load(str(v2)) == rows
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_constants_json_does_not_allow_rejected(tmp_path, token):
+    """``json.loads`` would read these as floats; no file holds them."""
+    bank = tmp_path / "items.json"
+    bank.write_text('{"schema_version": 2, "items": [{"a": %s}]}' % token)
+    with pytest.raises(BankFormatError) as exc_info:
+        load_item_bank(str(bank))
+    assert str(exc_info.value) == f"{bank}: invalid JSON ({token} is not a JSON number)"
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('{"a": 1}\n{"b": [1, %s]}\n' % token)
+    with pytest.raises(BankFormatError) as exc_info:
+        read_jsonl(str(rows))
+    assert str(exc_info.value) == f"{rows}:2: invalid JSON ({token} is not a JSON number)"
+
+
+def test_number_too_large_for_a_float_rejected_as_not_finite(tmp_path):
+    """JSON allows ``-1e400``, which ``json.loads`` reads as ``-inf``; the field's own check refuses it."""
+    path = tmp_path / "items.json"
+    save_item_bank(str(path), [CalibratedItem("Base:q1", "q1", "Base", "Hard", 1.6, -0.5, 0.25, 4)])
+    path.write_text(path.read_text().replace('"b": -0.5', '"b": -1e400'))
+    with pytest.raises(BankFormatError) as exc_info:
+        load_item_bank(str(path))
+    assert str(exc_info.value) == f"{path}: record 0: b must be a finite number, not -inf"
 
 
 @pytest.mark.parametrize("records", [None, {}, "q1", 3], ids=["null", "object", "string", "number"])
@@ -327,28 +372,36 @@ COMB_BASES = [assemble(make_atomic_question(i, answer), tier_config(tier), i) fo
               enumerate([("I", "Easy"), ("II", "Medium"), ("III", "Hard"), ("IV", "Expert")])]
 
 
-def _same_bytes(save, key, rows, records):
+def _one_record_per_line(save, key, rows, records):
+    """Line 1 of the file is the wrapper, line i + 2 is ``json.dumps(record_i, ensure_ascii=False)``
+    with a comma on every record line but the last, and ``]}`` ends the file; lines end at ``\\n`` only,
+    since a string may hold U+2028 raw. ``json.loads`` of the whole reads what json makes of the wrapper."""
     with tempfile.TemporaryDirectory() as tmp:
-        ours, theirs = os.path.join(tmp, "ours.json"), os.path.join(tmp, "theirs.json")
-        save(ours, rows)
-        reference_save(theirs, key, records)
-        with open(ours, "rb") as a, open(theirs, "rb") as b:
-            assert a.read() == b.read()
+        path = os.path.join(tmp, "bank.json")
+        save(path, rows)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    lines = [json.dumps(record, ensure_ascii=False) for record in records]
+    assert text.split("\n") == [
+        f'{{"schema_version": 2, "{key}": [', *(line + "," for line in lines[:-1]), *lines[-1:], "]}", ""
+    ]
+    wrapper = json.dumps({"schema_version": 2, key: records}, ensure_ascii=False)
+    assert repr(json.loads(text)) == repr(json.loads(wrapper))  # repr, so that NaN matches NaN
 
 
 @given(st.lists(st.tuples(st.sampled_from(COMB_BASES), EXTRAS), max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_comb_bank_bytes_match_json_dump(drawn):
-    """The hand-laid writer against ``json.dump(..., indent=2)``, the empty bank included."""
+def test_comb_bank_is_one_record_per_line(drawn):
+    """The empty bank included."""
     questions = [replace(question, extras=extras) for question, extras in drawn]
-    _same_bytes(save_comb_bank, "questions", questions, [q.to_record() for q in questions])
+    _one_record_per_line(save_comb_bank, "questions", questions, [q.to_record() for q in questions])
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), EXTRAS), max_size=3))
 @settings(max_examples=100, deadline=None)
-def test_atomic_bank_bytes_match_json_dump(drawn):
+def test_atomic_bank_is_one_record_per_line(drawn):
     questions = [replace(make_atomic_question(i), extras=extras) for i, extras in drawn]
-    _same_bytes(save_atomic_bank, "questions", questions, [q.to_record() for q in questions])
+    _one_record_per_line(save_atomic_bank, "questions", questions, [q.to_record() for q in questions])
 
 
 ITEMS = st.builds(
@@ -360,5 +413,5 @@ ITEMS = st.builds(
 
 @given(st.lists(ITEMS, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_item_bank_bytes_match_json_dump(items):
-    _same_bytes(save_item_bank, "items", items, [item.to_record() for item in items])
+def test_item_bank_is_one_record_per_line(items):
+    _one_record_per_line(save_item_bank, "items", items, [item.to_record() for item in items])

@@ -16,6 +16,7 @@ import pytest
 
 import combicat
 from combicat.bankio import (
+    SCHEMA_VERSION,
     CalibratedItem,
     load_comb_bank,
     load_item_bank,
@@ -130,6 +131,18 @@ class TestSynthesize:
         assert capsys.readouterr().err == f"error: --m must be from 5 to 8, not {count}\n"
         assert not out.exists()
 
+    def test_non_json_constant_in_the_bank_fails_before_any_output(self, tmp_path, capsys):
+        """``json.loads`` would read ``NaN`` and ``Infinity``; copied into the hardened bank, they failed only
+        at ``calibrate``."""
+        source = make_atomic_bank(2, seed=9)
+        source[1] = replace(source[1], extras={"gold_score": float("nan"), "logic_density": float("inf")})
+        bank_path = tmp_path / "atomic.json"
+        save_atomic_bank(str(bank_path), source)
+        out = tmp_path / "comb.json"
+        assert main(["synthesize", "--bank", str(bank_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bank_path}: invalid JSON (NaN is not a JSON number)\n"
+        assert not out.exists()
+
     def test_inline_source_tier_does_not_overwrite_synthesized_tier(self, tmp_path):
         source = make_atomic_bank(4, seed=9)
         source[0] = replace(source[0], extras={"tier": "Easy", "note": "kept"})
@@ -200,6 +213,18 @@ class TestScoreTraces:
         ) == 0
         assert first.read_text() == second.read_text()
 
+    def test_version_1_stats_file_scores_the_same(self, tmp_path):
+        traces = tmp_path / "traces.jsonl"
+        write_jsonl(traces, make_trace_corpus(make_atomic_bank(4, seed=2), seed=4))
+        stats = tmp_path / "stats.json"
+        assert main(["score-traces", "--traces", str(traces), "--out", str(tmp_path / "a.jsonl"),
+                     "--stats-out", str(stats)]) == 0
+        v1 = tmp_path / "stats-v1.json"
+        v1.write_text(json.dumps({**load_json(str(stats)), "schema_version": 1}, indent=2, sort_keys=True) + "\n")
+        for name, path in (("b.jsonl", stats), ("c.jsonl", v1)):
+            assert main(["score-traces", "--traces", str(traces), "--out", str(tmp_path / name), "--stats", str(path)]) == 0
+        assert (tmp_path / "b.jsonl").read_text() == (tmp_path / "c.jsonl").read_text()
+
 
     def test_stats_file_without_stats_key_rejected(self, tmp_path, capsys):
         traces = tmp_path / "traces.jsonl"
@@ -228,8 +253,8 @@ class TestScoreTraces:
             (lambda data: data["stats"].update(corpus_size=7.9), "corpus_size must be an integer, not 7.9"),
             (lambda data: data["stats"].update(stds=[1.0]), "stds must be an object, not [1.0]"),
             (lambda data: data.update(stats=None), "stats must be an object, not None"),
-            (lambda data: data.update(schema_version=99), "schema_version 99 is not 1"),
-            (lambda data: data.pop("schema_version"), "schema_version None is not 1"),
+            (lambda data: data.update(schema_version=99), "schema_version 99 is not 1 or 2"),
+            (lambda data: data.pop("schema_version"), "schema_version None is not 1 or 2"),
             (lambda data: data.update(scoring={"model": "other"}), "scoring is not the scoring model of this version"),
             (lambda data: data["scoring"].update(offset=20.0), "scoring is not the scoring model of this version"),
         ],
@@ -415,7 +440,8 @@ class TestCalibrate:
         [
             ("scores", "gold_score", True, "gold_score must be a finite number, not True"),
             ("scores", "gold_score", "31.5", "gold_score must be a finite number, not '31.5'"),
-            ("scores", "token_count", float("nan"), "token_count must be a finite number, not nan"),
+            # json.dumps spells NaN as NaN, which the reader refuses before any field is read
+            ("scores", "token_count", float("nan"), "invalid JSON (NaN is not a JSON number)"),
             ("scores", "metrics", [2.0], "metrics must be an object, not [2.0]"),
             ("scores", "tier", 3, "tier must be a string, not 3"),
             ("bank", "gold_score", "31.5", "gold_score must be a finite number, not '31.5'"),
@@ -876,8 +902,8 @@ class TestEvaluate:
             ("tier", 3, "tier must be a string, not 3"),
             ("a", "1.6", "a must be a finite number, not '1.6'"),
             ("a", True, "a must be a finite number, not True"),
-            ("b", float("nan"), "b must be a finite number, not nan"),
-            ("b", float("-inf"), "b must be a finite number, not -inf"),
+            ("b", float("nan"), "invalid JSON (NaN is not a JSON number)"),
+            ("b", float("-inf"), "invalid JSON (-Infinity is not a JSON number)"),
             ("c", 10**400, f"c must be a finite number, not {10**400!r}"),
             ("n_options", 6.9, "n_options must be an integer, not 6.9"),
             ("n_options", "4", "n_options must be an integer, not '4'"),
@@ -903,13 +929,14 @@ class TestEvaluate:
         save_item_bank(str(path), items)
         data = load_json(str(path))
         data["items"][1][key] = value
-        # json.dumps spells NaN and -inf as NaN and -Infinity, which json.load reads back
+        # json.dumps spells NaN and -inf as NaN and -Infinity, which the reader refuses before any record is read
         path.write_text(json.dumps(data))
         out_dir = tmp_path / "run"
         code = main(["evaluate", "--base-bank", str(bank_path), "--base-items", str(path), "--simulator", "3pl:0.5",
                      "--out", str(out_dir)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {path}: record 1: {message.format(item=repr(items[1].item_id))}\n"
+        where = f"{path}:" if message.startswith("invalid JSON") else f"{path}: record 1:"
+        assert capsys.readouterr().err == f"error: {where} {message.format(item=repr(items[1].item_id))}\n"
         assert not out_dir.exists()
 
     def test_item_row_with_int_parameters_loads_as_floats(self, tmp_path):
@@ -924,8 +951,8 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("temperature", float("nan"), "temperature must be finite and at least 0, not nan"),
-            ("temperature", float("inf"), "temperature must be finite and at least 0, not inf"),
+            ("temperature", float("nan"), "invalid JSON (NaN is not a JSON number)"),
+            ("temperature", float("inf"), "invalid JSON (Infinity is not a JSON number)"),
             ("temperature", "0.5", "temperature must be a number, not '0.5'"),
             ("base_url", "localhost:9/v1", "base_url must be an http(s) URL with a host, not 'localhost:9/v1'"),
             ("base_url", "http:///v1", "base_url must be an http(s) URL with a host, not 'http:///v1'"),
@@ -959,7 +986,7 @@ class TestEvaluate:
         bank_path, _ = bank_file
         monkeypatch.delenv("COMBICAT_NO_SUCH_KEY", raising=False)
         path = tmp_path / "endpoint.json"
-        # json.dumps spells NaN and inf as NaN and Infinity, which json.load reads back
+        # json.dumps spells NaN and inf as NaN and Infinity, which the reader refuses
         path.write_text(json.dumps({"base_url": "http://127.0.0.1:9/x", "model_name": "m", key: value}))
         out_dir = tmp_path / "run"
         code = main(
@@ -1166,7 +1193,7 @@ RESPONSE_ROW = {
     "latency_ms": 0, "transport_status": "ok",
 }
 # The version every report and stats file carries.
-V1 = {"schema_version": 1}
+VERSION = {"schema_version": SCHEMA_VERSION}
 # The subset record a log of RESPONSE_ROW alone gives, and the dual block of a log with no cat_step row.
 COMB_RECORD = {"n": 1, "accuracy": 1.0, "mean_f1": 1.0, "overlap_rate": 1.0, "parse_failures": 0,
                "transport_failures": 0}
@@ -1175,7 +1202,7 @@ PRIOR_DUAL = log_dual([]).to_record()
 
 def _stored(**changes):
     """The report of a log of RESPONSE_ROW alone, with ``changes`` to its one subset."""
-    return {**V1, "subsets": {"comb": {**COMB_RECORD, **changes}}}
+    return {**VERSION, "subsets": {"comb": {**COMB_RECORD, **changes}}}
 
 
 class TestReport:
@@ -1203,6 +1230,15 @@ class TestReport:
         output = capsys.readouterr().out
         assert "replay check: ok" in output
         assert "delta_theta" in output
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_report_of_either_version_passes_the_replay_check(self, tmp_path, capsys, version):
+        log = tmp_path / "log.jsonl"
+        log.write_text(json.dumps(RESPONSE_ROW) + "\n")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({**_stored(), "schema_version": version}, indent=2, sort_keys=True) + "\n")
+        assert main(["report", "--log", str(log), "--report", str(report)]) == 0
+        assert "replay check: ok" in capsys.readouterr().out
 
     def test_cat_run_that_administers_nothing_replays(self, tmp_path, capsys):
         """A standard error target the prior already meets stops both sessions before any item. ``evaluate``
@@ -1388,7 +1424,7 @@ class TestReport:
         log = tmp_path / "empty.jsonl"
         log.write_text("")
         report = tmp_path / "report.json"
-        report.write_text(json.dumps({**V1, "subsets": {"base": {"n": 30}, "comb": {"n": 30}}}))
+        report.write_text(json.dumps({**VERSION, "subsets": {"base": {"n": 30}, "comb": {"n": 30}}}))
         assert main(["report", "--log", str(log), "--report", str(report)]) == 1
         captured = capsys.readouterr()
         assert "no records" in captured.out
@@ -1460,7 +1496,7 @@ class TestReport:
         [
             ("theta_hat", True, "theta_hat must be a finite number, not True"),
             ("se", "0.5", "se must be a finite number, not '0.5'"),
-            ("theta_hat", float("inf"), "theta_hat must be a finite number, not inf"),
+            ("theta_hat", float("inf"), "invalid JSON (Infinity is not a JSON number)"),
             ("response", 1, "response must be a boolean, not 1"),
             ("skipped", 1, "skipped must be a boolean, not 1"),
             # The fields have their types but contradict each other.
@@ -1488,7 +1524,7 @@ class TestReport:
             ("f1", "1.0", "f1 must be a finite number, not '1.0'"),
             ("f1", True, "f1 must be a finite number, not True"),
             ("latency_ms", 2.5, "latency_ms must be an integer, not 2.5"),
-            ("f1", float("nan"), "f1 must be a finite number, not nan"),
+            ("f1", float("nan"), "invalid JSON (NaN is not a JSON number)"),
             ("kind", 7, "kind must be 'response' or 'cat_step', not 7"),
             ("kind", "reply", "kind must be 'response' or 'cat_step', not 'reply'"),
             # The fields have their types but contradict each other.
@@ -1532,22 +1568,22 @@ class TestReport:
     @pytest.mark.parametrize(
         "stored, message",
         [
-            ([1], "schema_version None is not 1"),
-            ({"schema_version": 99, "subsets": {}}, "schema_version 99 is not 1"),
-            ({"schema_version": True, "subsets": {}}, "schema_version True is not 1"),
-            ({**V1, "subsets": []}, f"replay mismatch: subsets: report [] vs log {{'comb': {COMB_RECORD!r}}}"),
-            (V1, "replay mismatch: subsets missing from report"),
-            ({**V1, "subsets": {"comb": 5}}, f"replay mismatch: comb: report 5 vs log {COMB_RECORD!r}"),
+            ([1], "schema_version None is not 1 or 2"),
+            ({"schema_version": 99, "subsets": {}}, "schema_version 99 is not 1 or 2"),
+            ({"schema_version": True, "subsets": {}}, "schema_version True is not 1 or 2"),
+            ({**VERSION, "subsets": []}, f"replay mismatch: subsets: report [] vs log {{'comb': {COMB_RECORD!r}}}"),
+            (VERSION, "replay mismatch: subsets missing from report"),
+            ({**VERSION, "subsets": {"comb": 5}}, f"replay mismatch: comb: report 5 vs log {COMB_RECORD!r}"),
             (_stored(n=[1]), "replay mismatch: comb.n: report [1] vs log 1"),
-            (_stored(accuracy=float("nan")), "replay mismatch: comb.accuracy: report nan vs log 1.0"),
-            (_stored(mean_f1=float("inf")), "replay mismatch: comb.mean_f1: report inf vs log 1.0"),
+            # json.dumps spells NaN and inf as NaN and Infinity, which the reader refuses
+            (_stored(accuracy=float("nan")), "invalid JSON (NaN is not a JSON number)"),
+            (_stored(mean_f1=float("inf")), "invalid JSON (Infinity is not a JSON number)"),
             # A boolean is not a number, though True == 1 in Python.
             (_stored(n=True), "replay mismatch: comb.n: report True vs log 1"),
             ({**_stored(), "dual": []}, f"replay mismatch: dual: report [] vs log {PRIOR_DUAL!r}"),
             ({**_stored(), "dual": {**PRIOR_DUAL, "base": {**PRIOR_DUAL["base"], "se": "0.3"}}},
              f"replay mismatch: dual.base.se: report '0.3' vs log {PRIOR_DUAL['base']['se']!r}"),
-            ({**_stored(), "dual": {**PRIOR_DUAL, "delta_theta": float("nan")}},
-             "replay mismatch: dual.delta_theta: report nan vs log 0.0"),
+            ({**_stored(), "dual": {**PRIOR_DUAL, "delta_theta": float("nan")}}, "invalid JSON (NaN is not a JSON number)"),
             # Each of these passed a check with a tolerance of 1e-12 that ignored keys the log does not give.
             (_stored(accuracy=math.nextafter(1.0, 0.0)),
              f"replay mismatch: comb.accuracy: report {math.nextafter(1.0, 0.0)!r} vs log 1.0"),
@@ -1556,7 +1592,7 @@ class TestReport:
             ({**_stored(), "dual": {**PRIOR_DUAL, "forged": 1}}, "replay mismatch: dual.forged missing from log"),
             ({**_stored(), "dual": {**PRIOR_DUAL, "base": {**PRIOR_DUAL["base"], "forged": 1}}},
              "replay mismatch: dual.base.forged missing from log"),
-            ({**V1, "subsets": {"comb": {k: v for k, v in COMB_RECORD.items() if k != "n"}}},
+            ({**VERSION, "subsets": {"comb": {k: v for k, v in COMB_RECORD.items() if k != "n"}}},
              "replay mismatch: comb.n missing from report"),
         ],
         ids=["list", "other-version", "true-version", "subsets-list", "no-subsets", "subset-int", "value-list", "nan-value",

@@ -21,10 +21,10 @@ from combicat.synthesis import AtomicQuestion, synthesize_bank
 from conftest import make_atomic_bank, make_trace_corpus, write_jsonl
 
 GOLDEN_SHA256 = {
-    "Easy": "8043310c07c71d8c99f5fdf9b773b2eb6c75b0e16bfe6f743c0025216f76f061",
-    "Medium": "ffc437f9dd801a1e388ce06116a5916c0db5bafec8f086b1bee074f97b6d96a6",
-    "Hard": "205d275ec5411d4d6c6508b95f722ed45574548063abac8fc61c8fbc1226a9ab",
-    "Expert": "36cd9da03939744f57761879be9a1e0c8eccf50f4aaef624e18b49f614542f1a",
+    "Easy": "2e90945f49cd16fdac1e0035eee0e3b6a024932c3c6ef4190a1cb41989e9489f",
+    "Medium": "c7262ef45a9f8ba02e306a9c6292b02322d3a3b694afa4dc3970fe99f3811680",
+    "Hard": "9e51ae80cd972934abccc97b95fd0b0c23abcb3fe88613723097d5a167d91f64",
+    "Expert": "7e7a066f4b8499f91122e8fdc4b84ce06cc4d944ce38277718a0328aea831ac1",
 }
 
 ZH_QUESTION = AtomicQuestion(
@@ -46,15 +46,15 @@ def test_synthesized_bank_bytes_are_pinned(tier, tmp_path):
 
 
 CHAIN_SHA256 = {
-    "comb.json": "dd57fdf004e1c5e04b709859cb29cc14c49f93d5c475cdc8851dbf1bbdc3e3b1",
-    "scores.jsonl": "601de4384f6f7fe2e088a3b148a3083ebdc5a60e5b6c70f5449951f0822de98a",
-    "stats.json": "2956702c74cd4d129d126a46868ac49c08e4b0ae8ed9f910829fd541b55d00c2",
-    "base_items.json": "9bc543e88fc5ac97e700cb6bc0e495bd6b8ca7a9b42b2c3ca648b313250f5a70",
-    "comb_items.json": "10de76836496e69696960a923111388a2b1c2b34e62d4124e838424786fd5763",
+    "comb.json": "5e3a399d77b5878c10c147c6f52c3ccf277be2ed0f0579373567d8620ab0589d",
+    "scores.jsonl": "d7b099fc404a14e6a932fadae19c363cb5aea93ce4b05117c4e796213bd32358",
+    "stats.json": "3510568a5824c1cd5b3a3946a3b854b0b965f18a1706f65862d9371a068e9894",
+    "base_items.json": "e68bfee38f5e602662bc7dd84c7f2864203ed36152ee32bf9a36852f079008c9",
+    "comb_items.json": "2960ef7091923cf5e2408fedaa41ab3c716e00e670312f3cb5ca4792dfd4f53e",
     "cat/run.jsonl": "8ef3c819a4f423d3ab017ab16135d17a42f334e886f827fdba2d89a4365f2683",
-    "cat/report.json": "25dc405ad0e0988c41ff7612e276c5ca2f7b88e5a4ec95fee8e1d615b50415f9",
+    "cat/report.json": "853342d0c7e64fb0140987d970b92cd1a994e78d48f61e0f6fd24e529dd1753b",
     "static/run.jsonl": "ada04a2774cc94741001b6d59c69d29f9a8ada099850645a459954126b033df1",
-    "static/report.json": "d65487d62e33cb9df0b53d41ca3b91c8888e3fefeb974bc3c367a2fcce39d41f",
+    "static/report.json": "ef9a32b58596a5ffac5b3511cccaacd85dbbeeae0c0c3c61341866a91f443bd6",
 }
 
 
