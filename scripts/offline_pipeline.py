@@ -10,11 +10,10 @@ adaptive mode, and replays the report from the log. Everything lands under
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from combicat.bankio import load_json, save_atomic_bank
+from combicat.bankio import load_json, save_atomic_bank, write_jsonl
 from combicat.cli import main as combicat_main
 from combicat.rng import PortableRng
 from combicat.synthesis import AtomicQuestion
@@ -77,11 +76,11 @@ def run(args: argparse.Namespace) -> int:
     save_atomic_bank(atomic, questions)
 
     rng = PortableRng(args.seed + 1)
-    with open(traces, "w", encoding="utf-8") as fh:
-        for i, question in enumerate(questions):
-            letter = "ABCD"[ANSWERS.index(question.answer)]
-            row = {"question_id": question.id, "text": demo_trace(i, len(questions), letter, rng)}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    rows = []
+    for i, question in enumerate(questions):
+        letter = "ABCD"[ANSWERS.index(question.answer)]
+        rows.append({"question_id": question.id, "text": demo_trace(i, len(questions), letter, rng)})
+    write_jsonl(traces, rows)
 
     steps = [
         ["synthesize", "--bank", atomic, "--out", comb,

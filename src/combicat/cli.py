@@ -30,15 +30,13 @@ from .harness import (
     MissingApiKeyError,
     PromptTask,
     Responder,
-    ResponseRecord,
-    RunSettings,
     SimulatedRespondent,
     SubsetResult,
-    aggregate_log_records,
     build_task,
     log_dual,
-    log_entry,
+    read_run,
     run_benchmark,
+    run_record,
 )
 from .irt import (
     BASE_SUBSET,
@@ -238,8 +236,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         inline = f"{args.bank}: record {i}", question.extras
         where, row = next((scores[key] for key in keys if key in scores), inline)
         # An atomic question takes the row's tier, or failing that its bank record's, read where it is written.
-        tier_at, tier_row = (where, row) if "tier" in row else inline
-        tier = question.tier if combinatorial else bankio.parse_at(tier_at, _tier_of, tier_row)
+        tier_at, tier_record = (where, row) if "tier" in row else inline
+        tier = question.tier if combinatorial else bankio.parse_at(tier_at, _tier_of, tier_record)
         item = bankio.parse_at(where, functools.partial(_calibrated_item, question, subset, tier), row)
         if item is None:
             log.warning("question %s: missing calibration features, skipped", question.id)
@@ -321,10 +319,19 @@ def _parse_baseline(text: str) -> list[str]:
 
 
 def _join_params(
-    questions: Sequence[Any], item_bank: list[CalibratedItem] | None
+    questions: Sequence[Any], items_path: str | None, item_bank: list[CalibratedItem] | None
 ) -> list[PromptTask]:
-    by_question = {item.question_id: item.item_params() for item in item_bank or []}
-    return [build_task(q, by_question.get(q.id)) for q in questions]
+    """Each question's task, with the parameters of its item in ``item_bank``, which must have been calibrated
+    for the question's option count."""
+    by_question = {item.question_id: item for item in item_bank or []}
+    tasks = []
+    for question in questions:
+        item = by_question.get(question.id)
+        if item is not None and item.n_options != len(question.options):
+            raise ValueError(f"{items_path}: question {question.id!r} has {len(question.options)} options, "
+                             f"but its item was calibrated for {item.n_options}")
+        tasks.append(build_task(question, item.item_params() if item else None))
+    return tasks
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -352,15 +359,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     comb_items = bankio.load_item_bank(args.comb_items) if args.comb_items else None
 
     banks = EvalBanks(
-        base=_join_params(base_questions, base_items),
-        comb=_join_params(comb_questions, comb_items),
+        base=_join_params(base_questions, args.base_items, base_items),
+        comb=_join_params(comb_questions, args.comb_items, comb_items),
     )
     for name in baselines:
         if name == "nota":
             variants = [apply_nota(q) for q in base_questions]
         else:
             variants = [shuffle_options(q, derive_seed(args.seed, q.id, "shuffle")) for q in base_questions]
-        banks.baselines[name] = _join_params(variants, base_items)
+        banks.baselines[name] = _join_params(variants, args.base_items, base_items)
 
     responder: Responder
     if args.simulator is not None:
@@ -385,22 +392,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "base_bank": os.path.basename(args.base_bank or ""),
         "comb_bank": os.path.basename(args.comb_bank or ""),
     }
-    settings = RunSettings(
-        seed=args.seed,
-        max_items=args.max_items,
-        se_target=args.se_target,
-        config_hash=_config_hash(resolved),
-    )
+    config_hash = _config_hash(resolved)
 
     log_path = os.path.join(args.out, "run.jsonl")
     report_path = os.path.join(args.out, "report.json")
     try:
-        report = run_benchmark(responder, banks, log_path, mode=args.mode, settings=settings)
+        run_benchmark(responder, banks, log_path, args.mode, args.max_items, args.se_target)
     except MissingApiKeyError as exc:
         raise MissingApiKeyError(f"{args.endpoint}: {exc}") from None
-    bankio.save_json(report_path, report.to_record())
-    print(f"mode {report.mode}  seed {report.seed}  config {report.config_hash}")
-    _print_run(report.subsets, report.dual)
+    _, subsets, dual = read_run(log_path)
+    bankio.save_json(report_path, {"mode": args.mode, "seed": args.seed, "config_hash": config_hash,
+                                   **run_record(subsets, dual)})
+    print(f"mode {args.mode}  seed {args.seed}  config {config_hash}")
+    _print_run(subsets, dual)
     print(f"log: {log_path}")
     print(f"report: {report_path}")
     return 0
@@ -426,12 +430,9 @@ def _print_run(subsets: Mapping[str, SubsetResult], dual: DualReport | None) -> 
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    entries = [bankio.parse_at(f"{args.log}:{line}", log_entry, row) for line, row in bankio.read_jsonl(args.log)]
-    if not entries:
+    responses, subsets, dual = read_run(args.log)
+    if not responses and dual is None:
         print("no records")
-    responses = [entry for entry in entries if isinstance(entry, ResponseRecord)]
-    steps = [entry for entry in entries if isinstance(entry, tuple)]
-    aggregates, dual = aggregate_log_records(responses), log_dual(steps)
     if responses and len(responses) <= 32:
         print("per-item results:")
         for record in responses:
@@ -439,15 +440,15 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"  {record.question_id:<40} subset={record.subset:<8} "
                 f"exact={str(record.exact):<5} f1={record.f1:.3f}"
             )
-    cat = len(responses) < len(entries)  # a cat_step row, scored or skipped
-    _print_run(aggregates, dual if cat else None)
+    _print_run(subsets, dual)
 
     if args.report:
-        # The report holds exactly what its log gives; mode, seed and config_hash are not in the log.
+        # The report holds exactly what its log gives; mode, seed and config_hash are not in the log. A
+        # report's dual block over a log with no cat_step row is compared with the priors.
         stored = bankio.load_object(args.report, dict, versioned=True)
-        logged = {"subsets": {label: result.to_record() for label, result in aggregates.items()}}
-        if cat or "dual" in stored:
-            logged["dual"] = dual.to_record()
+        if dual is None and "dual" in stored:
+            dual = log_dual([])
+        logged = run_record(subsets, dual)
         mismatches = _mismatches("", {key: stored[key] for key in logged if key in stored}, logged)
         if mismatches:
             raise ValueError(f"{args.report}: replay mismatch: {'; '.join(mismatches)}")

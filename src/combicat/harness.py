@@ -7,11 +7,12 @@ the endpoint, one for a simulator, whose random stream fixes the order it
 answers in. Static runs administer a whole bank in order.
 Adaptive runs step one CAT session per subset: ``run_benchmark`` asks
 ``irt.select_next`` for each item, administers it and folds the response in
-with ``irt.eap_update``, or skips it on a transport failure. It appends every
-administration and every CAT step to a JSONL log. A report's per-subset
-aggregates and ``dual`` block are ``aggregate_log_records`` and ``log_dual``
-of the rows it logged, so ``combicat report`` gets the same numbers back from
-the log alone. On any number of lanes, the log holds a one-lane run's rows.
+with ``irt.eap_update``, or skips it on a transport failure. It only writes:
+every administration and every CAT step goes to a JSONL log, and on any
+number of lanes the log holds a one-lane run's rows. A run's numbers are its
+log read back: ``read_run`` gives its per-subset ``aggregate_log_records`` and
+``dual`` block (``log_dual``), and ``run_record`` the part of a report they
+make, for ``evaluate`` and ``combicat report`` alike.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from . import __version__
-from .bankio import question_id_of
+from .bankio import parse_at, question_id_of, read_jsonl
 from .irt import (
     BASE_SUBSET,
     COMBINATORIAL_SUBSET,
@@ -625,11 +626,7 @@ def _summarize(records: Sequence[ResponseRecord]) -> SubsetResult:
 
 
 def aggregate_log_records(records: Iterable[ResponseRecord]) -> dict[str, SubsetResult]:
-    """Per-subset aggregates of logged responses, in order of first appearance.
-
-    This is the only aggregation: ``run_benchmark`` builds its report with it
-    from the records it logs, and ``combicat report`` from the log it reads.
-    """
+    """Per-subset aggregates of logged responses, in order of first appearance; the only aggregation."""
     grouped: dict[str, list[ResponseRecord]] = {}
     for record in records:
         grouped.setdefault(record.subset, []).append(record)
@@ -656,9 +653,9 @@ def log_entry(row: Mapping[str, Any]) -> ResponseRecord | tuple[str, float, floa
 
 
 def log_dual(steps: Sequence[tuple[str, float, float, bool]]) -> DualReport:
-    """The ``dual`` record of a CAT log's scored steps as ``log_entry`` reads them, for both
-    ``run_benchmark`` and ``combicat report``: per subset, the last step's estimate, the number of
-    steps and the share answered correctly; a subset with none has the prior and 0."""
+    """The ``dual`` record of a CAT log's scored steps as ``log_entry`` reads them: per subset, the last
+    step's estimate, the number of steps and the share answered correctly; a subset with none has the
+    prior and 0."""
     estimates, accuracies = [], []
     for subset, label in _SUBSET_LABELS.items():
         scored = [step for step in steps if step[0] == label]
@@ -670,6 +667,24 @@ def log_dual(steps: Sequence[tuple[str, float, float, bool]]) -> DualReport:
             estimates.append(CatSession.start(subset).estimate)
             accuracies.append(0.0)
     return DualReport(*estimates, *accuracies)
+
+
+def read_run(log_path: str) -> tuple[list[ResponseRecord], dict[str, SubsetResult], DualReport | None]:
+    """A run's log read back: its response records, ``aggregate_log_records`` of them, and ``log_dual`` of
+    its scored steps, or ``None`` if it holds no ``cat_step`` row, scored or skipped. A bad row fails as
+    ``<log_path>:<line>: ...``."""
+    entries = [parse_at(f"{log_path}:{line}", log_entry, row) for line, row in read_jsonl(log_path)]
+    responses = [entry for entry in entries if isinstance(entry, ResponseRecord)]
+    steps = [entry for entry in entries if isinstance(entry, tuple)]
+    return responses, aggregate_log_records(responses), log_dual(steps) if len(responses) < len(entries) else None
+
+
+def run_record(subsets: Mapping[str, SubsetResult], dual: DualReport | None) -> dict[str, Any]:
+    """The part of a report that its log gives: each subset's aggregates by label, and ``dual`` unless ``None``."""
+    record: dict[str, Any] = {"subsets": {label: result.to_record() for label, result in subsets.items()}}
+    if dual is not None:
+        record["dual"] = dual.to_record()
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -684,36 +699,6 @@ class EvalBanks:
     base: list[PromptTask] = field(default_factory=list)
     comb: list[PromptTask] = field(default_factory=list)
     baselines: dict[str, list[PromptTask]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    seed: int = 0
-    max_items: int = DEFAULT_MAX_ITEMS
-    se_target: float = DEFAULT_SE_TARGET
-    config_hash: str = ""
-
-
-@dataclass
-class ScoreReport:
-    """Aggregates for one run: its subsets and ``dual`` are derived from the run's log."""
-
-    mode: str
-    seed: int
-    config_hash: str
-    subsets: dict[str, SubsetResult]
-    dual: DualReport | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        record: dict[str, Any] = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "subsets": {label: result.to_record() for label, result in self.subsets.items()},
-        }
-        if self.dual is not None:
-            record["dual"] = self.dual.to_record()
-        return record
 
 
 def check_run(responder: Responder, banks: EvalBanks, mode: str) -> None:
@@ -811,8 +796,9 @@ def run_benchmark(
     banks: EvalBanks,
     log_path: str,
     mode: str = "static",
-    settings: RunSettings | None = None,
-) -> ScoreReport:
+    max_items: int = DEFAULT_MAX_ITEMS,
+    se_target: float = DEFAULT_SE_TARGET,
+) -> None:
     """Run a full evaluation in static or adaptive mode, logging it to ``log_path``.
 
     Static mode administers every supplied bank (base, the baseline variants
@@ -821,8 +807,8 @@ def run_benchmark(
     every question. Each step logs a ``cat_step`` row after its response row;
     a transport failure skips the item rather than scoring it. Inputs pass
     ``check_run`` before the log's directory is made and the log is opened,
-    so a rejected run leaves an earlier run's files intact. The report's
-    subsets and ``dual`` are ``aggregate_log_records`` and ``log_dual`` of its rows.
+    so a rejected run leaves an earlier run's files intact. The run's numbers
+    are ``read_run`` of its log.
 
     The run uses the responder's ``lanes``: static questions go to them in
     order, and the two CAT sessions run on their own lanes. Rows are logged
@@ -830,33 +816,22 @@ def run_benchmark(
     combinatorial ones.
     """
     check_run(responder, banks, mode)
-    settings = settings or RunSettings()
-    records: list[ResponseRecord] = []
-    steps: list[tuple[str, float, float, bool]] = []
     os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
     with JsonlWriter(log_path) as writer:
 
-        def write(row: ResponseRecord | dict[str, Any]) -> None:
-            if isinstance(row, ResponseRecord):
-                records.append(row)
-                row = row.to_record()
-            elif (step := log_entry(row)) is not None:
-                steps.append(step)
-            writer.write(row)
+        def administer_one(task: PromptTask, subset: str, emit: Callable[[dict[str, Any]], None]) -> None:
+            emit(administer(responder, task, subset).to_record())
 
-        def administer_one(task: PromptTask, subset: str, emit: Callable[[Any], None]) -> None:
-            emit(administer(responder, task, subset))
-
-        def run_session(subset: str, tasks: list[PromptTask], emit: Callable[[Any], None]) -> None:
+        def run_session(subset: str, tasks: list[PromptTask], emit: Callable[[dict[str, Any]], None]) -> None:
             label = _SUBSET_LABELS[subset]
-            session = CatSession.start(subset, settings.max_items, settings.se_target)
+            session = CatSession.start(subset, max_items, se_target)
             bank = [task.params for task in tasks]
             tasks_by_id = {task.params.item_id: task for task in tasks}
             while (item := select_next(session, bank)) is not None:
                 step = len(session.administered) + len(session.skipped)
                 row = {"kind": "cat_step", "subset": label, "step": step, "item_id": item.item_id}
                 record = administer(responder, tasks_by_id[item.item_id], label)
-                emit(record)
+                emit(record.to_record())
                 if record.transport_status in _TRANSPORT_FAILURES:
                     session.skipped.add(item.item_id)
                     row["skipped"] = True
@@ -871,12 +846,4 @@ def run_benchmark(
         else:
             jobs = [partial(run_session, subset, tasks)
                     for subset, tasks in ((BASE_SUBSET, banks.base), (COMBINATORIAL_SUBSET, banks.comb))]
-        _run_on_lanes(jobs, responder.lanes, write)
-
-    return ScoreReport(
-        mode=mode,
-        seed=settings.seed,
-        config_hash=settings.config_hash,
-        subsets=aggregate_log_records(records),
-        dual=log_dual(steps) if mode == "cat" else None,
-    )
+        _run_on_lanes(jobs, responder.lanes, writer.write)

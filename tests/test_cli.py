@@ -27,7 +27,7 @@ from combicat.bankio import (
     save_json,
 )
 from combicat.cli import build_parser, main
-from combicat.harness import EvalBanks, PromptTask, ResponderReply, RunSettings, log_dual, run_benchmark
+from combicat.harness import EvalBanks, PromptTask, ResponderReply, log_dual, read_run, run_benchmark, run_record
 from combicat.irt import CatSession, ItemParams
 from combicat.scoring import SCORED_METRICS
 from combicat.synthesis import NOTA_TEXT, verify
@@ -813,6 +813,27 @@ class TestEvaluate:
         assert err.startswith("error: item 'Combinatorial:")
         assert "'Combinatorial'" in err and "'Base'" in err
 
+    def test_item_bank_of_another_option_count_rejected_before_the_log_opens(self, tmp_path, capsys):
+        """Banks synthesized from one atomic bank and seed at --m 5 and --m 8 share their question ids, so the
+        items of one would join the questions of the other, with a guessing parameter of 1/8 for 5 options."""
+        atomic, _, _, _ = _pipeline(tmp_path, n_questions=12)
+        comb5, comb8, comb8_items = tmp_path / "comb5.json", tmp_path / "comb8.json", tmp_path / "comb8_items.json"
+        for m, out in ((5, comb5), (8, comb8)):
+            assert main(["synthesize", "--bank", str(atomic), "--out", str(out), "--m", str(m), "--seed", "7"]) == 0
+        scores = tmp_path / "scores.jsonl"
+        assert main(["calibrate", "--bank", str(comb8), "--scores", str(scores), "--out", str(comb8_items)]) == 0
+        question_id = load_comb_bank(str(comb5))[0].id
+        assert question_id in {item.question_id for item in load_item_bank(str(comb8_items))}
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["evaluate", "--comb-bank", str(comb5), "--comb-items", str(comb8_items),
+                     "--simulator", "3pl:0,0", "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {comb8_items}: question {question_id!r} has 5 options, but its item was calibrated for 8\n"
+        )
+        assert not out_dir.exists()
+
     def test_rejected_run_keeps_the_earlier_run(self, tmp_path, capsys):
         atomic, comb, base_items, comb_items = _pipeline(tmp_path, n_questions=12)
         out_dir = tmp_path / "run"
@@ -1242,16 +1263,18 @@ class TestReport:
 
     def test_cat_run_that_administers_nothing_replays(self, tmp_path, capsys):
         """A standard error target the prior already meets stops both sessions before any item. ``evaluate``
-        rejects such a target, so the run is made through ``run_benchmark``."""
+        rejects such a target, so the run is made through ``run_benchmark``. Its report replays with no dual
+        block, and with the priors as one."""
         banks = _one_item_cat_banks()
         log, report = tmp_path / "run" / "run.jsonl", tmp_path / "run" / "report.json"
-        settings = RunSettings(se_target=2.0)
-        record = run_benchmark(ScriptedResponder({}), banks, str(log), mode="cat", settings=settings).to_record()
-        assert record["subsets"] == {} and log.read_text() == ""
-        save_json(str(report), record)
-        capsys.readouterr()
-        assert main(["report", "--log", str(log), "--report", str(report)]) == 0
-        assert "replay check: ok" in capsys.readouterr().out
+        run_benchmark(ScriptedResponder({}), banks, str(log), mode="cat", se_target=2.0)
+        _, subsets, dual = read_run(str(log))
+        assert subsets == {} and dual is None and log.read_text() == ""
+        for record in (run_record(subsets, dual), run_record(subsets, log_dual([]))):
+            save_json(str(report), record)
+            capsys.readouterr()
+            assert main(["report", "--log", str(log), "--report", str(report)]) == 0
+            assert "replay check: ok" in capsys.readouterr().out
 
     def test_cat_run_whose_comb_items_all_fail_transport(self, tmp_path, capsys):
         """A subset with no scored step has the prior and accuracy 0 in the report, and report prints its estimate."""
@@ -1262,13 +1285,13 @@ class TestReport:
                 getattr(banks, label).append(PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params))
                 script[params.item_id] = ResponderReply("", "timeout") if label == "comb" else "AB"[i % 2]
         out_dir = tmp_path / "run"
-        report = run_benchmark(ScriptedResponder(script), banks, str(out_dir / "run.jsonl"), mode="cat")
-        save_json(str(out_dir / "report.json"), report.to_record())
-        dual = load_json(str(out_dir / "report.json"))["dual"]
+        run_benchmark(ScriptedResponder(script), banks, str(out_dir / "run.jsonl"), mode="cat")
+        _, subsets, dual = read_run(str(out_dir / "run.jsonl"))
+        save_json(str(out_dir / "report.json"), run_record(subsets, dual))
         prior = CatSession.start("Combinatorial").estimate
-        assert dual["comb"] == prior.to_record()
-        assert dual["comb_accuracy"] == 0
-        assert report.subsets["comb"].transport_failures == 6
+        assert load_json(str(out_dir / "report.json"))["dual"]["comb"] == prior.to_record()
+        assert dual.comb_accuracy == 0
+        assert subsets["comb"].transport_failures == 6
         capsys.readouterr()
         assert main(["report", "--log", str(out_dir / "run.jsonl"), "--report", str(out_dir / "report.json")]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -1372,7 +1395,8 @@ class TestReport:
         banks = _one_item_cat_banks()
         script = {item_id: ResponderReply("", "http_error") for item_id in ("base0", "comb0")}
         log, report = tmp_path / "run" / "run.jsonl", tmp_path / "run" / "report.json"
-        record = run_benchmark(ScriptedResponder(script), banks, str(log), mode="cat").to_record()
+        run_benchmark(ScriptedResponder(script), banks, str(log), mode="cat")
+        record = run_record(*read_run(str(log))[1:])
         del record["dual"]
         save_json(str(report), record)
         capsys.readouterr()

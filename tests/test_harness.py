@@ -27,13 +27,14 @@ from combicat.harness import (
     PromptTask,
     ResponderReply,
     ResponseRecord,
-    RunSettings,
     SimulatedRespondent,
     administer,
     aggregate_log_records,
     build_task,
+    log_dual,
     parse_answer,
     query_model,
+    read_run,
     run_benchmark,
     score_response,
 )
@@ -379,11 +380,6 @@ class TestResponders:
         assert parse_answer(responder.respond(hard).raw_text, hard.valid_letters) != {"A"}
 
 
-def logged_responses(log_path) -> list[ResponseRecord]:
-    """The response rows of a run log, read back from the file."""
-    return [ResponseRecord.from_record(row) for _, row in read_jsonl(str(log_path)) if row["kind"] == "response"]
-
-
 def cat_banks(n: int, seed: int) -> EvalBanks:
     """Calibrated base (atomic) and combinatorial tasks for adaptive runs."""
     rng = PortableRng(seed)
@@ -430,10 +426,12 @@ class TestRunsAndLogs:
         responder = ScriptedResponder({q.id: "A, B" for q in questions[:4]})
         banks = EvalBanks(comb=[build_task(q) for q in questions])
         log_path = tmp_path / "run" / "run.jsonl"
-        report = run_benchmark(responder, banks, str(log_path), mode="static")
-        assert report.subsets["comb"].n == 6
-        assert report.subsets["comb"].accuracy == pytest.approx(4 / 6)
-        assert report.subsets == aggregate_log_records(logged_responses(log_path))
+        run_benchmark(responder, banks, str(log_path), mode="static")
+        responses, subsets, dual = read_run(str(log_path))
+        assert [record.question_id for record in responses] == [q.id for q in questions]
+        assert subsets["comb"].n == 6
+        assert subsets["comb"].accuracy == pytest.approx(4 / 6)
+        assert dual is None
 
     def test_static_run_with_baselines_reports_the_aggregates_of_its_log(self, tmp_path):
         atomic = [make_atomic_question(i) for i in range(8)]
@@ -450,11 +448,11 @@ class TestRunsAndLogs:
         script = {q.id: "ABCD"[i % 4] for i, q in enumerate(atomic[:6])}
         script.update({comb[0].id: "A, C", comb[1].id: "A", comb[2].id: "no answer"})
         log_path = tmp_path / "run.jsonl"
-        report = run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="static")
+        run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="static")
+        _, subsets, _ = read_run(str(log_path))
         # base, the baselines by name, then comb; a subset that administered nothing is not listed
-        assert list(report.subsets) == ["base", "nota", "shuffle", "comb"]
-        assert [report.subsets[label].n for label in report.subsets] == [8, 6, 6, 5]
-        assert report.subsets == aggregate_log_records(logged_responses(log_path))
+        assert list(subsets) == ["base", "nota", "shuffle", "comb"]
+        assert [subsets[label].n for label in subsets] == [8, 6, 6, 5]
 
     def test_static_accuracy_converges_to_mean_probability(self, tmp_path):
         """Simulated accuracy over a large static bank approaches mean 3PL P."""
@@ -464,9 +462,9 @@ class TestRunsAndLogs:
             params = ItemParams(f"p{i}", a=1.2, b=-2.0 + 4.0 * rng.random(), c=1.0 / 6.0)
             tasks.append(build_task(fixture_comb_question(f"p{i}", 6, {"A", "B"}), params))
         responder = SimulatedRespondent({"Base": 0.3}, seed=12)
-        report = run_benchmark(responder, EvalBanks(comb=tasks), str(tmp_path / "run.jsonl"), mode="static")
+        run_benchmark(responder, EvalBanks(comb=tasks), str(tmp_path / "run.jsonl"), mode="static")
         expected = fmean(probability_3pl(0.3, task.params) for task in tasks)
-        assert report.subsets["comb"].accuracy == pytest.approx(expected, abs=0.02)
+        assert read_run(str(tmp_path / "run.jsonl"))[1]["comb"].accuracy == pytest.approx(expected, abs=0.02)
 
     def test_cat_mode_requires_params(self, tmp_path):
         banks = EvalBanks(
@@ -480,12 +478,11 @@ class TestRunsAndLogs:
     def test_cat_mode_dual_report_and_step_log(self, tmp_path):
         responder = SimulatedRespondent({"Base": 1.0, "Combinatorial": -1.0}, seed=5)
         log_path = tmp_path / "run.jsonl"
-        report = run_benchmark(
-            responder, cat_banks(80, seed=21), str(log_path), mode="cat", settings=RunSettings(seed=5)
-        )
-        assert report.dual is not None
-        assert report.dual.delta_theta > 0
-        assert report.dual.base.n_administered <= 60
+        run_benchmark(responder, cat_banks(80, seed=21), str(log_path), mode="cat")
+        _, _, dual = read_run(str(log_path))
+        assert dual is not None
+        assert dual.delta_theta > 0
+        assert dual.base.n_administered <= 60
         rows = [json.loads(line) for line in log_path.read_text().splitlines()]
         kinds = {row["kind"] for row in rows}
         assert kinds == {"response", "cat_step"}
@@ -503,10 +500,10 @@ class TestRunsAndLogs:
             else:
                 script[task.question_id] = "B"
         log_path = tmp_path / "run.jsonl"
-        report = run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="cat")
-        assert list(report.subsets) == ["base", "comb"]
-        assert all(result.transport_failures > 0 for result in report.subsets.values())
-        assert report.subsets == aggregate_log_records(logged_responses(log_path))
+        run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="cat")
+        _, subsets, _ = read_run(str(log_path))
+        assert list(subsets) == ["base", "comb"]
+        assert all(result.transport_failures > 0 for result in subsets.values())
 
     def test_unknown_mode_rejected(self, tmp_path):
         log_path = tmp_path / "run.jsonl"
@@ -588,8 +585,8 @@ class TestLanes:
                 responder = PacedResponder(script)
                 responder.lanes = n
                 log_path = tmp_path / f"lanes{n}.jsonl"
-                report = run_benchmark(responder, banks, str(log_path), mode=mode)
-                logs.append((log_path.read_bytes(), report))
+                run_benchmark(responder, banks, str(log_path), mode=mode)
+                logs.append((log_path.read_bytes(), read_run(str(log_path))))
         finally:
             sys.setswitchinterval(interval)
         assert logs[0] == logs[1]
@@ -622,9 +619,9 @@ class TestLanes:
             responder = Paired(endpoint) if lanes == 2 else EndpointResponder(endpoint)
             responder.lanes = lanes
             log_path = tmp_path / f"lanes{lanes}.jsonl"
-            report = run_benchmark(responder, banks, str(log_path), mode=mode)
+            run_benchmark(responder, banks, str(log_path), mode=mode)
             rows.append(([{k: v for k, v in row.items() if k != "latency_ms"} for _, row in read_jsonl(str(log_path))],
-                         report))
+                         read_run(str(log_path))[1:]))
         assert rows[0] == rows[1]
         assert most_in_flight(MockChatHandler.posts) == 1
 
@@ -642,8 +639,8 @@ class TestLanes:
         monkeypatch.setattr(MockChatHandler, "flaky_match", "Scenario 3:")
         responder = EndpointResponder(EndpointConfig(base_url=f"{mock_server}/flaky", model_name="m"))
         banks = EvalBanks(base=[build_task(make_atomic_question(i)) for i in range(16)])
-        report = run_benchmark(responder, banks, str(tmp_path / "run.jsonl"), mode="static")
-        assert report.subsets["base"].transport_failures == 0
+        run_benchmark(responder, banks, str(tmp_path / "run.jsonl"), mode="static")
+        assert read_run(str(tmp_path / "run.jsonl"))[1]["base"].transport_failures == 0
         posts = MockChatHandler.posts
         assert len(posts) == 17
         (fault,) = [post for post in posts if post[2] == 429]
@@ -744,14 +741,13 @@ class TestCatLoopAgainstReference:
                 task = PromptTask(params.item_id, "", "", ("A", "B"), frozenset({"A"}), params)
                 getattr(banks, label).append(task)
         log_path = tmp_path_factory.getbasetemp() / "cat_oracle" / "run.jsonl"
-        report = run_benchmark(
-            ScriptedResponder(script), banks, str(log_path), mode="cat",
-            settings=RunSettings(max_items=max_items, se_target=se_target),
-        )
+        run_benchmark(ScriptedResponder(script), banks, str(log_path), mode="cat", max_items=max_items,
+                      se_target=se_target)
         rows = [row for _, row in read_jsonl(str(log_path))]
+        dual = read_run(str(log_path))[2] or log_dual([])  # a log with no step holds both priors
         for subset, label, estimate, accuracy in (
-            ("Base", "base", report.dual.base, report.dual.base_accuracy),
-            ("Combinatorial", "comb", report.dual.comb, report.dual.comb_accuracy),
+            ("Base", "base", dual.base, dual.base_accuracy),
+            ("Combinatorial", "comb", dual.comb, dual.comb_accuracy),
         ):
             expected, expected_steps = reference_cat_session(
                 [task.params for task in getattr(banks, label)], lambda item: outcomes[item.item_id],
